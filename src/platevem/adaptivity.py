@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_rhs, assemble_system, solve_system
-from .estimator import LocalEstimators, estimate
-from .manufactured import ErrorReport, ManufacturedCase, compute_errors
+from .estimator import LocalEstimators
+from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import PolygonalMesh, refine
-from .spaces import SpaceKind, apply_essential_bc
+from .runner import constrained_system, solve_level
+from .spaces import SpaceKind
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
                   solver: str = "direct",
                   threads: int = 1,
                   keep_meshes: bool = False,
-                  singular_subdivide: int = 1,
                   coupling_degree: int | None = None) -> AdaptiveTrace:
     """Iterate solve/estimate/mark/refine on one manufactured case.
 
@@ -100,34 +99,20 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
     marking.validate()
     trace = AdaptiveTrace()
     for level in range(marking.max_levels):
-        system = assemble_system(
-            mesh, space_u, space_p, case.params,
-            pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
-            threads=threads,
-            singular_cells=case.singular_cells(mesh),
-            singular_subdivide=singular_subdivide,
-            coupling_degree=coupling_degree)
-        F = assemble_rhs(system, case.f, case.g,
-                         bending_moment_data=case.bending_moment_data,
-                         pressure_flux_data=case.pressure_flux_data)
-        apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u)
-        apply_essential_bc(
-            system.dof_p, mesh, value=case.p,
-            pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped)
-        U, P = solve_system(system, F, method=solver)
-        report = compute_errors(system, U, P, case)
-        est = estimate(system, U, P, f=case.f, g=case.g,
-                       bending_moment_data=case.bending_moment_data,
-                       pressure_flux_data=case.pressure_flux_data,
-                       grad_u_data=case.grad_u, pressure_trace_data=case.p)
+        system = constrained_system(case, mesh, (space_u, space_p),
+                                    threads=threads,
+                                    coupling_degree=coupling_degree)
+        result = solve_level(case, system, solver=solver)
+        est = result.est
         if keep_meshes:
             trace.meshes.append(mesh)
 
         last = level == marking.max_levels - 1 or est.eta <= marking.eta_tol
         marked = [] if last else dorfler_mark(est.locals_, marking.theta)
         trace.levels.append(AdaptiveLevel(
-            level, mesh.ncells, mesh.h, system.ndof, est.eta,
-            est.components2.copy(), est.cell_eta2.copy(), report, len(marked)))
+            level, mesh.ncells, mesh.h, result.ndof, est.eta,
+            est.components2.copy(), est.cell_eta2.copy(), result.report,
+            len(marked)))
         if last:
             break
         mesh = refine(mesh, marked)

@@ -23,7 +23,8 @@ computable for every family.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,9 +81,6 @@ class AssembledSystem:
     K: sp.csr_matrix
     elements: list[ElementOperators]
     pressure_dirichlet_on_clamped: bool = False
-    data_order: int | None = None
-    singular_cells: frozenset[int] = field(default_factory=frozenset)
-    singular_subdivide: int = 0
 
     @property
     def ndof(self) -> int:
@@ -91,13 +89,6 @@ class AssembledSystem:
 
 # ---------------------------------------------------------------------------
 # element matrices
-
-
-def _stiffness_gram(ctx: ElementContext, n: int) -> np.ndarray:
-    w = ctx.rule(ctx.vol_order, 0).weights
-    Vx = ctx.vtab((1, 0))[:, :n]
-    Vy = ctx.vtab((0, 1))[:, :n]
-    return (Vx * w[:, None]).T @ Vx + (Vy * w[:, None]).T @ Vy
 
 
 def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
@@ -162,7 +153,6 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     threads: int = 1,
                     singular_cells: frozenset[int] | set[int] = frozenset(),
                     singular_subdivide: int = 1,
-                    data_order: int | None = None,
                     coupling_degree: int | None = None) -> AssembledSystem:
     """Build every element operator and scatter into one sparse block matrix.
 
@@ -208,8 +198,7 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
     return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K,
-                           elements, pressure_dirichlet_on_clamped,
-                           data_order, singular_cells, singular_subdivide)
+                           elements, pressure_dirichlet_on_clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +236,7 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
     """
     k = system.space_u.degree
     l = system.space_p.degree
-    order = system.data_order if system.data_order is not None else 2 * k + 4
+    order = 2 * k + 4
     n_u = system.dof_u.ndof
     F = np.zeros(n_u + system.dof_p.ndof)
     for op in system.elements:
@@ -285,34 +274,52 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
 # solve
 
 
-def solve_system(system: AssembledSystem, F: np.ndarray,
-                 method: str = "direct", tol: float = 1e-12):
-    """Eliminate essential dofs by lifting and solve the free block.
+@dataclass
+class FactoredSystem:
+    """The free block of a constrained system, factored for many loads.
 
-    Returns the full coefficient vectors (U, P) with boundary values filled
-    back in.
+    The essential values enter through a lift; its image under the full
+    operator is kept, so each solve costs one subtraction and one
+    application of the factorization.
     """
-    n_u = system.dof_u.ndof
+    free: np.ndarray
+    lift: np.ndarray
+    K_lift: np.ndarray
+    n_u: int
+    solve_free: Callable[[np.ndarray], np.ndarray]
+
+    def solve(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full coefficient vectors (U, P) with boundary values filled in."""
+        full = self.lift.copy()
+        full[self.free] = self.solve_free((F - self.K_lift)[self.free])
+        return full[:self.n_u], full[self.n_u:]
+
+
+def factor_system(system: AssembledSystem, method: str = "direct") -> FactoredSystem:
+    """Eliminate essential dofs by lifting and factor the free block.
+
+    The boundary values must already be applied to the system's DoF maps.
+    "direct" is a sparse LU; "gmres" builds an incomplete LU once and uses
+    it to precondition every solve.
+    """
+    if method not in ("direct", "gmres"):
+        raise ValueError(f"unknown solve method {method!r}")
     constrained = np.concatenate([system.dof_u.constrained, system.dof_p.constrained])
     lift = np.concatenate([system.dof_u.values, system.dof_p.values])
     lift = np.where(constrained, lift, 0.0)
     free = ~constrained
-
-    K = system.K
-    rhs = F - K @ lift
-    Kff = K[free][:, free].tocsc()
+    Kff = system.K[free][:, free].tocsc()
     if method == "direct":
-        x = spla.splu(Kff).solve(rhs[free])
-    elif method == "gmres":
+        solve_free = spla.splu(Kff).solve
+    else:
         ilu = spla.spilu(Kff, drop_tol=1e-8, fill_factor=20)
         M = spla.LinearOperator(Kff.shape, ilu.solve)
-        x, info = spla.gmres(Kff, rhs[free], rtol=tol, atol=0.0, M=M,
-                             restart=200, maxiter=2000)
-        if info != 0:
-            raise RuntimeError(f"gmres failed to converge (info={info})")
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
 
-    full = lift.copy()
-    full[free] = x
-    return full[:n_u], full[n_u:]
+        def solve_free(rhs: np.ndarray) -> np.ndarray:
+            x, info = spla.gmres(Kff, rhs, rtol=1e-12, atol=0.0, M=M,
+                                 restart=200, maxiter=2000)
+            if info != 0:
+                raise RuntimeError(f"gmres failed to converge (info={info})")
+            return x
+    return FactoredSystem(free, lift, system.K @ lift, system.dof_u.ndof,
+                          solve_free)

@@ -20,10 +20,11 @@ from . import __version__
 from .adaptivity import MarkingConfig, adaptive_loop
 from .assembly import ModelParams, derive_params
 from .manufactured import get_case, rate_table
-from .mesh import (generate_lshape, generate_structured, generate_voronoi,
-                   load_mesh, quality_report, uniform_refine)
-from .runner import (assemble_projected_mass, fit_loglog_slope,
-                     run_convergence, solve_case, spaces_for, timestep_driver)
+from .mesh import (generate_lshape, generate_structured, load_mesh,
+                   quality_report, uniform_refine)
+from .runner import (assemble_projected_mass, case_rhs, constrained_system,
+                     fit_loglog_slope, run_convergence, spaces_for,
+                     timestep_driver, voronoi_ladder)
 from .spaces import Family
 
 SCHEMAS = {"rates": "rates-v1", "levels": "levels-v1",
@@ -62,9 +63,7 @@ class RunConfig:
     theta: float = 0.5
     levels: int = 5
     steps: int = 5
-    solver: dict = field(default_factory=lambda: {"method": "direct", "tol": 1e-12})
-    quadrature: dict = field(default_factory=lambda: {"data_order": None,
-                                                      "edge_order": None})
+    solver: dict = field(default_factory=lambda: {"method": "direct"})
     coupling_degree: int | None = None
     out: str = "out"
     seed: int = 0
@@ -80,7 +79,7 @@ class RunConfig:
                 raise ConfigError(f"mesh.{sorted(unknown)[0]}", "unknown field")
             cfg.mesh = MeshSpec(**mesh_doc)
         for key, val in doc.items():
-            if not hasattr(cfg, key):
+            if key not in RunConfig.__dataclass_fields__:
                 raise ConfigError(key, "unknown field")
             setattr(cfg, key, val)
         return cfg
@@ -93,6 +92,10 @@ class RunConfig:
         if self.params is not None:
             return ModelParams(**self.params)
         return ModelParams()
+
+    @property
+    def solver_method(self) -> str:
+        return self.solver.get("method", "direct")
 
     def family_enum(self) -> Family:
         try:
@@ -110,6 +113,8 @@ class RunConfig:
         fam = self.family_enum()
         if fam is Family.NONCONFORMING and self.k == 3 and self.l < self.k - 2:
             raise ConfigError("l", "nonconforming estimator with k=3 needs l >= k-2")
+        if self.mode not in ("uniform", "adaptive"):
+            raise ConfigError("mode", f"unknown mode {self.mode!r} (uniform|adaptive)")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta", "theta must lie in (0, 1]")
         if self.levels < 1:
@@ -120,7 +125,12 @@ class RunConfig:
             for p in self.mesh.paths:
                 if not Path(p).exists():
                     raise ConfigError("mesh.paths", f"no such file {p!r}")
-        if self.solver.get("method", "direct") not in ("direct", "gmres"):
+        if not isinstance(self.solver, dict):
+            raise ConfigError("solver", "expected an object")
+        unknown = set(self.solver) - {"method"}
+        if unknown:
+            raise ConfigError(f"solver.{sorted(unknown)[0]}", "unknown field")
+        if self.solver_method not in ("direct", "gmres"):
             raise ConfigError("solver.method", "direct or gmres")
         self.model_params().validate()
 
@@ -156,9 +166,8 @@ def _mesh_ladder(cfg: RunConfig, case, levels: int | None = None) -> list:
     nlev = cfg.levels if levels is None else levels
     if ms.kind == "voronoi":
         counts = ms.counts or [ms.n0 * 4 ** j for j in range(nlev)]
-        return [generate_voronoi(int(n), lloyd_iters=ms.lloyd,
-                                 seed=cfg.seed + 101 * j, labeler=case.labeler)
-                for j, n in enumerate(counts[:nlev])]
+        return voronoi_ladder(case, counts[:nlev], seed=cfg.seed,
+                              lloyd_iters=ms.lloyd)
     if ms.kind == "structured":
         return [generate_structured(ms.n0 * 2 ** j, ms.n0 * 2 ** j,
                                     labeler=case.labeler)
@@ -217,7 +226,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     meshes = _mesh_ladder(cfg, case)
     results = run_convergence(
         case, meshes, cfg.family_enum(), cfg.k, cfg.l,
-        threads=cfg.threads, solver=cfg.solver.get("method", "direct"),
+        threads=cfg.threads, solver=cfg.solver_method,
         coupling_degree=cfg.coupling_degree)
 
     hs = [r.h for r in results]
@@ -259,7 +268,7 @@ def cmd_adaptive(cfg: RunConfig) -> int:
     space_u, space_p = spaces_for(cfg.family_enum(), cfg.k, cfg.l)
     trace = adaptive_loop(case, mesh, space_u, space_p,
                           MarkingConfig(theta=theta, max_levels=cfg.levels),
-                          solver=cfg.solver.get("method", "direct"),
+                          solver=cfg.solver_method,
                           threads=cfg.threads,
                           coupling_degree=cfg.coupling_degree)
     _write_csv(outdir / "trace.csv", "trace", _LEVEL_HEADER + ["marked"],
@@ -286,20 +295,15 @@ def cmd_timestep(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
-    system, U, P = solve_case(case, mesh, cfg.family_enum(), cfg.k, cfg.l,
-                              threads=cfg.threads,
-                              solver=cfg.solver.get("method", "direct"),
-                              coupling_degree=cfg.coupling_degree)
-    u0 = np.zeros(system.dof_u.ndof)
-    p0 = np.zeros(system.dof_p.ndof)
-    seq = timestep_driver(system, lambda pts, s: case.f(pts),
-                          lambda pts, s: case.g(pts), steps=cfg.steps,
-                          u0=u0, p0=p0,
-                          bending_moment_data=case.bending_moment_data,
-                          pressure_flux_data=case.pressure_flux_data,
-                          solver=cfg.solver.get("method", "direct"))
+    system = constrained_system(case, mesh,
+                                spaces_for(cfg.family_enum(), cfg.k, cfg.l),
+                                threads=cfg.threads,
+                                coupling_degree=cfg.coupling_degree)
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
+    seq = timestep_driver(system, case_rhs(system, case), M, steps=cfg.steps,
+                          u0=np.zeros(n_u), p0=np.zeros(system.dof_p.ndof),
+                          solver=cfg.solver_method)
     rows = []
     for step, (Un, Pn) in enumerate(seq, start=1):
         X = np.concatenate([Un, Pn])

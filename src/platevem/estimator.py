@@ -186,9 +186,7 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
              bending_moment_data=None,
              pressure_flux_data=None,
              grad_u_data=None,
-             pressure_trace_data=None,
-             edge_order: int | None = None,
-             data_order: int | None = None) -> EstimatorReport:
+             pressure_trace_data=None) -> EstimatorReport:
     """Compute all local contributions and the global estimator.
 
     f and g are the sources of the two equations.  The optional callbacks
@@ -209,9 +207,8 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
         include += (8,)
         if k >= 3:
             include += (9,)
-    vol_order = data_order if data_order is not None else (
-        system.data_order if system.data_order is not None else 2 * k + 4)
-    e_order = edge_order if edge_order is not None else 2 * k + 2
+    vol_order = 2 * k + 4
+    e_order = 2 * k + 2
 
     parts = np.zeros((mesh.ncells, N_PARTS))
     nk, nl = poly_dim(k), poly_dim(l)

@@ -109,12 +109,6 @@ class ScaledMonomialBasis:
         return out
 
 
-def eval_basis(basis: ScaledMonomialBasis, pts: np.ndarray,
-               deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Functional alias for ScaledMonomialBasis.eval."""
-    return basis.eval(pts, deriv)
-
-
 # ---------------------------------------------------------------------------
 # quadrature rules
 

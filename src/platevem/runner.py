@@ -1,25 +1,26 @@
 """Experiment drivers shared by the command line and the test suite.
 
-The drivers wire a manufactured case to the assembly/solve/estimate
-pipeline: uniform convergence ladders on Voronoi, structured, or L-shaped
-meshes, the patch solve with operator-synthesized data, and the two-step
-time discretisation where previous states feed the right-hand side
-through their projected polynomial representations.
+Every experiment runs one level pipeline: assemble the system of a
+manufactured case on one mesh and apply its essential boundary values
+(``constrained_system``), then add the case loads, factor once, solve,
+and measure (``solve_level``).  On top of it sit the uniform convergence
+ladders, the patch solve with operator-synthesized data, and the
+two-step time discretisation where previous states feed the right-hand
+side through their projected polynomial representations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (AssembledSystem, assemble_rhs, assemble_system,
-                       solve_system)
+                       factor_system)
 from .estimator import EstimatorReport, estimate
 from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
-from .mesh import (PolygonalMesh, generate_lshape, generate_structured,
-                   generate_voronoi, uniform_refine)
+from .mesh import PolygonalMesh, generate_voronoi
 from .quadrature import poly_dim
 from .spaces import Family, SpaceKind, apply_essential_bc, interpolate
 
@@ -40,44 +41,65 @@ def voronoi_ladder(case: ManufacturedCase, counts, seed: int = 0,
             for j, n in enumerate(counts)]
 
 
-def structured_ladder(case: ManufacturedCase, n0: int,
-                      levels: int) -> list[PolygonalMesh]:
-    return [generate_structured(n0 * 2 ** j, n0 * 2 ** j, labeler=case.labeler)
-            for j in range(levels)]
-
-
-def lshape_ladder(n0: int, levels: int) -> list[PolygonalMesh]:
-    meshes = [generate_lshape(n0)]
-    for _ in range(levels - 1):
-        meshes.append(uniform_refine(meshes[-1]))
-    return meshes
-
-
 # ---------------------------------------------------------------------------
-# single solves
+# the level pipeline
 
 
-def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
-               k: int, l: int, *, threads: int = 1, solver: str = "direct",
-               coupling_degree: int | None = None,
-               singular_subdivide: int = 1):
-    """Assemble, apply the case data and boundary values, and solve."""
-    space_u, space_p = spaces_for(family, k, l)
+def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
+                       spaces: tuple[SpaceKind, SpaceKind], *, threads: int = 1,
+                       coupling_degree: int | None = None) -> AssembledSystem:
+    """Assemble the case's operator on one mesh and apply its boundary values."""
+    space_u, space_p = spaces
     system = assemble_system(
         mesh, space_u, space_p, case.params,
         pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
         threads=threads,
         singular_cells=case.singular_cells(mesh),
-        singular_subdivide=singular_subdivide,
         coupling_degree=coupling_degree)
-    F = assemble_rhs(system, case.f, case.g,
-                     bending_moment_data=case.bending_moment_data,
-                     pressure_flux_data=case.pressure_flux_data)
     apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u)
     apply_essential_bc(
         system.dof_p, mesh, value=case.p,
         pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped)
-    U, P = solve_system(system, F, method=solver)
+    return system
+
+
+def case_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
+    """Volume loads and natural boundary data of the case."""
+    return assemble_rhs(system, case.f, case.g,
+                        bending_moment_data=case.bending_moment_data,
+                        pressure_flux_data=case.pressure_flux_data)
+
+
+@dataclass
+class LevelResult:
+    h: float
+    ncells: int
+    ndof: int
+    report: ErrorReport
+    est: EstimatorReport | None
+
+
+def solve_level(case: ManufacturedCase, system: AssembledSystem, *,
+                solver: str = "direct",
+                with_estimator: bool = True) -> LevelResult:
+    """Solve the case on a constrained system, then measure the solution."""
+    U, P = factor_system(system, solver).solve(case_rhs(system, case))
+    report = compute_errors(system, U, P, case)
+    est = None
+    if with_estimator:
+        est = estimate(system, U, P, f=case.f, g=case.g,
+                       bending_moment_data=case.bending_moment_data,
+                       pressure_flux_data=case.pressure_flux_data,
+                       grad_u_data=case.grad_u, pressure_trace_data=case.p)
+    mesh = system.mesh
+    return LevelResult(mesh.h, mesh.ncells, system.ndof, report, est)
+
+
+def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
+               k: int, l: int, *, solver: str = "direct"):
+    """Constrained system and discrete solution of one case on one mesh."""
+    system = constrained_system(case, mesh, spaces_for(family, k, l))
+    U, P = factor_system(system, solver).solve(case_rhs(system, case))
     return system, U, P
 
 
@@ -90,19 +112,11 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     interpolant exactly; any deviation points at the assembly, scatter,
     boundary, or solve stages.
     """
-    space_u, space_p = spaces_for(family, k, l)
-    system = assemble_system(
-        mesh, space_u, space_p, case.params,
-        pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
-        threads=threads)
+    system = constrained_system(case, mesh, spaces_for(family, k, l),
+                                threads=threads)
     UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
     PI = interpolate(mesh, system.dof_p, case.p)
-    F = system.K @ np.concatenate([UI, PI])
-    apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u)
-    apply_essential_bc(
-        system.dof_p, mesh, value=case.p,
-        pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped)
-    U, P = solve_system(system, F)
+    U, P = factor_system(system).solve(system.K @ np.concatenate([UI, PI]))
     return compute_errors(system, U, P, case)
 
 
@@ -110,35 +124,16 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
 # uniform convergence studies
 
 
-@dataclass
-class LevelResult:
-    h: float
-    ncells: int
-    ndof: int
-    report: ErrorReport
-    est: EstimatorReport | None
-
-
 def run_convergence(case: ManufacturedCase, meshes, family: Family,
                     k: int, l: int, *, threads: int = 1,
                     solver: str = "direct", with_estimator: bool = True,
-                    coupling_degree: int | None = None,
-                    singular_subdivide: int = 1) -> list[LevelResult]:
-    out: list[LevelResult] = []
-    for mesh in meshes:
-        system, U, P = solve_case(case, mesh, family, k, l, threads=threads,
-                                  solver=solver,
-                                  coupling_degree=coupling_degree,
-                                  singular_subdivide=singular_subdivide)
-        report = compute_errors(system, U, P, case)
-        est = None
-        if with_estimator:
-            est = estimate(system, U, P, f=case.f, g=case.g,
-                           bending_moment_data=case.bending_moment_data,
-                           pressure_flux_data=case.pressure_flux_data,
-                           grad_u_data=case.grad_u, pressure_trace_data=case.p)
-        out.append(LevelResult(mesh.h, mesh.ncells, system.ndof, report, est))
-    return out
+                    coupling_degree: int | None = None) -> list[LevelResult]:
+    spaces = spaces_for(family, k, l)
+    return [solve_level(case, constrained_system(case, mesh, spaces,
+                                                 threads=threads,
+                                                 coupling_degree=coupling_degree),
+                        solver=solver, with_estimator=with_estimator)
+            for mesh in meshes]
 
 
 def fit_loglog_slope(x, y, tail: int = 4) -> float:
@@ -179,31 +174,26 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
                          shape=(n, n)).tocsr()
 
 
-def timestep_driver(system: AssembledSystem, f, g, *, steps: int,
-                    u0: np.ndarray, p0: np.ndarray,
+def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,
+                    steps: int, u0: np.ndarray, p0: np.ndarray,
                     u_prev: np.ndarray | None = None,
-                    bending_moment_data=None, pressure_flux_data=None,
                     solver: str = "direct") -> list[tuple[np.ndarray, np.ndarray]]:
     """March the one-step system with unit time step.
 
-    f and g are called as f(points, step) for step = 1..steps.  Each step
-    solves the static system with the composed sources f + 2 u_n - u_{n-1}
-    and g + p_n, the previous states acting through the projected mass.
-    Boundary values must already be applied to the system's DoF maps and
-    are held fixed over the march.
+    F is the assembled load of step-independent data and M the projected
+    mass of ``assemble_projected_mass``.  Each step solves the static
+    system with the load F + M [2 u_n - u_{n-1}, p_n], so the previous
+    states act through their projections; the operator is factored once
+    for the whole march.  Boundary values must already be applied to the
+    system's DoF maps and are held fixed over the march.
     """
     if u_prev is None:
         u_prev = u0.copy()
-    M = assemble_projected_mass(system)
+    factored = factor_system(system, solver)
     un, um1, pn = u0.copy(), u_prev.copy(), p0.copy()
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for step in range(1, steps + 1):
-        F = assemble_rhs(system, lambda pts, s=step: f(pts, s),
-                         lambda pts, s=step: g(pts, s),
-                         bending_moment_data=bending_moment_data,
-                         pressure_flux_data=pressure_flux_data)
-        F = F + M @ np.concatenate([2.0 * un - um1, pn])
-        U, P = solve_system(system, F, method=solver)
+    for _ in range(steps):
+        U, P = factored.solve(F + M @ np.concatenate([2.0 * un - um1, pn]))
         out.append((U, P))
         um1, un, pn = un, U, P
     return out
@@ -216,9 +206,5 @@ def steady_timestep_state(system: AssembledSystem, F: np.ndarray):
     once gives the state that the march reproduces identically.
     """
     M = assemble_projected_mass(system)
-    shifted = AssembledSystem(
-        system.mesh, system.space_u, system.space_p, system.params,
-        system.dof_u, system.dof_p, (system.K - M).tocsr(), system.elements,
-        system.pressure_dirichlet_on_clamped, system.data_order,
-        system.singular_cells, system.singular_subdivide)
-    return solve_system(shifted, F)
+    shifted = replace(system, K=(system.K - M).tocsr())
+    return factor_system(shifted).solve(F)

@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from platevem import assembly, runner
 from platevem.assembly import (ModelParams, assemble_rhs, assemble_system,
-                               build_element, derive_params, solve_system)
+                               build_element, derive_params, factor_system)
+from platevem.cli import main
 from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import generate_structured, generate_voronoi
-from platevem.runner import (solve_case, solve_patch, spaces_for,
-                             steady_timestep_state, timestep_driver)
+from platevem.runner import (assemble_projected_mass, case_rhs,
+                             constrained_system, run_convergence, solve_case,
+                             solve_patch, spaces_for, steady_timestep_state,
+                             timestep_driver)
 from platevem.spaces import Family, SpaceKind, apply_essential_bc, interpolate
 
 PARAMS = ModelParams(0.9, 1.2, 1.5)
@@ -147,12 +153,11 @@ class TestSolvers:
         case = get_case("smooth")
         space_u, space_p = spaces_for(Family.CONFORMING, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, case.params)
-        F = assemble_rhs(system, case.f, case.g)
         apply_essential_bc(system.dof_u, voronoi25, value=case.u,
                            grad=case.grad_u)
         apply_essential_bc(system.dof_p, voronoi25, value=case.p)
         with pytest.raises(ValueError):
-            solve_system(system, F, method="cholesky")
+            factor_system(system, method="cholesky")
 
 
 class TestTimestepping:
@@ -163,12 +168,9 @@ class TestTimestepping:
         system, U, P = solve_case(case, voronoi25, Family.CONFORMING, 2, 1)
         u0 = np.zeros(system.dof_u.ndof)
         p0 = np.zeros(system.dof_p.ndof)
-        hist = timestep_driver(system,
-                               lambda pts, s: case.f(pts),
-                               lambda pts, s: case.g(pts),
-                               steps=1, u0=u0, p0=p0,
-                               bending_moment_data=case.bending_moment_data,
-                               pressure_flux_data=case.pressure_flux_data)
+        hist = timestep_driver(system, case_rhs(system, case),
+                               assemble_projected_mass(system),
+                               steps=1, u0=u0, p0=p0)
         U1, P1 = hist[-1]
         scale = max(np.abs(U).max(), np.abs(P).max())
         assert np.abs(U1 - U).max() < 1e-10 * scale
@@ -184,14 +186,66 @@ class TestTimestepping:
         F = assemble_rhs(system, case.f, case.g,
                          bending_moment_data=case.bending_moment_data,
                          pressure_flux_data=case.pressure_flux_data)
-        hist = timestep_driver(system,
-                               lambda pts, s: case.f(pts),
-                               lambda pts, s: case.g(pts),
-                               steps=60, u0=u0, p0=p0,
-                               bending_moment_data=case.bending_moment_data,
-                               pressure_flux_data=case.pressure_flux_data)
+        hist = timestep_driver(system, F, assemble_projected_mass(system),
+                               steps=60, u0=u0, p0=p0)
         Us, Ps = steady_timestep_state(system, F)
         Ue, Pe = hist[-1]
         scale = max(np.abs(Us).max(), np.abs(Ps).max())
         assert np.abs(Ue - Us).max() < 1e-6 * scale
         assert np.abs(Pe - Ps).max() < 1e-6 * scale
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestFactorOnce:
+    """Each level factors its operator once; the time march reuses one
+    factorization and one load vector for every step."""
+
+    def test_march_factors_once(self, monkeypatch, voronoi25):
+        case = get_case("smooth")
+        system = constrained_system(case, voronoi25,
+                                    spaces_for(Family.CONFORMING, 2, 1))
+        F = case_rhs(system, case)
+        M = assemble_projected_mass(system)
+        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        rhs = count_calls(monkeypatch, runner, "assemble_rhs")
+        hist = timestep_driver(system, F, M, steps=6,
+                               u0=np.zeros(system.dof_u.ndof),
+                               p0=np.zeros(system.dof_p.ndof))
+        assert len(hist) == 6
+        assert len(splu) == 1
+        assert rhs == []
+
+    def test_convergence_factors_once_per_level(self, monkeypatch, voronoi25):
+        case = get_case("smooth")
+        meshes = [generate_voronoi(9, lloyd_iters=2, seed=4,
+                                   labeler=case.labeler), voronoi25]
+        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        rhs = count_calls(monkeypatch, runner, "assemble_rhs")
+        run_convergence(case, meshes, Family.CONFORMING, 2, 1,
+                        with_estimator=False)
+        assert len(splu) == len(meshes)
+        assert len(rhs) == len(meshes)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_timestep_command_factors_once(self, monkeypatch, tmp_path, steps):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "mesh": {"kind": "voronoi", "n0": 12, "lloyd": 2},
+            "steps": steps, "out": str(tmp_path / "out")}))
+        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        rhs = count_calls(monkeypatch, runner, "assemble_rhs")
+        assert main(["timestep", "--config", str(cfg)]) == 0
+        assert len(splu) == 1
+        assert len(rhs) == 1

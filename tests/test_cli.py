@@ -77,6 +77,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, mesh={"kind": "hexagonal"})
         assert main(["convergence", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"quadrature": {"data_order": 6}}, "quadrature"),
+        ({"solver": {"method": "gmres", "tol": 1e-10}}, "solver.tol"),
+        ({"solver": {"method": "direct", "precond": "ilu"}}, "solver.precond"),
+        ({"mode": "adaptve"}, "mode"),
+    ])
+    def test_rejected_field_names_its_path(self, tmp_path, capsys,
+                                           overrides, path):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["convergence", "--config", str(cfg)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
