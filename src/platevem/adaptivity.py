@@ -88,9 +88,7 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
                   space_u: SpaceKind, space_p: SpaceKind,
                   marking: MarkingConfig, *,
                   solver: str = "direct",
-                  threads: int = 1,
-                  keep_meshes: bool = False,
-                  coupling_degree: int | None = None) -> AdaptiveTrace:
+                  keep_meshes: bool = False) -> AdaptiveTrace:
     """Iterate solve/estimate/mark/refine on one manufactured case.
 
     Stops at the level cap or once the global estimator drops below the
@@ -99,9 +97,7 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
     marking.validate()
     trace = AdaptiveTrace()
     for level in range(marking.max_levels):
-        system = constrained_system(case, mesh, (space_u, space_p),
-                                    threads=threads,
-                                    coupling_degree=coupling_degree)
+        system = constrained_system(case, mesh, (space_u, space_p))
         result = solve_level(case, system, solver=solver)
         est = result.est
         if keep_meshes:

@@ -22,7 +22,6 @@ computable for every family.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,16 +92,14 @@ class AssembledSystem:
 
 def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
                   space_p: SpaceKind, params: ModelParams,
-                  singular_subdivide: int = 0,
-                  coupling_degree: int | None = None) -> ElementOperators:
+                  singular_subdivide: int = 0) -> ElementOperators:
     k = space_u.degree
     l = space_p.degree
     ctx = ElementContext(mesh, cell, max_degree=max(k, l),
                          singular_subdivide=singular_subdivide)
     h = ctx.diameter
 
-    gu_default = k - 2 if coupling_degree is None else coupling_degree
-    grad_degrees = tuple(sorted({k - 1, max(l - 1, 0), gu_default}))
+    grad_degrees = tuple(sorted({k - 1, max(l - 1, 0), k - 2}))
     extra_pg = (k - 2,) if (k - 2 >= 1 and k - 2 != l) else ()
     P_u = build_deflection_projectors(ctx, space_u, pg_degrees=(l,),
                                       grad_degrees=grad_degrees)
@@ -134,8 +131,8 @@ def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
         + params.gamma * (Gxp.T @ Hgp @ Gxp + Gyp.T @ Hgp @ Gyp + T1.T @ T1)
 
     # coupling: pressure gradient at degree l-1 against the deflection
-    # gradient at the configured degree (one below full keeps it matched)
-    gu = gu_default
+    # gradient at degree k-2 (one below full keeps it matched)
+    gu = k - 2
     Gxu, Gyu = P_u.grads[gu]
     Hcross = ctx.H[:poly_dim(gu), :ngp]
     B = params.alpha * (Gxu.T @ Hcross @ Gxp + Gyu.T @ Hcross @ Gyp)
@@ -150,33 +147,18 @@ def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     params: ModelParams, *,
                     pressure_dirichlet_on_clamped: bool = False,
-                    threads: int = 1,
-                    singular_cells: frozenset[int] | set[int] = frozenset(),
-                    singular_subdivide: int = 1,
-                    coupling_degree: int | None = None) -> AssembledSystem:
+                    singular_cells: frozenset[int] | set[int] = frozenset()) -> AssembledSystem:
     """Build every element operator and scatter into one sparse block matrix.
 
-    Element builds are independent, so they may run on a thread pool; the
-    scatter happens sequentially in cell order either way, which keeps the
-    assembled matrix bit-identical for any thread count.
+    Cells in singular_cells integrate loads and estimator volume terms on
+    a once-subdivided rule; the scatter runs in cell order.
     """
     params.validate()
     dof_u = build_dof_map(mesh, space_u)
     dof_p = build_dof_map(mesh, space_p)
-    singular_cells = frozenset(singular_cells)
-
-    def make(cell: int) -> ElementOperators:
-        sub = singular_subdivide if cell in singular_cells else 0
-        return build_element(mesh, cell, space_u, space_p, params,
-                             singular_subdivide=sub,
-                             coupling_degree=coupling_degree)
-
-    cells = range(mesh.ncells)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            elements = list(pool.map(make, cells))
-    else:
-        elements = [make(c) for c in cells]
+    elements = [build_element(mesh, cell, space_u, space_p, params,
+                              singular_subdivide=1 if cell in singular_cells else 0)
+                for cell in range(mesh.ncells)]
 
     n_u = dof_u.ndof
     rows: list[np.ndarray] = []
@@ -254,7 +236,7 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
                 if not (edge.is_boundary and edge.label is BoundaryLabel.SIMPLY_SUPPORTED):
                     continue
                 data = bending_moment_data(e.pts, e.normal)
-                coeff = op.ctx.efit(j, data, n_mu - 1)
+                coeff = op.ctx.efit(data, n_mu - 1)
                 loc_u += op.defl.normal_moments[j].T @ coeff
 
         if pressure_flux_data is not None:
@@ -262,7 +244,7 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
                 e = op.ctx.edges[j]
                 data = pressure_flux_data(e.pts, e.normal)
                 nv = op.pres.value_moments[j].shape[0]
-                coeff = op.ctx.efit(j, data, nv - 1)
+                coeff = op.ctx.efit(data, nv - 1)
                 loc_p += op.pres.value_moments[j].T @ coeff
 
         np.add.at(F, gu, loc_u)

@@ -64,10 +64,8 @@ class RunConfig:
     levels: int = 5
     steps: int = 5
     solver: dict = field(default_factory=lambda: {"method": "direct"})
-    coupling_degree: int | None = None
     out: str = "out"
     seed: int = 0
-    threads: int = 1
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
@@ -88,9 +86,11 @@ class RunConfig:
         if self.physical is not None:
             if self.params is not None:
                 raise ConfigError("params", "give either params or physical, not both")
-            return derive_params(**self.physical)
+            return derive_params(**_numbers("physical", self.physical,
+                                            ("lam", "mu", "alpha", "c0"), True))
         if self.params is not None:
-            return ModelParams(**self.params)
+            return ModelParams(**_numbers("params", self.params,
+                                          ("alpha", "beta", "gamma"), False))
         return ModelParams()
 
     @property
@@ -106,6 +106,10 @@ class RunConfig:
                               "(conforming|nonconforming)") from None
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
+        for name, kind in _MESH_TYPES.items():
+            _check_type(f"mesh.{name}", getattr(self.mesh, name), kind)
         if self.k < 2:
             raise ConfigError("k", "deflection degree must be at least 2")
         if not 1 <= self.l <= self.k:
@@ -119,6 +123,10 @@ class RunConfig:
             raise ConfigError("theta", "theta must lie in (0, 1]")
         if self.levels < 1:
             raise ConfigError("levels", "need at least one level")
+        if self.steps < 1:
+            raise ConfigError("steps", "need at least one step")
+        if self.mesh.n0 < 1:
+            raise ConfigError("mesh.n0", "need at least one cell")
         if self.mesh.kind not in ("voronoi", "structured", "lshape", "files"):
             raise ConfigError("mesh.kind", f"unknown kind {self.mesh.kind!r}")
         if self.mesh.kind == "files":
@@ -132,7 +140,39 @@ class RunConfig:
             raise ConfigError(f"solver.{sorted(unknown)[0]}", "unknown field")
         if self.solver_method not in ("direct", "gmres"):
             raise ConfigError("solver.method", "direct or gmres")
-        self.model_params().validate()
+        try:
+            self.model_params().validate()
+        except ValueError as exc:
+            raise ConfigError("params" if self.physical is None else "physical",
+                              str(exc)) from None
+
+
+_FIELD_TYPES = {"case": "str", "family": "str", "k": "int", "l": "int",
+                "mode": "str", "theta": "float", "levels": "int",
+                "steps": "int", "out": "str", "seed": "int"}
+_MESH_TYPES = {"kind": "str", "n0": "int", "lloyd": "int"}
+
+
+def _check_type(path: str, value, kind: str) -> None:
+    """Reject a value of the wrong JSON type; an int is a valid float."""
+    allowed = {"int": int, "float": (int, float), "str": str}[kind]
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+
+
+def _numbers(path: str, doc, names: tuple[str, ...], required: bool) -> dict:
+    """Check an object of named numbers: no unknown keys, numeric values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "expected an object")
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field")
+    for name in names:
+        if name in doc:
+            _check_type(f"{path}.{name}", doc[name], "float")
+        elif required:
+            raise ConfigError(f"{path}.{name}", "missing field")
+    return doc
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -143,12 +183,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config", f"no such file {args.config!r}")
         doc = json.loads(path.read_text())
     cfg = RunConfig.from_dict(doc)
-    for key in ("levels", "theta", "family", "k", "l", "out", "seed", "threads"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("case", "levels", "theta", "family", "k", "l", "out", "seed"):
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "case", None):
-        cfg.case = args.case
     cfg.validate()
     return cfg
 
@@ -224,10 +262,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     meshes = _mesh_ladder(cfg, case)
-    results = run_convergence(
-        case, meshes, cfg.family_enum(), cfg.k, cfg.l,
-        threads=cfg.threads, solver=cfg.solver_method,
-        coupling_degree=cfg.coupling_degree)
+    results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l,
+                              solver=cfg.solver_method)
 
     hs = [r.h for r in results]
     rows = rate_table(hs, {
@@ -268,9 +304,7 @@ def cmd_adaptive(cfg: RunConfig) -> int:
     space_u, space_p = spaces_for(cfg.family_enum(), cfg.k, cfg.l)
     trace = adaptive_loop(case, mesh, space_u, space_p,
                           MarkingConfig(theta=theta, max_levels=cfg.levels),
-                          solver=cfg.solver_method,
-                          threads=cfg.threads,
-                          coupling_degree=cfg.coupling_degree)
+                          solver=cfg.solver_method)
     _write_csv(outdir / "trace.csv", "trace", _LEVEL_HEADER + ["marked"],
                [_level_row(lv.level, lv.ncells, lv.h, lv.ndof, lv.report,
                            lv.eta, lv.components2) + [lv.n_marked]
@@ -296,9 +330,7 @@ def cmd_timestep(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     system = constrained_system(case, mesh,
-                                spaces_for(cfg.family_enum(), cfg.k, cfg.l),
-                                threads=cfg.threads,
-                                coupling_degree=cfg.coupling_degree)
+                                spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
     seq = timestep_driver(system, case_rhs(system, case), M, steps=cfg.steps,
@@ -370,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return ap
 
 

@@ -39,6 +39,10 @@ class MeshError(Exception):
 
 Labeler = Callable[[np.ndarray], BoundaryLabel]
 
+# Turn (or sine of the angle) between adjacent edges below which a vertex
+# counts as a straight, pi-angle vertex rather than a corner.
+ANGLE_TOL = 1e-8
+
 
 def all_clamped(_midpoint: np.ndarray) -> BoundaryLabel:
     return BoundaryLabel.CLAMPED
@@ -134,8 +138,8 @@ class PolygonalMesh:
     def boundary_edges(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.is_boundary]
 
-    def side_structure(self, c: int, angle_tol: float = 1e-8) -> SideStructure:
-        return side_structure(self.cell_coords(c), angle_tol)
+    def side_structure(self, c: int) -> SideStructure:
+        return side_structure(self.cell_coords(c))
 
 
 def _polygon_diameter(coords: np.ndarray) -> float:
@@ -263,11 +267,11 @@ def build_mesh(vertices: np.ndarray, cells: Sequence[Sequence[int]],
                          areas, centroids, diameters, char)
 
 
-def side_structure(coords: np.ndarray, angle_tol: float = 1e-8) -> SideStructure:
+def side_structure(coords: np.ndarray) -> SideStructure:
     """Group the boundary of one CCW polygon into maximal collinear runs.
 
     A vertex is a corner when the turn between its adjacent edges exceeds
-    angle_tol; collinear (pi-angle) vertices fall inside a side.  Fewer
+    ANGLE_TOL; collinear (pi-angle) vertices fall inside a side.  Fewer
     than 3 corners means the polygon is degenerate.
     """
     n = len(coords)
@@ -277,7 +281,7 @@ def side_structure(coords: np.ndarray, angle_tol: float = 1e-8) -> SideStructure
         next_d = coords[(i + 1) % n] - coords[i]
         turn = math.atan2(prev_d[0] * next_d[1] - prev_d[1] * next_d[0],
                           prev_d[0] * next_d[0] + prev_d[1] * next_d[1])
-        if abs(turn) > angle_tol:
+        if abs(turn) > ANGLE_TOL:
             corners.append(i)
     if len(corners) < 3:
         raise MeshError("polygon has fewer than 3 corners")

@@ -11,9 +11,9 @@ coefficients of
 * the componentwise L2 projection of the Hessian (deflection only),
 * gradient Ritz projections at auxiliary degrees (estimator volume terms),
 
-plus reconstructed edge traces and edge moment tables in the canonical
-edge frame.  The deflection energy projection is assembled purely from
-dof data through the integration-by-parts identity
+plus edge moment tables, built from reconstructed edge traces, in the
+canonical edge frame.  The deflection energy projection is assembled
+purely from dof data through the integration-by-parts identity
 
     a(v, chi) = int_K bilap(chi) v + int_bd d_nn(chi) d_n(v)
               - int_bd T(chi) v + sum_z [d_nt(chi)]_z v(z),
@@ -47,11 +47,18 @@ def _edge_fit(npts: int, degree: int) -> np.ndarray:
     return np.linalg.pinv(V)
 
 
-def _edge_gram(d1: int, d2: int, length: float) -> np.ndarray:
-    """int_e s^b s^g ds over the scaled coordinate, shape (d1+1, d2+1)."""
+@lru_cache(maxsize=None)
+def _unit_edge_gram(d1: int, d2: int) -> np.ndarray:
     I = edge_monomial_integrals(d1 + d2)
     b, g = np.meshgrid(np.arange(d1 + 1), np.arange(d2 + 1), indexing="ij")
-    return length * I[b + g]
+    table = I[b + g]
+    table.setflags(write=False)
+    return table
+
+
+def _edge_gram(d1: int, d2: int, length: float) -> np.ndarray:
+    """int_e s^b s^g ds over the scaled coordinate, shape (d1+1, d2+1)."""
+    return length * _unit_edge_gram(d1, d2)
 
 
 @dataclass
@@ -74,7 +81,6 @@ class ElementContext:
     """Geometry, quadrature, and monomial tables shared by both fields on a cell."""
 
     def __init__(self, mesh: PolygonalMesh, cell: int, max_degree: int,
-                 vol_order: int | None = None, edge_npts: int | None = None,
                  singular_subdivide: int = 0):
         self.mesh = mesh
         self.cell = cell
@@ -84,13 +90,13 @@ class ElementContext:
         self.centroid = mesh.centroids[cell]
         self.diameter = float(mesh.diameters[cell])
         self.max_degree = max_degree
-        self.vol_order = vol_order if vol_order is not None else 2 * max_degree + 2
-        self.edge_npts = edge_npts if edge_npts is not None else max_degree + 4
+        self.vol_order = 2 * max_degree + 2
+        self.edge_npts = max_degree + 4
         self.singular_subdivide = singular_subdivide
         self.basis = ScaledMonomialBasis(tuple(self.centroid), self.diameter, max_degree)
         self.side: SideStructure = mesh.side_structure(cell)
         self._rules: dict[tuple[int, int], QuadratureRule] = {}
-        self._vtabs: dict[tuple[int, int, int], np.ndarray] = {}
+        self._vtabs: dict[tuple[int, int], np.ndarray] = {}
         self._etabs: dict[tuple[int, int, int], np.ndarray] = {}
         self._H: np.ndarray | None = None
 
@@ -118,12 +124,11 @@ class ElementContext:
                                             centroid=self.centroid, subdivide=sub)
         return self._rules[key]
 
-    def vtab(self, deriv: tuple[int, int], order: int | None = None) -> np.ndarray:
-        order = self.vol_order if order is None else order
-        key = (order, *deriv)
-        if key not in self._vtabs:
-            self._vtabs[key] = self.basis.eval(self.rule(order, 0).points, deriv)
-        return self._vtabs[key]
+    def vtab(self, deriv: tuple[int, int]) -> np.ndarray:
+        if deriv not in self._vtabs:
+            self._vtabs[deriv] = self.basis.eval(self.rule(self.vol_order, 0).points,
+                                                 deriv)
+        return self._vtabs[deriv]
 
     def etab(self, j: int, deriv: tuple[int, int]) -> np.ndarray:
         key = (j, *deriv)
@@ -131,7 +136,7 @@ class ElementContext:
             self._etabs[key] = self.basis.eval(self.edges[j].pts, deriv)
         return self._etabs[key]
 
-    def efit(self, j: int, values: np.ndarray, degree: int) -> np.ndarray:
+    def efit(self, values: np.ndarray, degree: int) -> np.ndarray:
         """Coefficients (degree+1, ncols) of edge-restricted polynomials."""
         return _edge_fit(self.edge_npts, degree) @ values
 
@@ -147,20 +152,15 @@ class ElementContext:
 
 @dataclass
 class ElementProjectors:
-    space: SpaceKind
     ndof: int
-    n_poly: int
     D: np.ndarray                                 # (ndof, n_poly)
     pd: np.ndarray                                # (n_poly, ndof)
     l2: np.ndarray                                # (n_poly, ndof)
     grads: dict[int, tuple[np.ndarray, np.ndarray]]
     hess: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     pg: dict[int, np.ndarray]
-    value_traces: list[np.ndarray] | None         # per edge, canonical coefficients
-    trace_degree: int | None
     normal_moments: list[np.ndarray] | None       # per edge (mu rows, ndof)
     value_moments: list[np.ndarray]               # per edge (nu rows, ndof), plain integrals
-    vertex_values: np.ndarray                     # (nverts, ndof) selector
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,6 @@ class ElementProjectors:
 
 class _Layout:
     def __init__(self, space: SpaceKind, nverts: int):
-        self.space = space
         self.nverts = nverts
         n = nverts
         self.iv = np.arange(n) if space.n_vertex >= 1 else np.empty(0, dtype=int)
@@ -224,8 +223,9 @@ def _conforming_deflection_traces(ctx: ElementContext, space: SpaceKind,
         R[2, layout.igrad[e.loc0]] = e.tangent / char[e.loc0]
         A[3] = dpw * np.where(pw >= 1, 0.5 ** np.maximum(pw - 1, 0), 0.0) / e.length
         R[3, layout.igrad[e.loc1]] = e.tangent / char[e.loc1]
-        for m in range(space.n_edge_value):
-            A[4 + m] = _edge_gram(space.n_edge_value - 1, r, e.length)[m] / e.length
+        nv = space.n_edge_value
+        A[4:4 + nv] = _edge_gram(nv - 1, r, e.length) / e.length
+        for m in range(nv):
             R[4 + m, layout.ival[j][m]] = 1.0
         value_traces.append(np.linalg.solve(A, R))
 
@@ -237,8 +237,9 @@ def _conforming_deflection_traces(ctx: ElementContext, space: SpaceKind,
         R[0, layout.igrad[e.loc0]] = e.normal / char[e.loc0]
         A[1] = 0.5 ** pw
         R[1, layout.igrad[e.loc1]] = e.normal / char[e.loc1]
-        for m in range(space.n_edge_normal):
-            A[2 + m] = _edge_gram(space.n_edge_normal - 1, k - 1, e.length)[m]
+        nn = space.n_edge_normal
+        A[2:2 + nn] = _edge_gram(nn - 1, k - 1, e.length)
+        for m in range(nn):
             R[2 + m, layout.inorm[j][m]] = 1.0
         normal_traces.append(np.linalg.solve(A, R))
     return value_traces, normal_traces
@@ -309,7 +310,7 @@ def _deflection_pd(ctx: ElementContext, space: SpaceKind, layout: _Layout,
         e_nn = nx * nx * ctx.etab(j, (2, 0))[:, :nk] \
             + 2.0 * nx * ny * ctx.etab(j, (1, 1))[:, :nk] \
             + ny * ny * ctx.etab(j, (0, 2))[:, :nk]
-        C_nn = ctx.efit(j, e_nn, k - 2)
+        C_nn = ctx.efit(e_nn, k - 2)
         B += e.sigma * C_nn.T @ mu[j][:k - 1]
 
         # T(m) against the value moments; degree k-3 restriction
@@ -322,7 +323,7 @@ def _deflection_pd(ctx: ElementContext, space: SpaceKind, layout: _Layout,
                 + (ny + 2.0 * nx * tx * ty + ny * tx * tx) * vxxy \
                 + (nx + nx * ty * ty + 2.0 * ny * tx * ty) * vxyy \
                 + (ny + ny * ty * ty) * vyyy
-            C_T = ctx.efit(j, Tvals, k - 3)
+            C_T = ctx.efit(Tvals, k - 3)
             B -= e.sigma * C_T.T @ nu_low[j][:k - 2]
 
     # corner jumps of the twist d_nt(m)
@@ -464,7 +465,7 @@ def _grad_projection(ctx: ElementContext, g: int, proj_full: np.ndarray,
         if nlow > 0:
             rhs[comp] -= Dc.T @ (ctx.H[:nlow, :n_in] @ proj_full)
     for j, e in enumerate(ctx.edges):
-        C = ctx.efit(j, ctx.etab(j, (0, 0))[:, :ng], g)   # restriction of each m_i
+        C = ctx.efit(ctx.etab(j, (0, 0))[:, :ng], g)   # restriction of each m_i
         contract = C.T @ nu[j][:g + 1]
         rhs[0] += e.sigma * e.normal[0] * contract
         rhs[1] += e.sigma * e.normal[1] * contract
@@ -492,14 +493,14 @@ def _hessian_projection(ctx: ElementContext, space: SpaceKind, layout: _Layout,
             n = e.normal
             t = e.tangent
             vals = ctx.etab(j, (0, 0))[:, :nh]
-            C = ctx.efit(j, vals, k - 2)
+            C = ctx.efit(vals, k - 2)
             rhs += e.sigma * n[a] * n[b] * (C.T @ mu[j][:k - 1])
             if k >= 3:
                 dt = t[0] * ctx.etab(j, (1, 0))[:, :nh] + t[1] * ctx.etab(j, (0, 1))[:, :nh]
-                Cdt = ctx.efit(j, dt, k - 3)
+                Cdt = ctx.efit(dt, k - 3)
                 rhs -= e.sigma * n[b] * t[a] * (Cdt.T @ nu_low[j][:k - 2])
                 db = ctx.etab(j, (1, 0) if b == 0 else (0, 1))[:, :nh]
-                Cdb = ctx.efit(j, db, k - 3)
+                Cdb = ctx.efit(db, k - 3)
                 rhs -= e.sigma * n[a] * (Cdb.T @ nu_low[j][:k - 2])
         for pos in range(ctx.nverts):
             vpt = ctx.coords[pos][None, :]
@@ -550,7 +551,7 @@ def _ritz_grad_projection(ctx: ElementContext, space: SpaceKind, layout: _Layout
     for j, e in enumerate(ctx.edges):
         dn = e.normal[0] * ctx.etab(j, (1, 0))[:, :nd] \
             + e.normal[1] * ctx.etab(j, (0, 1))[:, :nd]
-        C = ctx.efit(j, dn, degree - 1)
+        C = ctx.efit(dn, degree - 1)
         B += e.sigma * (C.T @ nu[j][:degree])
 
     Gc = G.copy()
@@ -620,13 +621,11 @@ def build_deflection_projectors(ctx: ElementContext, space: SpaceKind,
 
     if space.family is Family.CONFORMING:
         value_traces, normal_traces = _conforming_deflection_traces(ctx, space, layout, char)
-        trace_degree = max(k, 3)
         mu = [_moments_from_trace(normal_traces[j], ctx.edges[j].length, k)
               for j in range(ctx.nverts)]
         nu_low = [_moments_from_trace(value_traces[j], ctx.edges[j].length,
                                       max(k - 2, 1)) for j in range(ctx.nverts)]
     else:
-        trace_degree = k
         mu = _nc_normal_moment_table(ctx, space, layout)
         nu_low = _nc_value_moment_table(ctx, space, layout)
         pad = max(k - 2, 1)
@@ -658,8 +657,7 @@ def build_deflection_projectors(ctx: ElementContext, space: SpaceKind,
         pg[d] = _ritz_grad_projection(ctx, space, layout, d, nu, vertex_sel, volume_proj)
 
     D = _dof_matrix(ctx, space, layout, char)
-    return ElementProjectors(space, layout.ndof, poly_dim(k), D, pd, l2, grads,
-                             hess, pg, value_traces, trace_degree, mu, nu, vertex_sel)
+    return ElementProjectors(layout.ndof, D, pd, l2, grads, hess, pg, mu, nu)
 
 
 def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
@@ -669,12 +667,9 @@ def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
     char = np.array([ctx.mesh.vertex_char_length[v] for v in ctx.mesh.cells[ctx.cell]])
     vertex_sel = _vertex_selector(layout, layout.ndof) if space.n_vertex else None
 
-    value_traces = None
-    trace_degree = None
     if space.family is Family.CONFORMING:
         # trace of degree l per edge: endpoint values plus scaled moments
-        value_traces = []
-        trace_degree = l
+        nu = []
         pw = np.arange(l + 1)
         for j, e in enumerate(ctx.edges):
             A = np.zeros((l + 1, l + 1))
@@ -683,12 +678,11 @@ def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
             R[0] = vertex_sel[e.loc0]
             A[1] = 0.5 ** pw
             R[1] = vertex_sel[e.loc1]
-            for m in range(space.n_edge_value):
-                A[2 + m] = _edge_gram(space.n_edge_value - 1, l, e.length)[m] / e.length
+            nv = space.n_edge_value
+            A[2:2 + nv] = _edge_gram(nv - 1, l, e.length) / e.length
+            for m in range(nv):
                 R[2 + m, layout.ival[j][m]] = 1.0
-            value_traces.append(np.linalg.solve(A, R))
-        nu = [_moments_from_trace(value_traces[j], ctx.edges[j].length, l)
-              for j in range(ctx.nverts)]
+            nu.append(_moments_from_trace(np.linalg.solve(A, R), e.length, l))
     else:
         nu = _nc_value_moment_table(ctx, space, layout)
 
@@ -707,6 +701,4 @@ def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
     grads = {l - 1: _grad_projection(ctx, l - 1, l2, nu)}
 
     D = _dof_matrix(ctx, space, layout, char)
-    return ElementProjectors(space, layout.ndof, poly_dim(l), D, pg[l], l2, grads,
-                             None, pg, value_traces, trace_degree, None, nu,
-                             vertex_sel if vertex_sel is not None else np.zeros((ctx.nverts, layout.ndof)))
+    return ElementProjectors(layout.ndof, D, pg[l], l2, grads, None, pg, None, nu)

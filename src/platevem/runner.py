@@ -46,16 +46,13 @@ def voronoi_ladder(case: ManufacturedCase, counts, seed: int = 0,
 
 
 def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
-                       spaces: tuple[SpaceKind, SpaceKind], *, threads: int = 1,
-                       coupling_degree: int | None = None) -> AssembledSystem:
+                       spaces: tuple[SpaceKind, SpaceKind]) -> AssembledSystem:
     """Assemble the case's operator on one mesh and apply its boundary values."""
     space_u, space_p = spaces
     system = assemble_system(
         mesh, space_u, space_p, case.params,
         pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
-        threads=threads,
-        singular_cells=case.singular_cells(mesh),
-        coupling_degree=coupling_degree)
+        singular_cells=case.singular_cells(mesh))
     apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u)
     apply_essential_bc(
         system.dof_p, mesh, value=case.p,
@@ -104,7 +101,7 @@ def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
 
 
 def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
-                k: int, l: int, *, threads: int = 1) -> ErrorReport:
+                k: int, l: int) -> ErrorReport:
     """Solve with data synthesized by the assembled operator itself.
 
     The right-hand side is the operator applied to the interpolant of the
@@ -112,8 +109,7 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     interpolant exactly; any deviation points at the assembly, scatter,
     boundary, or solve stages.
     """
-    system = constrained_system(case, mesh, spaces_for(family, k, l),
-                                threads=threads)
+    system = constrained_system(case, mesh, spaces_for(family, k, l))
     UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
     PI = interpolate(mesh, system.dof_p, case.p)
     U, P = factor_system(system).solve(system.K @ np.concatenate([UI, PI]))
@@ -125,13 +121,10 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
 
 
 def run_convergence(case: ManufacturedCase, meshes, family: Family,
-                    k: int, l: int, *, threads: int = 1,
-                    solver: str = "direct", with_estimator: bool = True,
-                    coupling_degree: int | None = None) -> list[LevelResult]:
+                    k: int, l: int, *, solver: str = "direct",
+                    with_estimator: bool = True) -> list[LevelResult]:
     spaces = spaces_for(family, k, l)
-    return [solve_level(case, constrained_system(case, mesh, spaces,
-                                                 threads=threads,
-                                                 coupling_degree=coupling_degree),
+    return [solve_level(case, constrained_system(case, mesh, spaces),
                         solver=solver, with_estimator=with_estimator)
             for mesh in meshes]
 
@@ -176,21 +169,19 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
 
 def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,
                     steps: int, u0: np.ndarray, p0: np.ndarray,
-                    u_prev: np.ndarray | None = None,
                     solver: str = "direct") -> list[tuple[np.ndarray, np.ndarray]]:
     """March the one-step system with unit time step.
 
     F is the assembled load of step-independent data and M the projected
     mass of ``assemble_projected_mass``.  Each step solves the static
     system with the load F + M [2 u_n - u_{n-1}, p_n], so the previous
-    states act through their projections; the operator is factored once
-    for the whole march.  Boundary values must already be applied to the
-    system's DoF maps and are held fixed over the march.
+    states act through their projections; the first step takes
+    u_{-1} = u0, and the operator is factored once for the whole march.
+    Boundary values must already be applied to the system's DoF maps and
+    are held fixed over the march.
     """
-    if u_prev is None:
-        u_prev = u0.copy()
     factored = factor_system(system, solver)
-    un, um1, pn = u0.copy(), u_prev.copy(), p0.copy()
+    un, um1, pn = u0.copy(), u0.copy(), p0.copy()
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(steps):
         U, P = factored.solve(F + M @ np.concatenate([2.0 * un - um1, pn]))

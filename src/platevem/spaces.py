@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import BoundaryLabel, MeshError, PolygonalMesh
+from .mesh import ANGLE_TOL, BoundaryLabel, MeshError, PolygonalMesh
 from .quadrature import (ScaledMonomialBasis, edge_rule, poly_dim,
                          polygon_rule)
 
@@ -265,8 +265,7 @@ def _boundary_vertex_edges(mesh: PolygonalMesh) -> dict[int, list[int]]:
 def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
                        value: Callable | None = None,
                        grad: Callable | None = None,
-                       pressure_dirichlet_on_clamped: bool = False,
-                       angle_tol: float = 1e-8) -> DofMap:
+                       pressure_dirichlet_on_clamped: bool = False) -> DofMap:
     """Mark and evaluate the constrained boundary degrees of freedom.
 
     Deflection: the value trace is constrained on the whole boundary
@@ -334,7 +333,7 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
             elif len(eids) == 2:
                 t0 = mesh.edges[eids[0]].tangent
                 t1 = mesh.edges[eids[1]].tangent
-                if abs(t0[0] * t1[1] - t0[1] * t1[0]) > angle_tol:
+                if abs(t0[0] * t1[1] - t0[1] * t1[0]) > ANGLE_TOL:
                     grad_vertices.add(v)   # corner of the simply supported part
 
     for gid, desc in enumerate(dofmap.descriptors):

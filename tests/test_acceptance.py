@@ -297,26 +297,27 @@ def test_local_operators_match_oracle():
            f"vs dense oracle, {dt:.1f}s")
 
 
-def test_threaded_runs_are_deterministic(tmp_path):
+def test_repeated_runs_are_deterministic(tmp_path):
     t0 = time.perf_counter()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "case": "smooth", "family": "nonconforming", "k": 2, "l": 1,
+        "mesh": {"kind": "voronoi", "n0": 25, "lloyd": 3},
+        "levels": 2, "seed": 5}))
     outputs = {}
-    for threads in (1, 8):
-        out = tmp_path / f"t{threads}"
-        cfg = tmp_path / f"t{threads}.json"
-        cfg.write_text(json.dumps({
-            "case": "smooth", "family": "nonconforming", "k": 2, "l": 1,
-            "mesh": {"kind": "voronoi", "n0": 25, "lloyd": 3},
-            "levels": 2, "seed": 5, "threads": threads, "out": str(out)}))
-        assert cli_main(["convergence", "--config", str(cfg)]) == 0
-        outputs[threads] = out
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
+        assert cli_main(["convergence", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        outputs[run] = out
     worst = 0.0
     for name in ("rates.csv", "levels.csv"):
         rows = {}
-        for threads, out in outputs.items():
+        for run, out in outputs.items():
             lines = (out / name).read_text().splitlines()
-            rows[threads] = list(csv.reader(lines[1:]))
-        assert len(rows[1]) == len(rows[8])
-        for ra, rb in zip(rows[1], rows[8]):
+            rows[run] = list(csv.reader(lines[1:]))
+        assert len(rows[1]) == len(rows[2])
+        for ra, rb in zip(rows[1], rows[2]):
             for a, b in zip(ra, rb):
                 try:
                     fa, fb = float(a), float(b)
@@ -327,5 +328,5 @@ def test_threaded_runs_are_deterministic(tmp_path):
                 worst = max(worst, abs(fa - fb) / scale)
     dt = time.perf_counter() - t0
     record(9, worst <= 1e-12,
-           f"threads 1 vs 8: max relative CSV difference {worst:.2e} "
+           f"two runs of one config: max relative CSV difference {worst:.2e} "
            f"(tol 1e-12), {dt:.1f}s")

@@ -91,14 +91,6 @@ class TestGlobalSystem:
             x = rng.standard_normal(K.shape[0])
             assert x @ K @ x > 1e-10
 
-    def test_thread_count_does_not_change_matrix(self, voronoi25):
-        space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
-        s1 = assemble_system(voronoi25, space_u, space_p, PARAMS, threads=1)
-        s4 = assemble_system(voronoi25, space_u, space_p, PARAMS, threads=4)
-        d = (s1.K - s4.K)
-        scale = np.abs(s1.K.data).max()
-        assert np.abs(d.data).max() if d.nnz else 0.0 <= 1e-13 * scale
-
     def test_rhs_zero_data(self, voronoi25):
         space_u, space_p = spaces_for(Family.CONFORMING, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)

@@ -82,12 +82,28 @@ class TestExitCodes:
         ({"solver": {"method": "gmres", "tol": 1e-10}}, "solver.tol"),
         ({"solver": {"method": "direct", "precond": "ilu"}}, "solver.precond"),
         ({"mode": "adaptve"}, "mode"),
+        ({"levels": "2"}, "levels"),
+        ({"k": "2"}, "k"),
+        ({"params": {"alfa": 1}}, "params.alfa"),
+        ({"physical": {"lam": 1}}, "physical.mu"),
+        ({"mesh": {"kind": "voronoi", "n0": 0}}, "mesh.n0"),
+        ({"threads": 2}, "threads"),
+        ({"coupling_degree": 1}, "coupling_degree"),
+        ({"family": 1}, "family"),
+        ({"steps": 0}, "steps"),
+        ({"params": {"beta": -1.0}}, "params"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
         cfg = write_config(tmp_path, **overrides)
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_threads_flag_is_rejected(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +216,15 @@ class TestMeshInfoCommand:
 
 
 class TestDeterminism:
-    def test_thread_count_invariant_output(self, tmp_path):
+    def test_repeated_run_output_is_byte_equal(self, tmp_path):
+        """Two runs of one config in one process write identical CSVs, so
+        no state leaks between runs through caches or DoF maps."""
+        cfg = write_config(tmp_path)
         outs = []
-        for threads in (1, 8):
-            out = tmp_path / f"t{threads}"
-            cfg = write_config(tmp_path, out=str(out), threads=threads)
-            assert main(["convergence", "--config", str(cfg)]) == 0
-            outs.append((out / "rates.csv").read_text())
+        for run in (1, 2):
+            out = tmp_path / f"run{run}"
+            assert main(["convergence", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("rates.csv", "levels.csv")])
         assert outs[0] == outs[1]

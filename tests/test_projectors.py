@@ -5,9 +5,10 @@ from _oracle import (oracle_deflection, oracle_element, oracle_pressure,
 
 from platevem.assembly import ModelParams, build_element
 from platevem.mesh import generate_voronoi
-from platevem.projectors import (ElementContext, build_deflection_projectors,
+from platevem.projectors import (ElementContext, _edge_gram,
+                                 build_deflection_projectors,
                                  build_pressure_projectors)
-from platevem.quadrature import poly_dim
+from platevem.quadrature import edge_monomial_integrals, poly_dim
 from platevem.spaces import Family, SpaceKind
 
 PARAMS = ModelParams(0.7, 1.4, 1.1)
@@ -99,6 +100,19 @@ class TestOracleAgreement:
             gp = max(l - 1, 0)
             assert rel_err(op.pres.grads[gp][0], oo.pres.grads[gp][0]) < 1e-9
             assert rel_err(op.pres.grads[gp][1], oo.pres.grads[gp][1]) < 1e-9
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 3), (1, 2), (2, 4)])
+def test_edge_gram_matches_direct_table(d1, d2):
+    """The cached unit table scaled by the length is the direct table,
+    bit for bit, and a caller writing into its copy leaves the cache intact."""
+    length = 0.37
+    I = edge_monomial_integrals(d1 + d2)
+    b, g = np.meshgrid(np.arange(d1 + 1), np.arange(d2 + 1), indexing="ij")
+    gram = _edge_gram(d1, d2, length)
+    assert np.array_equal(gram, length * I[b + g])
+    gram[:] = 0.0
+    assert np.array_equal(_edge_gram(d1, d2, length), length * I[b + g])
 
 
 def test_oracle_quadrature_self_check():
