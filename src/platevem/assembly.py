@@ -30,8 +30,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import BoundaryLabel, PolygonalMesh
-from .projectors import (ElementContext, ElementProjectors,
-                         build_deflection_projectors, build_pressure_projectors)
+from .projectors import (CellGroup, ElementContext, ElementProjectors, cell_groups,
+                         deflection_projectors, pressure_projectors)
 from .quadrature import poly_dim
 from .spaces import DofMap, Family, SpaceKind, build_dof_map
 
@@ -70,6 +70,25 @@ class ElementOperators:
 
 
 @dataclass
+class ElementGroup:
+    """The stacked operators of one CellGroup and the cells' dof indices."""
+    ctx: CellGroup
+    defl: ElementProjectors
+    pres: ElementProjectors
+    A1: np.ndarray             # (ncells, ndof_u, ndof_u)
+    B: np.ndarray              # (ncells, ndof_u, ndof_p)
+    A3: np.ndarray             # (ncells, ndof_p, ndof_p)
+    dofs_u: np.ndarray         # (ncells, ndof_u) global deflection dofs
+    dofs_p: np.ndarray         # (ncells, ndof_p) global pressure dofs, offset by n_u
+
+    def elements(self) -> list[ElementOperators]:
+        """Per-cell operators as views into the group arrays."""
+        return [ElementOperators(ctx.cell, ctx, self.defl.cell(i), self.pres.cell(i),
+                                 self.A1[i], self.B[i], self.A3[i])
+                for i, ctx in enumerate(self.ctx.contexts())]
+
+
+@dataclass
 class AssembledSystem:
     mesh: PolygonalMesh
     space_u: SpaceKind
@@ -79,6 +98,7 @@ class AssembledSystem:
     dof_p: DofMap
     K: sp.csr_matrix
     elements: list[ElementOperators]
+    groups: list[ElementGroup]
     pressure_dirichlet_on_clamped: bool = False
 
     @property
@@ -90,97 +110,118 @@ class AssembledSystem:
 # element matrices
 
 
-def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
-                  space_p: SpaceKind, params: ModelParams,
-                  singular_subdivide: int = 0) -> ElementOperators:
+def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
+                 params: ModelParams):
+    """Projectors and local matrices (A1, B, A3) of every cell of a group."""
     k = space_u.degree
     l = space_p.degree
-    ctx = ElementContext(mesh, cell, max_degree=max(k, l),
-                         singular_subdivide=singular_subdivide)
-    h = ctx.diameter
+    h2 = (group.diameter ** 2)[:, None, None]
+    H = group.H
 
     grad_degrees = tuple(sorted({k - 1, max(l - 1, 0), k - 2}))
     extra_pg = (k - 2,) if (k - 2 >= 1 and k - 2 != l) else ()
-    P_u = build_deflection_projectors(ctx, space_u, pg_degrees=(l,),
-                                      grad_degrees=grad_degrees)
-    P_p = build_pressure_projectors(ctx, space_p, extra_pg_degrees=extra_pg)
+    P_u = deflection_projectors(group, space_u, pg_degrees=(l,),
+                                grad_degrees=grad_degrees)
+    P_p = pressure_projectors(group, space_p, extra_pg_degrees=extra_pg)
+
+    def sq(M):
+        return M.swapaxes(-1, -2) @ M
+
+    def form(P, n):
+        """P^T H P over the first n monomials."""
+        return P.swapaxes(-1, -2) @ H[:, :n, :n] @ P
 
     nk = poly_dim(k)
     nl = poly_dim(l)
-    Hk = ctx.H[:nk, :nk]
-    Hl = ctx.H[:nl, :nl]
+    nh = poly_dim(k - 2)
 
     # deflection form: mass plus full Hessian, each with its own scaling
     S0 = np.eye(P_u.ndof) - P_u.D @ P_u.l2
     S2 = np.eye(P_u.ndof) - P_u.D @ P_u.pd
     Hxx, Hxy, Hyy = P_u.hess
-    nh = poly_dim(k - 2)
-    Hh = ctx.H[:nh, :nh]
-    A1 = P_u.l2.T @ Hk @ P_u.l2 + (h * h) * (S0.T @ S0) \
-        + Hxx.T @ Hh @ Hxx + 2.0 * (Hxy.T @ Hh @ Hxy) + Hyy.T @ Hh @ Hyy \
-        + (S2.T @ S2) / (h * h)
+    A1 = form(P_u.l2, nk) + h2 * sq(S0) \
+        + form(Hxx, nh) + 2.0 * form(Hxy, nh) + form(Hyy, nh) + sq(S2) / h2
 
     # pressure form: projected mass and projected-gradient terms
     T0 = np.eye(P_p.ndof) - P_p.D @ P_p.l2
     T1 = np.eye(P_p.ndof) - P_p.D @ P_p.pg[l]
     gp = max(l - 1, 0)
     ngp = poly_dim(gp)
-    Hgp = ctx.H[:ngp, :ngp]
     Gxp, Gyp = P_p.grads[gp]
-    A3 = params.beta * (P_p.l2.T @ Hl @ P_p.l2 + (h * h) * (T0.T @ T0)) \
-        + params.gamma * (Gxp.T @ Hgp @ Gxp + Gyp.T @ Hgp @ Gyp + T1.T @ T1)
+    A3 = params.beta * (form(P_p.l2, nl) + h2 * sq(T0)) \
+        + params.gamma * (form(Gxp, ngp) + form(Gyp, ngp) + sq(T1))
 
     # coupling: pressure gradient at degree l-1 against the deflection
     # gradient at degree k-2 (one below full keeps it matched)
     gu = k - 2
     Gxu, Gyu = P_u.grads[gu]
-    Hcross = ctx.H[:poly_dim(gu), :ngp]
-    B = params.alpha * (Gxu.T @ Hcross @ Gxp + Gyu.T @ Hcross @ Gyp)
+    Hcross = H[:, :poly_dim(gu), :ngp]
+    B = params.alpha * (Gxu.swapaxes(-1, -2) @ Hcross @ Gxp
+                        + Gyu.swapaxes(-1, -2) @ Hcross @ Gyp)
+    return P_u, P_p, A1, B, A3
 
-    return ElementOperators(cell, ctx, P_u, P_p, A1, B, A3)
+
+def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
+                  space_p: SpaceKind, params: ModelParams,
+                  singular_subdivide: int = 0) -> ElementOperators:
+    """One cell's operators, built as a group of one."""
+    group = CellGroup(mesh, [cell], max(space_u.degree, space_p.degree),
+                      singular_subdivide)
+    P_u, P_p, A1, B, A3 = _group_forms(group, space_u, space_p, params)
+    return ElementOperators(cell, group.contexts()[0], P_u.cell(0), P_p.cell(0),
+                            A1[0], B[0], A3[0])
 
 
 # ---------------------------------------------------------------------------
 # global assembly
 
 
+def scatter(n: int, blocks) -> sp.csr_matrix:
+    """Sum stacked local blocks (row dofs (m, r), col dofs (m, c), values
+    (m, r, c)) into one n x n sparse matrix."""
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        rows.append(np.broadcast_to(r[:, :, None], v.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], v.shape).ravel())
+        vals.append(v.ravel())
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     params: ModelParams, *,
                     pressure_dirichlet_on_clamped: bool = False,
                     singular_cells: frozenset[int] | set[int] = frozenset()) -> AssembledSystem:
-    """Build every element operator and scatter into one sparse block matrix.
+    """Build the element operators group by group and scatter them into
+    one sparse block matrix.
 
     Cells in singular_cells integrate loads and estimator volume terms on
-    a once-subdivided rule; the scatter runs in cell order.
+    a once-subdivided rule.
     """
     params.validate()
     dof_u = build_dof_map(mesh, space_u)
     dof_p = build_dof_map(mesh, space_p)
-    elements = [build_element(mesh, cell, space_u, space_p, params,
-                              singular_subdivide=1 if cell in singular_cells else 0)
-                for cell in range(mesh.ncells)]
-
     n_u = dof_u.ndof
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for op in elements:
-        gu = dof_u.cell_dofs[op.cell]
-        gp = dof_p.cell_dofs[op.cell] + n_u
-        ru, cu = np.meshgrid(gu, gu, indexing="ij")
-        rows.append(ru.ravel()); cols.append(cu.ravel()); vals.append(op.A1.ravel())
-        rup, cup = np.meshgrid(gu, gp, indexing="ij")
-        rows.append(rup.ravel()); cols.append(cup.ravel()); vals.append((-op.B).ravel())
-        rows.append(cup.ravel()); cols.append(rup.ravel()); vals.append(op.B.ravel())
-        rp, cp = np.meshgrid(gp, gp, indexing="ij")
-        rows.append(rp.ravel()); cols.append(cp.ravel()); vals.append(op.A3.ravel())
+    max_degree = max(space_u.degree, space_p.degree)
+    groups: list[ElementGroup] = []
+    elements: list[ElementOperators | None] = [None] * mesh.ncells
+    for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
+        group = CellGroup(mesh, cells, max_degree, subdivide)
+        grp = ElementGroup(group, *_group_forms(group, space_u, space_p, params),
+                           np.stack([dof_u.cell_dofs[c] for c in cells]),
+                           np.stack([dof_p.cell_dofs[c] for c in cells]) + n_u)
+        groups.append(grp)
+        for op in grp.elements():
+            elements[op.cell] = op
 
-    n = n_u + dof_p.ndof
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    K = scatter(n_u + dof_p.ndof,
+                [b for g in groups for b in (
+                    (g.dofs_u, g.dofs_u, g.A1), (g.dofs_u, g.dofs_p, -g.B),
+                    (g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)),
+                    (g.dofs_p, g.dofs_p, g.A3))])
     return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K,
-                           elements, pressure_dirichlet_on_clamped)
+                           elements, groups, pressure_dirichlet_on_clamped)
 
 
 # ---------------------------------------------------------------------------

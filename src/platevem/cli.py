@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .adaptivity import MarkingConfig, adaptive_loop
 from .assembly import ModelParams, derive_params
-from .manufactured import get_case, rate_table
+from .manufactured import get_case, known_case, rate_table
 from .mesh import (generate_lshape, generate_structured, load_mesh,
                    quality_report, uniform_refine)
 from .runner import (assemble_projected_mass, case_rhs, constrained_system,
@@ -69,9 +69,13 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config", "expected an object")
         cfg = RunConfig()
         mesh_doc = doc.pop("mesh", None)
         if mesh_doc is not None:
+            if not isinstance(mesh_doc, dict):
+                raise ConfigError("mesh", "expected an object")
             unknown = set(mesh_doc) - set(MeshSpec.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"mesh.{sorted(unknown)[0]}", "unknown field")
@@ -110,6 +114,17 @@ class RunConfig:
             _check_type(name, getattr(self, name), kind)
         for name, kind in _MESH_TYPES.items():
             _check_type(f"mesh.{name}", getattr(self.mesh, name), kind)
+        counts, paths = self.mesh.counts, self.mesh.paths
+        if counts is not None and not (
+                isinstance(counts, list)
+                and all(isinstance(n, int) and not isinstance(n, bool) and n > 0
+                        for n in counts)):
+            raise ConfigError("mesh.counts",
+                              f"expected a list of positive ints, got {counts!r}")
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ConfigError("mesh.paths", f"expected a list of strings, got {paths!r}")
+        if not known_case(self.case):
+            raise ConfigError("case", f"unknown case {self.case!r}")
         if self.k < 2:
             raise ConfigError("k", "deflection degree must be at least 2")
         if not 1 <= self.l <= self.k:

@@ -217,13 +217,18 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
 _CASES = {"smooth": smooth_case, "lshape": lshape_case}
 
 
+def known_case(name: str) -> bool:
+    """Whether get_case accepts name: a named case or any poly* name."""
+    return name in _CASES or name.startswith("poly")
+
+
 def get_case(name: str, params: ModelParams | None = None, k: int = 2,
              l: int = 1, **kw) -> ManufacturedCase:
+    if not known_case(name):
+        raise KeyError(f"unknown case {name!r}; have {sorted(_CASES) + ['poly']}")
     if name in _CASES:
         return _CASES[name](params)
-    if name.startswith("poly"):
-        return polynomial_case(k, l, params, **kw)
-    raise KeyError(f"unknown case {name!r}; have {sorted(_CASES) + ['poly']}")
+    return polynomial_case(k, l, params, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +274,8 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
         cp = op.pres.pg[l] @ ploc
         cp0 = op.pres.l2 @ ploc
         nk, nl = poly_dim(k), poly_dim(l)
-        Vu = op.ctx.basis.eval(pts)[:, :nk]
+        V = op.ctx.basis.eval(pts)
+        Vu = V[:, :nk]
         Vxx = op.ctx.basis.eval(pts, (2, 0))[:, :nk]
         Vxy = op.ctx.basis.eval(pts, (1, 1))[:, :nk]
         Vyy = op.ctx.basis.eval(pts, (0, 2))[:, :nk]
@@ -280,7 +286,7 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
         k_u2 = float(w @ (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2))
         k_u0 = float(w @ (case.u(pts) - Vu @ cu0) ** 2)
 
-        Vp = op.ctx.basis.eval(pts)[:, :nl]
+        Vp = V[:, :nl]
         Vpx = op.ctx.basis.eval(pts, (1, 0))[:, :nl]
         Vpy = op.ctx.basis.eval(pts, (0, 1))[:, :nl]
         Gex = case.grad_p(pts)
@@ -294,11 +300,10 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
         h4 = op.ctx.diameter ** 4
         h2 = op.ctx.diameter ** 2
-        for fn, n, wt, acc in ((case.f, nk, h4, "f"), (case.g, nl, h2, "g")):
-            V = op.ctx.basis.eval(pts)[:, :n]
+        for fn, Vn, wt, acc in ((case.f, Vu, h4, "f"), (case.g, Vp, h2, "g")):
             vals = fn(pts)
-            coeff = np.linalg.solve((V * w[:, None]).T @ V, (V * w[:, None]).T @ vals)
-            o = wt * float(w @ (vals - V @ coeff) ** 2)
+            coeff = np.linalg.solve((Vn * w[:, None]).T @ Vn, (Vn * w[:, None]).T @ vals)
+            o = wt * float(w @ (vals - Vn @ coeff) ** 2)
             if acc == "f":
                 osc_f += o
             else:

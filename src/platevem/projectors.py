@@ -23,6 +23,15 @@ d_nt(chi); collinear vertices contribute no jump, so hanging nodes need
 no special casing.  The kernel of each energy form is pinned by vertex
 averages (conforming) or boundary integrals (nonconforming) of the
 function and, for the deflection, of its gradient.
+
+Cells are built in groups that share one local shape (``CellGroup``):
+every array carries a leading axis over the cells of the group, and edge
+quantities a second axis over the local edges, so one numpy call serves
+the whole group.  What fixes the shapes, and hence the group key, is the
+vertex count, the volume triangulation (centroid fan or ear clipping),
+the singular subdivision, and for the nonconforming family the side
+structure; edge orientations and geometry are per-cell data.
+``ElementContext`` is one cell's view of a group.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ import numpy as np
 
 from .mesh import PolygonalMesh, SideStructure
 from .quadrature import (QuadratureRule, ScaledMonomialBasis, edge_monomial_integrals,
-                         gauss_01, poly_dim, polygon_rule)
+                         fan_is_star, gauss_01, map_triangles, monomials, poly_dim,
+                         polygon_rule, polygon_triangles, unit_deriv_matrix)
 from .spaces import Family, SpaceKind
 
 
@@ -56,66 +66,178 @@ def _unit_edge_gram(d1: int, d2: int) -> np.ndarray:
     return table
 
 
-def _edge_gram(d1: int, d2: int, length: float) -> np.ndarray:
-    """int_e s^b s^g ds over the scaled coordinate, shape (d1+1, d2+1)."""
-    return length * _unit_edge_gram(d1, d2)
+def _edge_gram(d1: int, d2: int, length) -> np.ndarray:
+    """int_e s^b s^g ds over the scaled coordinate, shape (..., d1+1, d2+1)
+    for edge lengths of shape (...)."""
+    return np.asarray(length)[..., None, None] * _unit_edge_gram(d1, d2)
+
+
+def _gram(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_q w_q V_qa V_qb over the quadrature axis, per leading index."""
+    return (V * w[..., None]).swapaxes(-1, -2) @ V
+
+
+def _T(M: np.ndarray) -> np.ndarray:
+    return M.swapaxes(-1, -2)
+
+
+# ---------------------------------------------------------------------------
+# cell groups
+
+
+def cell_groups(mesh: PolygonalMesh, family: Family,
+                singular_cells=frozenset()) -> list[tuple[np.ndarray, int]]:
+    """Cells sharing one group key, in order of first appearance, with the
+    subdivision their loads and estimator terms are integrated on."""
+    groups: dict[tuple, list[int]] = {}
+    for c in range(mesh.ncells):
+        coords = mesh.cell_coords(c)
+        key = (len(coords), bool(fan_is_star(coords, mesh.centroids[c])),
+               1 if c in singular_cells else 0)
+        if family is Family.NONCONFORMING:
+            side = mesh.side_structure(c)
+            key += (side.side_start, side.side_extra)
+        groups.setdefault(key, []).append(c)
+    return [(np.array(cells), key[2]) for key, cells in groups.items()]
+
+
+class CellGroup:
+    """Stacked geometry and monomial tables of cells with one group key.
+
+    Cell arrays have shape (ncells, ...), edge arrays (ncells, nverts, ...);
+    edge j runs from local vertex j to j+1, and loc0/loc1 give the local
+    positions of its canonical start and end.  Monomial tables use the
+    scaled basis of each cell up to max_degree, evaluated once per
+    derivative.
+    """
+
+    def __init__(self, mesh: PolygonalMesh, cells, max_degree: int,
+                 singular_subdivide: int = 0):
+        self.mesh = mesh
+        self.cells = np.asarray(cells, dtype=np.int64)
+        self.max_degree = max_degree
+        self.singular_subdivide = singular_subdivide
+        self.vol_order = 2 * max_degree + 2
+        self.edge_npts = max_degree + 4
+        verts = np.array([mesh.cells[c] for c in self.cells])
+        size, n = verts.shape
+        self.nverts = n
+        self.coords = mesh.vertices[verts]
+        self.area = mesh.areas[self.cells]
+        self.centroid = mesh.centroids[self.cells]
+        self.diameter = mesh.diameters[self.cells]
+        self.char = mesh.vertex_char_length[verts]
+
+        cell_edges = np.array([mesh.cell_edges[c] for c in self.cells])
+        self.eid = cell_edges[..., 0]
+        forward = cell_edges[..., 1] == 1
+        self.sigma = np.where(forward, 1.0, -1.0)
+        j = np.arange(n)
+        self.loc0 = np.where(forward, j, (j + 1) % n)
+        self.loc1 = np.where(forward, (j + 1) % n, j)
+        edges = [mesh.edges[e] for e in self.eid.ravel()]
+        assert (np.take_along_axis(verts, self.loc0, 1).ravel()
+                == [e.v0 for e in edges]).all()
+        self.normal = np.array([e.normal for e in edges]).reshape(size, n, 2)
+        self.tangent = np.array([e.tangent for e in edges]).reshape(size, n, 2)
+        self.length = np.array([e.length for e in edges]).reshape(size, n)
+
+        t01, w01 = gauss_01(self.edge_npts)
+        self.shat = t01 - 0.5
+        p0 = np.take_along_axis(self.coords, self.loc0[..., None], axis=1)
+        p1 = np.take_along_axis(self.coords, self.loc1[..., None], axis=1)
+        self.edge_pts = p0[..., None, :] + t01[:, None] * (p1 - p0)[..., None, :]
+        self.edge_w = w01 * self.length[..., None]
+        self.vol_pts, self.vol_w = map_triangles(
+            polygon_triangles(self.coords, self.centroid), self.vol_order)
+        self._tabs: dict[tuple, np.ndarray] = {}
+        self._H: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    @property
+    def side(self) -> SideStructure:
+        """Side structure of the first cell; nonconforming groups share it."""
+        return self.mesh.side_structure(int(self.cells[0]))
+
+    def contexts(self) -> list[ElementContext]:
+        return [ElementContext.view(self, i) for i in range(len(self))]
+
+    # tables ------------------------------------------------------------
+    def _table(self, where: str, deriv: tuple[int, int]) -> np.ndarray:
+        key = (where, deriv)
+        if key not in self._tabs:
+            pts, center, h = {
+                "vol": (self.vol_pts, self.centroid, self.diameter),
+                "edge": (self.edge_pts, self.centroid[:, None], self.diameter[:, None]),
+                "vert": (self.coords, self.centroid, self.diameter)}[where]
+            self._tabs[key] = monomials(pts, center, h, self.max_degree, deriv)
+        return self._tabs[key]
+
+    def vtab(self, deriv: tuple[int, int]) -> np.ndarray:
+        """(ncells, nq, dim) at the volume points."""
+        return self._table("vol", deriv)
+
+    def etab(self, deriv: tuple[int, int]) -> np.ndarray:
+        """(ncells, nverts, npts, dim) at the edge Gauss points."""
+        return self._table("edge", deriv)
+
+    def vert(self, deriv: tuple[int, int]) -> np.ndarray:
+        """(ncells, nverts, dim) at the vertices."""
+        return self._table("vert", deriv)
+
+    def efit(self, values: np.ndarray, degree: int) -> np.ndarray:
+        """ŝ-coefficients (..., degree+1, ncols) of edge-restricted polynomials."""
+        return _edge_fit(self.edge_npts, degree) @ values
+
+    def deriv(self, deriv: tuple[int, int], degree: int) -> np.ndarray:
+        """Per-cell deriv_matrix, shape (ncells, dim out, dim in)."""
+        return unit_deriv_matrix(deriv, degree) / self.diameter[:, None, None] ** sum(deriv)
+
+    @property
+    def H(self) -> np.ndarray:
+        """Mass Gram matrices of the full monomial basis, (ncells, dim, dim)."""
+        if self._H is None:
+            self._H = _gram(self.vtab((0, 0)), self.vol_w)
+        return self._H
 
 
 @dataclass
 class _EdgeGeom:
     eid: int
-    sigma: int
-    loc0: int        # local vertex position of the canonical start
-    loc1: int
-    p0: np.ndarray
-    p1: np.ndarray
     normal: np.ndarray
-    tangent: np.ndarray
-    length: float
-    shat: np.ndarray     # canonical scaled coordinate of the Gauss nodes
-    pts: np.ndarray      # (npts, 2)
-    weights: np.ndarray  # (npts,), sum to length
+    pts: np.ndarray      # Gauss nodes (npts, 2) in the canonical direction
 
 
 class ElementContext:
-    """Geometry, quadrature, and monomial tables shared by both fields on a cell."""
+    """One cell of a CellGroup: the basis, rules and edges that load,
+    error and estimator loops read.  ElementContext(mesh, cell, ...) is a
+    group of one."""
 
     def __init__(self, mesh: PolygonalMesh, cell: int, max_degree: int,
                  singular_subdivide: int = 0):
-        self.mesh = mesh
-        self.cell = cell
-        self.coords = mesh.cell_coords(cell)
-        self.nverts = len(self.coords)
-        self.area = float(mesh.areas[cell])
-        self.centroid = mesh.centroids[cell]
-        self.diameter = float(mesh.diameters[cell])
-        self.max_degree = max_degree
-        self.vol_order = 2 * max_degree + 2
-        self.edge_npts = max_degree + 4
-        self.singular_subdivide = singular_subdivide
-        self.basis = ScaledMonomialBasis(tuple(self.centroid), self.diameter, max_degree)
-        self.side: SideStructure = mesh.side_structure(cell)
+        self._bind(CellGroup(mesh, [cell], max_degree, singular_subdivide), 0)
+
+    @classmethod
+    def view(cls, group: CellGroup, index: int) -> ElementContext:
+        ctx = cls.__new__(cls)
+        ctx._bind(group, index)
+        return ctx
+
+    def _bind(self, group: CellGroup, index: int) -> None:
+        self.group = group
+        self.index = index
+        self.cell = int(group.cells[index])
+        self.coords = group.coords[index]
+        self.centroid = group.centroid[index]
+        self.diameter = float(group.diameter[index])
+        self.singular_subdivide = group.singular_subdivide
+        self.basis = ScaledMonomialBasis(tuple(self.centroid), self.diameter,
+                                         group.max_degree)
         self._rules: dict[tuple[int, int], QuadratureRule] = {}
-        self._vtabs: dict[tuple[int, int], np.ndarray] = {}
-        self._etabs: dict[tuple[int, int, int], np.ndarray] = {}
-        self._H: np.ndarray | None = None
+        self._edges: list[_EdgeGeom] | None = None
 
-        t01, w01 = gauss_01(self.edge_npts)
-        self.edges: list[_EdgeGeom] = []
-        cell_list = mesh.cells[cell]
-        for j, (eid, sigma) in enumerate(mesh.cell_edges[cell]):
-            e = mesh.edges[eid]
-            p0 = mesh.vertices[e.v0]
-            p1 = mesh.vertices[e.v1]
-            loc0 = j if sigma == +1 else (j + 1) % self.nverts
-            loc1 = (j + 1) % self.nverts if sigma == +1 else j
-            assert cell_list[loc0] == e.v0 and cell_list[loc1] == e.v1
-            pts = p0[None, :] + t01[:, None] * (p1 - p0)[None, :]
-            self.edges.append(_EdgeGeom(eid, sigma, loc0, loc1, p0, p1,
-                                        e.normal, e.tangent, e.length,
-                                        t01 - 0.5, pts, w01 * e.length))
-
-    # tables ------------------------------------------------------------
     def rule(self, order: int, subdivide: int | None = None) -> QuadratureRule:
         sub = self.singular_subdivide if subdivide is None else subdivide
         key = (order, sub)
@@ -124,34 +246,28 @@ class ElementContext:
                                             centroid=self.centroid, subdivide=sub)
         return self._rules[key]
 
-    def vtab(self, deriv: tuple[int, int]) -> np.ndarray:
-        if deriv not in self._vtabs:
-            self._vtabs[deriv] = self.basis.eval(self.rule(self.vol_order, 0).points,
-                                                 deriv)
-        return self._vtabs[deriv]
-
-    def etab(self, j: int, deriv: tuple[int, int]) -> np.ndarray:
-        key = (j, *deriv)
-        if key not in self._etabs:
-            self._etabs[key] = self.basis.eval(self.edges[j].pts, deriv)
-        return self._etabs[key]
+    @property
+    def edges(self) -> list[_EdgeGeom]:
+        if self._edges is None:
+            g, i = self.group, self.index
+            self._edges = [_EdgeGeom(int(g.eid[i, j]), g.normal[i, j], g.edge_pts[i, j])
+                           for j in range(g.nverts)]
+        return self._edges
 
     def efit(self, values: np.ndarray, degree: int) -> np.ndarray:
         """Coefficients (degree+1, ncols) of edge-restricted polynomials."""
-        return _edge_fit(self.edge_npts, degree) @ values
+        return self.group.efit(values, degree)
 
     @property
     def H(self) -> np.ndarray:
         """Mass Gram matrix of the full monomial basis."""
-        if self._H is None:
-            V = self.vtab((0, 0))
-            w = self.rule(self.vol_order, 0).weights
-            self._H = (V * w[:, None]).T @ V
-        return self._H
+        return self.group.H[self.index]
 
 
 @dataclass
 class ElementProjectors:
+    """Projector matrices of one cell; on a group, every array carries a
+    leading cell axis and ``cell(i)`` is one cell's view."""
     ndof: int
     D: np.ndarray                                 # (ndof, n_poly)
     pd: np.ndarray                                # (n_poly, ndof)
@@ -159,322 +275,252 @@ class ElementProjectors:
     grads: dict[int, tuple[np.ndarray, np.ndarray]]
     hess: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     pg: dict[int, np.ndarray]
-    normal_moments: list[np.ndarray] | None       # per edge (mu rows, ndof)
-    value_moments: list[np.ndarray]               # per edge (nu rows, ndof), plain integrals
+    normal_moments: np.ndarray | None             # (nedges, mu rows, ndof)
+    value_moments: np.ndarray                     # (nedges, nu rows, ndof), plain integrals
+
+    def cell(self, i: int) -> ElementProjectors:
+        return ElementProjectors(
+            self.ndof, self.D[i], self.pd[i], self.l2[i],
+            {g: (gx[i], gy[i]) for g, (gx, gy) in self.grads.items()},
+            None if self.hess is None else tuple(h[i] for h in self.hess),
+            {d: P[i] for d, P in self.pg.items()},
+            None if self.normal_moments is None else self.normal_moments[i],
+            self.value_moments[i])
 
 
 # ---------------------------------------------------------------------------
-# local dof layout helpers (must match spaces.local_dofs ordering)
+# local dof layout (must match spaces.local_dofs ordering)
 
 
 class _Layout:
+    """Local dof positions per entity, and one-hot selector rows for them."""
+
     def __init__(self, space: SpaceKind, nverts: int):
-        self.nverts = nverts
         n = nverts
-        self.iv = np.arange(n) if space.n_vertex >= 1 else np.empty(0, dtype=int)
-        pos = n if space.n_vertex >= 1 else 0
-        if space.n_vertex == 3:
-            self.igrad = pos + np.arange(2 * n).reshape(n, 2)
-            pos += 2 * n
-        else:
-            self.igrad = None
-        self.inorm = []
-        for _ in range(n):
-            self.inorm.append(pos + np.arange(space.n_edge_normal))
-            pos += space.n_edge_normal
-        self.ival = []
-        for _ in range(n):
-            self.ival.append(pos + np.arange(space.n_edge_value))
-            pos += space.n_edge_value
+        self.iv = np.arange(n if space.n_vertex >= 1 else 0)
+        pos = len(self.iv)
+        self.igrad = pos + np.arange(2 * n if space.n_vertex == 3 else 0).reshape(-1, 2)
+        pos += self.igrad.size
+        self.inorm = pos + np.arange(n * space.n_edge_normal).reshape(n, -1)
+        pos += self.inorm.size
+        self.ival = pos + np.arange(n * space.n_edge_value).reshape(n, -1)
+        pos += self.ival.size
         self.icell = pos + np.arange(space.n_cell)
         self.ndof = pos + space.n_cell
-
-
-def _vertex_selector(layout: _Layout, ndof: int) -> np.ndarray:
-    sel = np.zeros((layout.nverts, ndof))
-    for j in range(layout.nverts):
-        sel[j, layout.iv[j]] = 1.0
-    return sel
+        eye = np.eye(self.ndof)
+        self.vsel = eye[self.iv]          # (n, ndof), empty without vertex dofs
+        self.gsel = eye[self.igrad]       # (n, 2, ndof)
+        self.nsel = eye[self.inorm]       # (n, n_edge_normal, ndof)
+        self.valsel = eye[self.ival]      # (n, n_edge_value, ndof)
+        self.csel = eye[self.icell]       # (n_cell, ndof)
 
 
 # ---------------------------------------------------------------------------
 # traces and moment tables
 
 
-def _conforming_deflection_traces(ctx: ElementContext, space: SpaceKind,
-                                  layout: _Layout, char: np.ndarray):
+def _endpoint_trace_system(g: CellGroup, degree: int, ndof: int):
+    """Trace systems (A, R) of one degree per edge with the endpoint
+    value rows A[0], A[1] filled in."""
+    pw = np.arange(degree + 1)
+    A = np.zeros((*g.length.shape, degree + 1, degree + 1))
+    A[..., 0, :] = (-0.5) ** pw
+    A[..., 1, :] = 0.5 ** pw
+    return A, np.zeros((*g.length.shape, degree + 1, ndof))
+
+
+def _conforming_deflection_traces(g: CellGroup, space: SpaceKind, lay: _Layout):
     """Edge value traces (degree max(k,3)) and normal traces (degree k-1)."""
     k = space.degree
     r = max(k, 3)
-    ndof = layout.ndof
-    value_traces = []
-    normal_traces = []
-    for j, e in enumerate(ctx.edges):
-        # value trace: endpoint values, endpoint tangential derivatives, moments
-        A = np.zeros((r + 1, r + 1))
-        R = np.zeros((r + 1, ndof))
-        pw = np.arange(r + 1)
-        A[0] = (-0.5) ** pw
-        R[0, layout.iv[e.loc0]] = 1.0
-        A[1] = 0.5 ** pw
-        R[1, layout.iv[e.loc1]] = 1.0
-        dpw = np.where(pw >= 1, pw, 0)
-        A[2] = dpw * np.where(pw >= 1, (-0.5) ** np.maximum(pw - 1, 0), 0.0) / e.length
-        R[2, layout.igrad[e.loc0]] = e.tangent / char[e.loc0]
-        A[3] = dpw * np.where(pw >= 1, 0.5 ** np.maximum(pw - 1, 0), 0.0) / e.length
-        R[3, layout.igrad[e.loc1]] = e.tangent / char[e.loc1]
-        nv = space.n_edge_value
-        A[4:4 + nv] = _edge_gram(nv - 1, r, e.length) / e.length
-        for m in range(nv):
-            R[4 + m, layout.ival[j][m]] = 1.0
-        value_traces.append(np.linalg.solve(A, R))
+    L = g.length[..., None]
+    char0 = np.take_along_axis(g.char, g.loc0, axis=1)[..., None]
+    char1 = np.take_along_axis(g.char, g.loc1, axis=1)[..., None]
 
-        # normal derivative trace: endpoint normal derivatives plus moments
-        A = np.zeros((k, k))
-        R = np.zeros((k, ndof))
-        pw = np.arange(k)
-        A[0] = (-0.5) ** pw
-        R[0, layout.igrad[e.loc0]] = e.normal / char[e.loc0]
-        A[1] = 0.5 ** pw
-        R[1, layout.igrad[e.loc1]] = e.normal / char[e.loc1]
-        nn = space.n_edge_normal
-        A[2:2 + nn] = _edge_gram(nn - 1, k - 1, e.length)
-        for m in range(nn):
-            R[2 + m, layout.inorm[j][m]] = 1.0
-        normal_traces.append(np.linalg.solve(A, R))
-    return value_traces, normal_traces
+    def grad_rows(vec, char, loc):
+        """Rows applying vec / char to the scaled gradient dofs at loc."""
+        return ((vec / char)[..., None] * lay.gsel[loc]).sum(axis=-2)
+
+    # value trace: endpoint values, endpoint tangential derivatives, moments
+    A, R = _endpoint_trace_system(g, r, lay.ndof)
+    pw = np.arange(r + 1)
+    dpw = np.where(pw >= 1, pw, 0)
+    A[..., 2, :] = dpw * np.where(pw >= 1, (-0.5) ** np.maximum(pw - 1, 0), 0.0) / L
+    A[..., 3, :] = dpw * np.where(pw >= 1, 0.5 ** np.maximum(pw - 1, 0), 0.0) / L
+    nv = space.n_edge_value
+    A[..., 4:4 + nv, :] = _edge_gram(nv - 1, r, g.length) / g.length[..., None, None]
+    R[..., 0, :] = lay.vsel[g.loc0]
+    R[..., 1, :] = lay.vsel[g.loc1]
+    R[..., 2, :] = grad_rows(g.tangent, char0, g.loc0)
+    R[..., 3, :] = grad_rows(g.tangent, char1, g.loc1)
+    R[..., 4:4 + nv, :] = lay.valsel
+    value_traces = np.linalg.solve(A, R)
+
+    # normal derivative trace: endpoint normal derivatives plus moments
+    A, R = _endpoint_trace_system(g, k - 1, lay.ndof)
+    nn = space.n_edge_normal
+    A[..., 2:2 + nn, :] = _edge_gram(nn - 1, k - 1, g.length)
+    R[..., 0, :] = grad_rows(g.normal, char0, g.loc0)
+    R[..., 1, :] = grad_rows(g.normal, char1, g.loc1)
+    R[..., 2:2 + nn, :] = lay.nsel
+    return value_traces, np.linalg.solve(A, R)
 
 
-def _moments_from_trace(trace: np.ndarray, length: float, n_rows: int) -> np.ndarray:
+def _moments_from_trace(trace: np.ndarray, length: np.ndarray, n_rows: int) -> np.ndarray:
     """Plain integrals int_e trace * s^b ds for b < n_rows."""
-    gram = _edge_gram(n_rows - 1, trace.shape[0] - 1, length)
-    return gram @ trace
-
-
-def _nc_value_moment_table(ctx, space, layout):
-    """Plain-integral value moments available directly from dofs."""
-    out = []
-    for j, e in enumerate(ctx.edges):
-        M = np.zeros((space.n_edge_value, layout.ndof))
-        for m in range(space.n_edge_value):
-            M[m, layout.ival[j][m]] = e.length
-        out.append(M)
-    return out
-
-
-def _nc_normal_moment_table(ctx, space, layout):
-    out = []
-    for j in range(len(ctx.edges)):
-        M = np.zeros((space.n_edge_normal, layout.ndof))
-        for m in range(space.n_edge_normal):
-            M[m, layout.inorm[j][m]] = 1.0
-        out.append(M)
-    return out
+    return _edge_gram(n_rows - 1, trace.shape[-2] - 1, length) @ trace
 
 
 # ---------------------------------------------------------------------------
 # the deflection energy projection
 
 
-def _deflection_pd(ctx: ElementContext, space: SpaceKind, layout: _Layout,
-                   mu: list[np.ndarray], nu_low: list[np.ndarray],
-                   vertex_sel: np.ndarray, char: np.ndarray):
+def _deflection_pd(g: CellGroup, space: SpaceKind, lay: _Layout,
+                   mu: np.ndarray, nu_low: np.ndarray):
     k = space.degree
     nk = poly_dim(k)
-    ndof = layout.ndof
-    basis = ctx.basis
-    w = ctx.rule(ctx.vol_order, 0).weights
+    w = g.vol_w
+    sigma = g.sigma[..., None, None]
+    nx, ny = g.normal[..., 0, None, None], g.normal[..., 1, None, None]
+    tx, ty = g.tangent[..., 0, None, None], g.tangent[..., 1, None, None]
 
-    Vxx = ctx.vtab((2, 0))[:, :nk]
-    Vxy = ctx.vtab((1, 1))[:, :nk]
-    Vyy = ctx.vtab((0, 2))[:, :nk]
-    G = (Vxx * w[:, None]).T @ Vxx + 2.0 * (Vxy * w[:, None]).T @ Vxy \
-        + (Vyy * w[:, None]).T @ Vyy
+    G = _gram(g.vtab((2, 0))[..., :nk], w) + 2.0 * _gram(g.vtab((1, 1))[..., :nk], w) \
+        + _gram(g.vtab((0, 2))[..., :nk], w)
 
-    B = np.zeros((nk, ndof))
+    # d_nn(m) against the normal-derivative moments
+    e_nn = nx * nx * g.etab((2, 0))[..., :nk] + 2.0 * nx * ny * g.etab((1, 1))[..., :nk] \
+        + ny * ny * g.etab((0, 2))[..., :nk]
+    B = (sigma * _T(g.efit(e_nn, k - 2)) @ mu[..., :k - 1, :]).sum(axis=1)
+
+    # T(m) against the value moments; degree k-3 restriction
+    if k >= 3:
+        Tvals = (nx + nx * tx * tx) * g.etab((3, 0))[..., :nk] \
+            + (ny + 2.0 * nx * tx * ty + ny * tx * tx) * g.etab((2, 1))[..., :nk] \
+            + (nx + nx * ty * ty + 2.0 * ny * tx * ty) * g.etab((1, 2))[..., :nk] \
+            + (ny + ny * ty * ty) * g.etab((0, 3))[..., :nk]
+        B -= (sigma * _T(g.efit(Tvals, k - 3)) @ nu_low[..., :k - 2, :]).sum(axis=1)
 
     # interior term: int_K bilap(m) v via cell moments
     if space.n_cell > 0:
-        L4 = basis.deriv_matrix((4, 0), k) + 2.0 * basis.deriv_matrix((2, 2), k) \
-            + basis.deriv_matrix((0, 4), k)
-        cell_sel = np.zeros((space.n_cell, ndof))
-        for m in range(space.n_cell):
-            cell_sel[m, layout.icell[m]] = 1.0
-        B += ctx.area * L4.T @ cell_sel
+        L4 = g.deriv((4, 0), k) + 2.0 * g.deriv((2, 2), k) + g.deriv((0, 4), k)
+        B += g.area[:, None, None] * _T(L4) @ lay.csel
 
-    third = {d: None for d in [(3, 0), (2, 1), (1, 2), (0, 3)]}
-    for j, e in enumerate(ctx.edges):
-        nx, ny = e.normal
-        tx, ty = e.tangent
-        # d_nn(m) against the normal-derivative moments
-        e_nn = nx * nx * ctx.etab(j, (2, 0))[:, :nk] \
-            + 2.0 * nx * ny * ctx.etab(j, (1, 1))[:, :nk] \
-            + ny * ny * ctx.etab(j, (0, 2))[:, :nk]
-        C_nn = ctx.efit(e_nn, k - 2)
-        B += e.sigma * C_nn.T @ mu[j][:k - 1]
+    # corner jumps of the twist d_nt(m); edge j-1 precedes vertex j
+    mxx, mxy, myy = (g.vert(d)[..., :nk] for d in [(2, 0), (1, 1), (0, 2)])
 
-        # T(m) against the value moments; degree k-3 restriction
-        if k >= 3:
-            vxxx = ctx.etab(j, (3, 0))[:, :nk]
-            vxxy = ctx.etab(j, (2, 1))[:, :nk]
-            vxyy = ctx.etab(j, (1, 2))[:, :nk]
-            vyyy = ctx.etab(j, (0, 3))[:, :nk]
-            Tvals = (nx + nx * tx * tx) * vxxx \
-                + (ny + 2.0 * nx * tx * ty + ny * tx * tx) * vxxy \
-                + (nx + nx * ty * ty + 2.0 * ny * tx * ty) * vxyy \
-                + (ny + ny * ty * ty) * vyyy
-            C_T = ctx.efit(Tvals, k - 3)
-            B -= e.sigma * C_T.T @ nu_low[j][:k - 2]
+    def twist(n, t):
+        return (n[..., 0] * t[..., 0])[..., None] * mxx \
+            + (n[..., 0] * t[..., 1] + n[..., 1] * t[..., 0])[..., None] * mxy \
+            + (n[..., 1] * t[..., 1])[..., None] * myy
 
-    # corner jumps of the twist d_nt(m)
-    for pos in range(ctx.nverts):
-        vpt = ctx.coords[pos][None, :]
-        mxx = basis.eval(vpt, (2, 0))[0, :nk]
-        mxy = basis.eval(vpt, (1, 1))[0, :nk]
-        myy = basis.eval(vpt, (0, 2))[0, :nk]
-
-        def twist(e):
-            nx, ny = e.normal
-            tx, ty = e.tangent
-            return nx * tx * mxx + (nx * ty + ny * tx) * mxy + ny * ty * myy
-
-        jump = twist(ctx.edges[pos - 1]) - twist(ctx.edges[pos])
-        B += np.outer(jump, vertex_sel[pos])
+    jump = twist(np.roll(g.normal, 1, axis=1), np.roll(g.tangent, 1, axis=1)) \
+        - twist(g.normal, g.tangent)
+    B[:, :, lay.iv] += _T(jump)
 
     # kernel constraints replace the three affine rows
-    Gc = G.copy()
-    Bc = B.copy()
-    vert_vals = basis.eval(ctx.coords)[:, :nk]
-    Gc[0] = vert_vals.mean(axis=0)
-    Bc[0] = vertex_sel.mean(axis=0)
+    n = g.nverts
+    G[:, 0] = g.vert((0, 0))[..., :nk].mean(axis=1)
+    B[:, 0] = lay.vsel.mean(axis=0)
     if space.family is Family.CONFORMING:
-        gx = basis.eval(ctx.coords, (1, 0))[:, :nk]
-        gy = basis.eval(ctx.coords, (0, 1))[:, :nk]
-        Gc[1] = gx.mean(axis=0)
-        Gc[2] = gy.mean(axis=0)
-        rx = np.zeros(ndof)
-        ry = np.zeros(ndof)
-        for pos in range(ctx.nverts):
-            rx[layout.igrad[pos][0]] += 1.0 / char[pos]
-            ry[layout.igrad[pos][1]] += 1.0 / char[pos]
-        Bc[1] = rx / ctx.nverts
-        Bc[2] = ry / ctx.nverts
+        G[:, 1] = g.vert((1, 0))[..., :nk].mean(axis=1)
+        G[:, 2] = g.vert((0, 1))[..., :nk].mean(axis=1)
+        B[:, 1:3] = 0.0
+        B[:, 1, lay.igrad[:, 0]] = 1.0 / g.char / n
+        B[:, 2, lay.igrad[:, 1]] = 1.0 / g.char / n
     else:
-        gx_row = np.zeros(nk)
-        gy_row = np.zeros(nk)
-        rx = np.zeros(ndof)
-        ry = np.zeros(ndof)
-        for j, e in enumerate(ctx.edges):
-            gx_row += e.weights @ ctx.etab(j, (1, 0))[:, :nk]
-            gy_row += e.weights @ ctx.etab(j, (0, 1))[:, :nk]
-            rx += e.normal[0] * mu[j][0] + e.tangent[0] * (vertex_sel[e.loc1] - vertex_sel[e.loc0])
-            ry += e.normal[1] * mu[j][0] + e.tangent[1] * (vertex_sel[e.loc1] - vertex_sel[e.loc0])
-        Gc[1] = gx_row
-        Gc[2] = gy_row
-        Bc[1] = rx
-        Bc[2] = ry
-    return np.linalg.solve(Gc, Bc)
+        w_e = g.edge_w[..., None, :]
+        G[:, 1] = (w_e @ g.etab((1, 0))[..., :nk]).sum(axis=1)[:, 0]
+        G[:, 2] = (w_e @ g.etab((0, 1))[..., :nk]).sum(axis=1)[:, 0]
+        jump_v = lay.vsel[g.loc1] - lay.vsel[g.loc0]
+        for c in range(2):
+            B[:, 1 + c] = (g.normal[..., c, None] * mu[..., 0, :]
+                           + g.tangent[..., c, None] * jump_v).sum(axis=1)
+    return np.linalg.solve(G, B)
 
 
-def _nc_deflection_traces(ctx: ElementContext, space: SpaceKind, layout: _Layout,
-                          pd: np.ndarray, vertex_sel: np.ndarray):
+def _nc_deflection_traces(g: CellGroup, space: SpaceKind, lay: _Layout,
+                          pd: np.ndarray) -> np.ndarray:
     """Edge traces of degree k from vertex values, the C1 rule along sides,
     and value moments borrowed from the energy projection."""
     k = space.degree
     nk = poly_dim(k)
-    ndof = layout.ndof
     pw = np.arange(k + 1)
-    traces: list[np.ndarray | None] = [None] * ctx.nverts
+    dpw = np.where(pw >= 1, pw, 0)
+    # moments of the pd trace at the Gauss nodes, (ncells, nverts, k-1, ndof)
+    powers = g.shat[:, None] ** np.arange(k - 1)[None, :]
+    mom = _T(powers * g.edge_w[..., None]) @ (g.etab((0, 0))[..., :nk] @ pd[:, None])
+    A_all, R_all = _endpoint_trace_system(g, k, lay.ndof)
+    R_all[..., 0, :] = lay.vsel[g.loc0]
+    R_all[..., 1, :] = lay.vsel[g.loc1]
+    traces = np.zeros_like(R_all)
 
-    def pd_edge_moments(j: int, count: int) -> np.ndarray:
-        e = ctx.edges[j]
-        vals = ctx.etab(j, (0, 0))[:, :nk] @ pd          # pd trace at Gauss nodes
-        powers = e.shat[:, None] ** np.arange(count)[None, :]
-        return (powers * e.weights[:, None]).T @ vals    # (count, ndof)
-
-    for s in range(ctx.side.nsides):
-        edge_ids = ctx.side.side_edges(s, ctx.nverts)
+    side = g.side
+    for s in range(side.nsides):
         prev_deriv_row: np.ndarray | None = None
-        prev_sigma_end = 0.0
-        for pos_in_side, j in enumerate(edge_ids):
-            e = ctx.edges[j]
-            A = np.zeros((k + 1, k + 1))
-            R = np.zeros((k + 1, ndof))
-            A[0] = (-0.5) ** pw
-            R[0] = vertex_sel[e.loc0]
-            A[1] = 0.5 ** pw
-            R[1] = vertex_sel[e.loc1]
+        for pos_in_side, j in enumerate(side.side_edges(s, g.nverts)):
+            A, R = A_all[:, j], R_all[:, j]
+            sigma = g.sigma[:, j, None]
+            length = g.length[:, j, None]
             if pos_in_side == 0:
                 n_mom = k - 1
-                mom_rows = pd_edge_moments(j, n_mom)
-                gram = _edge_gram(n_mom - 1, k, e.length)
-                A[2:2 + n_mom] = gram
-                R[2:2 + n_mom] = mom_rows
+                first = 2
             else:
                 # C1 matching of the running tangential derivative at the
                 # shared hanging vertex, then lower-order moments
-                start_shat = -0.5 * e.sigma
-                drow = np.where(pw >= 1, pw, 0) * np.where(
-                    pw >= 1, start_shat ** np.clip(pw - 1, 0, None), 0.0)
-                A[2] = e.sigma * drow / e.length
-                R[2] = prev_deriv_row
+                start_shat = -0.5 * sigma
+                A[:, 2] = sigma * (dpw * np.where(
+                    pw >= 1, start_shat ** np.clip(pw - 1, 0, None), 0.0)) / length
+                R[:, 2] = prev_deriv_row
                 n_mom = k - 2
-                if n_mom > 0:
-                    mom_rows = pd_edge_moments(j, n_mom)
-                    gram = _edge_gram(n_mom - 1, k, e.length)
-                    A[3:3 + n_mom] = gram
-                    R[3:3 + n_mom] = mom_rows
+                first = 3
+            A[:, first:first + n_mom] = _edge_gram(n_mom - 1, k, g.length[:, j])
+            R[:, first:first + n_mom] = mom[:, j, :n_mom]
             trace = np.linalg.solve(A, R)
-            traces[j] = trace
-            end_shat = 0.5 * e.sigma
-            drow = np.where(pw >= 1, pw, 0) * np.where(
-                pw >= 1, end_shat ** np.clip(pw - 1, 0, None), 0.0)
-            prev_deriv_row = e.sigma * (drow @ trace) / e.length
-    return traces  # type: ignore[return-value]
+            traces[:, j] = trace
+            end_shat = 0.5 * sigma
+            drow = dpw * np.where(pw >= 1, end_shat ** np.clip(pw - 1, 0, None), 0.0)
+            prev_deriv_row = sigma * (drow[:, None, :] @ trace)[:, 0] / length
+    return traces
 
 
 # ---------------------------------------------------------------------------
 # L2, gradient, and Hessian projections
 
 
-def _l2_projection(ctx: ElementContext, degree: int, low_dim: int,
-                   cell_sel: np.ndarray, energy_proj: np.ndarray) -> np.ndarray:
+def _l2_projection(g: CellGroup, degree: int, low_dim: int, csel: np.ndarray,
+                   energy_proj: np.ndarray) -> np.ndarray:
     """Moments below low_dim come from cell dofs, the rest from the energy projection."""
     n = poly_dim(degree)
-    H = ctx.H[:n, :n]
-    R = np.zeros((n, energy_proj.shape[1]))
+    H = g.H[:, :n, :n]
+    R = np.zeros((len(g), n, energy_proj.shape[-1]))
     if low_dim > 0:
-        R[:low_dim] = ctx.area * cell_sel
+        R[:, :low_dim] = g.area[:, None, None] * csel
     if low_dim < n:
-        R[low_dim:] = H[low_dim:, :energy_proj.shape[0]] @ energy_proj
+        R[:, low_dim:] = H[:, low_dim:, :energy_proj.shape[1]] @ energy_proj
     return np.linalg.solve(H, R)
 
 
-def _grad_projection(ctx: ElementContext, g: int, proj_full: np.ndarray,
-                     nu: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """L2 projection of the gradient onto degree g, via the function's L2
+def _grad_projection(g: CellGroup, deg: int, proj_full: np.ndarray,
+                     nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L2 projection of the gradient onto degree deg, via the function's L2
     projection in the volume and value moments on the boundary."""
-    ng = poly_dim(g)
-    n_in = proj_full.shape[0]
-    basis = ctx.basis
-    Hg = ctx.H[:ng, :ng]
-    rhs = [np.zeros((ng, proj_full.shape[1])), np.zeros((ng, proj_full.shape[1]))]
+    ng = poly_dim(deg)
+    n_in = proj_full.shape[1]
+    # restriction of each m_i to the edges against the value moments
+    contract = _T(g.efit(g.etab((0, 0))[..., :ng], deg)) @ nu[..., :deg + 1, :]
+    out = []
     for comp, dxy in enumerate([(1, 0), (0, 1)]):
-        Dc = basis.deriv_matrix(dxy, g)      # (dim M_{g-1}, ng)
-        nlow = Dc.shape[0]
+        Dc = g.deriv(dxy, deg)      # (ncells, dim M_{deg-1}, ng)
+        nlow = Dc.shape[1]
+        rhs = ((g.sigma * g.normal[..., comp])[..., None, None] * contract).sum(axis=1)
         if nlow > 0:
-            rhs[comp] -= Dc.T @ (ctx.H[:nlow, :n_in] @ proj_full)
-    for j, e in enumerate(ctx.edges):
-        C = ctx.efit(ctx.etab(j, (0, 0))[:, :ng], g)   # restriction of each m_i
-        contract = C.T @ nu[j][:g + 1]
-        rhs[0] += e.sigma * e.normal[0] * contract
-        rhs[1] += e.sigma * e.normal[1] * contract
-    return np.linalg.solve(Hg, rhs[0]), np.linalg.solve(Hg, rhs[1])
+            rhs -= _T(Dc) @ (g.H[:, :nlow, :n_in] @ proj_full)
+        out.append(np.linalg.solve(g.H[:, :ng, :ng], rhs))
+    return out[0], out[1]
 
 
-def _hessian_projection(ctx: ElementContext, space: SpaceKind, layout: _Layout,
-                        mu: list[np.ndarray], nu_low: list[np.ndarray],
-                        vertex_sel: np.ndarray):
+def _hessian_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
+                        mu: np.ndarray, nu_low: np.ndarray):
     """Componentwise L2 projection of the Hessian onto degree k-2.
 
     Each component row chi E_ab is integrated by parts twice; the
@@ -483,125 +529,90 @@ def _hessian_projection(ctx: ElementContext, space: SpaceKind, layout: _Layout,
     """
     k = space.degree
     nh = poly_dim(k - 2)
-    ndof = layout.ndof
-    basis = ctx.basis
-    Hm = ctx.H[:nh, :nh]
+    n, t, sigma = g.normal, g.tangent, g.sigma
+    C_mu = _T(g.efit(g.etab((0, 0))[..., :nh], k - 2)) @ mu[..., :k - 1, :]
+    if k >= 3:
+        ex, ey = g.etab((1, 0))[..., :nh], g.etab((0, 1))[..., :nh]
+        dt = t[..., 0, None, None] * ex + t[..., 1, None, None] * ey
+        C_dt = _T(g.efit(dt, k - 3)) @ nu_low[..., :k - 2, :]
+        C_d = [_T(g.efit(e, k - 3)) @ nu_low[..., :k - 2, :] for e in (ex, ey)]
+    mv = g.vert((0, 0))[..., :nh]
 
     def route(a: int, b: int) -> np.ndarray:
-        rhs = np.zeros((nh, ndof))
-        for j, e in enumerate(ctx.edges):
-            n = e.normal
-            t = e.tangent
-            vals = ctx.etab(j, (0, 0))[:, :nh]
-            C = ctx.efit(vals, k - 2)
-            rhs += e.sigma * n[a] * n[b] * (C.T @ mu[j][:k - 1])
-            if k >= 3:
-                dt = t[0] * ctx.etab(j, (1, 0))[:, :nh] + t[1] * ctx.etab(j, (0, 1))[:, :nh]
-                Cdt = ctx.efit(dt, k - 3)
-                rhs -= e.sigma * n[b] * t[a] * (Cdt.T @ nu_low[j][:k - 2])
-                db = ctx.etab(j, (1, 0) if b == 0 else (0, 1))[:, :nh]
-                Cdb = ctx.efit(db, k - 3)
-                rhs -= e.sigma * n[a] * (Cdb.T @ nu_low[j][:k - 2])
-        for pos in range(ctx.nverts):
-            vpt = ctx.coords[pos][None, :]
-            mv = basis.eval(vpt)[0, :nh]
-            e_prev = ctx.edges[pos - 1]
-            e_next = ctx.edges[pos]
-            gprev = e_prev.normal[b] * e_prev.tangent[a]
-            gnext = e_next.normal[b] * e_next.tangent[a]
-            rhs += np.outer(mv * (gprev - gnext), vertex_sel[pos])
-        d2 = basis.deriv_matrix(((2, 0) if a == 0 else (0, 2)) if a == b
-                                else (1, 1), k - 2)
-        if space.n_cell > 0 and d2.shape[0] > 0:
-            cell_sel = np.zeros((space.n_cell, ndof))
-            for m in range(space.n_cell):
-                cell_sel[m, layout.icell[m]] = 1.0
-            rhs += ctx.area * d2.T @ cell_sel[:d2.shape[0]]
+        terms = (sigma * n[..., a] * n[..., b])[..., None, None] * C_mu
+        if k >= 3:
+            terms = terms - (sigma * n[..., b] * t[..., a])[..., None, None] * C_dt \
+                - (sigma * n[..., a])[..., None, None] * C_d[b]
+        rhs = terms.sum(axis=1)
+        gnext = n[..., b] * t[..., a]
+        rhs[:, :, lay.iv] += _T(mv * (np.roll(gnext, 1, axis=1) - gnext)[..., None])
+        d2 = g.deriv(((2, 0) if a == 0 else (0, 2)) if a == b else (1, 1), k - 2)
+        if space.n_cell > 0 and d2.shape[1] > 0:
+            rhs += g.area[:, None, None] * _T(d2) @ lay.csel[:d2.shape[1]]
         return rhs
 
+    Hm = g.H[:, :nh, :nh]
     Hxx = np.linalg.solve(Hm, route(0, 0))
     Hyy = np.linalg.solve(Hm, route(1, 1))
     Hxy = np.linalg.solve(Hm, 0.5 * (route(0, 1) + route(1, 0)))
     return Hxx, Hxy, Hyy
 
 
-def _ritz_grad_projection(ctx: ElementContext, space: SpaceKind, layout: _Layout,
-                          degree: int, nu: list[np.ndarray],
-                          vertex_sel: np.ndarray | None,
-                          volume_proj: np.ndarray | None) -> np.ndarray:
+def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
+                          degree: int, nu: np.ndarray,
+                          volume_proj: np.ndarray) -> np.ndarray:
     """Gradient Ritz projection onto degree `degree`.
 
     volume_proj supplies the moments for -(v, lap chi): either the cell
     moment selector scaled by |K| (pressure) or H @ l2 coefficients
     (deflection).  The kernel constant is pinned by the vertex average for
-    conforming spaces with vertex dofs, else by the boundary integral.
+    conforming spaces, else by the boundary integral.
     """
     nd = poly_dim(degree)
-    ndof = nu[0].shape[1]
-    basis = ctx.basis
-    w = ctx.rule(ctx.vol_order, 0).weights
-    Vx = ctx.vtab((1, 0))[:, :nd]
-    Vy = ctx.vtab((0, 1))[:, :nd]
-    G = (Vx * w[:, None]).T @ Vx + (Vy * w[:, None]).T @ Vy
+    w = g.vol_w
+    G = _gram(g.vtab((1, 0))[..., :nd], w) + _gram(g.vtab((0, 1))[..., :nd], w)
 
-    B = np.zeros((nd, ndof))
-    lap = basis.deriv_matrix((2, 0), degree) + basis.deriv_matrix((0, 2), degree)
-    if lap.shape[0] > 0 and volume_proj is not None:
-        B -= lap.T @ volume_proj[:lap.shape[0]]
-    for j, e in enumerate(ctx.edges):
-        dn = e.normal[0] * ctx.etab(j, (1, 0))[:, :nd] \
-            + e.normal[1] * ctx.etab(j, (0, 1))[:, :nd]
-        C = ctx.efit(dn, degree - 1)
-        B += e.sigma * (C.T @ nu[j][:degree])
+    dn = g.normal[..., 0, None, None] * g.etab((1, 0))[..., :nd] \
+        + g.normal[..., 1, None, None] * g.etab((0, 1))[..., :nd]
+    B = (g.sigma[..., None, None] * _T(g.efit(dn, degree - 1))
+         @ nu[..., :degree, :]).sum(axis=1)
+    lap = g.deriv((2, 0), degree) + g.deriv((0, 2), degree)
+    if lap.shape[1] > 0:
+        B -= _T(lap) @ volume_proj[:, :lap.shape[1]]
 
-    Gc = G.copy()
-    Bc = B.copy()
-    use_vertex = (space.family is Family.CONFORMING) and vertex_sel is not None
-    if use_vertex:
-        Gc[0] = basis.eval(ctx.coords)[:, :nd].mean(axis=0)
-        Bc[0] = vertex_sel.mean(axis=0)
+    if space.family is Family.CONFORMING:
+        G[:, 0] = g.vert((0, 0))[..., :nd].mean(axis=1)
+        B[:, 0] = lay.vsel.mean(axis=0)
     else:
-        row = np.zeros(nd)
-        r = np.zeros(ndof)
-        for j, e in enumerate(ctx.edges):
-            row += e.weights @ ctx.etab(j, (0, 0))[:, :nd]
-            r += nu[j][0]
-        Gc[0] = row
-        Bc[0] = r
-    return np.linalg.solve(Gc, Bc)
+        G[:, 0] = (g.edge_w[..., None, :] @ g.etab((0, 0))[..., :nd]).sum(axis=1)[:, 0]
+        B[:, 0] = nu[..., 0, :].sum(axis=1)
+    return np.linalg.solve(G, B)
 
 
 # ---------------------------------------------------------------------------
 # dof matrix
 
 
-def _dof_matrix(ctx: ElementContext, space: SpaceKind, layout: _Layout,
-                char: np.ndarray) -> np.ndarray:
+def _dof_matrix(g: CellGroup, space: SpaceKind, lay: _Layout) -> np.ndarray:
     """D[i, a] = dof_i(m_a): every dof functional applied to the monomials."""
     n = poly_dim(space.degree)
-    D = np.zeros((layout.ndof, n))
-    vals = ctx.basis.eval(ctx.coords)[:, :n]
-    if space.n_vertex >= 1:
-        for pos in range(ctx.nverts):
-            D[layout.iv[pos]] = vals[pos]
+    D = np.zeros((len(g), lay.ndof, n))
+    D[:, lay.iv] = g.vert((0, 0))[:, :len(lay.iv), :n]
     if space.n_vertex == 3:
-        gx = ctx.basis.eval(ctx.coords, (1, 0))[:, :n]
-        gy = ctx.basis.eval(ctx.coords, (0, 1))[:, :n]
-        for pos in range(ctx.nverts):
-            D[layout.igrad[pos][0]] = char[pos] * gx[pos]
-            D[layout.igrad[pos][1]] = char[pos] * gy[pos]
-    for j, e in enumerate(ctx.edges):
-        if space.n_edge_normal > 0:
-            dn = e.normal[0] * ctx.etab(j, (1, 0))[:, :n] \
-                + e.normal[1] * ctx.etab(j, (0, 1))[:, :n]
-            powers = e.shat[:, None] ** np.arange(space.n_edge_normal)[None, :]
-            D[layout.inorm[j]] = (powers * e.weights[:, None]).T @ dn
-        if space.n_edge_value > 0:
-            powers = e.shat[:, None] ** np.arange(space.n_edge_value)[None, :]
-            D[layout.ival[j]] = (powers * e.weights[:, None]).T @ ctx.etab(j, (0, 0))[:, :n] \
-                / e.length
+        D[:, lay.igrad[:, 0]] = g.char[..., None] * g.vert((1, 0))[..., :n]
+        D[:, lay.igrad[:, 1]] = g.char[..., None] * g.vert((0, 1))[..., :n]
+    weights = g.edge_w[..., None]
+    if space.n_edge_normal > 0:
+        dn = g.normal[..., 0, None, None] * g.etab((1, 0))[..., :n] \
+            + g.normal[..., 1, None, None] * g.etab((0, 1))[..., :n]
+        powers = g.shat[:, None] ** np.arange(space.n_edge_normal)[None, :]
+        D[:, lay.inorm] = _T(powers * weights) @ dn
+    if space.n_edge_value > 0:
+        powers = g.shat[:, None] ** np.arange(space.n_edge_value)[None, :]
+        D[:, lay.ival] = _T(powers * weights) @ g.etab((0, 0))[..., :n] \
+            / g.length[..., None, None]
     if space.n_cell > 0:
-        D[layout.icell] = ctx.H[:space.n_cell, :n] / ctx.area
+        D[:, lay.icell] = g.H[:, :space.n_cell, :n] / g.area[:, None, None]
     return D
 
 
@@ -609,96 +620,79 @@ def _dof_matrix(ctx: ElementContext, space: SpaceKind, layout: _Layout,
 # entry points
 
 
-def build_deflection_projectors(ctx: ElementContext, space: SpaceKind,
-                                pg_degrees: tuple[int, ...] = (),
-                                grad_degrees: tuple[int, ...] | None = None) -> ElementProjectors:
+def deflection_projectors(g: CellGroup, space: SpaceKind,
+                          pg_degrees: tuple[int, ...] = (),
+                          grad_degrees: tuple[int, ...] | None = None) -> ElementProjectors:
+    """Deflection projectors of every cell of a group, stacked."""
     k = space.degree
     if grad_degrees is None:
         grad_degrees = (k - 1,)
-    layout = _Layout(space, ctx.nverts)
-    char = np.array([ctx.mesh.vertex_char_length[v] for v in ctx.mesh.cells[ctx.cell]])
-    vertex_sel = _vertex_selector(layout, layout.ndof)
+    lay = _Layout(space, g.nverts)
 
     if space.family is Family.CONFORMING:
-        value_traces, normal_traces = _conforming_deflection_traces(ctx, space, layout, char)
-        mu = [_moments_from_trace(normal_traces[j], ctx.edges[j].length, k)
-              for j in range(ctx.nverts)]
-        nu_low = [_moments_from_trace(value_traces[j], ctx.edges[j].length,
-                                      max(k - 2, 1)) for j in range(ctx.nverts)]
+        value_traces, normal_traces = _conforming_deflection_traces(g, space, lay)
+        mu = _moments_from_trace(normal_traces, g.length, k)
+        nu_low = _moments_from_trace(value_traces, g.length, max(k - 2, 1))
     else:
-        mu = _nc_normal_moment_table(ctx, space, layout)
-        nu_low = _nc_value_moment_table(ctx, space, layout)
-        pad = max(k - 2, 1)
-        nu_low = [np.vstack([M, np.zeros((pad - M.shape[0], layout.ndof))])
-                  if M.shape[0] < pad else M for M in nu_low]
+        mu = np.broadcast_to(lay.nsel, (len(g), *lay.nsel.shape))
+        nu_low = g.length[..., None, None] * lay.valsel
+        pad = max(k - 2, 1) - nu_low.shape[-2]
+        if pad > 0:
+            nu_low = np.concatenate(
+                [nu_low, np.zeros((*nu_low.shape[:2], pad, lay.ndof))], axis=-2)
 
-    pd = _deflection_pd(ctx, space, layout, mu, nu_low, vertex_sel, char)
+    pd = _deflection_pd(g, space, lay, mu, nu_low)
 
     if space.family is Family.NONCONFORMING:
-        value_traces = _nc_deflection_traces(ctx, space, layout, pd, vertex_sel)
+        value_traces = _nc_deflection_traces(g, space, lay, pd)
 
-    nu = [_moments_from_trace(value_traces[j], ctx.edges[j].length, k)
-          for j in range(ctx.nverts)]
+    nu = _moments_from_trace(value_traces, g.length, k)
+    l2 = _l2_projection(g, k, space.n_cell, lay.csel, pd)
+    grads = {d: _grad_projection(g, d, l2, nu) for d in sorted(set(grad_degrees))}
+    hess = _hessian_projection(g, space, lay, mu, nu_low)
+    volume_proj = g.H[:, :, :poly_dim(k)] @ l2
+    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_proj)
+          for d in sorted(set(pg_degrees))}
+    D = _dof_matrix(g, space, lay)
+    return ElementProjectors(lay.ndof, D, pd, l2, grads, hess, pg, mu, nu)
 
-    cell_sel = np.zeros((space.n_cell, layout.ndof))
-    for m in range(space.n_cell):
-        cell_sel[m, layout.icell[m]] = 1.0
-    l2 = _l2_projection(ctx, k, space.n_cell, cell_sel, pd)
 
-    grads = {}
-    for g in sorted(set(grad_degrees)):
-        grads[g] = _grad_projection(ctx, g, l2, nu)
+def pressure_projectors(g: CellGroup, space: SpaceKind,
+                        extra_pg_degrees: tuple[int, ...] = ()) -> ElementProjectors:
+    """Pressure projectors of every cell of a group, stacked."""
+    l = space.degree
+    lay = _Layout(space, g.nverts)
 
-    hess = _hessian_projection(ctx, space, layout, mu, nu_low, vertex_sel)
+    if space.family is Family.CONFORMING:
+        # trace of degree l per edge: endpoint values plus scaled moments
+        A, R = _endpoint_trace_system(g, l, lay.ndof)
+        nv = space.n_edge_value
+        A[..., 2:2 + nv, :] = _edge_gram(nv - 1, l, g.length) / g.length[..., None, None]
+        R[..., 0, :] = lay.vsel[g.loc0]
+        R[..., 1, :] = lay.vsel[g.loc1]
+        R[..., 2:2 + nv, :] = lay.valsel
+        nu = _moments_from_trace(np.linalg.solve(A, R), g.length, l)
+    else:
+        nu = g.length[..., None, None] * lay.valsel
 
-    pg = {}
-    for d in sorted(set(pg_degrees)):
-        volume_proj = ctx.H[:, :poly_dim(k)] @ l2
-        pg[d] = _ritz_grad_projection(ctx, space, layout, d, nu, vertex_sel, volume_proj)
+    volume_from_cells = g.area[:, None, None] * lay.csel
+    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_from_cells)
+          for d in sorted(set((l,) + tuple(extra_pg_degrees)))}
+    l2 = _l2_projection(g, l, space.n_cell, lay.csel, pg[l])
+    grads = {l - 1: _grad_projection(g, l - 1, l2, nu)}
+    D = _dof_matrix(g, space, lay)
+    return ElementProjectors(lay.ndof, D, pg[l], l2, grads, None, pg, None, nu)
 
-    D = _dof_matrix(ctx, space, layout, char)
-    return ElementProjectors(layout.ndof, D, pd, l2, grads, hess, pg, mu, nu)
+
+def build_deflection_projectors(ctx: ElementContext, space: SpaceKind,
+                                pg_degrees: tuple[int, ...] = (),
+                                grad_degrees: tuple[int, ...] | None = None) -> ElementProjectors:
+    """One cell's deflection projectors, through its group."""
+    return deflection_projectors(ctx.group, space, pg_degrees,
+                                 grad_degrees).cell(ctx.index)
 
 
 def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
                               extra_pg_degrees: tuple[int, ...] = ()) -> ElementProjectors:
-    l = space.degree
-    layout = _Layout(space, ctx.nverts)
-    char = np.array([ctx.mesh.vertex_char_length[v] for v in ctx.mesh.cells[ctx.cell]])
-    vertex_sel = _vertex_selector(layout, layout.ndof) if space.n_vertex else None
-
-    if space.family is Family.CONFORMING:
-        # trace of degree l per edge: endpoint values plus scaled moments
-        nu = []
-        pw = np.arange(l + 1)
-        for j, e in enumerate(ctx.edges):
-            A = np.zeros((l + 1, l + 1))
-            R = np.zeros((l + 1, layout.ndof))
-            A[0] = (-0.5) ** pw
-            R[0] = vertex_sel[e.loc0]
-            A[1] = 0.5 ** pw
-            R[1] = vertex_sel[e.loc1]
-            nv = space.n_edge_value
-            A[2:2 + nv] = _edge_gram(nv - 1, l, e.length) / e.length
-            for m in range(nv):
-                R[2 + m, layout.ival[j][m]] = 1.0
-            nu.append(_moments_from_trace(np.linalg.solve(A, R), e.length, l))
-    else:
-        nu = _nc_value_moment_table(ctx, space, layout)
-
-    cell_sel = np.zeros((space.n_cell, layout.ndof))
-    for m in range(space.n_cell):
-        cell_sel[m, layout.icell[m]] = 1.0
-    volume_from_cells = ctx.area * cell_sel
-
-    pg = {}
-    degrees = sorted(set((l,) + tuple(extra_pg_degrees)))
-    for d in degrees:
-        pg[d] = _ritz_grad_projection(ctx, space, layout, d, nu, vertex_sel,
-                                      volume_from_cells)
-
-    l2 = _l2_projection(ctx, l, space.n_cell, cell_sel, pg[l])
-    grads = {l - 1: _grad_projection(ctx, l - 1, l2, nu)}
-
-    D = _dof_matrix(ctx, space, layout, char)
-    return ElementProjectors(layout.ndof, D, pg[l], l2, grads, None, pg, None, nu)
+    """One cell's pressure projectors, through its group."""
+    return pressure_projectors(ctx.group, space, extra_pg_degrees).cell(ctx.index)

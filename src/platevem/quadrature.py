@@ -78,12 +78,7 @@ class ScaledMonomialBasis:
         d_x m_(a,b) = (a / h_K) m_(a-1,b), so the table is exact.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        dx, dy = deriv
-        ax, ay, coef = _deriv_tables(self.degree, dx, dy)
-        sx = (pts[:, 0] - self.center[0]) / self.diameter
-        sy = (pts[:, 1] - self.center[1]) / self.diameter
-        vals = sx[:, None] ** ax * sy[:, None] ** ay
-        return vals * (coef / self.diameter ** (dx + dy))
+        return monomials(pts, self.center, self.diameter, self.degree, deriv)
 
     def deriv_matrix(self, deriv: tuple[int, int], degree_in: int | None = None) -> np.ndarray:
         """Coefficient map M_degree_in -> M_(degree_in - |deriv|) for d^deriv.
@@ -93,20 +88,40 @@ class ScaledMonomialBasis:
         """
         if degree_in is None:
             degree_in = self.degree
-        dx, dy = deriv
-        deg_out = degree_in - dx - dy
-        exps_in = monomial_exponents(degree_in)
-        out = np.zeros((poly_dim(deg_out), poly_dim(degree_in)))
-        if deg_out < 0:
-            return out
-        index_out = {(int(a), int(b)): i for i, (a, b) in enumerate(monomial_exponents(deg_out))}
+        return unit_deriv_matrix(deriv, degree_in) / self.diameter ** sum(deriv)
+
+
+def monomials(pts: np.ndarray, center: np.ndarray, diameter, degree: int,
+              deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """d^deriv of the scaled monomials at pts, shape (..., npts, dim).
+
+    pts has shape (..., npts, 2); center (..., 2) and diameter (...) give
+    one element per leading index, so stacked elements evaluate at once.
+    """
+    dx, dy = deriv
+    ax, ay, coef = _deriv_tables(degree, dx, dy)
+    h = np.asarray(diameter, dtype=np.float64)[..., None, None]
+    s = (pts - np.asarray(center)[..., None, :]) / h
+    return s[..., 0, None] ** ax * s[..., 1, None] ** ay * (coef / h ** (dx + dy))
+
+
+@lru_cache(maxsize=None)
+def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
+    """deriv_matrix for unit diameter; divide by h^|deriv| for diameter h."""
+    dx, dy = deriv
+    deg_out = degree_in - dx - dy
+    exps_in = monomial_exponents(degree_in)
+    out = np.zeros((poly_dim(deg_out), poly_dim(degree_in)))
+    if deg_out >= 0:
+        index_out = {(int(a), int(b)): i
+                     for i, (a, b) in enumerate(monomial_exponents(deg_out))}
         coef = _falling(exps_in[:, 0], dx) * _falling(exps_in[:, 1], dy)
-        coef = coef / self.diameter ** (dx + dy)
         for j, (a, b) in enumerate(exps_in):
             ra, rb = int(a) - dx, int(b) - dy
             if ra >= 0 and rb >= 0:
                 out[index_out[(ra, rb)], j] = coef[j]
-        return out
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +186,19 @@ def triangle_rule_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _map_to_triangle(tri: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def map_triangles(tris: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference rule laid on triangles (..., T, 3, 2).
+
+    Returns points (..., T * n, 2) and weights (..., T * n), triangle by
+    triangle.
+    """
     ref_pts, ref_w = triangle_rule_reference(order)
-    v0, v1, v2 = tri
-    jac = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    pts = v0[None, :] + np.outer(ref_pts[:, 0], v1 - v0) + np.outer(ref_pts[:, 1], v2 - v0)
-    return pts, ref_w * jac
+    v0, v1, v2 = tris[..., 0, None, :], tris[..., 1, None, :], tris[..., 2, None, :]
+    jac = ((v1[..., 0] - v0[..., 0]) * (v2[..., 1] - v0[..., 1])
+           - (v2[..., 0] - v0[..., 0]) * (v1[..., 1] - v0[..., 1]))
+    pts = v0 + ref_pts[:, 0, None] * (v1 - v0) + ref_pts[:, 1, None] * (v2 - v0)
+    w = ref_w * jac
+    return (pts.reshape(*tris.shape[:-3], -1, 2), w.reshape(*tris.shape[:-3], -1))
 
 
 def polygon_area_centroid(coords: np.ndarray) -> tuple[float, np.ndarray]:
@@ -234,45 +256,46 @@ def _earclip(coords: np.ndarray) -> list[np.ndarray]:
     return tris
 
 
+def fan_is_star(coords: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Whether every triangle of the centroid fan has positive area, for
+    polygons (..., n, 2) with centroids (..., 2)."""
+    a = coords - centroid[..., None, :]
+    b = np.roll(a, -1, axis=-2)
+    return (a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1] > 0.0).all(axis=-1)
+
+
+def polygon_triangles(coords: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Triangles (..., T, 3, 2) of simple polygons (..., n, 2): the fan from
+    the area centroid when it has positive area for every polygon, else
+    ear clipping."""
+    if fan_is_star(coords, centroid).all():
+        return np.stack([np.broadcast_to(centroid[..., None, :], coords.shape), coords,
+                         np.roll(coords, -1, axis=-2)], axis=-2)
+    n = coords.shape[-2]
+    tris = [np.stack(_earclip(c)) for c in coords.reshape(-1, n, 2)]
+    return np.stack(tris).reshape(*coords.shape[:-2], n - 2, 3, 2)
+
+
 def polygon_rule(coords: np.ndarray, order: int,
                  centroid: np.ndarray | None = None,
                  subdivide: int = 0) -> QuadratureRule:
     """Quadrature on a simple polygon, exact for degree <= order.
 
-    Fans the polygon from the area centroid; non-star-shaped cells (a fan
-    triangle with non-positive area) fall back to ear clipping.  With
-    subdivide = s > 0 every triangle is split 4^s-fold through edge
-    midpoints before the rule is laid down, which is used to tame nearly
-    singular integrands without raising the order.
+    Lays the triangle rule on polygon_triangles.  With subdivide = s > 0
+    every triangle is split 4^s-fold through edge midpoints before the
+    rule is laid down, which is used to tame nearly singular integrands
+    without raising the order.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if centroid is None:
         _, centroid = polygon_area_centroid(coords)
-    tris = []
-    n = len(coords)
-    star = True
-    for i in range(n):
-        a, b = coords[i], coords[(i + 1) % n]
-        jac = (a[0] - centroid[0]) * (b[1] - centroid[1]) - (b[0] - centroid[0]) * (a[1] - centroid[1])
-        if jac <= 0.0:
-            star = False
-            break
-        tris.append(np.array([centroid, a, b]))
-    if not star:
-        tris = _earclip(coords)
+    tris = polygon_triangles(coords, centroid)
     for _ in range(subdivide):
-        finer = []
-        for tri in tris:
-            m01 = 0.5 * (tri[0] + tri[1])
-            m12 = 0.5 * (tri[1] + tri[2])
-            m20 = 0.5 * (tri[2] + tri[0])
-            finer += [np.array([tri[0], m01, m20]), np.array([m01, tri[1], m12]),
-                      np.array([m20, m12, tri[2]]), np.array([m01, m12, m20])]
-        tris = finer
-    all_pts = []
-    all_w = []
-    for tri in tris:
-        pts, w = _map_to_triangle(tri, order)
-        all_pts.append(pts)
-        all_w.append(w)
-    return QuadratureRule(np.vstack(all_pts), np.concatenate(all_w))
+        m01 = 0.5 * (tris[:, 0] + tris[:, 1])
+        m12 = 0.5 * (tris[:, 1] + tris[:, 2])
+        m20 = 0.5 * (tris[:, 2] + tris[:, 0])
+        tris = np.stack([np.stack([tris[:, 0], m01, m20], axis=1),
+                         np.stack([m01, tris[:, 1], m12], axis=1),
+                         np.stack([m20, m12, tris[:, 2]], axis=1),
+                         np.stack([m01, m12, m20], axis=1)], axis=1).reshape(-1, 3, 2)
+    return QuadratureRule(*map_triangles(tris, order))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (AssembledSystem, assemble_rhs, assemble_system,
-                       factor_system)
+                       factor_system, scatter)
 from .estimator import EstimatorReport, estimate
 from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
 from .mesh import PolygonalMesh, generate_voronoi
@@ -147,24 +147,14 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
     right-hand side, so only their projected polynomial parts are carried
     forward.
     """
-    k = system.space_u.degree
-    l = system.space_p.degree
-    nk, nl = poly_dim(k), poly_dim(l)
-    n_u = system.dof_u.ndof
-    rows, cols, vals = [], [], []
-    for op in system.elements:
-        gu = system.dof_u.cell_dofs[op.cell]
-        gp = system.dof_p.cell_dofs[op.cell] + n_u
-        Mu = op.defl.l2.T @ op.ctx.H[:nk, :nk] @ op.defl.l2
-        Mp = op.pres.l2.T @ op.ctx.H[:nl, :nl] @ op.pres.l2
-        ru, cu = np.meshgrid(gu, gu, indexing="ij")
-        rows.append(ru.ravel()); cols.append(cu.ravel()); vals.append(Mu.ravel())
-        rp, cp = np.meshgrid(gp, gp, indexing="ij")
-        rows.append(rp.ravel()); cols.append(cp.ravel()); vals.append(Mp.ravel())
-    n = n_u + system.dof_p.ndof
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    nk = poly_dim(system.space_u.degree)
+    nl = poly_dim(system.space_p.degree)
+    blocks = []
+    for g in system.groups:
+        Mu = g.defl.l2.swapaxes(1, 2) @ g.ctx.H[:, :nk, :nk] @ g.defl.l2
+        Mp = g.pres.l2.swapaxes(1, 2) @ g.ctx.H[:, :nl, :nl] @ g.pres.l2
+        blocks += [(g.dofs_u, g.dofs_u, Mu), (g.dofs_p, g.dofs_p, Mp)]
+    return scatter(system.ndof, blocks)
 
 
 def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,

@@ -8,7 +8,9 @@ from platevem.assembly import (ModelParams, assemble_rhs, assemble_system,
                                build_element, derive_params, factor_system)
 from platevem.cli import main
 from platevem.manufactured import get_case, polynomial_case
-from platevem.mesh import generate_structured, generate_voronoi
+from platevem.mesh import (build_mesh, generate_lshape, generate_structured,
+                           generate_voronoi, refine)
+from platevem.quadrature import triangle_rule_reference
 from platevem.runner import (assemble_projected_mass, case_rhs,
                              constrained_system, run_convergence, solve_case,
                              solve_patch, spaces_for, steady_timestep_state,
@@ -107,6 +109,79 @@ class TestGlobalSystem:
         Fb = assemble_rhs(system, lambda pts: 2 * f1(pts),
                           lambda pts: 2 * g1(pts))
         assert np.abs(Fb - 2 * Fa).max() < 1e-12 * np.abs(Fa).max()
+
+
+def lshape_refined_twice():
+    """L-shape mesh refined twice at the re-entrant corner and at cell 0,
+    so it has hanging nodes and cells touching the singular point."""
+    case = get_case("lshape")
+    mesh = generate_lshape(2, labeler=case.labeler)
+    for _ in range(2):
+        mesh = refine(mesh, sorted(case.singular_cells(mesh)) + [0])
+    return case, mesh
+
+
+class TestGroupedBuild:
+    """Every cell's operators from the grouped build in assemble_system
+    equal those of build_element on that cell alone."""
+
+    @staticmethod
+    def check(mesh, family, k, l, singular):
+        space_u, space_p = spaces_for(family, k, l)
+        system = assemble_system(mesh, space_u, space_p, PARAMS,
+                                 singular_cells=singular)
+        n = system.ndof
+        K = np.zeros((n, n))
+        for op in system.elements:
+            ref = build_element(mesh, op.cell, space_u, space_p, PARAMS,
+                                singular_subdivide=1 if op.cell in singular else 0)
+            pairs = [(op.A1, ref.A1), (op.B, ref.B), (op.A3, ref.A3),
+                     (op.defl.pd, ref.defl.pd), (op.defl.l2, ref.defl.l2),
+                     (op.pres.l2, ref.pres.l2), (op.pres.pg[l], ref.pres.pg[l])]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert op.ctx.singular_subdivide == (1 if op.cell in singular else 0)
+            gu = system.dof_u.cell_dofs[op.cell]
+            gp = system.dof_p.cell_dofs[op.cell] + system.dof_u.ndof
+            K[np.ix_(gu, gu)] += ref.A1
+            K[np.ix_(gu, gp)] -= ref.B
+            K[np.ix_(gp, gu)] += ref.B.T
+            K[np.ix_(gp, gp)] += ref.A3
+        assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
+        # per-cell operators are views into the group arrays
+        for g in system.groups:
+            for cell in g.ctx.cells:
+                op = system.elements[cell]
+                assert np.shares_memory(op.A1, g.A1)
+                assert np.shares_memory(op.defl.pd, g.defl.pd)
+        return system
+
+    @pytest.mark.parametrize("k, l", [(2, 1), (3, 2)])
+    def test_voronoi_conforming(self, voronoi25, k, l):
+        system = self.check(voronoi25, Family.CONFORMING, k, l, frozenset())
+        # 12 hexagons, 11 pentagons and 2 quadrilaterals
+        assert sorted(len(g.ctx.cells) for g in system.groups) == [2, 11, 12]
+
+    def test_refined_lshape_nonconforming(self):
+        case, mesh = lshape_refined_twice()
+        singular = case.singular_cells(mesh)
+        system = self.check(mesh, Family.NONCONFORMING, 2, 1, singular)
+        assert singular
+        assert any(g.ctx.singular_subdivide == 1 for g in system.groups)
+        # hanging nodes: some group's cells have more edges than corners
+        assert any(g.ctx.side.nsides < g.ctx.nverts for g in system.groups)
+
+
+    def test_ear_clipped_cell(self):
+        """An L-shaped octagon whose centroid fan folds over is integrated
+        on ear-clipped triangles inside its group."""
+        vertices = np.array([[0, 0], [3, 0], [3, .5], [.5, .5], [.5, 3], [0, 3],
+                             [3, 3], [1.7, 0], [0, 1.9]], dtype=float)
+        mesh = build_mesh(vertices, [[0, 7, 1, 2, 3, 4, 5, 8], [3, 2, 6, 4]])
+        system = self.check(mesh, Family.NONCONFORMING, 3, 2, frozenset())
+        octagon = next(g.ctx for g in system.groups if g.ctx.nverts == 8)
+        assert octagon.vol_w.shape[1] == 6 * len(triangle_rule_reference(8)[1])
 
 
 class TestPatchReproduction:

@@ -92,12 +92,23 @@ class TestExitCodes:
         ({"family": 1}, "family"),
         ({"steps": 0}, "steps"),
         ({"params": {"beta": -1.0}}, "params"),
+        ({"case": "nope"}, "case"),
+        ({"mesh": {"kind": "voronoi", "counts": ["a"]}}, "mesh.counts"),
+        ({"mesh": {"kind": "voronoi", "counts": [16, 0]}}, "mesh.counts"),
+        ({"mesh": {"kind": "files", "paths": "x"}}, "mesh.paths"),
+        ({"mesh": 3}, "mesh"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
         cfg = write_config(tmp_path, **overrides)
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_non_object_document_names_config(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[]")
+        assert main(["convergence", "--config", str(path)]) == 2
+        assert "config error: config: " in capsys.readouterr().err
 
     def test_threads_flag_is_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
