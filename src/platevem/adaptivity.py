@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import LocalEstimators
 from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import PolygonalMesh, refine
 from .runner import constrained_system, solve_level
@@ -27,18 +26,14 @@ class MarkingConfig:
             raise ValueError("need at least one level")
 
 
-def dorfler_mark(locals_, theta: float) -> list[int]:
+def dorfler_mark(eta2, theta: float) -> list[int]:
     """Smallest set of cells carrying a theta-fraction of the squared total.
 
     Cells are ranked by their squared contribution, largest first, ties
     broken by cell id; the returned ids form the shortest prefix whose sum
     reaches theta times the total.
     """
-    if isinstance(locals_, (list, tuple)) and locals_ and \
-            isinstance(locals_[0], LocalEstimators):
-        eta2 = np.array([le.total2 for le in locals_])
-    else:
-        eta2 = np.asarray(locals_, dtype=np.float64)
+    eta2 = np.asarray(eta2, dtype=np.float64)
     if eta2.size == 0:
         raise ValueError("empty estimator list")
     total = float(eta2.sum())
@@ -104,10 +99,10 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
             trace.meshes.append(mesh)
 
         last = level == marking.max_levels - 1 or est.eta <= marking.eta_tol
-        marked = [] if last else dorfler_mark(est.locals_, marking.theta)
+        marked = [] if last else dorfler_mark(est.cell_eta2, marking.theta)
         trace.levels.append(AdaptiveLevel(
             level, mesh.ncells, mesh.h, result.ndof, est.eta,
-            est.components2.copy(), est.cell_eta2.copy(), result.report,
+            est.components2, est.cell_eta2, result.report,
             len(marked)))
         if last:
             break

@@ -30,10 +30,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import BoundaryLabel, PolygonalMesh
-from .projectors import (CellGroup, ElementContext, ElementProjectors, cell_groups,
-                         deflection_projectors, pressure_projectors)
-from .quadrature import poly_dim
-from .spaces import DofMap, Family, SpaceKind, build_dof_map
+from .projectors import (CellGroup, ElementProjectors, cell_groups,
+                         deflection_projectors, matvec, pressure_projectors)
+from .quadrature import monomials, pointwise, poly_dim
+from .spaces import DofMap, SpaceKind, build_dof_map, pressure_is_dirichlet
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def derive_params(lam: float, mu: float, alpha: float, c0: float) -> ModelParams
 
 @dataclass
 class ElementOperators:
-    """Everything element-local the scheme and the estimator reuse."""
+    """The projectors and local matrices of one cell."""
     cell: int
-    ctx: ElementContext
     defl: ElementProjectors
     pres: ElementProjectors
     A1: np.ndarray
@@ -81,12 +80,6 @@ class ElementGroup:
     dofs_u: np.ndarray         # (ncells, ndof_u) global deflection dofs
     dofs_p: np.ndarray         # (ncells, ndof_p) global pressure dofs, offset by n_u
 
-    def elements(self) -> list[ElementOperators]:
-        """Per-cell operators as views into the group arrays."""
-        return [ElementOperators(ctx.cell, ctx, self.defl.cell(i), self.pres.cell(i),
-                                 self.A1[i], self.B[i], self.A3[i])
-                for i, ctx in enumerate(self.ctx.contexts())]
-
 
 @dataclass
 class AssembledSystem:
@@ -97,7 +90,6 @@ class AssembledSystem:
     dof_u: DofMap
     dof_p: DofMap
     K: sp.csr_matrix
-    elements: list[ElementOperators]
     groups: list[ElementGroup]
     pressure_dirichlet_on_clamped: bool = False
 
@@ -162,14 +154,11 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
 
 
 def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
-                  space_p: SpaceKind, params: ModelParams,
-                  singular_subdivide: int = 0) -> ElementOperators:
+                  space_p: SpaceKind, params: ModelParams) -> ElementOperators:
     """One cell's operators, built as a group of one."""
-    group = CellGroup(mesh, [cell], max(space_u.degree, space_p.degree),
-                      singular_subdivide)
+    group = CellGroup(mesh, [cell], max(space_u.degree, space_p.degree))
     P_u, P_p, A1, B, A3 = _group_forms(group, space_u, space_p, params)
-    return ElementOperators(cell, group.contexts()[0], P_u.cell(0), P_p.cell(0),
-                            A1[0], B[0], A3[0])
+    return ElementOperators(cell, P_u.cell(0), P_p.cell(0), A1[0], B[0], A3[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +194,11 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     n_u = dof_u.ndof
     max_degree = max(space_u.degree, space_p.degree)
     groups: list[ElementGroup] = []
-    elements: list[ElementOperators | None] = [None] * mesh.ncells
     for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
         group = CellGroup(mesh, cells, max_degree, subdivide)
-        grp = ElementGroup(group, *_group_forms(group, space_u, space_p, params),
-                           np.stack([dof_u.cell_dofs[c] for c in cells]),
-                           np.stack([dof_p.cell_dofs[c] for c in cells]) + n_u)
-        groups.append(grp)
-        for op in grp.elements():
-            elements[op.cell] = op
+        groups.append(ElementGroup(group, *_group_forms(group, space_u, space_p, params),
+                                   np.stack([dof_u.cell_dofs[c] for c in cells]),
+                                   np.stack([dof_p.cell_dofs[c] for c in cells]) + n_u))
 
     K = scatter(n_u + dof_p.ndof,
                 [b for g in groups for b in (
@@ -221,32 +206,11 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     (g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)),
                     (g.dofs_p, g.dofs_p, g.A3))])
     return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K,
-                           elements, groups, pressure_dirichlet_on_clamped)
+                           groups, pressure_dirichlet_on_clamped)
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
-
-
-def _cell_moments(op: ElementOperators, fn, order: int, n: int) -> np.ndarray:
-    rule = op.ctx.rule(order)
-    V = op.ctx.basis.eval(rule.points)[:, :n]
-    return (V * rule.weights[:, None]).T @ fn(rule.points)
-
-
-def _pressure_natural_edges(system: AssembledSystem, op: ElementOperators):
-    """Boundary edges of this cell where the pressure condition is natural."""
-    out = []
-    for j, e in enumerate(op.ctx.edges):
-        edge = system.mesh.edges[e.eid]
-        if not edge.is_boundary:
-            continue
-        if edge.label is BoundaryLabel.SIMPLY_SUPPORTED:
-            continue
-        if system.pressure_dirichlet_on_clamped:
-            continue
-        out.append(j)
-    return out
 
 
 def assemble_rhs(system: AssembledSystem, f, g, *,
@@ -257,39 +221,37 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
     (points, normal) for one boundary edge and return the scalar trace of
     d_nn(u) respectively gamma d_n(p) + alpha d_n(u).
     """
-    k = system.space_u.degree
-    l = system.space_p.degree
-    order = 2 * k + 4
-    n_u = system.dof_u.ndof
-    F = np.zeros(n_u + system.dof_p.ndof)
-    for op in system.elements:
-        gu = system.dof_u.cell_dofs[op.cell]
-        gp = system.dof_p.cell_dofs[op.cell] + n_u
-        fm = _cell_moments(op, f, order, poly_dim(k))
-        gm = _cell_moments(op, g, order, poly_dim(l))
-        loc_u = op.defl.l2.T @ fm
-        loc_p = op.pres.l2.T @ gm
+    nk = poly_dim(system.space_u.degree)
+    nl = poly_dim(system.space_p.degree)
+    order = 2 * system.space_u.degree + 4
+    edges = system.mesh.edges
+    moment_edges = np.array([e.is_boundary and e.label is BoundaryLabel.SIMPLY_SUPPORTED
+                             for e in edges])
+    flux_edges = np.array([e.is_boundary and not pressure_is_dirichlet(
+        e, system.pressure_dirichlet_on_clamped) for e in edges])
+    F = np.zeros(system.ndof)
+    for grp in system.groups:
+        cg = grp.ctx
+        pts, w = cg.rule(order, cg.singular_subdivide)
+        Vw = (monomials(pts, cg.centroid, cg.diameter, cg.max_degree)
+              * w[..., None]).swapaxes(1, 2)
+        loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(Vw[:, :nk], pointwise(f, pts)))
+        loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(Vw[:, :nl], pointwise(g, pts)))
 
         if bending_moment_data is not None:
-            n_mu = op.defl.normal_moments[0].shape[0]
-            for j, e in enumerate(op.ctx.edges):
-                edge = system.mesh.edges[e.eid]
-                if not (edge.is_boundary and edge.label is BoundaryLabel.SIMPLY_SUPPORTED):
-                    continue
-                data = bending_moment_data(e.pts, e.normal)
-                coeff = op.ctx.efit(data, n_mu - 1)
-                loc_u += op.defl.normal_moments[j].T @ coeff
+            mu = grp.defl.normal_moments
+            for i, j in np.argwhere(moment_edges[cg.eid]):
+                data = bending_moment_data(cg.edge_pts[i, j], cg.normal[i, j])
+                loc_u[i] += mu[i, j].T @ cg.efit(data, mu.shape[-2] - 1)
 
         if pressure_flux_data is not None:
-            for j in _pressure_natural_edges(system, op):
-                e = op.ctx.edges[j]
-                data = pressure_flux_data(e.pts, e.normal)
-                nv = op.pres.value_moments[j].shape[0]
-                coeff = op.ctx.efit(data, nv - 1)
-                loc_p += op.pres.value_moments[j].T @ coeff
+            nu = grp.pres.value_moments
+            for i, j in np.argwhere(flux_edges[cg.eid]):
+                data = pressure_flux_data(cg.edge_pts[i, j], cg.normal[i, j])
+                loc_p[i] += nu[i, j].T @ cg.efit(data, nu.shape[-2] - 1)
 
-        np.add.at(F, gu, loc_u)
-        np.add.at(F, gp, loc_p)
+        np.add.at(F, grp.dofs_u, loc_u)
+        np.add.at(F, grp.dofs_p, loc_p)
     return F
 
 

@@ -27,158 +27,41 @@ import numpy as np
 
 from .assembly import AssembledSystem
 from .mesh import BoundaryLabel
-from .quadrature import ScaledMonomialBasis, edge_rule, poly_dim
-from .spaces import Family
+from .projectors import data_oscillation, matvec
+from .quadrature import gauss_01, monomials, pointwise, poly_dim
+from .spaces import Family, pressure_is_dirichlet
 
 N_PARTS = 9
 
 
 @dataclass
-class LocalEstimators:
-    """Squared contributions of one element, indexed 0..8 for eta_1..eta_9."""
-
-    cell: int
-    parts: np.ndarray
+class EstimatorReport:
+    parts: np.ndarray                # squared contributions eta_1..eta_9, (ncells, 9)
+    included: tuple[int, ...]        # 1-based component indices in the total
 
     @property
-    def total2(self) -> float:
-        return float(self.parts.sum())
+    def components2(self) -> np.ndarray:
+        """Global squared sums, shape (9,)."""
+        return self.parts.sum(axis=0)
 
+    @property
+    def cell_eta2(self) -> np.ndarray:
+        """Per-cell totals, shape (ncells,)."""
+        return self.parts.sum(axis=1)
 
-@dataclass
-class EstimatorReport:
-    locals_: list[LocalEstimators]
-    components2: np.ndarray          # global squared sums, shape (9,)
-    cell_eta2: np.ndarray            # per-cell totals, shape (ncells,)
-    eta: float
-    included: tuple[int, ...]        # 1-based component indices in the total
+    @property
+    def eta(self) -> float:
+        return float(np.sqrt(self.components2.sum()))
 
     def component(self, i: int) -> float:
         """Global eta_i (1-based), as a plain square root."""
         return float(np.sqrt(self.components2[i - 1]))
 
 
-def global_eta(locals_: list[LocalEstimators]) -> tuple[float, np.ndarray]:
-    """Total estimator and the per-component squared breakdown."""
-    if not locals_:
-        raise ValueError("empty estimator list")
-    components2 = np.zeros(N_PARTS)
-    for le in locals_:
-        components2 += le.parts
-    return float(np.sqrt(components2.sum())), components2
-
-
-# ---------------------------------------------------------------------------
-# polynomial edge traces
-
-
-def _peval(basis: ScaledMonomialBasis, pts: np.ndarray, coeffs: np.ndarray,
-           deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-    if coeffs.size == 0:
-        return np.zeros(len(pts))
-    return basis.eval(pts, deriv)[:, :coeffs.size] @ coeffs
-
-
-class EdgeTables:
-    """Derivative tables of one element basis at one edge point set.
-
-    Each table is evaluated once and reused across every polynomial that
-    needs it, which matters because the edge loop visits every mesh edge.
-    """
-
-    def __init__(self, basis: ScaledMonomialBasis, pts: np.ndarray):
-        self.basis = basis
-        self.pts = pts
-        self._tabs: dict[tuple[int, int], np.ndarray] = {}
-
-    def table(self, deriv: tuple[int, int]) -> np.ndarray:
-        T = self._tabs.get(deriv)
-        if T is None:
-            T = self.basis.eval(self.pts, deriv)
-            self._tabs[deriv] = T
-        return T
-
-    def poly(self, coeffs: np.ndarray,
-             deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-        if coeffs.size == 0:
-            return np.zeros(len(self.pts))
-        return self.table(deriv)[:, :coeffs.size] @ coeffs
-
-
-def normal_bending_trace(tab: EdgeTables, coeffs: np.ndarray,
-                         n: np.ndarray) -> np.ndarray:
-    """d_nn of the polynomial with the given coefficients, at tab.pts."""
-    return (n[0] * n[0] * tab.poly(coeffs, (2, 0))
-            + 2.0 * n[0] * n[1] * tab.poly(coeffs, (1, 1))
-            + n[1] * n[1] * tab.poly(coeffs, (0, 2)))
-
-
-def shear_trace(tab: EdgeTables, coeffs: np.ndarray,
-                n: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Effective transverse shear d_n(lap v) + d_t(n.hess v.t) at tab.pts.
-
-    Collecting the third derivatives gives one coefficient per component,
-    which keeps the trace a single linear combination of monomial tables.
-    """
-    nx, ny = n
-    tx, ty = t
-    c_xxx = nx * (1.0 + tx * tx)
-    c_xxy = ny + 2.0 * nx * tx * ty + ny * tx * tx
-    c_xyy = nx + nx * ty * ty + 2.0 * ny * tx * ty
-    c_yyy = ny * (1.0 + ty * ty)
-    return (c_xxx * tab.poly(coeffs, (3, 0))
-            + c_xxy * tab.poly(coeffs, (2, 1))
-            + c_xyy * tab.poly(coeffs, (1, 2))
-            + c_yyy * tab.poly(coeffs, (0, 3)))
-
-
-# ---------------------------------------------------------------------------
-# per-cell polynomial data
-
-
-@dataclass
-class _CellPolys:
-    cu_pd: np.ndarray
-    cu_l2: np.ndarray
-    gux: np.ndarray
-    guy: np.ndarray
-    cp_pg: np.ndarray
-    cp_l2: np.ndarray
-    gpx: np.ndarray
-    gpy: np.ndarray
-    bilap_u: np.ndarray     # coefficients of lap(lap(pd u)), degree k-4
-    div_gp: np.ndarray      # divergence of the projected pressure gradient
-    div_gu: np.ndarray      # divergence of the projected deflection gradient
-
-
-def _cell_polys(op, uloc: np.ndarray, ploc: np.ndarray, k: int, l: int) -> _CellPolys:
-    basis = op.ctx.basis
-    cu_pd = op.defl.pd @ uloc
-    gux_m, guy_m = op.defl.grads[k - 1]
-    gpx_m, gpy_m = op.pres.grads[max(l - 1, 0)]
-    lap_k = basis.deriv_matrix((2, 0), k) + basis.deriv_matrix((0, 2), k)
-    lap_k2 = basis.deriv_matrix((2, 0), k - 2) + basis.deriv_matrix((0, 2), k - 2)
-    gpx = gpx_m @ ploc
-    gpy = gpy_m @ ploc
-    gux = gux_m @ uloc
-    guy = guy_m @ uloc
-    return _CellPolys(
-        cu_pd=cu_pd,
-        cu_l2=op.defl.l2 @ uloc,
-        gux=gux, guy=guy,
-        cp_pg=op.pres.pg[l] @ ploc,
-        cp_l2=op.pres.l2 @ ploc,
-        gpx=gpx, gpy=gpy,
-        bilap_u=lap_k2 @ (lap_k @ cu_pd),
-        div_gp=(basis.deriv_matrix((1, 0), max(l - 1, 0)) @ gpx
-                + basis.deriv_matrix((0, 1), max(l - 1, 0)) @ gpy),
-        div_gu=(basis.deriv_matrix((1, 0), k - 1) @ gux
-                + basis.deriv_matrix((0, 1), k - 1) @ guy),
-    )
-
-
-# ---------------------------------------------------------------------------
-# main entry
+def _poly(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the points of tables V (..., npts, dim) of polynomials
+    with stacked coefficients (..., n), n <= dim."""
+    return matvec(V[..., :coeffs.shape[-1]], coeffs)
 
 
 def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
@@ -208,143 +91,149 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
         if k >= 3:
             include += (9,)
     vol_order = 2 * k + 4
-    e_order = 2 * k + 2
+    nk, nl = poly_dim(k), poly_dim(l)
+    gl = max(l - 1, 0)
+    n_u = system.dof_u.ndof
 
     parts = np.zeros((mesh.ncells, N_PARTS))
-    nk, nl = poly_dim(k), poly_dim(l)
+    # coefficients of the polynomials the edge terms compare, one row per cell
+    cu_pd = np.zeros((mesh.ncells, nk))
+    cp_l2 = np.zeros((mesh.ncells, nl))
+    gu = np.zeros((2, mesh.ncells, poly_dim(k - 1)))
+    gp = np.zeros((2, mesh.ncells, poly_dim(gl)))
 
-    polys: list[_CellPolys] = []
-    for op in system.elements:
-        cell = op.cell
-        uloc = U[system.dof_u.cell_dofs[cell]]
-        ploc = P[system.dof_p.cell_dofs[cell]]
-        cp = _cell_polys(op, uloc, ploc, k, l)
-        polys.append(cp)
-        basis = op.ctx.basis
-        h = op.ctx.diameter
-        rule = op.ctx.rule(vol_order)
-        pts, w = rule.points, rule.weights
+    for grp in system.groups:
+        cg, defl, pres = grp.ctx, grp.defl, grp.pres
+        cells, h = cg.cells, cg.diameter
+        uloc = U[grp.dofs_u]
+        ploc = P[grp.dofs_p - n_u]
+        cu_pd[cells] = cu = matvec(defl.pd, uloc)
+        cp_l2[cells] = cp0 = matvec(pres.l2, ploc)
+        for c in range(2):
+            gu[c, cells] = matvec(defl.grads[k - 1][c], uloc)
+            gp[c, cells] = matvec(pres.grads[gl][c], ploc)
+        lap_k = cg.deriv((2, 0), k) + cg.deriv((0, 2), k)
+        lap_k2 = cg.deriv((2, 0), k - 2) + cg.deriv((0, 2), k - 2)
+        bilap_u = matvec(lap_k2, matvec(lap_k, cu))
+        div_gp = matvec(cg.deriv((1, 0), gl), gp[0, cells]) \
+            + matvec(cg.deriv((0, 1), gl), gp[1, cells])
+        div_gu = matvec(cg.deriv((1, 0), k - 1), gu[0, cells]) \
+            + matvec(cg.deriv((0, 1), k - 1), gu[1, cells])
 
         # volume residuals with data oscillation
-        fvals = f(pts)
-        gvals = g(pts)
-        Vk = basis.eval(pts)[:, :nk]
-        Vl = Vk[:, :nl]
-        cf = np.linalg.solve((Vk * w[:, None]).T @ Vk, (Vk * w[:, None]).T @ fvals)
-        cg = np.linalg.solve((Vl * w[:, None]).T @ Vl, (Vl * w[:, None]).T @ gvals)
-        osc_f = float(w @ (fvals - Vk @ cf) ** 2)
-        osc_g = float(w @ (gvals - Vl @ cg) ** 2)
-        R1 = (fvals - _peval(basis, pts, cp.bilap_u) - Vk @ cp.cu_l2
-              - alpha * _peval(basis, pts, cp.div_gp))
-        R2 = (gvals + gamma * _peval(basis, pts, cp.div_gp)
-              - beta * (Vl @ cp.cp_l2) + alpha * _peval(basis, pts, cp.div_gu))
-        parts[cell, 0] = h ** 4 * (osc_f + float(w @ R1 ** 2))
-        parts[cell, 1] = h ** 2 * (osc_g + float(w @ R2 ** 2))
+        pts, w = cg.rule(vol_order, cg.singular_subdivide)
+        V = monomials(pts, cg.centroid, h, cg.max_degree)
+        fvals = pointwise(f, pts)
+        gvals = pointwise(g, pts)
+        R1 = (fvals - _poly(V, bilap_u) - _poly(V, matvec(defl.l2, uloc))
+              - alpha * _poly(V, div_gp))
+        R2 = (gvals + gamma * _poly(V, div_gp)
+              - beta * _poly(V, cp0) + alpha * _poly(V, div_gu))
+        parts[cells, 0] = h ** 4 * (data_oscillation(V[..., :nk], w, fvals)
+                                    + (w * R1 ** 2).sum(-1))
+        parts[cells, 1] = h ** 2 * (data_oscillation(V[..., :nl], w, gvals)
+                                    + (w * R2 ** 2).sum(-1))
 
         # stabilisation energies of the remainders
-        s_hess = float(np.sum((uloc - op.defl.D @ cp.cu_pd) ** 2)) / h ** 2
-        s_grad = gamma * float(np.sum((ploc - op.pres.D @ cp.cp_pg) ** 2))
-        s_mass = beta * h ** 2 * float(np.sum((ploc - op.pres.D @ cp.cp_l2) ** 2))
+        s_hess = ((uloc - matvec(defl.D, cu)) ** 2).sum(-1) / h ** 2
+        s_grad = gamma * ((ploc - matvec(pres.D, matvec(pres.pg[l], ploc))) ** 2).sum(-1)
+        s_mass = beta * h ** 2 * ((ploc - matvec(pres.D, cp0)) ** 2).sum(-1)
         wgt = (1.0 + np.sqrt(alpha) * h + h ** 2) ** 2
-        parts[cell, 5] = wgt * s_hess + s_grad + s_mass
+        parts[cells, 5] = wgt * s_hess + s_grad + s_mass
 
         # distance of the deflection to its gradient-Ritz image
-        cu_rg = op.defl.pg[l] @ uloc
-        parts[cell, 6] = alpha * float(
-            np.sum((uloc - op.defl.D[:, :nl] @ cu_rg) ** 2))
+        cu_rg = matvec(defl.pg[l], uloc)
+        parts[cells, 6] = alpha * ((uloc - matvec(defl.D[..., :nl], cu_rg)) ** 2).sum(-1)
 
         if nonconf and k >= 3:
             n2 = poly_dim(k - 2)
-            cp_low = op.pres.pg[k - 2] @ ploc
-            parts[cell, 8] = alpha * h ** 2 * float(
-                np.sum((ploc - op.pres.D[:, :n2] @ cp_low) ** 2))
+            cp_low = matvec(pres.pg[k - 2], ploc)
+            parts[cells, 8] = alpha * h ** 2 * (
+                (ploc - matvec(pres.D[..., :n2], cp_low)) ** 2).sum(-1)
 
-    # edge terms; interior contributions split evenly between the two cells
-    for edge in mesh.edges:
-        rule = edge_rule(mesh.vertices[edge.v0], mesh.vertices[edge.v1], e_order)
-        pts, w = rule.points, rule.weights
-        n, t = edge.normal, edge.tangent
-        he = edge.length
-        L, R = edge.left, edge.right
-        tL = EdgeTables(system.elements[L].ctx.basis, pts)
-        pL = polys[L]
-        boundary = R is None
-        if not boundary:
-            tR = EdgeTables(system.elements[R].ctx.basis, pts)
-            pR = polys[R]
+    # edge terms over all edges at once, on Gauss rules exact to degree
+    # 2k+2; interior contributions split evenly between the two cells
+    edges = mesh.edges
+    he = np.array([e.length for e in edges])
+    n = np.array([e.normal for e in edges])[:, None, :]
+    t = np.array([e.tangent for e in edges])[:, None, :]
+    nx, ny, tx, ty = n[..., 0], n[..., 1], t[..., 0], t[..., 1]
+    L = np.array([e.left for e in edges])
+    boundary = np.array([e.is_boundary for e in edges])
+    R = np.array([e.left if e.is_boundary else e.right for e in edges])
+    simply = np.array([e.label is BoundaryLabel.SIMPLY_SUPPORTED for e in edges])
+    clamped = np.array([e.label is BoundaryLabel.CLAMPED for e in edges])
+    dirichlet_p = np.array([pressure_is_dirichlet(e, system.pressure_dirichlet_on_clamped)
+                            for e in edges])
+    natural_p = boundary & ~dirichlet_p
+    t01, w01 = gauss_01(k + 2)
+    p0 = mesh.vertices[[e.v0 for e in edges]][:, None, :]
+    p1 = mesh.vertices[[e.v1 for e in edges]][:, None, :]
+    pts = p0 + t01[:, None] * (p1 - p0)
+    w = w01 * he[:, None]
 
-        acc = np.zeros(N_PARTS)
+    def integral(v: np.ndarray) -> np.ndarray:
+        return (w * v ** 2).sum(-1)
 
-        # eta_3: bending moment jump; interior and simply supported edges
-        if not boundary or edge.label is BoundaryLabel.SIMPLY_SUPPORTED:
-            j3 = normal_bending_trace(tL, pL.cu_pd, n)
-            if boundary:
-                if bending_moment_data is not None:
-                    j3 = j3 - bending_moment_data(pts, n)
-            else:
-                j3 = j3 - normal_bending_trace(tR, pR.cu_pd, n)
-            acc[2] = he * float(w @ j3 ** 2)
+    def data(fn, on: np.ndarray, *args, comps=()) -> np.ndarray:
+        """Boundary data at the points of the edges in `on`, else zero."""
+        out = np.zeros(pts.shape[:2] + comps)
+        if fn is not None:
+            for e in np.flatnonzero(on):
+                out[e] = fn(pts[e], *(a[e, 0] for a in args))
+        return out
 
-        # eta_4: shear plus coupling jump; interior edges only
-        if not boundary:
-            qL = (shear_trace(tL, pL.cu_pd, n, t)
-                  + alpha * (n[0] * tL.poly(pL.gpx) + n[1] * tL.poly(pL.gpy)))
-            qR = (shear_trace(tR, pR.cu_pd, n, t)
-                  + alpha * (n[0] * tR.poly(pR.gpx) + n[1] * tR.poly(pR.gpy)))
-            acc[3] = he ** 3 * float(w @ (qL - qR) ** 2)
+    def traces(side: np.ndarray):
+        """Edge traces of the polynomials of the cells on one side."""
+        def tab(deriv):
+            return monomials(pts, mesh.centroids[side], mesh.diameters[side],
+                             max(k, l), deriv)
 
-        # eta_5: combined normal flux; interior and pressure-Neumann edges
-        natural_p = (boundary and edge.label is not BoundaryLabel.SIMPLY_SUPPORTED
-                     and not system.pressure_dirichlet_on_clamped)
-        if not boundary or natural_p:
-            qL = (alpha * (n[0] * tL.poly(pL.gux) + n[1] * tL.poly(pL.guy))
-                  + gamma * (n[0] * tL.poly(pL.gpx) + n[1] * tL.poly(pL.gpy)))
-            if boundary:
-                if pressure_flux_data is not None:
-                    qL = qL - pressure_flux_data(pts, n)
-                acc[4] = he * float(w @ qL ** 2)
-            else:
-                qR = (alpha * (n[0] * tR.poly(pR.gux) + n[1] * tR.poly(pR.guy))
-                      + gamma * (n[0] * tR.poly(pR.gpx) + n[1] * tR.poly(pR.gpy)))
-                acc[4] = he * float(w @ (qL - qR) ** 2)
+        du = {d: _poly(tab(d), cu_pd[side]) for d in
+              [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]}
+        V = tab((0, 0))
+        dnn = nx * nx * du[2, 0] + 2.0 * nx * ny * du[1, 1] + ny * ny * du[0, 2]
+        # effective transverse shear d_n(lap v) + d_t(n.hess v.t), third
+        # derivatives collected into one coefficient each
+        shear = nx * (1.0 + tx * tx) * du[3, 0] \
+            + (ny + 2.0 * nx * tx * ty + ny * tx * tx) * du[2, 1] \
+            + (nx + nx * ty * ty + 2.0 * ny * tx * ty) * du[1, 2] \
+            + ny * (1.0 + ty * ty) * du[0, 3]
+        gp_n = nx * _poly(V, gp[0, side]) + ny * _poly(V, gp[1, side])
+        gu_n = nx * _poly(V, gu[0, side]) + ny * _poly(V, gu[1, side])
+        return (dnn, shear + alpha * gp_n, alpha * gu_n + gamma * gp_n,
+                du[1, 0], du[0, 1], _poly(V, cp_l2[side]))
 
-        # eta_8: trace jumps of the gradient and the pressure (nonconforming)
-        if nonconf:
-            gxL = tL.poly(pL.cu_pd, (1, 0))
-            gyL = tL.poly(pL.cu_pd, (0, 1))
-            pvL = tL.poly(pL.cp_l2)
-            if boundary:
-                if grad_u_data is not None:
-                    gex = grad_u_data(pts)
-                    dgx, dgy = gxL - gex[:, 0], gyL - gex[:, 1]
-                else:
-                    dgx, dgy = gxL, gyL
-                # the deflection value is prescribed on the whole boundary,
-                # its normal slope only on the clamped part
-                jt = t[0] * dgx + t[1] * dgy
-                s8 = float(w @ jt ** 2)
-                if edge.label is BoundaryLabel.CLAMPED:
-                    jn = n[0] * dgx + n[1] * dgy
-                    s8 += float(w @ jn ** 2)
-                dirichlet_p = (edge.label is BoundaryLabel.SIMPLY_SUPPORTED
-                               or system.pressure_dirichlet_on_clamped)
-                if dirichlet_p:
-                    pd_val = pvL if pressure_trace_data is None else \
-                        pvL - pressure_trace_data(pts)
-                    s8 += float(w @ pd_val ** 2)
-            else:
-                dgx = gxL - tR.poly(pR.cu_pd, (1, 0))
-                dgy = gyL - tR.poly(pR.cu_pd, (0, 1))
-                dp = pvL - tR.poly(pR.cp_l2)
-                s8 = float(w @ (dgx ** 2 + dgy ** 2 + dp ** 2))
-            acc[7] = s8 / he
+    dnnL, shearL, fluxL, gxL, gyL, pvL = traces(L)
+    dnnR, shearR, fluxR, gxR, gyR, pvR = traces(R)
+    inside = ~boundary[:, None]
+    acc = np.zeros((len(edges), N_PARTS))
 
-        if boundary:
-            parts[L] += acc
-        else:
-            parts[L] += 0.5 * acc
-            parts[R] += 0.5 * acc
+    # eta_3: bending moment jump; interior and simply supported edges
+    j3 = dnnL - np.where(inside, dnnR, data(bending_moment_data, simply & boundary, n))
+    acc[:, 2] = np.where(~boundary | simply, he * integral(j3), 0.0)
 
-    locals_ = [LocalEstimators(c, parts[c].copy()) for c in range(mesh.ncells)]
-    eta, components2 = global_eta(locals_)
-    return EstimatorReport(locals_, components2, parts.sum(axis=1), eta, include)
+    # eta_4: shear plus coupling jump; interior edges only
+    acc[:, 3] = np.where(boundary, 0.0, he ** 3 * integral(shearL - shearR))
+
+    # eta_5: combined normal flux; interior and pressure-Neumann edges
+    j5 = fluxL - np.where(inside, fluxR, data(pressure_flux_data, natural_p, n))
+    acc[:, 4] = np.where(~boundary | natural_p, he * integral(j5), 0.0)
+
+    # eta_8: trace jumps of the gradient and the pressure (nonconforming);
+    # the deflection value is prescribed on the whole boundary, its normal
+    # slope only on the clamped part
+    if nonconf:
+        grad_data = data(grad_u_data, boundary, comps=(2,))
+        dgx = gxL - np.where(inside, gxR, grad_data[..., 0])
+        dgy = gyL - np.where(inside, gyR, grad_data[..., 1])
+        dp = pvL - np.where(inside, pvR, data(pressure_trace_data, dirichlet_p))
+        s8_bnd = integral(tx * dgx + ty * dgy) \
+            + np.where(clamped, integral(nx * dgx + ny * dgy), 0.0) \
+            + np.where(dirichlet_p, integral(dp), 0.0)
+        s8 = np.where(boundary, s8_bnd, (w * (dgx ** 2 + dgy ** 2 + dp ** 2)).sum(-1))
+        acc[:, 7] = s8 / he
+
+    np.add.at(parts, L, np.where(boundary, 1.0, 0.5)[:, None] * acc)
+    np.add.at(parts, R[~boundary], 0.5 * acc[~boundary])
+    return EstimatorReport(parts, include)

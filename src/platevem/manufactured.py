@@ -27,7 +27,8 @@ import sympy as sp
 
 from .assembly import AssembledSystem, ModelParams
 from .mesh import BoundaryLabel, PolygonalMesh
-from .quadrature import poly_dim
+from .projectors import data_oscillation, matvec
+from .quadrature import monomials, pointwise, poly_dim
 
 
 Pointwise = Callable[[np.ndarray], np.ndarray]
@@ -254,65 +255,60 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     """Error norms on cell rules of order 2k+4, subdivided 3 times at singularities."""
     k = system.space_u.degree
     l = system.space_p.degree
+    nk, nl = poly_dim(k), poly_dim(l)
     order = 2 * k + 4
     beta, gamma = system.params.beta, system.params.gamma
-    singular = case.singular_cells(system.mesh)
+    singular = sorted(case.singular_cells(system.mesh))
+    n_u = system.dof_u.ndof
 
-    e_u2 = e_p1 = e_u0 = e_p0 = 0.0
-    osc_f = osc_g = 0.0
-    cell_energy2 = np.zeros(system.mesh.ncells)
-    for op in system.elements:
-        cell = op.cell
-        sub = 3 if cell in singular else 0
-        rule = op.ctx.rule(order, sub)
-        pts, w = rule.points, rule.weights
-        uloc = U[system.dof_u.cell_dofs[cell]]
-        ploc = P[system.dof_p.cell_dofs[cell]]
+    # per cell: |u - pd u_h|_2^2, ||u - Pi u_h||^2, |p - pg p_h|_1^2,
+    # ||p - Pi p_h||^2, and the two data oscillations
+    norms = np.zeros((6, system.mesh.ncells))
+    for grp in system.groups:
+        cg = grp.ctx
+        on_singular = np.isin(cg.cells, singular)
+        for sub, sel in ((0, ~on_singular), (3, on_singular)):
+            if not sel.any():
+                continue
+            cells = cg.cells[sel]
+            pts, w = (a[sel] for a in cg.rule(order, sub))
+            center, h = cg.centroid[sel], cg.diameter[sel]
 
-        cu = op.defl.pd @ uloc
-        cu0 = op.defl.l2 @ uloc
-        cp = op.pres.pg[l] @ ploc
-        cp0 = op.pres.l2 @ ploc
-        nk, nl = poly_dim(k), poly_dim(l)
-        V = op.ctx.basis.eval(pts)
-        Vu = V[:, :nk]
-        Vxx = op.ctx.basis.eval(pts, (2, 0))[:, :nk]
-        Vxy = op.ctx.basis.eval(pts, (1, 1))[:, :nk]
-        Vyy = op.ctx.basis.eval(pts, (0, 2))[:, :nk]
-        Hex = case.hess_u(pts)
-        d_xx = Hex[:, 0] - Vxx @ cu
-        d_xy = Hex[:, 1] - Vxy @ cu
-        d_yy = Hex[:, 2] - Vyy @ cu
-        k_u2 = float(w @ (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2))
-        k_u0 = float(w @ (case.u(pts) - Vu @ cu0) ** 2)
+            def table(deriv, n=None):
+                return monomials(pts, center, h, cg.max_degree, deriv)[..., :n]
 
-        Vp = V[:, :nl]
-        Vpx = op.ctx.basis.eval(pts, (1, 0))[:, :nl]
-        Vpy = op.ctx.basis.eval(pts, (0, 1))[:, :nl]
-        Gex = case.grad_p(pts)
-        d_px = Gex[:, 0] - Vpx @ cp
-        d_py = Gex[:, 1] - Vpy @ cp
-        k_p1 = float(w @ (d_px ** 2 + d_py ** 2))
-        k_p0 = float(w @ (case.p(pts) - Vp @ cp0) ** 2)
+            uloc = U[grp.dofs_u[sel]]
+            ploc = P[grp.dofs_p[sel] - n_u]
+            cu = matvec(grp.defl.pd[sel], uloc)
+            cu0 = matvec(grp.defl.l2[sel], uloc)
+            cp = matvec(grp.pres.pg[l][sel], ploc)
+            cp0 = matvec(grp.pres.l2[sel], ploc)
+            V = table((0, 0))
+            Vu, Vp = V[..., :nk], V[..., :nl]
 
-        e_u2 += k_u2; e_u0 += k_u0; e_p1 += k_p1; e_p0 += k_p0
-        cell_energy2[cell] = k_u0 + k_u2 + beta * k_p0 + gamma * k_p1
+            Hex = pointwise(case.hess_u, pts)
+            d_xx = Hex[..., 0] - matvec(table((2, 0), nk), cu)
+            d_xy = Hex[..., 1] - matvec(table((1, 1), nk), cu)
+            d_yy = Hex[..., 2] - matvec(table((0, 2), nk), cu)
+            Gex = pointwise(case.grad_p, pts)
+            d_px = Gex[..., 0] - matvec(table((1, 0), nl), cp)
+            d_py = Gex[..., 1] - matvec(table((0, 1), nl), cp)
+            norms[0, cells] = (w * (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2)).sum(-1)
+            d_u = pointwise(case.u, pts) - matvec(Vu, cu0)
+            d_p = pointwise(case.p, pts) - matvec(Vp, cp0)
+            norms[1, cells] = (w * d_u ** 2).sum(-1)
+            norms[2, cells] = (w * (d_px ** 2 + d_py ** 2)).sum(-1)
+            norms[3, cells] = (w * d_p ** 2).sum(-1)
+            norms[4, cells] = h ** 4 * data_oscillation(Vu, w, pointwise(case.f, pts))
+            norms[5, cells] = h ** 2 * data_oscillation(Vp, w, pointwise(case.g, pts))
 
-        h4 = op.ctx.diameter ** 4
-        h2 = op.ctx.diameter ** 2
-        for fn, Vn, wt, acc in ((case.f, Vu, h4, "f"), (case.g, Vp, h2, "g")):
-            vals = fn(pts)
-            coeff = np.linalg.solve((Vn * w[:, None]).T @ Vn, (Vn * w[:, None]).T @ vals)
-            o = wt * float(w @ (vals - Vn @ coeff) ** 2)
-            if acc == "f":
-                osc_f += o
-            else:
-                osc_g += o
-
+    k_u2, k_u0, k_p1, k_p0, osc_f, osc_g = norms
+    cell_energy2 = k_u0 + k_u2 + beta * k_p0 + gamma * k_p1
+    e_u2, e_u0, e_p1, e_p0 = k_u2.sum(), k_u0.sum(), k_p1.sum(), k_p0.sum()
     energy = math.sqrt(e_u0 + e_u2 + beta * e_p0 + gamma * e_p1)
     return ErrorReport(system.mesh.h, system.ndof, math.sqrt(e_u2),
                        math.sqrt(e_p1), math.sqrt(e_u0), math.sqrt(e_p0), energy,
-                       math.sqrt(osc_f), math.sqrt(osc_g), cell_energy2)
+                       math.sqrt(osc_f.sum()), math.sqrt(osc_g.sum()), cell_energy2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ quantities a second axis over the local edges, so one numpy call serves
 the whole group.  What fixes the shapes, and hence the group key, is the
 vertex count, the volume triangulation (centroid fan or ear clipping),
 the singular subdivision, and for the nonconforming family the side
-structure; edge orientations and geometry are per-cell data.
-``ElementContext`` is one cell's view of a group.
+structure; edge orientations and geometry are per-cell data.  One
+cell is a group of one.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import PolygonalMesh, SideStructure
-from .quadrature import (QuadratureRule, ScaledMonomialBasis, edge_monomial_integrals,
-                         fan_is_star, gauss_01, map_triangles, monomials, poly_dim,
-                         polygon_rule, polygon_triangles, unit_deriv_matrix)
+from .quadrature import (edge_monomial_integrals, fan_is_star, gauss_01, map_triangles,
+                         monomials, poly_dim, polygon_triangles, subdivide_triangles,
+                         unit_deriv_matrix)
 from .spaces import Family, SpaceKind
 
 
@@ -79,6 +79,20 @@ def _gram(V: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _T(M: np.ndarray) -> np.ndarray:
     return M.swapaxes(-1, -2)
+
+
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products: M (..., m, n) times x (..., n)."""
+    return (M @ x[..., None])[..., 0]
+
+
+def data_oscillation(V: np.ndarray, w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per cell, the squared L2 distance of data to the span of a monomial
+    table: values (ncells, nq) and table V (ncells, nq, n) at a rule with
+    weights w (ncells, nq)."""
+    Vw = _T(V * w[..., None])
+    coeff = np.linalg.solve(Vw @ V, Vw @ vals[..., None])
+    return (w * (vals - matvec(V, coeff[..., 0])) ** 2).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +162,7 @@ class CellGroup:
         p1 = np.take_along_axis(self.coords, self.loc1[..., None], axis=1)
         self.edge_pts = p0[..., None, :] + t01[:, None] * (p1 - p0)[..., None, :]
         self.edge_w = w01 * self.length[..., None]
-        self.vol_pts, self.vol_w = map_triangles(
-            polygon_triangles(self.coords, self.centroid), self.vol_order)
+        self.vol_pts, self.vol_w = self.rule(self.vol_order, 0)
         self._tabs: dict[tuple, np.ndarray] = {}
         self._H: np.ndarray | None = None
 
@@ -161,8 +174,11 @@ class CellGroup:
         """Side structure of the first cell; nonconforming groups share it."""
         return self.mesh.side_structure(int(self.cells[0]))
 
-    def contexts(self) -> list[ElementContext]:
-        return [ElementContext.view(self, i) for i in range(len(self))]
+    def rule(self, order: int, subdivide: int) -> tuple[np.ndarray, np.ndarray]:
+        """Volume points (ncells, nq, 2) and weights (ncells, nq), exact for
+        degree <= order, on triangles split 4^subdivide-fold."""
+        tris = polygon_triangles(self.coords, self.centroid)
+        return map_triangles(subdivide_triangles(tris, subdivide), order)
 
     # tables ------------------------------------------------------------
     def _table(self, where: str, deriv: tuple[int, int]) -> np.ndarray:
@@ -201,67 +217,6 @@ class CellGroup:
         if self._H is None:
             self._H = _gram(self.vtab((0, 0)), self.vol_w)
         return self._H
-
-
-@dataclass
-class _EdgeGeom:
-    eid: int
-    normal: np.ndarray
-    pts: np.ndarray      # Gauss nodes (npts, 2) in the canonical direction
-
-
-class ElementContext:
-    """One cell of a CellGroup: the basis, rules and edges that load,
-    error and estimator loops read.  ElementContext(mesh, cell, ...) is a
-    group of one."""
-
-    def __init__(self, mesh: PolygonalMesh, cell: int, max_degree: int,
-                 singular_subdivide: int = 0):
-        self._bind(CellGroup(mesh, [cell], max_degree, singular_subdivide), 0)
-
-    @classmethod
-    def view(cls, group: CellGroup, index: int) -> ElementContext:
-        ctx = cls.__new__(cls)
-        ctx._bind(group, index)
-        return ctx
-
-    def _bind(self, group: CellGroup, index: int) -> None:
-        self.group = group
-        self.index = index
-        self.cell = int(group.cells[index])
-        self.coords = group.coords[index]
-        self.centroid = group.centroid[index]
-        self.diameter = float(group.diameter[index])
-        self.singular_subdivide = group.singular_subdivide
-        self.basis = ScaledMonomialBasis(tuple(self.centroid), self.diameter,
-                                         group.max_degree)
-        self._rules: dict[tuple[int, int], QuadratureRule] = {}
-        self._edges: list[_EdgeGeom] | None = None
-
-    def rule(self, order: int, subdivide: int | None = None) -> QuadratureRule:
-        sub = self.singular_subdivide if subdivide is None else subdivide
-        key = (order, sub)
-        if key not in self._rules:
-            self._rules[key] = polygon_rule(self.coords, order,
-                                            centroid=self.centroid, subdivide=sub)
-        return self._rules[key]
-
-    @property
-    def edges(self) -> list[_EdgeGeom]:
-        if self._edges is None:
-            g, i = self.group, self.index
-            self._edges = [_EdgeGeom(int(g.eid[i, j]), g.normal[i, j], g.edge_pts[i, j])
-                           for j in range(g.nverts)]
-        return self._edges
-
-    def efit(self, values: np.ndarray, degree: int) -> np.ndarray:
-        """Coefficients (degree+1, ncols) of edge-restricted polynomials."""
-        return self.group.efit(values, degree)
-
-    @property
-    def H(self) -> np.ndarray:
-        """Mass Gram matrix of the full monomial basis."""
-        return self.group.H[self.index]
 
 
 @dataclass
@@ -682,17 +637,3 @@ def pressure_projectors(g: CellGroup, space: SpaceKind,
     grads = {l - 1: _grad_projection(g, l - 1, l2, nu)}
     D = _dof_matrix(g, space, lay)
     return ElementProjectors(lay.ndof, D, pg[l], l2, grads, None, pg, None, nu)
-
-
-def build_deflection_projectors(ctx: ElementContext, space: SpaceKind,
-                                pg_degrees: tuple[int, ...] = (),
-                                grad_degrees: tuple[int, ...] | None = None) -> ElementProjectors:
-    """One cell's deflection projectors, through its group."""
-    return deflection_projectors(ctx.group, space, pg_degrees,
-                                 grad_degrees).cell(ctx.index)
-
-
-def build_pressure_projectors(ctx: ElementContext, space: SpaceKind,
-                              extra_pg_degrees: tuple[int, ...] = ()) -> ElementProjectors:
-    """One cell's pressure projectors, through its group."""
-    return pressure_projectors(ctx.group, space, extra_pg_degrees).cell(ctx.index)

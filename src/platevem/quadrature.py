@@ -105,6 +105,13 @@ def monomials(pts: np.ndarray, center: np.ndarray, diameter, degree: int,
     return s[..., 0, None] ** ax * s[..., 1, None] ** ay * (coef / h ** (dx + dy))
 
 
+def pointwise(fn, pts: np.ndarray) -> np.ndarray:
+    """fn, which maps (n, 2) points to (n, ...) values, at stacked points
+    (..., n, 2)."""
+    vals = np.asarray(fn(pts.reshape(-1, 2)))
+    return vals.reshape(*pts.shape[:-1], *vals.shape[1:])
+
+
 @lru_cache(maxsize=None)
 def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
     """deriv_matrix for unit diameter; divide by h^|deriv| for diameter h."""
@@ -276,6 +283,20 @@ def polygon_triangles(coords: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     return np.stack(tris).reshape(*coords.shape[:-2], n - 2, 3, 2)
 
 
+def subdivide_triangles(tris: np.ndarray, times: int) -> np.ndarray:
+    """Split triangles (..., T, 3, 2) 4^times-fold through edge midpoints,
+    giving (..., 4^times T, 3, 2), children of one triangle adjacent."""
+    for _ in range(times):
+        v0, v1, v2 = tris[..., 0, :], tris[..., 1, :], tris[..., 2, :]
+        m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
+        tris = np.stack([np.stack([v0, m01, m20], axis=-2),
+                         np.stack([m01, v1, m12], axis=-2),
+                         np.stack([m20, m12, v2], axis=-2),
+                         np.stack([m01, m12, m20], axis=-2)], axis=-3)
+        tris = tris.reshape(*tris.shape[:-4], -1, 3, 2)
+    return tris
+
+
 def polygon_rule(coords: np.ndarray, order: int,
                  centroid: np.ndarray | None = None,
                  subdivide: int = 0) -> QuadratureRule:
@@ -284,18 +305,11 @@ def polygon_rule(coords: np.ndarray, order: int,
     Lays the triangle rule on polygon_triangles.  With subdivide = s > 0
     every triangle is split 4^s-fold through edge midpoints before the
     rule is laid down, which is used to tame nearly singular integrands
-    without raising the order.
+    without raising the order.  This is the one-polygon case of
+    ``CellGroup.rule``.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if centroid is None:
         _, centroid = polygon_area_centroid(coords)
-    tris = polygon_triangles(coords, centroid)
-    for _ in range(subdivide):
-        m01 = 0.5 * (tris[:, 0] + tris[:, 1])
-        m12 = 0.5 * (tris[:, 1] + tris[:, 2])
-        m20 = 0.5 * (tris[:, 2] + tris[:, 0])
-        tris = np.stack([np.stack([tris[:, 0], m01, m20], axis=1),
-                         np.stack([m01, tris[:, 1], m12], axis=1),
-                         np.stack([m20, m12, tris[:, 2]], axis=1),
-                         np.stack([m01, m12, m20], axis=1)], axis=1).reshape(-1, 3, 2)
+    tris = subdivide_triangles(polygon_triangles(coords, centroid), subdivide)
     return QuadratureRule(*map_triangles(tris, order))

@@ -148,45 +148,40 @@ class DofMap:
 def build_dof_map(mesh: PolygonalMesh, space: SpaceKind) -> DofMap:
     """Number the global degrees of freedom: vertex block, edge block, cell block."""
     nv_per = space.n_vertex
-    ne_per = space.n_edge_normal + space.n_edge_value
+    n_norm, n_val, n_cell = space.n_edge_normal, space.n_edge_value, space.n_cell
+    ne_per = n_norm + n_val
     vert_base = 0
     edge_base = vert_base + nv_per * mesh.nvertices
     cell_base = edge_base + ne_per * mesh.nedges
-    ndof = cell_base + space.n_cell * mesh.ncells
+    ndof = cell_base + n_cell * mesh.ncells
 
-    descriptors: list[DofDescriptor] = [None] * ndof  # type: ignore[list-item]
-    for v in range(mesh.nvertices):
-        kinds = [DofKind.VERTEX_VALUE, DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y]
-        for j in range(nv_per):
-            descriptors[vert_base + nv_per * v + j] = DofDescriptor(kinds[j], v)
-    for e in range(mesh.nedges):
-        base = edge_base + ne_per * e
-        for m in range(space.n_edge_normal):
-            descriptors[base + m] = DofDescriptor(DofKind.EDGE_NORMAL_MOMENT, e, m)
-        for m in range(space.n_edge_value):
-            descriptors[base + space.n_edge_normal + m] = DofDescriptor(
-                DofKind.EDGE_VALUE_MOMENT, e, m)
-    for c in range(mesh.ncells):
-        for m in range(space.n_cell):
-            descriptors[cell_base + space.n_cell * c + m] = DofDescriptor(
-                DofKind.CELL_MOMENT, c, m)
+    kinds = [DofKind.VERTEX_VALUE, DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y][:nv_per]
+    edge_kinds = [(DofKind.EDGE_NORMAL_MOMENT, m) for m in range(n_norm)] \
+        + [(DofKind.EDGE_VALUE_MOMENT, m) for m in range(n_val)]
+    descriptors = [DofDescriptor(kind, v)
+                   for v in range(mesh.nvertices) for kind in kinds] \
+        + [DofDescriptor(kind, e, m)
+           for e in range(mesh.nedges) for kind, m in edge_kinds] \
+        + [DofDescriptor(DofKind.CELL_MOMENT, c, m)
+           for c in range(mesh.ncells) for m in range(n_cell)]
 
-    cell_dofs: list[np.ndarray] = []
+    # local order: vertex values, vertex gradient pairs, normal moments of
+    # every edge, value moments of every edge, cell moments; one table per
+    # vertex count
+    by_size: dict[int, list[int]] = {}
     for c, cell in enumerate(mesh.cells):
-        ids: list[int] = []
-        if nv_per >= 1:
-            ids += [vert_base + nv_per * v for v in cell]
-        if nv_per == 3:
-            for v in cell:
-                ids += [vert_base + 3 * v + 1, vert_base + 3 * v + 2]
-        for eid, _ in mesh.cell_edges[c]:
-            base = edge_base + ne_per * eid
-            ids += [base + m for m in range(space.n_edge_normal)]
-        for eid, _ in mesh.cell_edges[c]:
-            base = edge_base + ne_per * eid + space.n_edge_normal
-            ids += [base + m for m in range(space.n_edge_value)]
-        ids += [cell_base + space.n_cell * c + m for m in range(space.n_cell)]
-        cell_dofs.append(np.array(ids, dtype=np.int64))
+        by_size.setdefault(len(cell), []).append(c)
+    cell_dofs: list[np.ndarray] = [None] * mesh.ncells  # type: ignore[list-item]
+    for cells in by_size.values():
+        verts = vert_base + nv_per * np.array([mesh.cells[c] for c in cells])[..., None]
+        edges = edge_base + ne_per * np.array(
+            [[eid for eid, _ in mesh.cell_edges[c]] for c in cells])[..., None]
+        blocks = [verts + np.arange(min(nv_per, 1)), verts + np.arange(1, nv_per),
+                  edges + np.arange(n_norm), edges + n_norm + np.arange(n_val),
+                  cell_base + n_cell * np.array(cells)[:, None] + np.arange(n_cell)]
+        table = np.concatenate([b.reshape(len(cells), -1) for b in blocks], axis=1)
+        for c, row in zip(cells, table):
+            cell_dofs[c] = row
 
     return DofMap(space, ndof, cell_dofs, descriptors,
                   np.zeros(ndof, dtype=bool), np.zeros(ndof))
@@ -253,6 +248,14 @@ def interpolate(mesh: PolygonalMesh, dofmap: DofMap, value: Callable,
 # essential boundary conditions
 
 
+def pressure_is_dirichlet(edge, pressure_dirichlet_on_clamped: bool) -> bool:
+    """Whether a boundary edge carries Dirichlet pressure data: simply
+    supported edges always, clamped ones when the flag is set.  The other
+    boundary edges carry the natural flux condition."""
+    return edge.is_boundary and (edge.label is BoundaryLabel.SIMPLY_SUPPORTED
+                                 or pressure_dirichlet_on_clamped)
+
+
 def _boundary_vertex_edges(mesh: PolygonalMesh) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for eid, e in enumerate(mesh.edges):
@@ -311,12 +314,8 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
         normal_edges = {eid for eid in dirichlet_edges
                         if mesh.edges[eid].label is BoundaryLabel.CLAMPED}
     else:
-        dirichlet_edges = set()
-        for eid, e in enumerate(mesh.edges):
-            if not e.is_boundary:
-                continue
-            if e.label is BoundaryLabel.SIMPLY_SUPPORTED or pressure_dirichlet_on_clamped:
-                dirichlet_edges.add(eid)
+        dirichlet_edges = {eid for eid, e in enumerate(mesh.edges)
+                           if pressure_is_dirichlet(e, pressure_dirichlet_on_clamped)}
         normal_edges = set()
 
     dirichlet_vertices: set[int] = set()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from platevem.adaptivity import (AdaptiveTrace, MarkingConfig, adaptive_loop,
                                  dorfler_mark)
-from platevem.estimator import LocalEstimators
 from platevem.manufactured import get_case
 from platevem.mesh import generate_lshape
 from platevem.runner import spaces_for
@@ -37,11 +36,6 @@ class TestDorflerMarking:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dorfler_mark([], 0.5)
-
-    def test_accepts_local_estimator_objects(self):
-        locs = [LocalEstimators(0, np.full(9, 0.5)),
-                LocalEstimators(1, np.full(9, 2.0))]
-        assert dorfler_mark(locs, 0.6) == [1]
 
     def test_minimality(self):
         rng = np.random.default_rng(3)

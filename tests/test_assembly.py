@@ -1,16 +1,18 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from platevem import assembly, runner
+from platevem import assembly, quadrature, runner
 from platevem.assembly import (ModelParams, assemble_rhs, assemble_system,
                                build_element, derive_params, factor_system)
 from platevem.cli import main
-from platevem.manufactured import get_case, polynomial_case
-from platevem.mesh import (build_mesh, generate_lshape, generate_structured,
-                           generate_voronoi, refine)
-from platevem.quadrature import triangle_rule_reference
+from platevem.manufactured import compute_errors, get_case, polynomial_case
+from platevem.mesh import (BoundaryLabel, build_mesh, generate_lshape,
+                           generate_structured, generate_voronoi, refine)
+from platevem.quadrature import (ScaledMonomialBasis, gauss_01, poly_dim, polygon_rule,
+                                 triangle_rule_reference)
 from platevem.runner import (assemble_projected_mass, case_rhs,
                              constrained_system, run_convergence, solve_case,
                              solve_patch, spaces_for, steady_timestep_state,
@@ -123,7 +125,8 @@ def lshape_refined_twice():
 
 class TestGroupedBuild:
     """Every cell's operators from the grouped build in assemble_system
-    equal those of build_element on that cell alone."""
+    equal those of build_element on that cell alone, and the loads and
+    error norms read from the group arrays equal a per-cell recomputation."""
 
     @staticmethod
     def check(mesh, family, k, l, singular):
@@ -132,46 +135,118 @@ class TestGroupedBuild:
                                  singular_cells=singular)
         n = system.ndof
         K = np.zeros((n, n))
-        for op in system.elements:
-            ref = build_element(mesh, op.cell, space_u, space_p, PARAMS,
-                                singular_subdivide=1 if op.cell in singular else 0)
-            pairs = [(op.A1, ref.A1), (op.B, ref.B), (op.A3, ref.A3),
-                     (op.defl.pd, ref.defl.pd), (op.defl.l2, ref.defl.l2),
-                     (op.pres.l2, ref.pres.l2), (op.pres.pg[l], ref.pres.pg[l])]
-            for got, want in pairs:
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert op.ctx.singular_subdivide == (1 if op.cell in singular else 0)
-            gu = system.dof_u.cell_dofs[op.cell]
-            gp = system.dof_p.cell_dofs[op.cell] + system.dof_u.ndof
-            K[np.ix_(gu, gu)] += ref.A1
-            K[np.ix_(gu, gp)] -= ref.B
-            K[np.ix_(gp, gu)] += ref.B.T
-            K[np.ix_(gp, gp)] += ref.A3
-        assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
-        # per-cell operators are views into the group arrays
+        seen = []
         for g in system.groups:
-            for cell in g.ctx.cells:
-                op = system.elements[cell]
-                assert np.shares_memory(op.A1, g.A1)
-                assert np.shares_memory(op.defl.pd, g.defl.pd)
+            cells = g.ctx.cells
+            assert len(g.A1) == len(g.dofs_u) == len(g.dofs_p) == len(cells)
+            for i, cell in enumerate(cells):
+                ref = build_element(mesh, cell, space_u, space_p, PARAMS)
+                pairs = [(g.A1[i], ref.A1), (g.B[i], ref.B), (g.A3[i], ref.A3),
+                         (g.defl.pd[i], ref.defl.pd), (g.defl.l2[i], ref.defl.l2),
+                         (g.pres.l2[i], ref.pres.l2), (g.pres.pg[l][i], ref.pres.pg[l])]
+                for got, want in pairs:
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert g.ctx.singular_subdivide == (1 if cell in singular else 0)
+                # row i of the group's index arrays belongs to cell i of the group
+                gu = system.dof_u.cell_dofs[cell]
+                gp = system.dof_p.cell_dofs[cell] + system.dof_u.ndof
+                assert np.array_equal(g.dofs_u[i], gu)
+                assert np.array_equal(g.dofs_p[i], gp)
+                K[np.ix_(gu, gu)] += ref.A1
+                K[np.ix_(gu, gp)] -= ref.B
+                K[np.ix_(gp, gu)] += ref.B.T
+                K[np.ix_(gp, gp)] += ref.A3
+            seen.extend(cells)
+        assert sorted(seen) == list(range(mesh.ncells))
+        assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
         return system
+
+    @staticmethod
+    def check_loads_and_errors(case, mesh, family, k, l):
+        """assemble_rhs and the cell energies of compute_errors against one
+        build_element and polygon_rule per cell: loads on the group's
+        subdivision (1 at singular cells), errors on subdivision 3 there."""
+        system = constrained_system(case, mesh, spaces_for(family, k, l))
+        F = case_rhs(system, case)
+        U, P = factor_system(system).solve(F)
+        energy2 = compute_errors(system, U, P, case).cell_energy2
+        singular = case.singular_cells(mesh)
+        nk, nl, n_u = poly_dim(k), poly_dim(l), system.dof_u.ndof
+        t, _ = gauss_01(max(k, l) + 4)
+        F_ref = np.zeros_like(F)
+        energy2_ref = np.zeros(mesh.ncells)
+        for c in range(mesh.ncells):
+            op = build_element(mesh, c, system.space_u, system.space_p, case.params)
+            basis = ScaledMonomialBasis(tuple(mesh.centroids[c]), mesh.diameters[c], k)
+            gu, gp = system.dof_u.cell_dofs[c], system.dof_p.cell_dofs[c]
+            rule = polygon_rule(mesh.cell_coords(c), 2 * k + 4,
+                                subdivide=1 if c in singular else 0)
+            Vw = basis.eval(rule.points) * rule.weights[:, None]
+            F_ref[gu] += op.defl.l2.T @ (Vw[:, :nk].T @ case.f(rule.points))
+            F_ref[n_u + gp] += op.pres.l2.T @ (Vw[:, :nl].T @ case.g(rule.points))
+            for j, (eid, _) in enumerate(mesh.cell_edges[c]):
+                edge = mesh.edges[eid]
+                if not edge.is_boundary:
+                    continue
+                pts = mesh.vertices[edge.v0] + t[:, None] * (
+                    mesh.vertices[edge.v1] - mesh.vertices[edge.v0])
+
+                def moments(table, data):
+                    """table against the least-squares fit of data on the edge."""
+                    powers = (t - 0.5)[:, None] ** np.arange(table.shape[0])
+                    return table.T @ np.linalg.lstsq(powers, data, rcond=None)[0]
+
+                if edge.label is BoundaryLabel.SIMPLY_SUPPORTED:
+                    F_ref[gu] += moments(op.defl.normal_moments[j],
+                                         case.bending_moment_data(pts, edge.normal))
+                elif not case.pressure_dirichlet_on_clamped:
+                    F_ref[n_u + gp] += moments(op.pres.value_moments[j],
+                                               case.pressure_flux_data(pts, edge.normal))
+
+            rule = polygon_rule(mesh.cell_coords(c), 2 * k + 4,
+                                subdivide=3 if c in singular else 0)
+            x, w = rule.points, rule.weights
+            uloc, ploc = U[gu], P[gp]
+            cu, cp = op.defl.pd @ uloc, op.pres.pg[l] @ ploc
+            H, G = case.hess_u(x), case.grad_p(x)
+            d2 = [H[:, i] - basis.eval(x, d)[:, :nk] @ cu
+                  for i, d in enumerate([(2, 0), (1, 1), (0, 2)])]
+            d1 = [G[:, i] - basis.eval(x, d)[:, :nl] @ cp
+                  for i, d in enumerate([(1, 0), (0, 1)])]
+            V = basis.eval(x)
+            e_u0 = w @ (case.u(x) - V[:, :nk] @ (op.defl.l2 @ uloc)) ** 2
+            e_u2 = w @ (d2[0] ** 2 + 2.0 * d2[1] ** 2 + d2[2] ** 2)
+            e_p0 = w @ (case.p(x) - V[:, :nl] @ (op.pres.l2 @ ploc)) ** 2
+            e_p1 = w @ (d1[0] ** 2 + d1[1] ** 2)
+            energy2_ref[c] = e_u0 + e_u2 + case.params.beta * e_p0 \
+                + case.params.gamma * e_p1
+        assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
+        assert np.abs(energy2 - energy2_ref).max() <= 1e-12 * energy2_ref.max()
 
     @pytest.mark.parametrize("k, l", [(2, 1), (3, 2)])
     def test_voronoi_conforming(self, voronoi25, k, l):
         system = self.check(voronoi25, Family.CONFORMING, k, l, frozenset())
         # 12 hexagons, 11 pentagons and 2 quadrilaterals
         assert sorted(len(g.ctx.cells) for g in system.groups) == [2, 11, 12]
+        # the same cells with the smooth case's clamped and simply supported
+        # edges, so both boundary data terms enter the loads
+        case = get_case("smooth")
+        mesh = build_mesh(voronoi25.vertices, voronoi25.cells, labeler=case.labeler)
+        labels = {e.label for e in mesh.edges if e.is_boundary}
+        assert labels == {BoundaryLabel.CLAMPED, BoundaryLabel.SIMPLY_SUPPORTED}
+        self.check_loads_and_errors(case, mesh, Family.CONFORMING, k, l)
 
     def test_refined_lshape_nonconforming(self):
         case, mesh = lshape_refined_twice()
         singular = case.singular_cells(mesh)
         system = self.check(mesh, Family.NONCONFORMING, 2, 1, singular)
         assert singular
-        assert any(g.ctx.singular_subdivide == 1 for g in system.groups)
+        assert len(system.groups) == 8
+        assert sum(g.ctx.singular_subdivide == 1 for g in system.groups) == 1
         # hanging nodes: some group's cells have more edges than corners
         assert any(g.ctx.side.nsides < g.ctx.nverts for g in system.groups)
-
+        self.check_loads_and_errors(case, mesh, Family.NONCONFORMING, 2, 1)
 
     def test_ear_clipped_cell(self):
         """An L-shaped octagon whose centroid fan folds over is integrated
@@ -316,3 +391,27 @@ class TestFactorOnce:
         assert main(["timestep", "--config", str(cfg)]) == 0
         assert len(splu) == 1
         assert len(rhs) == 1
+
+
+class TestNoPerCellLoop:
+    """Loads, error norms and the estimator read the stacked group rules
+    and tables: a level evaluates no one-polygon rule and no one-cell basis."""
+
+    def test_convergence_reads_group_arrays(self, monkeypatch, voronoi25):
+        original = quadrature.polygon_rule
+        rules = []
+
+        def counted(*args, **kwargs):
+            rules.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("platevem") and \
+                    getattr(module, "polygon_rule", None) is original:
+                monkeypatch.setattr(module, "polygon_rule", counted)
+        evals = count_calls(monkeypatch, ScaledMonomialBasis, "eval")
+        levels = run_convergence(get_case("smooth"), [voronoi25],
+                                 Family.CONFORMING, 2, 1)
+        assert levels[0].est is not None
+        assert rules == []
+        assert evals == []

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from platevem.assembly import ModelParams, assemble_system
-from platevem.estimator import (EstimatorReport, LocalEstimators, estimate,
-                                global_eta)
+from platevem.estimator import EstimatorReport, estimate
 from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import BoundaryLabel, generate_lshape, generate_structured
 from platevem.runner import solve_case, spaces_for
@@ -25,20 +24,8 @@ def estimate_for(case, mesh, family, k, l, U=None, P=None):
 
 
 class TestGlobalEta:
-    def test_known_arrays(self):
-        locs = [LocalEstimators(0, np.arange(9.0)),
-                LocalEstimators(1, np.ones(9))]
-        eta, comps = global_eta(locs)
-        assert comps == pytest.approx(np.arange(9.0) + 1.0)
-        assert eta == pytest.approx(np.sqrt(comps.sum()))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            global_eta([])
-
     def test_component_accessor(self):
-        rep = EstimatorReport([], np.arange(1.0, 10.0), np.zeros(1), 0.0,
-                              (1, 2, 3, 4, 5, 6, 7))
+        rep = EstimatorReport(np.arange(1.0, 10.0)[None, :], (1, 2, 3, 4, 5, 6, 7))
         assert rep.component(1) == pytest.approx(1.0)
         assert rep.component(9) == pytest.approx(3.0)
 
@@ -106,7 +93,8 @@ class TestComponentStructure:
         _, rep = estimate_for(case, voronoi25, Family.CONFORMING, 2, 1)
         assert rep.eta == pytest.approx(np.sqrt(rep.cell_eta2.sum()),
                                         rel=1e-12)
-        assert len(rep.locals_) == voronoi25.ncells
+        assert rep.parts.shape == (voronoi25.ncells, 9)
+        assert np.array_equal(rep.components2, rep.parts.sum(0))
 
 
 class TestBoundaryEdgeSets:

@@ -5,9 +5,8 @@ from _oracle import (oracle_deflection, oracle_element, oracle_pressure,
 
 from platevem.assembly import ModelParams, build_element
 from platevem.mesh import generate_voronoi
-from platevem.projectors import (ElementContext, _edge_gram,
-                                 build_deflection_projectors,
-                                 build_pressure_projectors)
+from platevem.projectors import (CellGroup, _edge_gram, deflection_projectors,
+                                 pressure_projectors)
 from platevem.quadrature import edge_monomial_integrals, poly_dim
 from platevem.spaces import Family, SpaceKind
 
@@ -29,22 +28,22 @@ class TestPolynomialReproduction:
     def test_deflection(self, family, k, voronoi25):
         space = SpaceKind("deflection", family, k)
         for cell in (0, 7, 13):
-            ctx = ElementContext(voronoi25, cell, max_degree=k)
-            P = build_deflection_projectors(ctx, space, pg_degrees=(k - 1,))
+            group = CellGroup(voronoi25, [cell], max_degree=k)
+            P = deflection_projectors(group, space, pg_degrees=(k - 1,)).cell(0)
             nk = poly_dim(k)
             assert np.abs(P.pd @ P.D - np.eye(nk)).max() < 1e-9
             assert np.abs(P.l2 @ P.D - np.eye(nk)).max() < 1e-9
             nlow = poly_dim(k - 1)
             assert np.abs(P.pg[k - 1] @ P.D[:, :nlow]
                           - np.eye(nlow)).max() < 1e-9
-            Dx = ctx.basis.deriv_matrix((1, 0), k)
-            Dy = ctx.basis.deriv_matrix((0, 1), k)
+            Dx = group.deriv((1, 0), k)[0]
+            Dy = group.deriv((0, 1), k)[0]
             Gx, Gy = P.grads[k - 1]
             assert np.abs(Gx @ P.D - Dx).max() < 1e-9 * max(1, np.abs(Dx).max())
             assert np.abs(Gy @ P.D - Dy).max() < 1e-9 * max(1, np.abs(Dy).max())
             Hxx, Hxy, Hyy = P.hess
             for H, d in [(Hxx, (2, 0)), (Hxy, (1, 1)), (Hyy, (0, 2))]:
-                M = ctx.basis.deriv_matrix(d, k)
+                M = group.deriv(d, k)[0]
                 assert np.abs(H @ P.D - M).max() < 1e-9 * max(1, np.abs(M).max())
 
     @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
@@ -52,14 +51,14 @@ class TestPolynomialReproduction:
     def test_pressure(self, family, l, voronoi25):
         space = SpaceKind("pressure", family, l)
         for cell in (2, 9):
-            ctx = ElementContext(voronoi25, cell, max_degree=l)
-            P = build_pressure_projectors(ctx, space)
+            group = CellGroup(voronoi25, [cell], max_degree=l)
+            P = pressure_projectors(group, space).cell(0)
             nl = poly_dim(l)
             assert np.abs(P.pd @ P.D - np.eye(nl)).max() < 1e-9
             assert np.abs(P.l2 @ P.D - np.eye(nl)).max() < 1e-9
             Gx, Gy = P.grads[l - 1]
-            Dx = ctx.basis.deriv_matrix((1, 0), l)
-            Dy = ctx.basis.deriv_matrix((0, 1), l)
+            Dx = group.deriv((1, 0), l)[0]
+            Dy = group.deriv((0, 1), l)[0]
             assert np.abs(Gx @ P.D - Dx).max() < 1e-9 * max(1, np.abs(Dx).max())
             assert np.abs(Gy @ P.D - Dy).max() < 1e-9 * max(1, np.abs(Dy).max())
 
@@ -139,8 +138,8 @@ class TestStabilizedStructure:
         """(I - D pd) annihilates polynomial dof vectors."""
         for family in (Family.CONFORMING, Family.NONCONFORMING):
             space = SpaceKind("deflection", family, 2)
-            ctx = ElementContext(voronoi25, 4, max_degree=2)
-            P = build_deflection_projectors(ctx, space)
+            P = deflection_projectors(CellGroup(voronoi25, [4], max_degree=2),
+                                      space).cell(0)
             S2 = np.eye(P.ndof) - P.D @ P.pd
             assert np.abs(S2 @ P.D).max() < 1e-10
 
@@ -150,7 +149,6 @@ class TestStabilizedStructure:
         space = SpaceKind("deflection", Family.CONFORMING, 2)
         worst = int(np.argmin([min(mesh.edges[eid].length for eid, _ in mesh.cell_edges[c])
                                for c in range(mesh.ncells)]))
-        ctx = ElementContext(mesh, worst, max_degree=2)
-        P = build_deflection_projectors(ctx, space)
+        P = deflection_projectors(CellGroup(mesh, [worst], max_degree=2), space).cell(0)
         assert np.isfinite(P.pd).all()
         assert np.abs(P.pd @ P.D - np.eye(6)).max() < 1e-6
