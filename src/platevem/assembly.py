@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import BoundaryLabel, PolygonalMesh
+from .mesh import SIMPLY_SUPPORTED, PolygonalMesh
 from .projectors import (CellGroup, ElementProjectors, cell_groups,
                          deflection_projectors, matvec, pressure_projectors)
 from .quadrature import monomials, pointwise, poly_dim
@@ -218,17 +218,18 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
     """Volume loads against the L2 projections plus natural boundary data.
 
     f and g take an (n, 2) array of points; the optional data callbacks take
-    (points, normal) for one boundary edge and return the scalar trace of
-    d_nn(u) respectively gamma d_n(p) + alpha d_n(u).
+    points (..., 2) and unit normals (..., 2) that broadcast against them,
+    and return the scalar trace of d_nn(u) respectively
+    gamma d_n(p) + alpha d_n(u).  Each callback is called once per group,
+    on all of the group's edges that carry its data.
     """
     nk = poly_dim(system.space_u.degree)
     nl = poly_dim(system.space_p.degree)
     order = 2 * system.space_u.degree + 4
-    edges = system.mesh.edges
-    moment_edges = np.array([e.is_boundary and e.label is BoundaryLabel.SIMPLY_SUPPORTED
-                             for e in edges])
-    flux_edges = np.array([e.is_boundary and not pressure_is_dirichlet(
-        e, system.pressure_dirichlet_on_clamped) for e in edges])
+    mesh = system.mesh
+    moment_edges = mesh.edge_label == SIMPLY_SUPPORTED
+    flux_edges = mesh.on_boundary & ~pressure_is_dirichlet(
+        mesh, system.pressure_dirichlet_on_clamped)
     F = np.zeros(system.ndof)
     for grp in system.groups:
         cg = grp.ctx
@@ -238,17 +239,15 @@ def assemble_rhs(system: AssembledSystem, f, g, *,
         loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(Vw[:, :nk], pointwise(f, pts)))
         loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(Vw[:, :nl], pointwise(g, pts)))
 
-        if bending_moment_data is not None:
-            mu = grp.defl.normal_moments
-            for i, j in np.argwhere(moment_edges[cg.eid]):
-                data = bending_moment_data(cg.edge_pts[i, j], cg.normal[i, j])
-                loc_u[i] += mu[i, j].T @ cg.efit(data, mu.shape[-2] - 1)
-
-        if pressure_flux_data is not None:
-            nu = grp.pres.value_moments
-            for i, j in np.argwhere(flux_edges[cg.eid]):
-                data = pressure_flux_data(cg.edge_pts[i, j], cg.normal[i, j])
-                loc_p[i] += nu[i, j].T @ cg.efit(data, nu.shape[-2] - 1)
+        for data_fn, on, moments, loc in (
+                (bending_moment_data, moment_edges, grp.defl.normal_moments, loc_u),
+                (pressure_flux_data, flux_edges, grp.pres.value_moments, loc_p)):
+            i, j = np.nonzero(on[cg.eid])
+            if data_fn is None or i.size == 0:
+                continue
+            data = data_fn(cg.edge_pts[i, j], cg.normal[i, j, None, :])
+            fit = cg.efit(data[..., None], moments.shape[-2] - 1)[..., 0]
+            np.add.at(loc, i, matvec(moments[i, j].swapaxes(1, 2), fit))
 
         np.add.at(F, grp.dofs_u, loc_u)
         np.add.at(F, grp.dofs_p, loc_p)

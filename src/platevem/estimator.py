@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem
-from .mesh import BoundaryLabel
+from .mesh import CLAMPED, SIMPLY_SUPPORTED
 from .projectors import data_oscillation, matvec
 from .quadrature import gauss_01, monomials, pointwise, poly_dim
 from .spaces import Family, pressure_is_dirichlet
@@ -77,7 +77,9 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
     supported edges, the combined normal flux on pressure-Neumann edges,
     and for the nonconforming trace terms the gradient of the prescribed
     deflection and the pressure trace on its Dirichlet edges.  Missing
-    callbacks mean homogeneous data.
+    callbacks mean homogeneous data.  Each callback is called once, on the
+    stacked Gauss points of all edges that carry its data; the first two
+    also take the edge normals, shaped to broadcast against the points.
     """
     mesh = system.mesh
     k = system.space_u.degree
@@ -153,34 +155,33 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
 
     # edge terms over all edges at once, on Gauss rules exact to degree
     # 2k+2; interior contributions split evenly between the two cells
-    edges = mesh.edges
-    he = np.array([e.length for e in edges])
-    n = np.array([e.normal for e in edges])[:, None, :]
-    t = np.array([e.tangent for e in edges])[:, None, :]
+    he = mesh.edge_length
+    n = mesh.edge_normal[:, None, :]
+    t = mesh.edge_tangent[:, None, :]
     nx, ny, tx, ty = n[..., 0], n[..., 1], t[..., 0], t[..., 1]
-    L = np.array([e.left for e in edges])
-    boundary = np.array([e.is_boundary for e in edges])
-    R = np.array([e.left if e.is_boundary else e.right for e in edges])
-    simply = np.array([e.label is BoundaryLabel.SIMPLY_SUPPORTED for e in edges])
-    clamped = np.array([e.label is BoundaryLabel.CLAMPED for e in edges])
-    dirichlet_p = np.array([pressure_is_dirichlet(e, system.pressure_dirichlet_on_clamped)
-                            for e in edges])
+    boundary = mesh.on_boundary
+    L = mesh.edge_cells[:, 0]
+    R = np.where(boundary, L, mesh.edge_cells[:, 1])
+    simply = mesh.edge_label == SIMPLY_SUPPORTED
+    clamped = mesh.edge_label == CLAMPED
+    dirichlet_p = pressure_is_dirichlet(mesh, system.pressure_dirichlet_on_clamped)
     natural_p = boundary & ~dirichlet_p
     t01, w01 = gauss_01(k + 2)
-    p0 = mesh.vertices[[e.v0 for e in edges]][:, None, :]
-    p1 = mesh.vertices[[e.v1 for e in edges]][:, None, :]
+    p0 = mesh.vertices[mesh.edge_verts[:, 0]][:, None, :]
+    p1 = mesh.vertices[mesh.edge_verts[:, 1]][:, None, :]
     pts = p0 + t01[:, None] * (p1 - p0)
     w = w01 * he[:, None]
 
     def integral(v: np.ndarray) -> np.ndarray:
         return (w * v ** 2).sum(-1)
 
-    def data(fn, on: np.ndarray, *args, comps=()) -> np.ndarray:
-        """Boundary data at the points of the edges in `on`, else zero."""
+    def data(fn, on: np.ndarray, *, normal: bool = False, comps=()) -> np.ndarray:
+        """Boundary data at the points of the edges in `on`, else zero; fn
+        takes the points, and with normal=True also the edge normals."""
         out = np.zeros(pts.shape[:2] + comps)
-        if fn is not None:
-            for e in np.flatnonzero(on):
-                out[e] = fn(pts[e], *(a[e, 0] for a in args))
+        on = np.flatnonzero(on)
+        if fn is not None and on.size:
+            out[on] = fn(pts[on], n[on]) if normal else pointwise(fn, pts[on])
         return out
 
     def traces(side: np.ndarray):
@@ -207,17 +208,17 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
     dnnL, shearL, fluxL, gxL, gyL, pvL = traces(L)
     dnnR, shearR, fluxR, gxR, gyR, pvR = traces(R)
     inside = ~boundary[:, None]
-    acc = np.zeros((len(edges), N_PARTS))
+    acc = np.zeros((mesh.nedges, N_PARTS))
 
     # eta_3: bending moment jump; interior and simply supported edges
-    j3 = dnnL - np.where(inside, dnnR, data(bending_moment_data, simply & boundary, n))
+    j3 = dnnL - np.where(inside, dnnR, data(bending_moment_data, simply, normal=True))
     acc[:, 2] = np.where(~boundary | simply, he * integral(j3), 0.0)
 
     # eta_4: shear plus coupling jump; interior edges only
     acc[:, 3] = np.where(boundary, 0.0, he ** 3 * integral(shearL - shearR))
 
     # eta_5: combined normal flux; interior and pressure-Neumann edges
-    j5 = fluxL - np.where(inside, fluxR, data(pressure_flux_data, natural_p, n))
+    j5 = fluxL - np.where(inside, fluxR, data(pressure_flux_data, natural_p, normal=True))
     acc[:, 4] = np.where(~boundary | natural_p, he * integral(j5), 0.0)
 
     # eta_8: trace jumps of the gradient and the pressure (nonconforming);

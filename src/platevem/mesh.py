@@ -1,12 +1,22 @@
 """Polygonal meshes: construction, file I/O, generation, and refinement.
 
-A mesh is a flat vertex table plus counterclockwise cells.  Edges are
-derived with a fixed global orientation: the canonical direction of an
-edge is the traversal direction of its *left* cell (the one with the
-lower id when shared), and the canonical normal points to the right of
-that direction, i.e. out of the left cell.  All degree-of-freedom
-definitions downstream refer to this canonical frame so that shared
-quantities are single valued.
+A mesh is a vertex table plus flat arrays (the node/elem layout with
+auxiliary edge arrays).  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1]:
+``cell_verts`` holds its counterclockwise vertex ids, and ``cell_edge``,
+``cell_sign`` say that local edge j, from local vertex j to j+1, is that
+global edge traversed along (+1) or against (-1) its canonical direction.
+Edges carry ``edge_verts`` (canonical start, end), ``edge_cells`` (left,
+right; -1 on the boundary), an ``edge_label`` code (INTERIOR, CLAMPED,
+SIMPLY_SUPPORTED) and their length, unit tangent, normal and midpoint.
+
+Edges are numbered in order of first traversal, cell by cell.  The
+canonical direction of an edge is the traversal direction of its *left*
+cell (the one with the lower id when shared), and the canonical normal
+points to the right of that direction, i.e. out of the left cell.  All
+degree-of-freedom definitions downstream refer to this canonical frame
+so that shared quantities are single valued.  Geometry is computed one
+vertex count at a time, as (m, n) blocks of slots, with the arithmetic
+of a one-cell computation.
 
 Vertices interior to a straight run of element boundary (pi-angle
 vertices, produced by local refinement) are ordinary mesh vertices; the
@@ -17,20 +27,25 @@ spaces which need them can tell corners from hanging nodes.
 from __future__ import annotations
 
 import json
-import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .quadrature import polygon_area_centroid
+from .quadrature import fan_is_star, polygon_area_centroid
 
 
 class BoundaryLabel(Enum):
     CLAMPED = "clamped"
     SIMPLY_SUPPORTED = "simply_supported"
+
+
+# edge_label codes; LABELS maps a code back to its BoundaryLabel
+INTERIOR, CLAMPED, SIMPLY_SUPPORTED = 0, 1, 2
+LABELS = (None, BoundaryLabel.CLAMPED, BoundaryLabel.SIMPLY_SUPPORTED)
 
 
 class MeshError(Exception):
@@ -66,23 +81,6 @@ def region_labeler(regions: Sequence[tuple[tuple[float, float, float, float], Bo
 
 
 @dataclass(frozen=True)
-class Edge:
-    v0: int
-    v1: int
-    left: int
-    right: int | None          # None on the boundary
-    label: BoundaryLabel | None
-    length: float
-    tangent: np.ndarray        # canonical unit direction v0 -> v1
-    normal: np.ndarray         # rotated -90 deg: out of the left cell
-    midpoint: np.ndarray
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.right is None
-
-
-@dataclass(frozen=True)
 class SideStructure:
     """Corner/side decomposition of one polygon boundary.
 
@@ -105,20 +103,37 @@ class SideStructure:
         return [(start + i) % nverts for i in range(self.side_extra[j] + 1)]
 
 
+def size_groups(cell_ptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per vertex count, ascending: the ids of the cells with that count
+    and the (m, n) block of their slots."""
+    sizes = np.diff(cell_ptr)
+    for n in np.unique(sizes):
+        cells = np.flatnonzero(sizes == n)
+        yield cells, cell_ptr[cells, None] + np.arange(n)
+
+
 @dataclass
 class PolygonalMesh:
-    vertices: np.ndarray                  # (nv, 2)
-    cells: list[list[int]]                # CCW vertex ids per cell
-    edges: list[Edge] = field(default_factory=list)
-    cell_edges: list[list[tuple[int, int]]] = field(default_factory=list)  # (edge id, +-1)
-    areas: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    centroids: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    diameters: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    vertex_char_length: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    vertices: np.ndarray        # (nv, 2)
+    cell_ptr: np.ndarray        # (ncells + 1,) slot offsets
+    cell_verts: np.ndarray      # (nslots,) CCW vertex ids, cell after cell
+    cell_edge: np.ndarray       # (nslots,) edge from this slot's vertex to the next
+    cell_sign: np.ndarray       # (nslots,) +1 along the canonical direction, else -1
+    edge_verts: np.ndarray      # (nedges, 2) canonical start and end
+    edge_cells: np.ndarray      # (nedges, 2) left and right cell, right -1 on the boundary
+    edge_label: np.ndarray      # (nedges,) INTERIOR, CLAMPED or SIMPLY_SUPPORTED
+    edge_length: np.ndarray     # (nedges,)
+    edge_tangent: np.ndarray    # (nedges, 2) canonical unit direction
+    edge_normal: np.ndarray     # (nedges, 2) rotated -90 deg: out of the left cell
+    edge_mid: np.ndarray        # (nedges, 2)
+    areas: np.ndarray
+    centroids: np.ndarray
+    diameters: np.ndarray
+    vertex_char_length: np.ndarray   # mean diameter of the incident cells
 
     @property
     def ncells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
 
     @property
     def nvertices(self) -> int:
@@ -126,47 +141,61 @@ class PolygonalMesh:
 
     @property
     def nedges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_verts)
 
     @property
     def h(self) -> float:
         return float(self.diameters.max())
 
-    def cell_coords(self, c: int) -> np.ndarray:
-        return self.vertices[self.cells[c]]
+    @property
+    def on_boundary(self) -> np.ndarray:
+        """(nedges,) whether each edge has no right cell."""
+        return self.edge_cells[:, 1] < 0
 
-    def boundary_edges(self) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if e.is_boundary]
+    @property
+    def cells(self) -> list[np.ndarray]:
+        """Vertex ids of each cell, split from cell_verts on every call."""
+        return np.split(self.cell_verts, self.cell_ptr[1:-1])
+
+    def cell_coords(self, c: int) -> np.ndarray:
+        return self.vertices[self.cell_verts[self.cell_ptr[c]:self.cell_ptr[c + 1]]]
 
     def side_structure(self, c: int) -> SideStructure:
         return side_structure(self.cell_coords(c))
 
 
-def _polygon_diameter(coords: np.ndarray) -> float:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def _self_intersecting(coords: np.ndarray) -> np.ndarray:
+    """Whether two non-adjacent edges of each polygon (m, n, 2) cross."""
+    n = coords.shape[1]
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    a, b = coords[:, i], coords[:, (i + 1) % n]
+    c, d = coords[:, j], coords[:, (j + 1) % n]
+
+    def orient(p, q, r):
+        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    cross = ((orient(c, d, a) > 0) != (orient(c, d, b) > 0)) \
+        & ((orient(a, b, c) > 0) != (orient(a, b, d) > 0))
+    return cross.any(axis=1)
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+def _first(mask: np.ndarray, ids: np.ndarray) -> int | None:
+    """ids at the first entry where mask holds, or None."""
+    hit = np.flatnonzero(mask)
+    return int(ids[hit[0]]) if hit.size else None
 
 
-def _check_simple(coords: np.ndarray, cell_id: int) -> None:
-    n = len(coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(coords[i], coords[(i + 1) % n],
-                                   coords[j], coords[(j + 1) % n]):
-                raise MeshError(f"cell {cell_id} is self-intersecting")
+def _first_use(keys: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ids 0, 1, ... of the distinct keys in order of first occurrence, per
+    entry, and the entry of each id's first occurrence."""
+    _, first, inverse = np.unique(keys, axis=axis, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
 
 
 def build_mesh(vertices: np.ndarray, cells: Sequence[Sequence[int]],
@@ -179,92 +208,108 @@ def build_mesh(vertices: np.ndarray, cells: Sequence[Sequence[int]],
     when given, otherwise from the labeler applied to edge midpoints; the
     default labels everything clamped.
     """
-    vertices = np.asarray(vertices, dtype=np.float64)
-    cells = [list(map(int, c)) for c in cells]
-    if labeler is None:
-        labeler = all_clamped
+    sizes = [len(c) for c in cells]
+    cell_verts = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=sum(sizes))
+    cell_ptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    return _build(np.asarray(vertices, dtype=np.float64), cell_ptr, cell_verts,
+                  labeler, edge_labels)
 
-    areas = np.zeros(len(cells))
-    centroids = np.zeros((len(cells), 2))
-    diameters = np.zeros(len(cells))
-    for c, cell in enumerate(cells):
-        if len(cell) < 3:
-            raise MeshError(f"cell {c} has fewer than 3 vertices")
-        if len(set(cell)) != len(cell):
-            raise MeshError(f"cell {c} repeats a vertex")
-        if any(v < 0 or v >= len(vertices) for v in cell):
-            raise MeshError(f"cell {c} references a vertex out of range")
-        coords = vertices[cell]
+
+def _build(vertices: np.ndarray, cell_ptr: np.ndarray, cell_verts: np.ndarray,
+           labeler: Labeler | None,
+           edge_labels: dict[tuple[int, int], BoundaryLabel] | None) -> PolygonalMesh:
+    """build_mesh on cells given as slot offsets and flat vertex ids."""
+    nv = len(vertices)
+    sizes = np.diff(cell_ptr)
+    ncells, nslots = len(sizes), len(cell_verts)
+    cell_of = np.repeat(np.arange(ncells), sizes)
+    if (c := _first(sizes < 3, np.arange(ncells))) is not None:
+        raise MeshError(f"cell {c} has fewer than 3 vertices")
+    by_vertex = np.lexsort((cell_verts, cell_of))
+    repeat = (np.diff(cell_of[by_vertex]) == 0) & (np.diff(cell_verts[by_vertex]) == 0)
+    if (c := _first(repeat, cell_of[by_vertex])) is not None:
+        raise MeshError(f"cell {c} repeats a vertex")
+    if (c := _first((cell_verts < 0) | (cell_verts >= nv), cell_of)) is not None:
+        raise MeshError(f"cell {c} references a vertex out of range")
+
+    cell_verts = cell_verts.copy()
+    areas = np.zeros(ncells)
+    centroids = np.zeros((ncells, 2))
+    diameters = np.zeros(ncells)
+    flipped = np.zeros(ncells, dtype=bool)
+    for cells, slots in size_groups(cell_ptr):
+        coords = vertices[cell_verts[slots]]
         area, centroid = polygon_area_centroid(coords)
-        if area < 0:
-            warnings.warn(f"cell {c} was clockwise; reversing", stacklevel=2)
-            cell.reverse()
-            cells[c] = cell
-            coords = vertices[cell]
-            area, centroid = polygon_area_centroid(coords)
-        _check_simple(coords, c)
-        areas[c] = area
-        centroids[c] = centroid
-        diameters[c] = _polygon_diameter(coords)
+        cw = area < 0
+        if cw.any():
+            flipped[cells[cw]] = True
+            cell_verts[slots[cw]] = cell_verts[slots[cw, ::-1]]
+            coords[cw] = coords[cw, ::-1]
+            area[cw], centroid[cw] = polygon_area_centroid(coords[cw])
+        if (c := _first(_self_intersecting(coords), cells)) is not None:
+            raise MeshError(f"cell {c} is self-intersecting")
+        areas[cells] = area
+        centroids[cells] = centroid
+        diff = coords[:, :, None, :] - coords[:, None, :, :]
+        diameters[cells] = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+    for c in np.flatnonzero(flipped):
+        warnings.warn(f"cell {c} was clockwise; reversing", stacklevel=3)
 
-    # canonical edges: first traversal wins the orientation
-    edge_index: dict[tuple[int, int], int] = {}
-    records: list[dict] = []
-    cell_edges: list[list[tuple[int, int]]] = []
-    for c, cell in enumerate(cells):
-        entry = []
-        n = len(cell)
-        for i in range(n):
-            a, b = cell[i], cell[(i + 1) % n]
-            key = (min(a, b), max(a, b))
-            if key not in edge_index:
-                edge_index[key] = len(records)
-                records.append({"v0": a, "v1": b, "left": c, "right": None})
-                entry.append((edge_index[key], +1))
-            else:
-                rec = records[edge_index[key]]
-                if rec["right"] is not None:
-                    raise MeshError(f"edge {key} is shared by more than two cells")
-                if (rec["v0"], rec["v1"]) == (a, b):
-                    raise MeshError(
-                        f"cells {rec['left']} and {c} traverse edge {key} in the same "
-                        "direction; orientations are inconsistent")
-                rec["right"] = c
-                entry.append((edge_index[key], -1))
-        cell_edges.append(entry)
+    # canonical edges: numbered and oriented by their first traversal
+    slot = np.arange(nslots)
+    nxt = np.where(slot + 1 == cell_ptr[cell_of + 1], cell_ptr[cell_of], slot + 1)
+    a, b = cell_verts, cell_verts[nxt]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    cell_edge, head = _first_use(lo * nv + hi)      # head: first traversal
+    if (s := _first(np.bincount(cell_edge)[cell_edge] > 2, slot)) is not None:
+        raise MeshError(f"edge {(int(lo[s]), int(hi[s]))} is shared by more than two cells")
+    forward = head[cell_edge] == slot
+    edge_verts = np.column_stack([a[head], b[head]])
+    edge_cells = np.column_stack([cell_of[head], np.full(len(head), -1)])
+    again = ~forward
+    edge_cells[cell_edge[again], 1] = cell_of[again]
+    if (s := _first(a[again] == edge_verts[cell_edge[again], 0], slot[again])) is not None:
+        raise MeshError(
+            f"cells {edge_cells[cell_edge[s], 0]} and {cell_of[s]} traverse edge "
+            f"{(int(lo[s]), int(hi[s]))} in the same direction; orientations are inconsistent")
 
-    edges: list[Edge] = []
-    for rec in records:
-        p0, p1 = vertices[rec["v0"]], vertices[rec["v1"]]
-        length = float(np.hypot(*(p1 - p0)))
-        if length <= 0.0:
-            raise MeshError(f"zero-length edge {(rec['v0'], rec['v1'])}")
-        tangent = (p1 - p0) / length
-        normal = np.array([tangent[1], -tangent[0]])
-        mid = 0.5 * (p0 + p1)
-        label = None
-        if rec["right"] is None:
-            key = (min(rec["v0"], rec["v1"]), max(rec["v0"], rec["v1"]))
-            if edge_labels is not None and key in edge_labels:
-                label = edge_labels[key]
-            else:
-                label = labeler(mid)
-        edges.append(Edge(rec["v0"], rec["v1"], rec["left"], rec["right"],
-                          label, length, tangent, normal, mid))
+    p0, p1 = vertices[edge_verts[:, 0]], vertices[edge_verts[:, 1]]
+    d = p1 - p0
+    length = np.hypot(d[:, 0], d[:, 1])
+    if (e := _first(length <= 0.0, np.arange(len(length)))) is not None:
+        raise MeshError(f"zero-length edge {(int(edge_verts[e, 0]), int(edge_verts[e, 1]))}")
+    tangent = d / length[:, None]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    mid = 0.5 * (p0 + p1)
 
-    # characteristic vertex length: mean diameter of incident cells
-    counts = np.zeros(len(vertices))
-    acc = np.zeros(len(vertices))
-    for c, cell in enumerate(cells):
-        for v in cell:
-            counts[v] += 1
-            acc[v] += diameters[c]
+    label = np.zeros(len(head), dtype=np.int8)
+    labeler = all_clamped if labeler is None else labeler
+    for e in np.flatnonzero(edge_cells[:, 1] < 0):
+        key = (int(lo[head[e]]), int(hi[head[e]]))
+        lab = edge_labels[key] if edge_labels and key in edge_labels else labeler(mid[e])
+        if not isinstance(lab, BoundaryLabel):
+            raise MeshError(f"boundary edge {key} has no label (got {lab!r})")
+        label[e] = LABELS.index(lab)
+
+    counts = np.bincount(cell_verts, minlength=nv)
+    acc = np.bincount(cell_verts, weights=diameters[cell_of], minlength=nv)
     used = counts > 0
-    char = np.zeros(len(vertices))
+    char = np.zeros(nv)
     char[used] = acc[used] / counts[used]
 
-    return PolygonalMesh(vertices, cells, edges, cell_edges,
-                         areas, centroids, diameters, char)
+    return PolygonalMesh(vertices, cell_ptr, cell_verts, cell_edge,
+                         np.where(forward, 1, -1), edge_verts, edge_cells, label,
+                         length, tangent, normal, mid, areas, centroids, diameters, char)
+
+
+def corner_mask(coords: np.ndarray) -> np.ndarray:
+    """Whether each vertex of CCW polygons (..., n, 2) is a corner: the
+    turn between its adjacent edges exceeds ANGLE_TOL."""
+    prev_d = coords - np.roll(coords, 1, axis=-2)
+    next_d = np.roll(coords, -1, axis=-2) - coords
+    turn = np.arctan2(prev_d[..., 0] * next_d[..., 1] - prev_d[..., 1] * next_d[..., 0],
+                      prev_d[..., 0] * next_d[..., 0] + prev_d[..., 1] * next_d[..., 1])
+    return np.abs(turn) > ANGLE_TOL
 
 
 def side_structure(coords: np.ndarray) -> SideStructure:
@@ -275,24 +320,11 @@ def side_structure(coords: np.ndarray) -> SideStructure:
     than 3 corners means the polygon is degenerate.
     """
     n = len(coords)
-    corners = []
-    for i in range(n):
-        prev_d = coords[i] - coords[i - 1]
-        next_d = coords[(i + 1) % n] - coords[i]
-        turn = math.atan2(prev_d[0] * next_d[1] - prev_d[1] * next_d[0],
-                          prev_d[0] * next_d[0] + prev_d[1] * next_d[1])
-        if abs(turn) > ANGLE_TOL:
-            corners.append(i)
+    corners = [int(i) for i in np.flatnonzero(corner_mask(coords))]
     if len(corners) < 3:
         raise MeshError("polygon has fewer than 3 corners")
-    side_start = []
-    side_extra = []
-    for j, c in enumerate(corners):
-        nxt = corners[(j + 1) % len(corners)]
-        extra = (nxt - c) % n - 1
-        side_start.append(c)
-        side_extra.append(extra)
-    return SideStructure(tuple(corners), tuple(side_start), tuple(side_extra))
+    extra = [(nxt - c) % n - 1 for c, nxt in zip(corners, corners[1:] + corners[:1])]
+    return SideStructure(tuple(corners), tuple(corners), tuple(extra))
 
 
 # ---------------------------------------------------------------------------
@@ -313,44 +345,25 @@ def generate_structured(nx: int, ny: int,
         rng = np.random.default_rng(seed)
         hmin = min((xmax - xmin) / nx, (ymax - ymin) / ny)
         jitter = rng.uniform(-1.0, 1.0, size=verts.shape) * perturb * hmin
-        interior = np.ones(len(verts), dtype=bool)
-        for i in range(nx + 1):
-            for j in range(ny + 1):
-                if i in (0, nx) or j in (0, ny):
-                    interior[i * (ny + 1) + j] = False
+        interior = np.zeros((nx + 1, ny + 1), dtype=bool)
+        interior[1:nx, 1:ny] = True
+        interior = interior.ravel()
         verts[interior] += jitter[interior]
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            v00 = i * (ny + 1) + j
-            v10 = (i + 1) * (ny + 1) + j
-            cells.append([v00, v10, v10 + 1, v00 + 1])
-    return build_mesh(verts, cells, labeler=labeler)
+    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    cells = np.column_stack([v00, v00 + ny + 1, v00 + ny + 2, v00 + 1])
+    return _build(verts, 4 * np.arange(nx * ny + 1), cells.ravel(), labeler, None)
 
 
 def generate_lshape(n: int, labeler: Labeler | None = None) -> PolygonalMesh:
     """Structured mesh of (-1,1)^2 minus the fourth quadrant, n x n per block."""
-    h = 1.0 / n
-    verts: list[tuple[float, float]] = []
-    index: dict[tuple[int, int], int] = {}
-
-    def vid(i: int, j: int) -> int:
-        if (i, j) not in index:
-            index[(i, j)] = len(verts)
-            verts.append((-1.0 + i * h, -1.0 + j * h))
-        return index[(i, j)]
-
-    cells = []
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if i >= n and j < n:   # removed quadrant [0,1) x [-1,0)
-                continue
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return build_mesh(np.array(verts), cells, labeler=labeler)
-
-
-def _clip_to_box(regions: list[np.ndarray]) -> list[np.ndarray]:
-    return regions
+    i, j = np.meshgrid(np.arange(2 * n), np.arange(2 * n), indexing="ij")
+    keep = ~((i >= n) & (j < n))          # removed quadrant [0,1) x [-1,0)
+    i, j = i[keep], j[keep]
+    # grid corners of each cell; vertices numbered in order of first use
+    grid = np.column_stack([i, j, i + 1, j, i + 1, j + 1, i, j + 1]).reshape(-1, 2)
+    ids, head = _first_use(grid[:, 0] * (2 * n + 1) + grid[:, 1])
+    return _build(-1.0 + grid[head] * (1.0 / n), 4 * np.arange(len(i) + 1), ids,
+                  labeler, None)
 
 
 def generate_voronoi(n_seeds: int,
@@ -362,9 +375,10 @@ def generate_voronoi(n_seeds: int,
     Seeds are drawn uniformly, smoothed with the requested number of Lloyd
     sweeps, and the final diagram is clipped exactly to the rectangle by
     mirroring all seeds across the four sides, so boundary cells close on
-    the box without any half-plane bookkeeping.
+    the box without any half-plane bookkeeping.  Each sweep computes the
+    cell centroids one vertex count at a time (as PolyMesher does).
     """
-    from scipy.spatial import Voronoi
+    from scipy.spatial import Voronoi, cKDTree
 
     xmin, ymin, xmax, ymax = domain
     rng = np.random.default_rng(seed)
@@ -372,9 +386,7 @@ def generate_voronoi(n_seeds: int,
                            rng.uniform(ymin, ymax, n_seeds)])
     scale = max(xmax - xmin, ymax - ymin)
     for _ in range(64):
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(-1)) + np.eye(n_seeds) * scale
-        if dist.min() > 1e-12 * scale:
+        if not cKDTree(pts).query_pairs(1e-12 * scale):
             break
         warnings.warn("coincident seeds; re-jittering", stacklevel=2)
         pts += rng.uniform(-1e-6, 1e-6, size=pts.shape) * scale
@@ -386,53 +398,53 @@ def generate_voronoi(n_seeds: int,
         up = p.copy();    up[:, 1] = 2 * ymax - p[:, 1]
         return np.vstack([p, left, right, low, up])
 
-    def diagram_cells(p: np.ndarray) -> list[np.ndarray]:
+    def diagram(p: np.ndarray):
+        """Slot offsets, CCW corner coordinates (nslots, 2) and centroids
+        of the diagram cells of the seeds p."""
         if len(p) == 1:
             box = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
-            return [box]
+            return np.array([0, 4]), box, polygon_area_centroid(box)[1][None]
         vor = Voronoi(mirrored(p))
-        polys = []
-        for i in range(len(p)):
-            region = vor.regions[vor.point_region[i]]
-            assert -1 not in region, "mirrored diagram should be bounded"
-            poly = vor.vertices[region]
-            area, _ = polygon_area_centroid(poly)
-            if area < 0:
-                poly = poly[::-1]
-            polys.append(poly)
-        return polys
+        regions = [vor.regions[r] for r in vor.point_region[:len(p)]]
+        ptr = np.concatenate([[0], np.cumsum([len(r) for r in regions])])
+        flat = np.fromiter(chain.from_iterable(regions), dtype=np.int64, count=ptr[-1])
+        assert (flat >= 0).all(), "mirrored diagram should be bounded"
+        corners = vor.vertices[flat]
+        centroids = np.zeros((len(p), 2))
+        for cells, slots in size_groups(ptr):
+            poly = corners[slots]
+            area, centroid = polygon_area_centroid(poly)
+            cw = area < 0
+            poly[cw] = poly[cw, ::-1]
+            centroid[cw] = polygon_area_centroid(poly[cw])[1]
+            corners[slots] = poly
+            centroids[cells] = centroid
+        return ptr, corners, centroids
 
     for _ in range(lloyd_iters):
-        polys = diagram_cells(pts)
-        pts = np.array([polygon_area_centroid(poly)[1] for poly in polys])
-    polys = diagram_cells(pts)
+        pts = diagram(pts)[2]
+    ptr, corners, _ = diagram(pts)
 
     # merge coincident diagram vertices (degenerate configurations produce
-    # duplicates) and snap onto the box sides
+    # duplicates) and snap onto the box sides; vertices are numbered in
+    # order of first appearance
     tol = 1e-9 * scale
-    verts: list[np.ndarray] = []
-    cells = []
-    lookup: dict[tuple[int, int], int] = {}
-
-    def vert_id(p: np.ndarray) -> int:
-        q = p.copy()
-        for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
-            if abs(q[axis] - lo) < tol:
-                q[axis] = lo
-            if abs(q[axis] - hi) < tol:
-                q[axis] = hi
-        key = (int(round(q[0] / tol)), int(round(q[1] / tol)))
-        if key not in lookup:
-            lookup[key] = len(verts)
-            verts.append(q)
-        return lookup[key]
-
-    for poly in polys:
-        ids = [vert_id(p) for p in poly]
-        cell = [ids[i] for i in range(len(ids)) if ids[i] != ids[i - 1]]
-        if len(cell) >= 3:
-            cells.append(cell)
-    return build_mesh(np.array(verts), cells, labeler=labeler)
+    for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
+        col = corners[:, axis]
+        col[np.abs(col - lo) < tol] = lo
+        col[np.abs(col - hi) < tol] = hi
+    ids, head = _first_use(np.rint(corners / tol).astype(np.int64), axis=0)
+    # drop repeats of the previous vertex within each cell, then cells
+    # left with fewer than 3 vertices
+    cell_of = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    slot = np.arange(len(ids))
+    prev = np.where(slot == ptr[cell_of], ptr[cell_of + 1] - 1, slot - 1)
+    keep = ids != ids[prev]
+    sizes = np.bincount(cell_of[keep], minlength=len(ptr) - 1)
+    keep &= sizes[cell_of] >= 3
+    sizes = sizes[sizes >= 3]
+    return _build(corners[head], np.concatenate([[0], np.cumsum(sizes)]),
+                  ids[keep], labeler, None)
 
 
 # ---------------------------------------------------------------------------
@@ -446,65 +458,59 @@ def refine(mesh: PolygonalMesh, marked: Sequence[int]) -> PolygonalMesh:
     centroid, preceding edge midpoint).  Unmarked neighbors sharing a split
     edge keep their shape but gain the midpoint as a pi-angle vertex, so no
     closure pass is needed.  Boundary labels are inherited by the halves of
-    split boundary edges.
+    split boundary edges.  New vertices follow the old ones: split edge
+    midpoints by edge id, then marked cell centroids by cell id.
     """
-    marked_set = set(int(m) for m in marked)
-    for m in marked_set:
-        if m < 0 or m >= mesh.ncells:
-            raise MeshError(f"marked cell {m} out of range")
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    if (m := _first((marked < 0) | (marked >= mesh.ncells), marked)) is not None:
+        raise MeshError(f"marked cell {m} out of range")
 
-    verts = [v for v in mesh.vertices]
-    edge_mid: dict[int, int] = {}
+    nv = mesh.nvertices
+    ptr, edge = mesh.cell_ptr, mesh.cell_edge
+    cell_of = np.repeat(np.arange(mesh.ncells), np.diff(ptr))
+    is_marked = np.zeros(mesh.ncells, dtype=bool)
+    is_marked[marked] = True
+    in_marked = is_marked[cell_of]
+    split = np.zeros(mesh.nedges, dtype=bool)
+    split[edge[in_marked]] = True
+    split_ids = np.flatnonzero(split)
+    mid_id = np.full(mesh.nedges, -1)
+    mid_id[split_ids] = nv + np.arange(len(split_ids))
+    center_id = np.full(mesh.ncells, -1)
+    center_id[marked] = nv + len(split_ids) + np.arange(len(marked))
+    verts = np.concatenate([mesh.vertices, mesh.edge_mid[split_ids], mesh.centroids[marked]])
 
-    split_edges = set()
-    for c in sorted(marked_set):
-        for eid, _ in mesh.cell_edges[c]:
-            split_edges.add(eid)
-    for eid in sorted(split_edges):
-        e = mesh.edges[eid]
-        edge_mid[eid] = len(verts)
-        verts.append(e.midpoint.copy())
-
-    cell_center: dict[int, int] = {}
-    for c in sorted(marked_set):
-        cell_center[c] = len(verts)
-        verts.append(mesh.centroids[c].copy())
-
-    new_cells: list[list[int]] = []
-    for c, cell in enumerate(mesh.cells):
-        entry = mesh.cell_edges[c]
-        n = len(cell)
-        if c in marked_set:
-            mids = [edge_mid[eid] for eid, _ in entry]
-            ctr = cell_center[c]
-            for i in range(n):
-                new_cells.append([cell[i], mids[i], ctr, mids[i - 1]])
-        else:
-            out: list[int] = []
-            for i in range(n):
-                out.append(cell[i])
-                eid, _ = entry[i]
-                if eid in edge_mid:
-                    out.append(edge_mid[eid])
-            new_cells.append(out)
+    # every slot writes its vertex, then the rest of its quad in a marked
+    # cell, or the midpoint of its edge when that edge is split
+    slot = np.arange(len(edge))
+    prev = np.where(slot == ptr[cell_of], ptr[cell_of + 1] - 1, slot - 1)
+    width = np.where(in_marked, 4, 1 + split[edge])
+    start = np.cumsum(width) - width
+    out = np.empty(width.sum(), dtype=np.int64)
+    out[start] = mesh.cell_verts
+    q = start[in_marked]
+    out[q + 1] = mid_id[edge[in_marked]]
+    out[q + 2] = center_id[cell_of[in_marked]]
+    out[q + 3] = mid_id[edge[prev[in_marked]]]
+    hang = ~in_marked & split[edge]
+    out[start[hang] + 1] = mid_id[edge[hang]]
+    new_ptr = np.append(start[in_marked | (slot == ptr[cell_of])], len(out))
 
     # carry boundary labels onto (possibly split) boundary edges
-    labels: dict[tuple[int, int], BoundaryLabel] = {}
-    for eid, e in enumerate(mesh.edges):
-        if not e.is_boundary:
-            continue
-        if eid in edge_mid:
-            m = edge_mid[eid]
-            labels[(min(e.v0, m), max(e.v0, m))] = e.label
-            labels[(min(e.v1, m), max(e.v1, m))] = e.label
-        else:
-            labels[(min(e.v0, e.v1), max(e.v0, e.v1))] = e.label
-
-    return build_mesh(np.array(verts), new_cells, edge_labels=labels)
+    bnd = np.flatnonzero(mesh.on_boundary)
+    v0, v1 = mesh.edge_verts[bnd].T
+    m, code = mid_id[bnd], mesh.edge_label[bnd]
+    halved = m >= 0
+    pairs = np.concatenate([np.column_stack([v0, np.where(halved, m, v1)]),
+                            np.column_stack([v1, m])[halved]])
+    codes = np.concatenate([code, code[halved]])
+    pairs.sort(axis=1)
+    labels = {(a, b): LABELS[c] for (a, b), c in zip(pairs.tolist(), codes.tolist())}
+    return _build(verts, new_ptr, out, None, labels)
 
 
 def uniform_refine(mesh: PolygonalMesh) -> PolygonalMesh:
-    return refine(mesh, list(range(mesh.ncells)))
+    return refine(mesh, np.arange(mesh.ncells))
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +518,14 @@ def uniform_refine(mesh: PolygonalMesh) -> PolygonalMesh:
 
 
 def save_mesh(mesh: PolygonalMesh, path: str) -> None:
+    bnd = np.flatnonzero(mesh.on_boundary)
     body = {
         "vertices": mesh.vertices.tolist(),
-        "cells": [list(c) for c in mesh.cells],
+        "cells": [c.tolist() for c in mesh.cells],
         "boundary": [
-            {"edges": [[e.v0, e.v1]], "label": e.label.value}
-            for e in mesh.edges if e.is_boundary
+            {"edges": [pair], "label": LABELS[code].value}
+            for pair, code in zip(mesh.edge_verts[bnd].tolist(),
+                                  mesh.edge_label[bnd].tolist())
         ],
     }
     with open(path, "w") as fh:
@@ -575,9 +583,6 @@ def load_mesh(path: str, fmt: str = "native-json",
                 cells.append([int(t) - index_base for t in toks[1:1 + n]])
         except (IndexError, ValueError) as err:
             raise MeshError(f"malformed mesh file {path}: {err}") from None
-        for c, cell in enumerate(cells):
-            if any(v < 0 or v >= nv for v in cell):
-                raise MeshError(f"cell {c} references a vertex out of range")
         return build_mesh(vertices, cells, labeler=labeler)
     raise ValueError(f"unknown mesh format {fmt!r}")
 
@@ -589,20 +594,11 @@ def load_mesh(path: str, fmt: str = "native-json",
 def quality_report(mesh: PolygonalMesh, flag_ratio: float = 0.05) -> dict:
     """Shape-regularity report: star-shapedness and edge/diameter ratios."""
     star = np.ones(mesh.ncells, dtype=bool)
-    min_ratio = np.zeros(mesh.ncells)
-    for c in range(mesh.ncells):
-        coords = mesh.cell_coords(c)
-        ctr = mesh.centroids[c]
-        n = len(coords)
-        ok = True
-        for i in range(n):
-            a, b = coords[i], coords[(i + 1) % n]
-            jac = (a[0] - ctr[0]) * (b[1] - ctr[1]) - (b[0] - ctr[0]) * (a[1] - ctr[1])
-            if jac <= 0:
-                ok = False
-        star[c] = ok
-        lens = [mesh.edges[eid].length for eid, _ in mesh.cell_edges[c]]
-        min_ratio[c] = min(lens) / mesh.diameters[c]
+    for cells, slots in size_groups(mesh.cell_ptr):
+        star[cells] = fan_is_star(mesh.vertices[mesh.cell_verts[slots]],
+                                  mesh.centroids[cells])
+    min_ratio = np.minimum.reduceat(mesh.edge_length[mesh.cell_edge],
+                                    mesh.cell_ptr[:-1]) / mesh.diameters
     flagged = np.nonzero(min_ratio < flag_ratio)[0]
     return {"star_shaped": star, "min_edge_ratio": min_ratio,
             "flagged": flagged, "h": mesh.h}

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import PolygonalMesh, SideStructure
+from .mesh import MeshError, PolygonalMesh, SideStructure, corner_mask, size_groups
 from .quadrature import (edge_monomial_integrals, fan_is_star, gauss_01, map_triangles,
                          monomials, poly_dim, polygon_triangles, subdivide_triangles,
                          unit_deriv_matrix)
@@ -102,17 +102,24 @@ def data_oscillation(V: np.ndarray, w: np.ndarray, vals: np.ndarray) -> np.ndarr
 def cell_groups(mesh: PolygonalMesh, family: Family,
                 singular_cells=frozenset()) -> list[tuple[np.ndarray, int]]:
     """Cells sharing one group key, in order of first appearance, with the
-    subdivision their loads and estimator terms are integrated on."""
-    groups: dict[tuple, list[int]] = {}
-    for c in range(mesh.ncells):
-        coords = mesh.cell_coords(c)
-        key = (len(coords), bool(fan_is_star(coords, mesh.centroids[c])),
-               1 if c in singular_cells else 0)
+    subdivision their loads and estimator terms are integrated on.  Keys
+    are computed one vertex count at a time."""
+    key = np.zeros((mesh.ncells, 4), dtype=np.int64)
+    key[list(singular_cells), 3] = 1
+    for cells, slots in size_groups(mesh.cell_ptr):
+        coords = mesh.vertices[mesh.cell_verts[slots]]
+        key[cells, 0] = slots.shape[1]
+        key[cells, 1] = fan_is_star(coords, mesh.centroids[cells])
         if family is Family.NONCONFORMING:
-            side = mesh.side_structure(c)
-            key += (side.side_start, side.side_extra)
-        groups.setdefault(key, []).append(c)
-    return [(np.array(cells), key[2]) for key, cells in groups.items()]
+            corners = corner_mask(coords)
+            if (corners.sum(axis=1) < 3).any():
+                raise MeshError("polygon has fewer than 3 corners")
+            key[cells, 2] = np.unique(corners, axis=0, return_inverse=True)[1].ravel()
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    by_group = np.argsort(inverse.ravel(), kind="stable")
+    bounds = np.cumsum(np.bincount(inverse.ravel()))[:-1]
+    groups = np.split(by_group, bounds)
+    return [(groups[g], int(key[first[g], 3])) for g in np.argsort(first)]
 
 
 class CellGroup:
@@ -133,28 +140,27 @@ class CellGroup:
         self.singular_subdivide = singular_subdivide
         self.vol_order = 2 * max_degree + 2
         self.edge_npts = max_degree + 4
-        verts = np.array([mesh.cells[c] for c in self.cells])
-        size, n = verts.shape
-        self.nverts = n
+        first = mesh.cell_ptr[self.cells]
+        slots = first[:, None] + np.arange(mesh.cell_ptr[self.cells[0] + 1] - first[0])
+        verts = mesh.cell_verts[slots]
+        self.nverts = n = verts.shape[1]
         self.coords = mesh.vertices[verts]
         self.area = mesh.areas[self.cells]
         self.centroid = mesh.centroids[self.cells]
         self.diameter = mesh.diameters[self.cells]
         self.char = mesh.vertex_char_length[verts]
 
-        cell_edges = np.array([mesh.cell_edges[c] for c in self.cells])
-        self.eid = cell_edges[..., 0]
-        forward = cell_edges[..., 1] == 1
+        self.eid = mesh.cell_edge[slots]
+        forward = mesh.cell_sign[slots] == 1
         self.sigma = np.where(forward, 1.0, -1.0)
         j = np.arange(n)
         self.loc0 = np.where(forward, j, (j + 1) % n)
         self.loc1 = np.where(forward, (j + 1) % n, j)
-        edges = [mesh.edges[e] for e in self.eid.ravel()]
-        assert (np.take_along_axis(verts, self.loc0, 1).ravel()
-                == [e.v0 for e in edges]).all()
-        self.normal = np.array([e.normal for e in edges]).reshape(size, n, 2)
-        self.tangent = np.array([e.tangent for e in edges]).reshape(size, n, 2)
-        self.length = np.array([e.length for e in edges]).reshape(size, n)
+        assert np.array_equal(np.take_along_axis(verts, self.loc0, 1),
+                              mesh.edge_verts[self.eid, 0])
+        self.normal = mesh.edge_normal[self.eid]
+        self.tangent = mesh.edge_tangent[self.eid]
+        self.length = mesh.edge_length[self.eid]
 
         t01, w01 = gauss_01(self.edge_npts)
         self.shat = t01 - 0.5

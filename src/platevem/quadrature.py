@@ -208,19 +208,21 @@ def map_triangles(tris: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return (pts.reshape(*tris.shape[:-3], -1, 2), w.reshape(*tris.shape[:-3], -1))
 
 
-def polygon_area_centroid(coords: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed area and area centroid of a simple polygon (shoelace)."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+def polygon_area_centroid(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (...) and area centroids (..., 2) of simple polygons
+    (..., n, 2) (shoelace).  Each polygon's sums run along its own row, so
+    a stack gives the same bits as one polygon at a time."""
+    x = coords[..., 0]
+    y = coords[..., 1]
+    xn = np.roll(x, -1, axis=-1)
+    yn = np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    if abs(area) < 1e-300:
+    area = 0.5 * np.sum(cross, axis=-1)
+    if np.any(np.abs(area) < 1e-300):
         raise ValueError("degenerate polygon with zero area")
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return area, np.array([cx, cy])
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return area, np.stack([cx, cy], axis=-1)
 
 
 def _earclip(coords: np.ndarray) -> list[np.ndarray]:

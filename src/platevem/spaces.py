@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import ANGLE_TOL, BoundaryLabel, MeshError, PolygonalMesh
+from .mesh import ANGLE_TOL, CLAMPED, SIMPLY_SUPPORTED, PolygonalMesh, size_groups
 from .quadrature import (ScaledMonomialBasis, edge_rule, poly_dim,
                          polygon_rule)
 
@@ -112,8 +112,8 @@ def local_dofs(space: SpaceKind, mesh: PolygonalMesh, cell: int) -> list[DofDesc
     Local order: vertex values (cell traversal order), vertex gradient
     pairs, per-edge normal moments, per-edge value moments, cell moments.
     """
-    verts = mesh.cells[cell]
-    edges = [eid for eid, _ in mesh.cell_edges[cell]]
+    own = slice(mesh.cell_ptr[cell], mesh.cell_ptr[cell + 1])
+    verts, edges = mesh.cell_verts[own].tolist(), mesh.cell_edge[own].tolist()
     out: list[DofDescriptor] = []
     if space.n_vertex >= 1:
         out += [DofDescriptor(DofKind.VERTEX_VALUE, v) for v in verts]
@@ -168,17 +168,13 @@ def build_dof_map(mesh: PolygonalMesh, space: SpaceKind) -> DofMap:
     # local order: vertex values, vertex gradient pairs, normal moments of
     # every edge, value moments of every edge, cell moments; one table per
     # vertex count
-    by_size: dict[int, list[int]] = {}
-    for c, cell in enumerate(mesh.cells):
-        by_size.setdefault(len(cell), []).append(c)
     cell_dofs: list[np.ndarray] = [None] * mesh.ncells  # type: ignore[list-item]
-    for cells in by_size.values():
-        verts = vert_base + nv_per * np.array([mesh.cells[c] for c in cells])[..., None]
-        edges = edge_base + ne_per * np.array(
-            [[eid for eid, _ in mesh.cell_edges[c]] for c in cells])[..., None]
+    for cells, slots in size_groups(mesh.cell_ptr):
+        verts = vert_base + nv_per * mesh.cell_verts[slots][..., None]
+        edges = edge_base + ne_per * mesh.cell_edge[slots][..., None]
         blocks = [verts + np.arange(min(nv_per, 1)), verts + np.arange(1, nv_per),
                   edges + np.arange(n_norm), edges + n_norm + np.arange(n_val),
-                  cell_base + n_cell * np.array(cells)[:, None] + np.arange(n_cell)]
+                  cell_base + n_cell * cells[:, None] + np.arange(n_cell)]
         table = np.concatenate([b.reshape(len(cells), -1) for b in blocks], axis=1)
         for c, row in zip(cells, table):
             cell_dofs[c] = row
@@ -191,9 +187,9 @@ def build_dof_map(mesh: PolygonalMesh, space: SpaceKind) -> DofMap:
 # evaluating dof functionals on analytic functions
 
 
-def _edge_scaled_coord(edge, pts: np.ndarray) -> np.ndarray:
-    rel = pts - edge.midpoint[None, :]
-    return (rel @ edge.tangent) / edge.length
+def _edge_scaled_coord(mesh: PolygonalMesh, e: int, pts: np.ndarray) -> np.ndarray:
+    rel = pts - mesh.edge_mid[e][None, :]
+    return (rel @ mesh.edge_tangent[e]) / mesh.edge_length[e]
 
 
 def evaluate_dof(desc: DofDescriptor, mesh: PolygonalMesh, space: SpaceKind,
@@ -213,17 +209,17 @@ def evaluate_dof(desc: DofDescriptor, mesh: PolygonalMesh, space: SpaceKind,
     if desc.kind is DofKind.EDGE_NORMAL_MOMENT:
         if grad is None:
             raise ValueError("gradient data required for edge normal moments")
-        e = mesh.edges[desc.entity]
-        rule = edge_rule(mesh.vertices[e.v0], mesh.vertices[e.v1], order)
-        gn = np.asarray(grad(rule.points)) @ e.normal
-        s = _edge_scaled_coord(e, rule.points)
+        e = desc.entity
+        rule = edge_rule(*mesh.vertices[mesh.edge_verts[e]], order)
+        gn = np.asarray(grad(rule.points)) @ mesh.edge_normal[e]
+        s = _edge_scaled_coord(mesh, e, rule.points)
         return float(np.sum(rule.weights * gn * s ** desc.index))
     if desc.kind is DofKind.EDGE_VALUE_MOMENT:
-        e = mesh.edges[desc.entity]
-        rule = edge_rule(mesh.vertices[e.v0], mesh.vertices[e.v1], order)
-        s = _edge_scaled_coord(e, rule.points)
+        e = desc.entity
+        rule = edge_rule(*mesh.vertices[mesh.edge_verts[e]], order)
+        s = _edge_scaled_coord(mesh, e, rule.points)
         vals = np.asarray(value(rule.points))
-        return float(np.sum(rule.weights * vals * s ** desc.index) / e.length)
+        return float(np.sum(rule.weights * vals * s ** desc.index) / mesh.edge_length[e])
     if desc.kind is DofKind.CELL_MOMENT:
         c = desc.entity
         basis = ScaledMonomialBasis(tuple(mesh.centroids[c]), float(mesh.diameters[c]),
@@ -248,21 +244,13 @@ def interpolate(mesh: PolygonalMesh, dofmap: DofMap, value: Callable,
 # essential boundary conditions
 
 
-def pressure_is_dirichlet(edge, pressure_dirichlet_on_clamped: bool) -> bool:
-    """Whether a boundary edge carries Dirichlet pressure data: simply
+def pressure_is_dirichlet(mesh: PolygonalMesh,
+                          pressure_dirichlet_on_clamped: bool) -> np.ndarray:
+    """(nedges,) whether each edge carries Dirichlet pressure data: simply
     supported edges always, clamped ones when the flag is set.  The other
     boundary edges carry the natural flux condition."""
-    return edge.is_boundary and (edge.label is BoundaryLabel.SIMPLY_SUPPORTED
-                                 or pressure_dirichlet_on_clamped)
-
-
-def _boundary_vertex_edges(mesh: PolygonalMesh) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for eid, e in enumerate(mesh.edges):
-        if e.is_boundary:
-            out.setdefault(e.v0, []).append(eid)
-            out.setdefault(e.v1, []).append(eid)
-    return out
+    return (mesh.edge_label == SIMPLY_SUPPORTED) | (
+        pressure_dirichlet_on_clamped & (mesh.edge_label == CLAMPED))
 
 
 def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
@@ -297,11 +285,6 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
             return np.zeros((len(pts), 2))
         return np.asarray(grad(pts))
 
-    for e in mesh.edges:
-        if e.is_boundary and e.label is None:
-            raise MeshError(f"unlabeled boundary edge ({e.v0}, {e.v1})")
-
-    bve = _boundary_vertex_edges(mesh)
     constrained = dofmap.constrained
     values = dofmap.values
 
@@ -309,40 +292,35 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
         constrained[gid] = True
         values[gid] = val
 
+    grad_vertices = np.zeros(mesh.nvertices, dtype=bool)
     if space.field == "deflection":
-        dirichlet_edges = {eid for eid, e in enumerate(mesh.edges) if e.is_boundary}
-        normal_edges = {eid for eid in dirichlet_edges
-                        if mesh.edges[eid].label is BoundaryLabel.CLAMPED}
+        dirichlet_edges = mesh.on_boundary
+        normal_edges = mesh.edge_label == CLAMPED
+        if space.family is Family.CONFORMING:
+            bnd = np.flatnonzero(dirichlet_edges)
+            ends = mesh.edge_verts[bnd].ravel()      # both ends of each boundary edge
+            grad_vertices[ends[np.repeat(normal_edges[bnd], 2)]] = True
+            # corners of the simply supported part: vertices whose two
+            # boundary edges are not collinear
+            by_vertex = np.argsort(ends, kind="stable")
+            by_vertex = by_vertex[np.bincount(ends)[ends[by_vertex]] == 2]
+            t = mesh.edge_tangent[bnd[by_vertex // 2]].reshape(-1, 2, 2)
+            cross = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
+            grad_vertices[ends[by_vertex[0::2]][np.abs(cross) > ANGLE_TOL]] = True
     else:
-        dirichlet_edges = {eid for eid, e in enumerate(mesh.edges)
-                           if pressure_is_dirichlet(e, pressure_dirichlet_on_clamped)}
-        normal_edges = set()
-
-    dirichlet_vertices: set[int] = set()
-    for eid in dirichlet_edges:
-        dirichlet_vertices.add(mesh.edges[eid].v0)
-        dirichlet_vertices.add(mesh.edges[eid].v1)
-
-    grad_vertices: set[int] = set()
-    if space.field == "deflection" and space.family is Family.CONFORMING:
-        for v, eids in bve.items():
-            labels = [mesh.edges[eid].label for eid in eids]
-            if BoundaryLabel.CLAMPED in labels:
-                grad_vertices.add(v)
-            elif len(eids) == 2:
-                t0 = mesh.edges[eids[0]].tangent
-                t1 = mesh.edges[eids[1]].tangent
-                if abs(t0[0] * t1[1] - t0[1] * t1[0]) > ANGLE_TOL:
-                    grad_vertices.add(v)   # corner of the simply supported part
+        dirichlet_edges = pressure_is_dirichlet(mesh, pressure_dirichlet_on_clamped)
+        normal_edges = np.zeros(mesh.nedges, dtype=bool)
+    dirichlet_vertices = np.zeros(mesh.nvertices, dtype=bool)
+    dirichlet_vertices[mesh.edge_verts[dirichlet_edges].ravel()] = True
 
     for gid, desc in enumerate(dofmap.descriptors):
-        if desc.kind is DofKind.VERTEX_VALUE and desc.entity in dirichlet_vertices:
+        if desc.kind is DofKind.VERTEX_VALUE and dirichlet_vertices[desc.entity]:
             constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
         elif desc.kind in (DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y) \
-                and desc.entity in grad_vertices:
+                and grad_vertices[desc.entity]:
             constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-        elif desc.kind is DofKind.EDGE_VALUE_MOMENT and desc.entity in dirichlet_edges:
+        elif desc.kind is DofKind.EDGE_VALUE_MOMENT and dirichlet_edges[desc.entity]:
             constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-        elif desc.kind is DofKind.EDGE_NORMAL_MOMENT and desc.entity in normal_edges:
+        elif desc.kind is DofKind.EDGE_NORMAL_MOMENT and normal_edges[desc.entity]:
             constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
     return dofmap

@@ -132,22 +132,24 @@ class Mono:
 
 class OEdge:
     def __init__(self, mesh, cell: int, j: int, npts: int = 24):
-        eid, sigma = mesh.cell_edges[cell][j]
-        e = mesh.edges[eid]
-        nv = len(mesh.cells[cell])
+        slot = mesh.cell_ptr[cell] + j
+        eid, sigma = int(mesh.cell_edge[slot]), int(mesh.cell_sign[slot])
+        coords = mesh.cell_coords(cell)
+        nv = len(coords)
         self.eid = eid
         self.sigma = sigma
         self.loc0 = j if sigma == +1 else (j + 1) % nv
         self.loc1 = (j + 1) % nv if sigma == +1 else j
-        self.p0 = mesh.vertices[e.v0]
-        self.p1 = mesh.vertices[e.v1]
-        self.normal = e.normal
-        self.tangent = e.tangent
-        self.length = e.length
+        # the edge frame from the endpoint coordinates alone
+        self.p0 = coords[self.loc0]
+        self.p1 = coords[self.loc1]
+        self.length = float(np.hypot(*(self.p1 - self.p0)))
+        self.tangent = (self.p1 - self.p0) / self.length
+        self.normal = np.array([self.tangent[1], -self.tangent[0]])
         t, w = gauss01(npts)
         self.shat = t - 0.5
         self.pts = self.p0[None, :] + t[:, None] * (self.p1 - self.p0)[None, :]
-        self.weights = w * e.length
+        self.weights = w * self.length
 
     def fit(self, values: np.ndarray, degree: int) -> np.ndarray:
         """Exact shat coefficients of polynomial edge restrictions."""
@@ -189,7 +191,8 @@ class OracleCell:
         self.area = float(mesh.areas[cell])
         self.centroid = mesh.centroids[cell]
         self.diameter = float(mesh.diameters[cell])
-        self.char = np.array([mesh.vertex_char_length[v] for v in mesh.cells[cell]])
+        own = slice(mesh.cell_ptr[cell], mesh.cell_ptr[cell + 1])
+        self.char = mesh.vertex_char_length[mesh.cell_verts[own]]
         self.mono = Mono(self.centroid, self.diameter, max_degree)
         self.edges = [OEdge(mesh, cell, j) for j in range(self.nverts)]
         self.qpts, self.qw = polygon_quad(self.coords, 2 * max_degree + 4)

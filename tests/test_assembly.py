@@ -9,8 +9,9 @@ from platevem.assembly import (ModelParams, assemble_rhs, assemble_system,
                                build_element, derive_params, factor_system)
 from platevem.cli import main
 from platevem.manufactured import compute_errors, get_case, polynomial_case
-from platevem.mesh import (BoundaryLabel, build_mesh, generate_lshape,
-                           generate_structured, generate_voronoi, refine)
+from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh,
+                           generate_lshape, generate_structured, generate_voronoi,
+                           refine)
 from platevem.quadrature import (ScaledMonomialBasis, gauss_01, poly_dim, polygon_rule,
                                  triangle_rule_reference)
 from platevem.runner import (assemble_projected_mass, case_rhs,
@@ -185,24 +186,25 @@ class TestGroupedBuild:
             Vw = basis.eval(rule.points) * rule.weights[:, None]
             F_ref[gu] += op.defl.l2.T @ (Vw[:, :nk].T @ case.f(rule.points))
             F_ref[n_u + gp] += op.pres.l2.T @ (Vw[:, :nl].T @ case.g(rule.points))
-            for j, (eid, _) in enumerate(mesh.cell_edges[c]):
-                edge = mesh.edges[eid]
-                if not edge.is_boundary:
+            own = mesh.cell_edge[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]]
+            for j, eid in enumerate(own):
+                if not mesh.on_boundary[eid]:
                     continue
-                pts = mesh.vertices[edge.v0] + t[:, None] * (
-                    mesh.vertices[edge.v1] - mesh.vertices[edge.v0])
+                v0, v1 = mesh.vertices[mesh.edge_verts[eid]]
+                pts = v0 + t[:, None] * (v1 - v0)
+                normal = mesh.edge_normal[eid]
 
                 def moments(table, data):
                     """table against the least-squares fit of data on the edge."""
                     powers = (t - 0.5)[:, None] ** np.arange(table.shape[0])
                     return table.T @ np.linalg.lstsq(powers, data, rcond=None)[0]
 
-                if edge.label is BoundaryLabel.SIMPLY_SUPPORTED:
+                if mesh.edge_label[eid] == SIMPLY_SUPPORTED:
                     F_ref[gu] += moments(op.defl.normal_moments[j],
-                                         case.bending_moment_data(pts, edge.normal))
+                                         case.bending_moment_data(pts, normal))
                 elif not case.pressure_dirichlet_on_clamped:
                     F_ref[n_u + gp] += moments(op.pres.value_moments[j],
-                                               case.pressure_flux_data(pts, edge.normal))
+                                               case.pressure_flux_data(pts, normal))
 
             rule = polygon_rule(mesh.cell_coords(c), 2 * k + 4,
                                 subdivide=3 if c in singular else 0)
@@ -233,7 +235,7 @@ class TestGroupedBuild:
         # edges, so both boundary data terms enter the loads
         case = get_case("smooth")
         mesh = build_mesh(voronoi25.vertices, voronoi25.cells, labeler=case.labeler)
-        labels = {e.label for e in mesh.edges if e.is_boundary}
+        labels = {LABELS[c] for c in mesh.edge_label[mesh.on_boundary]}
         assert labels == {BoundaryLabel.CLAMPED, BoundaryLabel.SIMPLY_SUPPORTED}
         self.check_loads_and_errors(case, mesh, Family.CONFORMING, k, l)
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platevem.mesh import (BoundaryLabel, MeshError, all_clamped, build_mesh,
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, all_clamped, build_mesh,
                            generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, save_mesh, uniform_refine)
+from platevem.quadrature import polygon_area_centroid
 
 
 def unit_square_two_cells():
@@ -20,24 +21,25 @@ def unit_square_two_cells():
 class TestBuildMesh:
     def test_shared_edge_is_interior(self):
         mesh = unit_square_two_cells()
-        interior = [e for e in mesh.edges if not e.is_boundary]
+        interior = np.flatnonzero(~mesh.on_boundary)
         assert len(interior) == 1
         e = interior[0]
-        assert {e.left, e.right} == {0, 1}
+        assert set(mesh.edge_cells[e].tolist()) == {0, 1}
 
     def test_normals_point_out_of_left_cell(self):
         mesh = unit_square_two_cells()
-        for e in mesh.edges:
-            mid = 0.5 * (mesh.vertices[e.v0] + mesh.vertices[e.v1])
-            toward = mid - mesh.centroids[e.left]
-            assert np.dot(e.normal, toward) > 0
+        for (v0, v1), (left, _), normal in zip(mesh.edge_verts, mesh.edge_cells,
+                                               mesh.edge_normal):
+            mid = 0.5 * (mesh.vertices[v0] + mesh.vertices[v1])
+            toward = mid - mesh.centroids[left]
+            assert np.dot(normal, toward) > 0
 
     def test_tangent_normal_orthonormal(self):
         mesh = generate_voronoi(10, seed=2)
-        for e in mesh.edges:
-            assert np.dot(e.normal, e.tangent) == pytest.approx(0.0, abs=1e-14)
-            assert np.linalg.norm(e.normal) == pytest.approx(1.0)
-            assert np.linalg.norm(e.tangent) == pytest.approx(1.0)
+        for normal, tangent in zip(mesh.edge_normal, mesh.edge_tangent):
+            assert np.dot(normal, tangent) == pytest.approx(0.0, abs=1e-14)
+            assert np.linalg.norm(normal) == pytest.approx(1.0)
+            assert np.linalg.norm(tangent) == pytest.approx(1.0)
 
     def test_clockwise_cell_is_reversed(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
@@ -60,6 +62,108 @@ class TestBuildMesh:
         assert mesh.areas.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+class TestBuildMeshErrors:
+    """One case per MeshError branch of build_mesh."""
+
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+    def test_vertex_out_of_range(self):
+        with pytest.raises(MeshError, match="cell 1 references a vertex out of range"):
+            build_mesh(self.SQUARE, [[0, 1, 2], [0, 2, 4]])
+
+    def test_self_intersecting_cell(self):
+        # a counterclockwise bow tie: edges 0 and 2 cross at (2/3, 2/3)
+        verts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="cell 0 is self-intersecting"):
+            build_mesh(verts, [[3, 2, 1, 0]])
+
+    def test_edge_shared_by_three_cells(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) is shared by more than two cells"):
+            build_mesh(verts, [[0, 1, 2], [1, 0, 3], [1, 4, 0]])
+
+    def test_same_direction_traversal(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]])
+        with pytest.raises(MeshError, match=r"cells 0 and 1 traverse edge \(0, 1\) in the same"):
+            build_mesh(verts, [[0, 1, 2], [0, 1, 3]])
+
+    def test_zero_length_edge(self):
+        # vertices 3 and 4 sit at one reflex corner, so the polygon itself
+        # is simple and only its edge between them is degenerate
+        verts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 1.0], [1.0, 1.0],
+                          [0.0, 2.0]])
+        with pytest.raises(MeshError, match=r"zero-length edge \(3, 4\)"):
+            build_mesh(verts, [[0, 1, 2, 3, 4, 5]])
+
+    def test_labeler_must_return_a_label(self):
+        with pytest.raises(MeshError, match="no label"):
+            build_mesh(self.SQUARE, [[0, 1, 2, 3]], labeler=lambda mid: None)
+
+    def test_text_file_index_out_of_range(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n4 1 2 3 5\n")
+        with pytest.raises(MeshError, match="cell 0 references a vertex out of range"):
+            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
+
+
+def per_cell_reference(mesh):
+    """The derived arrays of a mesh recomputed one cell and one edge at a
+    time from its vertices and oriented cells."""
+    ref = {"areas": [], "centroids": [], "diameters": [], "cell_edge": [], "cell_sign": []}
+    first: dict[tuple[int, int], int] = {}
+    edges = []                                  # [v0, v1, left, right]
+    acc, count = np.zeros(mesh.nvertices), np.zeros(mesh.nvertices)
+    for c, cell in enumerate(mesh.cells):
+        coords = mesh.vertices[cell]
+        area, centroid = polygon_area_centroid(coords)
+        diff = coords[:, None, :] - coords[None, :, :]
+        ref["areas"].append(area)
+        ref["centroids"].append(centroid)
+        ref["diameters"].append(np.sqrt((diff ** 2).sum(-1)).max())
+        for i, a in enumerate(cell):
+            b = cell[(i + 1) % len(cell)]
+            key = (min(a, b), max(a, b))
+            if key not in first:
+                first[key] = len(edges)
+                edges.append([a, b, c, -1])
+            else:
+                edges[first[key]][3] = c
+            ref["cell_edge"].append(first[key])
+            ref["cell_sign"].append(1 if edges[first[key]][:2] == [a, b] else -1)
+            acc[a] += ref["diameters"][-1]
+            count[a] += 1
+    ref["vertex_char_length"] = acc / count
+    edges = np.array(edges)
+    ref["edge_verts"], ref["edge_cells"] = edges[:, :2], edges[:, 2:]
+    ref["edge_length"], ref["edge_tangent"], ref["edge_normal"], ref["edge_mid"] = \
+        [], [], [], []
+    for v0, v1 in ref["edge_verts"]:
+        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
+        length = float(np.hypot(*(p1 - p0)))
+        tangent = (p1 - p0) / length
+        ref["edge_length"].append(length)
+        ref["edge_tangent"].append(tangent)
+        ref["edge_normal"].append([tangent[1], -tangent[0]])
+        ref["edge_mid"].append(0.5 * (p0 + p1))
+    return ref
+
+
+class TestArraysMatchPerCellReference:
+    """The grouped construction of build_mesh, generate_voronoi and refine
+    gives the same bits as a loop over cells and edges."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_voronoi(30, lloyd_iters=3, seed=11),
+        lambda: generate_structured(5, 4, perturb=0.3, seed=2),
+        lambda: refine(refine(generate_lshape(2), [0, 5, 7]), [0, 1, 2, 20]),
+    ])
+    def test_bitwise(self, make):
+        mesh = make()
+        for name, want in per_cell_reference(mesh).items():
+            got = getattr(mesh, name)
+            assert np.array_equal(got, np.asarray(want, dtype=got.dtype)), name
+
+
 class TestGenerators:
     def test_structured_counts(self):
         mesh = generate_structured(3, 4)
@@ -69,10 +173,7 @@ class TestGenerators:
     def test_structured_perturbed_keeps_boundary(self):
         mesh = generate_structured(5, 5, perturb=0.3, seed=7)
         on_boundary = np.isclose(mesh.vertices, 0.0) | np.isclose(mesh.vertices, 1.0)
-        boundary_vertices = set()
-        for e in mesh.edges:
-            if e.is_boundary:
-                boundary_vertices.update((e.v0, e.v1))
+        boundary_vertices = set(mesh.edge_verts[mesh.on_boundary].ravel().tolist())
         for v in boundary_vertices:
             assert on_boundary[v].any()
 
@@ -94,13 +195,14 @@ class TestGenerators:
         a = generate_voronoi(12, seed=9, lloyd_iters=3)
         b = generate_voronoi(12, seed=9, lloyd_iters=3)
         assert np.array_equal(a.vertices, b.vertices)
-        assert a.cells == b.cells
+        assert np.array_equal(a.cell_ptr, b.cell_ptr)
+        assert np.array_equal(a.cell_verts, b.cell_verts)
 
     def test_region_labeler(self):
         lab = region_labeler([((-0.1, -0.1, 1.1, 0.0 + 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)],
                              default=BoundaryLabel.CLAMPED)
         mesh = generate_structured(2, 2, labeler=lab)
-        labels = {e.label for e in mesh.edges if e.is_boundary}
+        labels = {LABELS[c] for c in mesh.edge_label[mesh.on_boundary]}
         assert BoundaryLabel.SIMPLY_SUPPORTED in labels
         assert BoundaryLabel.CLAMPED in labels
 
@@ -134,12 +236,11 @@ class TestRefine:
                              default=BoundaryLabel.CLAMPED)
         mesh = generate_structured(2, 2, labeler=lab)
         fine = uniform_refine(mesh)
-        for e in fine.edges:
-            if not e.is_boundary:
-                continue
-            mid = 0.5 * (fine.vertices[e.v0] + fine.vertices[e.v1])
+        for e in np.flatnonzero(fine.on_boundary):
+            v0, v1 = fine.edge_verts[e]
+            mid = 0.5 * (fine.vertices[v0] + fine.vertices[v1])
             expect = lab(mid)
-            assert e.label is expect
+            assert LABELS[fine.edge_label[e]] is expect
 
 
 class TestIO:
@@ -151,11 +252,12 @@ class TestIO:
         assert back.ncells == mesh.ncells
         assert np.allclose(back.vertices, mesh.vertices)
         assert back.areas.sum() == pytest.approx(mesh.areas.sum())
-        orig_labels = sorted((min(e.v0, e.v1), max(e.v0, e.v1), e.label.value)
-                             for e in mesh.edges if e.is_boundary)
-        back_labels = sorted((min(e.v0, e.v1), max(e.v0, e.v1), e.label.value)
-                             for e in back.edges if e.is_boundary)
-        assert orig_labels == back_labels
+        def boundary_labels(m):
+            return sorted((min(v0, v1), max(v0, v1), LABELS[c].value)
+                          for (v0, v1), c in zip(m.edge_verts[m.on_boundary].tolist(),
+                                                 m.edge_label[m.on_boundary].tolist()))
+
+        assert boundary_labels(mesh) == boundary_labels(back)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from platevem.mesh import (BoundaryLabel, build_mesh, generate_structured,
+from platevem.mesh import (CLAMPED, BoundaryLabel, generate_structured,
                            generate_voronoi, region_labeler)
 from platevem.quadrature import poly_dim
 from platevem.spaces import (DofKind, Family, SpaceKind, apply_essential_bc,
@@ -16,13 +16,13 @@ class TestDofCounts:
     def test_conforming_deflection_k2(self, voronoi25):
         space = SpaceKind("deflection", Family.CONFORMING, 2)
         for cell in range(5):
-            n = len(voronoi25.cells[cell])
+            n = len(voronoi25.cell_coords(cell))
             assert count_local(space, voronoi25, cell) == 3 * n
 
     def test_conforming_deflection_k3(self, voronoi25):
         space = SpaceKind("deflection", Family.CONFORMING, 3)
         for cell in range(5):
-            n = len(voronoi25.cells[cell])
+            n = len(voronoi25.cell_coords(cell))
             # 3 per vertex plus one normal moment per edge
             assert count_local(space, voronoi25, cell) == 3 * n + n
 
@@ -30,7 +30,7 @@ class TestDofCounts:
         for k in (2, 3, 4):
             space = SpaceKind("deflection", Family.NONCONFORMING, k)
             for cell in range(5):
-                n = len(voronoi25.cells[cell])
+                n = len(voronoi25.cell_coords(cell))
                 expect = n + (k - 1) * n + max(k - 2, 0) * n + poly_dim(k - 4)
                 assert count_local(space, voronoi25, cell) == expect
 
@@ -39,7 +39,7 @@ class TestDofCounts:
             conf = SpaceKind("pressure", Family.CONFORMING, l)
             nonc = SpaceKind("pressure", Family.NONCONFORMING, l)
             for cell in range(5):
-                n = len(voronoi25.cells[cell])
+                n = len(voronoi25.cell_coords(cell))
                 assert count_local(conf, voronoi25, cell) == \
                     n + (l - 1) * n + poly_dim(l - 2)
                 assert count_local(nonc, voronoi25, cell) == \
@@ -117,10 +117,7 @@ class TestEssentialBC:
         mesh = mixed_mesh()
         space = SpaceKind("deflection", Family.CONFORMING, 2)
         dm = apply_essential_bc(build_dof_map(mesh, space), mesh)
-        boundary_vertices = set()
-        for e in mesh.edges:
-            if e.is_boundary:
-                boundary_vertices.update((e.v0, e.v1))
+        boundary_vertices = set(mesh.edge_verts[mesh.on_boundary].ravel().tolist())
         for gid, desc in enumerate(dm.descriptors):
             if desc.kind is DofKind.VERTEX_VALUE and desc.entity in boundary_vertices:
                 assert dm.constrained[gid]
@@ -131,11 +128,9 @@ class TestEssentialBC:
         dm = apply_essential_bc(build_dof_map(mesh, space), mesh)
         clamped_vertices = set()
         ss_vertices = set()
-        for e in mesh.edges:
-            if not e.is_boundary:
-                continue
-            target = clamped_vertices if e.label is BoundaryLabel.CLAMPED else ss_vertices
-            target.update((e.v0, e.v1))
+        for e in np.flatnonzero(mesh.on_boundary):
+            target = clamped_vertices if mesh.edge_label[e] == CLAMPED else ss_vertices
+            target.update(mesh.edge_verts[e].tolist())
         ss_only = ss_vertices - clamped_vertices
         # a straight simply supported vertex keeps free gradient dofs
         straight = [v for v in ss_only
@@ -155,10 +150,10 @@ class TestEssentialBC:
         dm = apply_essential_bc(build_dof_map(mesh, space), mesh)
         for gid, desc in enumerate(dm.descriptors):
             if desc.kind is DofKind.EDGE_NORMAL_MOMENT:
-                e = mesh.edges[desc.entity]
-                if not e.is_boundary:
+                e = desc.entity
+                if not mesh.on_boundary[e]:
                     assert not dm.constrained[gid]
-                elif e.label is BoundaryLabel.CLAMPED:
+                elif mesh.edge_label[e] == CLAMPED:
                     assert dm.constrained[gid]
                 else:
                     assert not dm.constrained[gid]
@@ -171,10 +166,7 @@ class TestEssentialBC:
                                     pressure_dirichlet_on_clamped=True)
         assert dm_all.nfree < dm_nat.nfree
         # with the flag every boundary vertex value is pinned
-        boundary_vertices = set()
-        for e in mesh.edges:
-            if e.is_boundary:
-                boundary_vertices.update((e.v0, e.v1))
+        boundary_vertices = set(mesh.edge_verts[mesh.on_boundary].ravel().tolist())
         for gid, desc in enumerate(dm_all.descriptors):
             if desc.kind is DofKind.VERTEX_VALUE and desc.entity in boundary_vertices:
                 assert dm_all.constrained[gid]
@@ -189,14 +181,3 @@ class TestEssentialBC:
             if dm.constrained[gid] and desc.kind is DofKind.VERTEX_VALUE:
                 x, y = mesh.vertices[desc.entity]
                 assert dm.values[gid] == pytest.approx(x + 2 * y, abs=1e-13)
-
-    def test_unlabeled_boundary_rejected(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        mesh = build_mesh(verts, [[0, 1, 2, 3]])
-        for e in mesh.edges:
-            object.__setattr__(e, "label", None) if hasattr(e, "__dataclass_fields__") \
-                else setattr(e, "label", None)
-        space = SpaceKind("deflection", Family.CONFORMING, 2)
-        from platevem.mesh import MeshError
-        with pytest.raises(MeshError):
-            apply_essential_bc(build_dof_map(mesh, space), mesh)
