@@ -92,8 +92,8 @@ def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
     marking.validate()
     trace = AdaptiveTrace()
     for level in range(marking.max_levels):
-        system = constrained_system(case, mesh, (space_u, space_p))
-        result = solve_level(case, system, solver=solver)
+        system, constraints = constrained_system(case, mesh, (space_u, space_p))
+        result = solve_level(case, system, constraints, solver=solver)
         est = result.est
         if keep_meshes:
             trace.meshes.append(mesh)

@@ -33,7 +33,7 @@ from .mesh import SIMPLY_SUPPORTED, PolygonalMesh
 from .projectors import (CellGroup, ElementProjectors, cell_groups,
                          deflection_projectors, matvec, pressure_projectors)
 from .quadrature import monomials, pointwise, poly_dim
-from .spaces import DofMap, SpaceKind, build_dof_map, pressure_is_dirichlet
+from .spaces import Constraints, DofMap, SpaceKind, build_dof_map, pressure_is_dirichlet
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
         group = CellGroup(mesh, cells, max_degree, subdivide)
         groups.append(ElementGroup(group, *_group_forms(group, space_u, space_p, params),
-                                   np.stack([dof_u.cell_dofs[c] for c in cells]),
-                                   np.stack([dof_p.cell_dofs[c] for c in cells]) + n_u))
+                                   dof_u.table(group.verts, group.eid, group.cells),
+                                   dof_p.table(group.verts, group.eid, group.cells) + n_u))
 
     K = scatter(n_u + dof_p.ndof,
                 [b for g in groups for b in (
@@ -279,19 +279,16 @@ class FactoredSystem:
         return full[:self.n_u], full[self.n_u:]
 
 
-def factor_system(system: AssembledSystem, method: str = "direct") -> FactoredSystem:
-    """Eliminate essential dofs by lifting and factor the free block.
+def factor_system(system: AssembledSystem, constraints: Constraints,
+                  method: str = "direct") -> FactoredSystem:
+    """Eliminate the fixed dofs by their lift and factor the free block.
 
-    The boundary values must already be applied to the system's DoF maps.
     "direct" is a sparse LU; "gmres" builds an incomplete LU once and uses
     it to precondition every solve.
     """
     if method not in ("direct", "gmres"):
         raise ValueError(f"unknown solve method {method!r}")
-    constrained = np.concatenate([system.dof_u.constrained, system.dof_p.constrained])
-    lift = np.concatenate([system.dof_u.values, system.dof_p.values])
-    lift = np.where(constrained, lift, 0.0)
-    free = ~constrained
+    free = ~constraints.fixed
     Kff = system.K[free][:, free].tocsc()
     if method == "direct":
         solve_free = spla.splu(Kff).solve
@@ -305,5 +302,5 @@ def factor_system(system: AssembledSystem, method: str = "direct") -> FactoredSy
             if info != 0:
                 raise RuntimeError(f"gmres failed to converge (info={info})")
             return x
-    return FactoredSystem(free, lift, system.K @ lift, system.dof_u.ndof,
-                          solve_free)
+    return FactoredSystem(free, constraints.lift, system.K @ constraints.lift,
+                          system.dof_u.ndof, solve_free)

@@ -344,13 +344,13 @@ def cmd_timestep(cfg: RunConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
-    system = constrained_system(case, mesh,
-                                spaces_for(cfg.family_enum(), cfg.k, cfg.l))
+    system, constraints = constrained_system(
+        case, mesh, spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
-    seq = timestep_driver(system, case_rhs(system, case), M, steps=cfg.steps,
-                          u0=np.zeros(n_u), p0=np.zeros(system.dof_p.ndof),
-                          solver=cfg.solver_method)
+    seq = timestep_driver(system, constraints, case_rhs(system, case), M,
+                          steps=cfg.steps, u0=np.zeros(n_u),
+                          p0=np.zeros(system.dof_p.ndof), solver=cfg.solver_method)
     rows = []
     for step, (Un, Pn) in enumerate(seq, start=1):
         X = np.concatenate([Un, Pn])

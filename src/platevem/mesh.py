@@ -182,6 +182,14 @@ def _self_intersecting(coords: np.ndarray) -> np.ndarray:
     return cross.any(axis=1)
 
 
+def _zero_area(coords: np.ndarray) -> np.ndarray:
+    """Whether each polygon (m, n, 2) has the zero shoelace area that
+    polygon_area_centroid rejects."""
+    x, y = coords[..., 0], coords[..., 1]
+    cross = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
+    return np.abs(0.5 * np.sum(cross, axis=-1)) < 1e-300
+
+
 def _first(mask: np.ndarray, ids: np.ndarray) -> int | None:
     """ids at the first entry where mask holds, or None."""
     hit = np.flatnonzero(mask)
@@ -239,6 +247,8 @@ def _build(vertices: np.ndarray, cell_ptr: np.ndarray, cell_verts: np.ndarray,
     flipped = np.zeros(ncells, dtype=bool)
     for cells, slots in size_groups(cell_ptr):
         coords = vertices[cell_verts[slots]]
+        if (c := _first(_zero_area(coords), cells)) is not None:
+            raise MeshError(f"cell {c} has zero area")
         area, centroid = polygon_area_centroid(coords)
         cw = area < 0
         if cw.any():
@@ -539,7 +549,8 @@ def load_mesh(path: str, fmt: str = "native-json",
     native-json: {"vertices": [[x, y], ...], "cells": [[i, ...], ...],
     "boundary": [entry, ...]} where an entry labels either explicit edges
     ({"edges": [[v0, v1], ...], "label": ...}) or a midpoint region
-    ({"region": [xmin, ymin, xmax, ymax], "label": ...}).
+    ({"region": [xmin, ymin, xmax, ymax], "label": ...}); an unknown label
+    or a pair that is no boundary edge of the mesh raises MeshError.
 
     vertex-cell-text: 'nv nc' header, nv lines 'x y', nc lines
     'n i1 ... in' with indices offset by index_base; labels come from the
@@ -554,12 +565,19 @@ def load_mesh(path: str, fmt: str = "native-json",
         except (KeyError, TypeError, ValueError) as err:
             raise MeshError(f"malformed mesh file {path}: {err}") from None
         edge_labels: dict[tuple[int, int], BoundaryLabel] = {}
+        named: dict[tuple[int, int], tuple[int, list]] = {}   # entry and pair as given
         regions = []
-        for entry in body.get("boundary", []):
+        names = [lab.value for lab in BoundaryLabel]
+        for i, entry in enumerate(body.get("boundary", [])):
+            if entry.get("label") not in names:
+                raise MeshError(f"boundary entry {i}: label {entry.get('label')!r} "
+                                f"is not one of {names}")
             label = BoundaryLabel(entry["label"])
             if "edges" in entry:
                 for v0, v1 in entry["edges"]:
-                    edge_labels[(min(v0, v1), max(v0, v1))] = label
+                    key = (min(v0, v1), max(v0, v1))
+                    edge_labels[key] = label
+                    named.setdefault(key, (i, [v0, v1]))
             elif "region" in entry:
                 regions.append((tuple(entry["region"]), label))
             else:
@@ -567,8 +585,13 @@ def load_mesh(path: str, fmt: str = "native-json",
         lab = labeler
         if regions and lab is None:
             lab = region_labeler(regions)
-        return build_mesh(vertices, cells, labeler=lab,
-                          edge_labels=edge_labels or None)
+        mesh = build_mesh(vertices, cells, labeler=lab, edge_labels=edge_labels or None)
+        boundary = set(map(tuple, np.sort(mesh.edge_verts[mesh.on_boundary], axis=1).tolist()))
+        for key, (i, pair) in named.items():
+            if key not in boundary:
+                raise MeshError(f"boundary entry {i}: edge {pair} is not a boundary "
+                                "edge of the mesh")
+        return mesh
     if fmt == "vertex-cell-text":
         with open(path) as fh:
             rows = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]

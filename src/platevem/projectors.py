@@ -45,7 +45,7 @@ from .mesh import MeshError, PolygonalMesh, SideStructure, corner_mask, size_gro
 from .quadrature import (edge_monomial_integrals, fan_is_star, gauss_01, map_triangles,
                          monomials, poly_dim, polygon_triangles, subdivide_triangles,
                          unit_deriv_matrix)
-from .spaces import Family, SpaceKind
+from .spaces import DofLayout, Family, SpaceKind
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +142,7 @@ class CellGroup:
         self.edge_npts = max_degree + 4
         first = mesh.cell_ptr[self.cells]
         slots = first[:, None] + np.arange(mesh.cell_ptr[self.cells[0] + 1] - first[0])
-        verts = mesh.cell_verts[slots]
+        self.verts = verts = mesh.cell_verts[slots]
         self.nverts = n = verts.shape[1]
         self.coords = mesh.vertices[verts]
         self.area = mesh.areas[self.cells]
@@ -250,33 +250,6 @@ class ElementProjectors:
 
 
 # ---------------------------------------------------------------------------
-# local dof layout (must match spaces.local_dofs ordering)
-
-
-class _Layout:
-    """Local dof positions per entity, and one-hot selector rows for them."""
-
-    def __init__(self, space: SpaceKind, nverts: int):
-        n = nverts
-        self.iv = np.arange(n if space.n_vertex >= 1 else 0)
-        pos = len(self.iv)
-        self.igrad = pos + np.arange(2 * n if space.n_vertex == 3 else 0).reshape(-1, 2)
-        pos += self.igrad.size
-        self.inorm = pos + np.arange(n * space.n_edge_normal).reshape(n, -1)
-        pos += self.inorm.size
-        self.ival = pos + np.arange(n * space.n_edge_value).reshape(n, -1)
-        pos += self.ival.size
-        self.icell = pos + np.arange(space.n_cell)
-        self.ndof = pos + space.n_cell
-        eye = np.eye(self.ndof)
-        self.vsel = eye[self.iv]          # (n, ndof), empty without vertex dofs
-        self.gsel = eye[self.igrad]       # (n, 2, ndof)
-        self.nsel = eye[self.inorm]       # (n, n_edge_normal, ndof)
-        self.valsel = eye[self.ival]      # (n, n_edge_value, ndof)
-        self.csel = eye[self.icell]       # (n_cell, ndof)
-
-
-# ---------------------------------------------------------------------------
 # traces and moment tables
 
 
@@ -290,7 +263,7 @@ def _endpoint_trace_system(g: CellGroup, degree: int, ndof: int):
     return A, np.zeros((*g.length.shape, degree + 1, ndof))
 
 
-def _conforming_deflection_traces(g: CellGroup, space: SpaceKind, lay: _Layout):
+def _conforming_deflection_traces(g: CellGroup, space: SpaceKind, lay: DofLayout):
     """Edge value traces (degree max(k,3)) and normal traces (degree k-1)."""
     k = space.degree
     r = max(k, 3)
@@ -336,7 +309,7 @@ def _moments_from_trace(trace: np.ndarray, length: np.ndarray, n_rows: int) -> n
 # the deflection energy projection
 
 
-def _deflection_pd(g: CellGroup, space: SpaceKind, lay: _Layout,
+def _deflection_pd(g: CellGroup, space: SpaceKind, lay: DofLayout,
                    mu: np.ndarray, nu_low: np.ndarray):
     k = space.degree
     nk = poly_dim(k)
@@ -399,7 +372,7 @@ def _deflection_pd(g: CellGroup, space: SpaceKind, lay: _Layout,
     return np.linalg.solve(G, B)
 
 
-def _nc_deflection_traces(g: CellGroup, space: SpaceKind, lay: _Layout,
+def _nc_deflection_traces(g: CellGroup, space: SpaceKind, lay: DofLayout,
                           pd: np.ndarray) -> np.ndarray:
     """Edge traces of degree k from vertex values, the C1 rule along sides,
     and value moments borrowed from the energy projection."""
@@ -480,7 +453,7 @@ def _grad_projection(g: CellGroup, deg: int, proj_full: np.ndarray,
     return out[0], out[1]
 
 
-def _hessian_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
+def _hessian_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
                         mu: np.ndarray, nu_low: np.ndarray):
     """Componentwise L2 projection of the Hessian onto degree k-2.
 
@@ -519,7 +492,7 @@ def _hessian_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
     return Hxx, Hxy, Hyy
 
 
-def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
+def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
                           degree: int, nu: np.ndarray,
                           volume_proj: np.ndarray) -> np.ndarray:
     """Gradient Ritz projection onto degree `degree`.
@@ -554,7 +527,7 @@ def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: _Layout,
 # dof matrix
 
 
-def _dof_matrix(g: CellGroup, space: SpaceKind, lay: _Layout) -> np.ndarray:
+def _dof_matrix(g: CellGroup, space: SpaceKind, lay: DofLayout) -> np.ndarray:
     """D[i, a] = dof_i(m_a): every dof functional applied to the monomials."""
     n = poly_dim(space.degree)
     D = np.zeros((len(g), lay.ndof, n))
@@ -588,7 +561,7 @@ def deflection_projectors(g: CellGroup, space: SpaceKind,
     k = space.degree
     if grad_degrees is None:
         grad_degrees = (k - 1,)
-    lay = _Layout(space, g.nverts)
+    lay = DofLayout(space, g.nverts)
 
     if space.family is Family.CONFORMING:
         value_traces, normal_traces = _conforming_deflection_traces(g, space, lay)
@@ -622,7 +595,7 @@ def pressure_projectors(g: CellGroup, space: SpaceKind,
                         extra_pg_degrees: tuple[int, ...] = ()) -> ElementProjectors:
     """Pressure projectors of every cell of a group, stacked."""
     l = space.degree
-    lay = _Layout(space, g.nverts)
+    lay = DofLayout(space, g.nverts)
 
     if space.family is Family.CONFORMING:
         # trace of degree l per edge: endpoint values plus scaled moments

@@ -67,10 +67,6 @@ class ScaledMonomialBasis:
     diameter: float
     degree: int
 
-    @property
-    def dim(self) -> int:
-        return poly_dim(self.degree)
-
     def eval(self, pts: np.ndarray, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
         """Evaluate d^deriv m_a at pts, returning shape (npts, dim).
 
@@ -137,10 +133,11 @@ def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    points: np.ndarray   # (n, 2) physical coordinates
-    weights: np.ndarray  # (n,), sum equals the measure of the domain
+    points: np.ndarray   # (..., n, 2) physical coordinates, per domain
+    weights: np.ndarray  # (..., n), sum equals the measure of the domain
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Integral of values (n, ...) at the points of a one-domain rule."""
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
@@ -152,14 +149,11 @@ def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def edge_rule(p0: np.ndarray, p1: np.ndarray, order: int) -> QuadratureRule:
-    """Gauss rule along the segment p0 -> p1, exact for degree <= order."""
-    npts = max(1, (order + 2) // 2)
-    t, w = gauss_01(npts)
-    p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    return QuadratureRule(pts, w * length)
+    """Gauss rule along the segments p0 -> p1 (..., 2), exact for degree <= order."""
+    t, w = gauss_01(max(1, (order + 2) // 2))
+    p0 = np.asarray(p0, dtype=np.float64)[..., None, :]
+    d = np.asarray(p1, dtype=np.float64)[..., None, :] - p0
+    return QuadratureRule(p0 + t[:, None] * d, w * np.hypot(d[..., 0], d[..., 1]))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Experiment drivers shared by the command line and the test suite.
 
 Every experiment runs one level pipeline: assemble the system of a
-manufactured case on one mesh and apply its essential boundary values
-(``constrained_system``), then add the case loads, factor once, solve,
-and measure (``solve_level``).  On top of it sit the uniform convergence
+manufactured case on one mesh and build its essential boundary values as
+a ``Constraints`` value (``constrained_system``), then add the case
+loads, factor once with those constraints, solve, and measure
+(``solve_level``).  On top of it sit the uniform convergence
 ladders, the patch solve with operator-synthesized data, and the
 two-step time discretisation where previous states feed the right-hand
 side through their projected polynomial representations.
@@ -22,7 +23,7 @@ from .estimator import EstimatorReport, estimate
 from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
 from .mesh import PolygonalMesh, generate_voronoi
 from .quadrature import poly_dim
-from .spaces import Family, SpaceKind, apply_essential_bc, interpolate
+from .spaces import Constraints, Family, SpaceKind, apply_essential_bc, interpolate
 
 
 def spaces_for(family: Family, k: int, l: int) -> tuple[SpaceKind, SpaceKind]:
@@ -46,18 +47,19 @@ def voronoi_ladder(case: ManufacturedCase, counts, seed: int = 0,
 
 
 def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
-                       spaces: tuple[SpaceKind, SpaceKind]) -> AssembledSystem:
-    """Assemble the case's operator on one mesh and apply its boundary values."""
+                       spaces: tuple[SpaceKind, SpaceKind]
+                       ) -> tuple[AssembledSystem, Constraints]:
+    """The case's operator on one mesh and its essential boundary values,
+    which every solve of that operator takes."""
     space_u, space_p = spaces
     system = assemble_system(
         mesh, space_u, space_p, case.params,
         pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
         singular_cells=case.singular_cells(mesh))
-    apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u)
-    apply_essential_bc(
-        system.dof_p, mesh, value=case.p,
-        pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped)
-    return system
+    return system, Constraints.join(
+        apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u),
+        apply_essential_bc(system.dof_p, mesh, value=case.p,
+                           pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped))
 
 
 def case_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
@@ -76,11 +78,11 @@ class LevelResult:
     est: EstimatorReport | None
 
 
-def solve_level(case: ManufacturedCase, system: AssembledSystem, *,
-                solver: str = "direct",
+def solve_level(case: ManufacturedCase, system: AssembledSystem,
+                constraints: Constraints, *, solver: str = "direct",
                 with_estimator: bool = True) -> LevelResult:
-    """Solve the case on a constrained system, then measure the solution."""
-    U, P = factor_system(system, solver).solve(case_rhs(system, case))
+    """Solve the case under its constraints, then measure the solution."""
+    U, P = factor_system(system, constraints, solver).solve(case_rhs(system, case))
     report = compute_errors(system, U, P, case)
     est = None
     if with_estimator:
@@ -95,8 +97,8 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem, *,
 def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
                k: int, l: int, *, solver: str = "direct"):
     """Constrained system and discrete solution of one case on one mesh."""
-    system = constrained_system(case, mesh, spaces_for(family, k, l))
-    U, P = factor_system(system, solver).solve(case_rhs(system, case))
+    system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
+    U, P = factor_system(system, constraints, solver).solve(case_rhs(system, case))
     return system, U, P
 
 
@@ -109,10 +111,10 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     interpolant exactly; any deviation points at the assembly, scatter,
     boundary, or solve stages.
     """
-    system = constrained_system(case, mesh, spaces_for(family, k, l))
+    system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
     UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
     PI = interpolate(mesh, system.dof_p, case.p)
-    U, P = factor_system(system).solve(system.K @ np.concatenate([UI, PI]))
+    U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
     return compute_errors(system, U, P, case)
 
 
@@ -124,7 +126,7 @@ def run_convergence(case: ManufacturedCase, meshes, family: Family,
                     k: int, l: int, *, solver: str = "direct",
                     with_estimator: bool = True) -> list[LevelResult]:
     spaces = spaces_for(family, k, l)
-    return [solve_level(case, constrained_system(case, mesh, spaces),
+    return [solve_level(case, *constrained_system(case, mesh, spaces),
                         solver=solver, with_estimator=with_estimator)
             for mesh in meshes]
 
@@ -157,7 +159,8 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
     return scatter(system.ndof, blocks)
 
 
-def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,
+def timestep_driver(system: AssembledSystem, constraints: Constraints,
+                    F: np.ndarray, M: sp.csr_matrix, *,
                     steps: int, u0: np.ndarray, p0: np.ndarray,
                     solver: str = "direct") -> list[tuple[np.ndarray, np.ndarray]]:
     """March the one-step system with unit time step.
@@ -167,10 +170,9 @@ def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,
     system with the load F + M [2 u_n - u_{n-1}, p_n], so the previous
     states act through their projections; the first step takes
     u_{-1} = u0, and the operator is factored once for the whole march.
-    Boundary values must already be applied to the system's DoF maps and
-    are held fixed over the march.
+    The boundary values of the constraints are held fixed over the march.
     """
-    factored = factor_system(system, solver)
+    factored = factor_system(system, constraints, solver)
     un, um1, pn = u0.copy(), u0.copy(), p0.copy()
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(steps):
@@ -180,7 +182,8 @@ def timestep_driver(system: AssembledSystem, F: np.ndarray, M: sp.csr_matrix, *,
     return out
 
 
-def steady_timestep_state(system: AssembledSystem, F: np.ndarray):
+def steady_timestep_state(system: AssembledSystem, constraints: Constraints,
+                          F: np.ndarray):
     """Fixed point of the time march for step-independent data.
 
     Subtracting the projected-mass feedback from the operator and solving
@@ -188,4 +191,4 @@ def steady_timestep_state(system: AssembledSystem, F: np.ndarray):
     """
     M = assemble_projected_mass(system)
     shifted = replace(system, K=(system.K - M).tocsr())
-    return factor_system(shifted).solve(F)
+    return factor_system(shifted, constraints).solve(F)

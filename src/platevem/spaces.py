@@ -29,29 +29,20 @@ Euclidean product a legitimate stabilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .mesh import ANGLE_TOL, CLAMPED, SIMPLY_SUPPORTED, PolygonalMesh, size_groups
-from .quadrature import (ScaledMonomialBasis, edge_rule, poly_dim,
-                         polygon_rule)
+from .quadrature import (edge_rule, fan_is_star, map_triangles, monomials, pointwise,
+                         poly_dim, polygon_triangles)
 
 
 class Family(Enum):
     CONFORMING = "conforming"
     NONCONFORMING = "nonconforming"
-
-
-class DofKind(Enum):
-    VERTEX_VALUE = "vertex_value"
-    VERTEX_GRAD_X = "vertex_grad_x"
-    VERTEX_GRAD_Y = "vertex_grad_y"
-    EDGE_NORMAL_MOMENT = "edge_normal_moment"
-    EDGE_VALUE_MOMENT = "edge_value_moment"
-    CELL_MOMENT = "cell_moment"
 
 
 @dataclass(frozen=True)
@@ -93,151 +84,180 @@ class SpaceKind:
         return max(l - 1, 0) if self.family is Family.CONFORMING else l
 
     @property
+    def n_edge(self) -> int:
+        return self.n_edge_normal + self.n_edge_value
+
+    @property
     def n_cell(self) -> int:
         if self.field == "deflection":
             return poly_dim(self.degree - 4)
         return poly_dim(self.degree - 2)
 
 
-@dataclass(frozen=True)
-class DofDescriptor:
-    kind: DofKind
-    entity: int       # vertex, edge, or cell id
-    index: int = 0    # moment index within the entity
+class DofLayout:
+    """Positions of a cell's dofs in its local vector, for cells of nverts
+    vertices.
 
-
-def local_dofs(space: SpaceKind, mesh: PolygonalMesh, cell: int) -> list[DofDescriptor]:
-    """Descriptors of the cell's degrees of freedom in local order.
-
-    Local order: vertex values (cell traversal order), vertex gradient
-    pairs, per-edge normal moments, per-edge value moments, cell moments.
+    Per entity the dofs come in one fixed order, locally and globally:
+    the value and the scaled gradient pair of a vertex, the normal moments
+    and then the value moments of an edge.  Locally, the values of all
+    vertices (traversal order) come first, then their gradient pairs, the
+    normal moments of every edge, the value moments of every edge, and the
+    cell moments.  ``vertex`` (nverts, n_vertex) and ``edge`` (nverts,
+    n_edge) hold the positions per entity; ``iv`` (values), ``igrad``,
+    ``inorm``, ``ival`` (per vertex or edge) and ``icell`` split them by
+    kind, and vsel, gsel, nsel, valsel, csel are the matching rows of the
+    identity.
     """
-    own = slice(mesh.cell_ptr[cell], mesh.cell_ptr[cell + 1])
-    verts, edges = mesh.cell_verts[own].tolist(), mesh.cell_edge[own].tolist()
-    out: list[DofDescriptor] = []
-    if space.n_vertex >= 1:
-        out += [DofDescriptor(DofKind.VERTEX_VALUE, v) for v in verts]
-    if space.n_vertex == 3:
-        for v in verts:
-            out.append(DofDescriptor(DofKind.VERTEX_GRAD_X, v))
-            out.append(DofDescriptor(DofKind.VERTEX_GRAD_Y, v))
-    for eid in edges:
-        out += [DofDescriptor(DofKind.EDGE_NORMAL_MOMENT, eid, m)
-                for m in range(space.n_edge_normal)]
-    for eid in edges:
-        out += [DofDescriptor(DofKind.EDGE_VALUE_MOMENT, eid, m)
-                for m in range(space.n_edge_value)]
-    out += [DofDescriptor(DofKind.CELL_MOMENT, cell, m) for m in range(space.n_cell)]
-    return out
+
+    def __init__(self, space: SpaceKind, nverts: int):
+        n = nverts
+        sizes = [n * min(space.n_vertex, 1), n * max(space.n_vertex - 1, 0),
+                 n * space.n_edge_normal, n * space.n_edge_value, space.n_cell]
+        self.ndof = sum(sizes)
+        self.iv, grads, normals, moments, self.icell = np.split(
+            np.arange(self.ndof), np.cumsum(sizes)[:-1])
+        self.igrad, self.inorm, self.ival = (b.reshape(n, -1) for b in (grads, normals, moments))
+        self.vertex = np.column_stack([self.iv.reshape(n, -1), self.igrad])
+        self.edge = np.column_stack([self.inorm, self.ival])
+        eye = np.eye(self.ndof)
+        self.vsel, self.gsel, self.nsel, self.valsel, self.csel = (
+            eye[i] for i in (self.iv, self.igrad, self.inorm, self.ival, self.icell))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofMap:
+    """Global numbering of one space on one mesh: the vertex block, the
+    edge block and the cell block, each entity's dofs contiguous in the
+    per-entity order of ``DofLayout``."""
+
     space: SpaceKind
-    ndof: int
-    cell_dofs: list[np.ndarray]
-    descriptors: list[DofDescriptor]
-    constrained: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    nvertices: int
+    nedges: int
+    ncells: int
 
     @property
-    def nfree(self) -> int:
-        return int((~self.constrained).sum())
+    def edge_base(self) -> int:
+        return self.space.n_vertex * self.nvertices
+
+    @property
+    def cell_base(self) -> int:
+        return self.edge_base + self.space.n_edge * self.nedges
+
+    @property
+    def ndof(self) -> int:
+        return self.cell_base + self.space.n_cell * self.ncells
+
+    def table(self, verts: np.ndarray, edges: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Global dofs (m, local ndof) of m cells with the same vertex
+        count, from their vertex and edge ids (m, nverts) in traversal
+        order and their cell ids (m,)."""
+        space = self.space
+        lay = DofLayout(space, verts.shape[1])
+        out = np.empty((len(cells), lay.ndof), dtype=np.int64)
+        out[:, lay.vertex] = space.n_vertex * verts[..., None] + np.arange(space.n_vertex)
+        out[:, lay.edge] = self.edge_base + space.n_edge * edges[..., None] \
+            + np.arange(space.n_edge)
+        out[:, lay.icell] = self.cell_base + space.n_cell * cells[:, None] \
+            + np.arange(space.n_cell)
+        return out
 
 
 def build_dof_map(mesh: PolygonalMesh, space: SpaceKind) -> DofMap:
     """Number the global degrees of freedom: vertex block, edge block, cell block."""
-    nv_per = space.n_vertex
-    n_norm, n_val, n_cell = space.n_edge_normal, space.n_edge_value, space.n_cell
-    ne_per = n_norm + n_val
-    vert_base = 0
-    edge_base = vert_base + nv_per * mesh.nvertices
-    cell_base = edge_base + ne_per * mesh.nedges
-    ndof = cell_base + n_cell * mesh.ncells
+    return DofMap(space, mesh.nvertices, mesh.nedges, mesh.ncells)
 
-    kinds = [DofKind.VERTEX_VALUE, DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y][:nv_per]
-    edge_kinds = [(DofKind.EDGE_NORMAL_MOMENT, m) for m in range(n_norm)] \
-        + [(DofKind.EDGE_VALUE_MOMENT, m) for m in range(n_val)]
-    descriptors = [DofDescriptor(kind, v)
-                   for v in range(mesh.nvertices) for kind in kinds] \
-        + [DofDescriptor(kind, e, m)
-           for e in range(mesh.nedges) for kind, m in edge_kinds] \
-        + [DofDescriptor(DofKind.CELL_MOMENT, c, m)
-           for c in range(mesh.ncells) for m in range(n_cell)]
 
-    # local order: vertex values, vertex gradient pairs, normal moments of
-    # every edge, value moments of every edge, cell moments; one table per
-    # vertex count
-    cell_dofs: list[np.ndarray] = [None] * mesh.ncells  # type: ignore[list-item]
-    for cells, slots in size_groups(mesh.cell_ptr):
-        verts = vert_base + nv_per * mesh.cell_verts[slots][..., None]
-        edges = edge_base + ne_per * mesh.cell_edge[slots][..., None]
-        blocks = [verts + np.arange(min(nv_per, 1)), verts + np.arange(1, nv_per),
-                  edges + np.arange(n_norm), edges + n_norm + np.arange(n_val),
-                  cell_base + n_cell * cells[:, None] + np.arange(n_cell)]
-        table = np.concatenate([b.reshape(len(cells), -1) for b in blocks], axis=1)
-        for c, row in zip(cells, table):
-            cell_dofs[c] = row
+@dataclass(frozen=True)
+class Constraints:
+    """Essential boundary conditions as a value: which dofs are fixed, and
+    a lift that holds their values and is zero on the free dofs."""
 
-    return DofMap(space, ndof, cell_dofs, descriptors,
-                  np.zeros(ndof, dtype=bool), np.zeros(ndof))
+    fixed: np.ndarray     # (ndof,) bool
+    lift: np.ndarray      # (ndof,)
+
+    def __post_init__(self):
+        self.fixed.setflags(write=False)
+        self.lift.setflags(write=False)
+
+    @staticmethod
+    def join(*parts: Constraints) -> Constraints:
+        """Constraints of the block system whose fields come in this order."""
+        return Constraints(np.concatenate([p.fixed for p in parts]),
+                           np.concatenate([p.lift for p in parts]))
 
 
 # ---------------------------------------------------------------------------
-# evaluating dof functionals on analytic functions
+# dof functionals of analytic functions, one block at a time; moments are
+# integrated exactly up to degree 2 * degree + 4
 
 
-def _edge_scaled_coord(mesh: PolygonalMesh, e: int, pts: np.ndarray) -> np.ndarray:
-    rel = pts - mesh.edge_mid[e][None, :]
-    return (rel @ mesh.edge_tangent[e]) / mesh.edge_length[e]
+def _vertex_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable,
+                  grad: Callable, verts: np.ndarray) -> np.ndarray:
+    """(len(verts), n_vertex): value and scaled gradient at each vertex."""
+    pts = mesh.vertices[verts]
+    if space.n_vertex == 0:
+        return np.zeros((len(verts), 0))
+    cols = [np.asarray(value(pts))[:, None]]
+    if space.n_vertex == 3:
+        cols.append(mesh.vertex_char_length[verts, None] * np.asarray(grad(pts)))
+    return np.column_stack(cols)
 
 
-def evaluate_dof(desc: DofDescriptor, mesh: PolygonalMesh, space: SpaceKind,
-                 value: Callable, grad: Callable | None = None,
-                 order: int | None = None) -> float:
-    """Apply one dof functional to an analytic function."""
-    if order is None:
-        order = 2 * space.degree + 4
-    if desc.kind is DofKind.VERTEX_VALUE:
-        return float(value(mesh.vertices[desc.entity][None, :])[0])
-    if desc.kind in (DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y):
-        if grad is None:
-            raise ValueError("gradient data required for vertex gradient dofs")
-        g = np.asarray(grad(mesh.vertices[desc.entity][None, :]))[0]
-        comp = 0 if desc.kind is DofKind.VERTEX_GRAD_X else 1
-        return float(mesh.vertex_char_length[desc.entity] * g[comp])
-    if desc.kind is DofKind.EDGE_NORMAL_MOMENT:
-        if grad is None:
-            raise ValueError("gradient data required for edge normal moments")
-        e = desc.entity
-        rule = edge_rule(*mesh.vertices[mesh.edge_verts[e]], order)
-        gn = np.asarray(grad(rule.points)) @ mesh.edge_normal[e]
-        s = _edge_scaled_coord(mesh, e, rule.points)
-        return float(np.sum(rule.weights * gn * s ** desc.index))
-    if desc.kind is DofKind.EDGE_VALUE_MOMENT:
-        e = desc.entity
-        rule = edge_rule(*mesh.vertices[mesh.edge_verts[e]], order)
-        s = _edge_scaled_coord(mesh, e, rule.points)
-        vals = np.asarray(value(rule.points))
-        return float(np.sum(rule.weights * vals * s ** desc.index) / mesh.edge_length[e])
-    if desc.kind is DofKind.CELL_MOMENT:
-        c = desc.entity
-        basis = ScaledMonomialBasis(tuple(mesh.centroids[c]), float(mesh.diameters[c]),
-                                    space.degree)
-        rule = polygon_rule(mesh.cell_coords(c), order, centroid=mesh.centroids[c])
-        mono = basis.eval(rule.points)[:, desc.index]
-        vals = np.asarray(value(rule.points))
-        return float(np.sum(rule.weights * vals * mono) / mesh.areas[c])
-    raise ValueError(desc.kind)
+def _edge_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable,
+                grad: Callable, edges: np.ndarray) -> np.ndarray:
+    """(len(edges), n_edge): normal moments, then scaled value moments."""
+    ends = mesh.vertices[mesh.edge_verts[edges]]
+    rule = edge_rule(ends[:, 0], ends[:, 1], 2 * space.degree + 4)
+    pts, weights = rule.points, rule.weights
+    length = mesh.edge_length[edges, None]
+    s = ((pts - mesh.edge_mid[edges, None, :]) @ mesh.edge_tangent[edges, :, None])[..., 0] \
+        / length
+    cols = []
+    if space.n_edge_normal:
+        gn = (pointwise(grad, pts) @ mesh.edge_normal[edges, :, None])[..., 0]
+        cols += [(weights * gn * s ** m).sum(axis=-1) for m in range(space.n_edge_normal)]
+    if space.n_edge_value:
+        vals = pointwise(value, pts)
+        cols += [(weights * vals * s ** m).sum(axis=-1) / length[:, 0]
+                 for m in range(space.n_edge_value)]
+    return np.array(cols).reshape(space.n_edge, len(edges)).T
+
+
+def _cell_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable) -> np.ndarray:
+    """(ncells, n_cell): scaled cell moments, one data call per vertex
+    count and triangulation (centroid fan or ear clipping)."""
+    out = np.zeros((mesh.ncells, space.n_cell))
+    if space.n_cell == 0:
+        return out
+    for cells, slots in size_groups(mesh.cell_ptr):
+        coords = mesh.vertices[mesh.cell_verts[slots]]
+        star = fan_is_star(coords, mesh.centroids[cells])
+        for part in (star, ~star):
+            if not part.any():
+                continue
+            c, center = cells[part], mesh.centroids[cells[part]]
+            tris = polygon_triangles(coords[part], center)
+            pts, w = map_triangles(tris, 2 * space.degree + 4)
+            mono = monomials(pts, center, mesh.diameters[c], space.degree)[..., :space.n_cell]
+            wv = w * pointwise(value, pts)
+            # C order keeps each sum over one contiguous row, so every cell
+            # sums its moments as its own rule alone would
+            out[c] = np.multiply(wv[:, None, :], mono.swapaxes(1, 2), order="C").sum(axis=-1) \
+                / mesh.areas[c, None]
+    return out
 
 
 def interpolate(mesh: PolygonalMesh, dofmap: DofMap, value: Callable,
-                grad: Callable | None = None, order: int | None = None) -> np.ndarray:
-    """Dof vector of an analytic function (all functionals evaluated)."""
-    out = np.zeros(dofmap.ndof)
-    for i, desc in enumerate(dofmap.descriptors):
-        out[i] = evaluate_dof(desc, mesh, dofmap.space, value, grad, order)
-    return out
+                grad: Callable | None = None) -> np.ndarray:
+    """Dof vector of an analytic function, block by block."""
+    space = dofmap.space
+    if grad is None and (space.n_vertex == 3 or space.n_edge_normal):
+        raise ValueError("gradient data required for vertex gradients and normal moments")
+    blocks = [_vertex_block(mesh, space, value, grad, np.arange(mesh.nvertices)),
+              _edge_block(mesh, space, value, grad, np.arange(mesh.nedges)),
+              _cell_block(mesh, space, value)]
+    return np.concatenate([b.ravel() for b in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +276,8 @@ def pressure_is_dirichlet(mesh: PolygonalMesh,
 def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
                        value: Callable | None = None,
                        grad: Callable | None = None,
-                       pressure_dirichlet_on_clamped: bool = False) -> DofMap:
-    """Mark and evaluate the constrained boundary degrees of freedom.
+                       pressure_dirichlet_on_clamped: bool = False) -> Constraints:
+    """The constrained boundary degrees of freedom and their values.
 
     Deflection: the value trace is constrained on the whole boundary
     (vertex values plus edge value moments); normal-derivative data is
@@ -272,26 +292,9 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
     Pressure: Dirichlet data on simply supported edges, extended to clamped
     edges when pressure_dirichlet_on_clamped is set.
 
-    With value/grad omitted the data is homogeneous.
+    Omitted value data is homogeneous, and omitted gradient data zero.
     """
     space = dofmap.space
-    zero = value is None
-
-    def val_fn(pts):
-        return np.zeros(len(pts)) if zero else np.asarray(value(pts))
-
-    def grad_fn(pts):
-        if zero or grad is None:
-            return np.zeros((len(pts), 2))
-        return np.asarray(grad(pts))
-
-    constrained = dofmap.constrained
-    values = dofmap.values
-
-    def constrain(gid: int, val: float) -> None:
-        constrained[gid] = True
-        values[gid] = val
-
     grad_vertices = np.zeros(mesh.nvertices, dtype=bool)
     if space.field == "deflection":
         dirichlet_edges = mesh.on_boundary
@@ -313,14 +316,19 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
     dirichlet_vertices = np.zeros(mesh.nvertices, dtype=bool)
     dirichlet_vertices[mesh.edge_verts[dirichlet_edges].ravel()] = True
 
-    for gid, desc in enumerate(dofmap.descriptors):
-        if desc.kind is DofKind.VERTEX_VALUE and dirichlet_vertices[desc.entity]:
-            constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-        elif desc.kind in (DofKind.VERTEX_GRAD_X, DofKind.VERTEX_GRAD_Y) \
-                and grad_vertices[desc.entity]:
-            constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-        elif desc.kind is DofKind.EDGE_VALUE_MOMENT and dirichlet_edges[desc.entity]:
-            constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-        elif desc.kind is DofKind.EDGE_NORMAL_MOMENT and normal_edges[desc.entity]:
-            constrain(gid, evaluate_dof(desc, mesh, space, val_fn, grad_fn))
-    return dofmap
+    vertex_fixed = np.column_stack([dirichlet_vertices, grad_vertices, grad_vertices])
+    vertex_fixed = vertex_fixed[:, :space.n_vertex]
+    edge_fixed = np.repeat(np.column_stack([normal_edges, dirichlet_edges]),
+                           [space.n_edge_normal, space.n_edge_value], axis=1)
+    fixed = np.concatenate([vertex_fixed.ravel(), edge_fixed.ravel(),
+                            np.zeros(space.n_cell * mesh.ncells, dtype=bool)])
+    lift = np.zeros(dofmap.ndof)
+    if value is not None:
+        grad = grad or (lambda pts: np.zeros((len(pts), 2)))
+        verts = np.flatnonzero(vertex_fixed.any(axis=1))
+        edges = np.flatnonzero(edge_fixed.any(axis=1))
+        lift[space.n_vertex * verts[:, None] + np.arange(space.n_vertex)] = \
+            _vertex_block(mesh, space, value, grad, verts)
+        lift[dofmap.edge_base + space.n_edge * edges[:, None] + np.arange(space.n_edge)] = \
+            _edge_block(mesh, space, value, grad, edges)
+    return Constraints(fixed, np.where(fixed, lift, 0.0))

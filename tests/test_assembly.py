@@ -18,9 +18,16 @@ from platevem.runner import (assemble_projected_mass, case_rhs,
                              constrained_system, run_convergence, solve_case,
                              solve_patch, spaces_for, steady_timestep_state,
                              timestep_driver)
-from platevem.spaces import Family, SpaceKind, apply_essential_bc, interpolate
+from platevem.spaces import Family
 
 PARAMS = ModelParams(0.9, 1.2, 1.5)
+
+
+def cell_dofs(dofmap, mesh, c):
+    """Global dofs of one cell, from the dof map's table of that cell alone."""
+    own = slice(mesh.cell_ptr[c], mesh.cell_ptr[c + 1])
+    return dofmap.table(mesh.cell_verts[own][None], mesh.cell_edge[own][None],
+                        np.array([c]))[0]
 
 
 class TestModelParams:
@@ -150,8 +157,8 @@ class TestGroupedBuild:
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
                 assert g.ctx.singular_subdivide == (1 if cell in singular else 0)
                 # row i of the group's index arrays belongs to cell i of the group
-                gu = system.dof_u.cell_dofs[cell]
-                gp = system.dof_p.cell_dofs[cell] + system.dof_u.ndof
+                gu = cell_dofs(system.dof_u, mesh, cell)
+                gp = cell_dofs(system.dof_p, mesh, cell) + system.dof_u.ndof
                 assert np.array_equal(g.dofs_u[i], gu)
                 assert np.array_equal(g.dofs_p[i], gp)
                 K[np.ix_(gu, gu)] += ref.A1
@@ -168,9 +175,9 @@ class TestGroupedBuild:
         """assemble_rhs and the cell energies of compute_errors against one
         build_element and polygon_rule per cell: loads on the group's
         subdivision (1 at singular cells), errors on subdivision 3 there."""
-        system = constrained_system(case, mesh, spaces_for(family, k, l))
+        system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
         F = case_rhs(system, case)
-        U, P = factor_system(system).solve(F)
+        U, P = factor_system(system, constraints).solve(F)
         energy2 = compute_errors(system, U, P, case).cell_energy2
         singular = case.singular_cells(mesh)
         nk, nl, n_u = poly_dim(k), poly_dim(l), system.dof_u.ndof
@@ -180,7 +187,7 @@ class TestGroupedBuild:
         for c in range(mesh.ncells):
             op = build_element(mesh, c, system.space_u, system.space_p, case.params)
             basis = ScaledMonomialBasis(tuple(mesh.centroids[c]), mesh.diameters[c], k)
-            gu, gp = system.dof_u.cell_dofs[c], system.dof_p.cell_dofs[c]
+            gu, gp = cell_dofs(system.dof_u, mesh, c), cell_dofs(system.dof_p, mesh, c)
             rule = polygon_rule(mesh.cell_coords(c), 2 * k + 4,
                                 subdivide=1 if c in singular else 0)
             Vw = basis.eval(rule.points) * rule.weights[:, None]
@@ -295,13 +302,10 @@ class TestSolvers:
 
     def test_unknown_method_raises(self, voronoi25):
         case = get_case("smooth")
-        space_u, space_p = spaces_for(Family.CONFORMING, 2, 1)
-        system = assemble_system(voronoi25, space_u, space_p, case.params)
-        apply_essential_bc(system.dof_u, voronoi25, value=case.u,
-                           grad=case.grad_u)
-        apply_essential_bc(system.dof_p, voronoi25, value=case.p)
+        system, constraints = constrained_system(case, voronoi25,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
         with pytest.raises(ValueError):
-            factor_system(system, method="cholesky")
+            factor_system(system, constraints, method="cholesky")
 
 
 class TestTimestepping:
@@ -309,10 +313,12 @@ class TestTimestepping:
         """One implicit step from the zero state solves the static system
         with the same data, because the history terms vanish."""
         case = get_case("smooth")
-        system, U, P = solve_case(case, voronoi25, Family.CONFORMING, 2, 1)
+        system, constraints = constrained_system(case, voronoi25,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
+        U, P = factor_system(system, constraints).solve(case_rhs(system, case))
         u0 = np.zeros(system.dof_u.ndof)
         p0 = np.zeros(system.dof_p.ndof)
-        hist = timestep_driver(system, case_rhs(system, case),
+        hist = timestep_driver(system, constraints, case_rhs(system, case),
                                assemble_projected_mass(system),
                                steps=1, u0=u0, p0=p0)
         U1, P1 = hist[-1]
@@ -324,15 +330,16 @@ class TestTimestepping:
         # beta > 1 keeps the pressure feedback a strict contraction even
         # when no pressure Dirichlet edge pins the constant mode.
         case = get_case("smooth", params=ModelParams(1.0, 2.0, 1.0))
-        system, _, _ = solve_case(case, voronoi25, Family.CONFORMING, 2, 1)
+        system, constraints = constrained_system(case, voronoi25,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
         u0 = np.zeros(system.dof_u.ndof)
         p0 = np.zeros(system.dof_p.ndof)
         F = assemble_rhs(system, case.f, case.g,
                          bending_moment_data=case.bending_moment_data,
                          pressure_flux_data=case.pressure_flux_data)
-        hist = timestep_driver(system, F, assemble_projected_mass(system),
+        hist = timestep_driver(system, constraints, F, assemble_projected_mass(system),
                                steps=60, u0=u0, p0=p0)
-        Us, Ps = steady_timestep_state(system, F)
+        Us, Ps = steady_timestep_state(system, constraints, F)
         Ue, Pe = hist[-1]
         scale = max(np.abs(Us).max(), np.abs(Ps).max())
         assert np.abs(Ue - Us).max() < 1e-6 * scale
@@ -358,13 +365,13 @@ class TestFactorOnce:
 
     def test_march_factors_once(self, monkeypatch, voronoi25):
         case = get_case("smooth")
-        system = constrained_system(case, voronoi25,
-                                    spaces_for(Family.CONFORMING, 2, 1))
+        system, constraints = constrained_system(case, voronoi25,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
         F = case_rhs(system, case)
         M = assemble_projected_mass(system)
         splu = count_calls(monkeypatch, assembly.spla, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
-        hist = timestep_driver(system, F, M, steps=6,
+        hist = timestep_driver(system, constraints, F, M, steps=6,
                                u0=np.zeros(system.dof_u.ndof),
                                p0=np.zeros(system.dof_p.ndof))
         assert len(hist) == 6

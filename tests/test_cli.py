@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from platevem.cli import ConfigError, RunConfig, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -226,6 +231,22 @@ class TestMeshInfoCommand:
         assert int(first[1]) == 16   # requested cell count on level 0
 
 
+    @pytest.mark.parametrize("mesh, message", [
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+          "boundary": [{"edges": [[0, 7]], "label": "simply_supported"}]},
+         "error: boundary entry 0: edge [0, 7] is not a boundary edge"),
+        ({"vertices": [[0, 0], [1, 0], [2, 0]], "cells": [[0, 1, 2]]},
+         "error: cell 0 has zero area"),
+    ])
+    def test_bad_mesh_file_exits_one(self, tmp_path, capsys, mesh, message):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(mesh))
+        cfg = write_config(tmp_path, levels=1,
+                           mesh={"kind": "files", "paths": [str(path)]})
+        assert main(["mesh-info", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_repeated_run_output_is_byte_equal(self, tmp_path):
         """Two runs of one config in one process write identical CSVs, so
@@ -239,3 +260,19 @@ class TestDeterminism:
             outs.append([(out / name).read_bytes()
                          for name in ("rates.csv", "levels.csv")])
         assert outs[0] == outs[1]
+
+
+class TestScripts:
+    """The experiment scripts import and parse their arguments against the
+    current package, and the driver script is valid shell."""
+
+    @pytest.mark.parametrize("command", [
+        [sys.executable, "scripts/convergence_tables.py", "--help"],
+        [sys.executable, "scripts/adaptivity_study.py", "--help"],
+        ["sh", "-n", "scripts/run_all.sh"],
+    ], ids=["convergence_tables", "adaptivity_study", "run_all"])
+    def test_script_starts(self, command):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -99,6 +99,11 @@ class TestBuildMeshErrors:
         with pytest.raises(MeshError, match="no label"):
             build_mesh(self.SQUARE, [[0, 1, 2, 3]], labeler=lambda mid: None)
 
+    def test_zero_area_cell(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(MeshError, match="cell 0 has zero area"):
+            build_mesh(verts, [[0, 1, 2]])
+
     def test_text_file_index_out_of_range(self, tmp_path):
         path = tmp_path / "mesh.txt"
         path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n4 1 2 3 5\n")
@@ -264,6 +269,46 @@ class TestIO:
         path.write_text(json.dumps({"vertices": [[0, 0], [1, 0]], "cells": [[0, 1]]}))
         with pytest.raises((MeshError, ValueError, KeyError)):
             load_mesh(str(path))
+
+
+class TestBoundaryEntries:
+    """A native-json boundary entry must name boundary edges of the mesh
+    and a known label; otherwise loading fails and names the entry."""
+
+    @staticmethod
+    def load(tmp_path, *entries):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+            "boundary": [{"edges": [[0, 1]], "label": "clamped"}, *entries]}))
+        return load_mesh(str(path))
+
+    def test_vertex_that_does_not_exist(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: edge \[0, 7\] is not a "
+                                            "boundary edge"):
+            self.load(tmp_path, {"edges": [[0, 7]], "label": "simply_supported"})
+
+    def test_pair_that_is_no_edge(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: edge \[2, 0\] is not a "
+                                            "boundary edge"):
+            self.load(tmp_path, {"edges": [[1, 2], [2, 0]], "label": "clamped"})
+
+    def test_interior_edge(self, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2], [0, 2, 3]],
+            "boundary": [{"edges": [[0, 2]], "label": "clamped"}]}))
+        with pytest.raises(MeshError, match=r"boundary entry 0: edge \[0, 2\] is not a "
+                                            "boundary edge"):
+            load_mesh(str(path))
+
+    def test_unknown_label(self, tmp_path):
+        with pytest.raises(MeshError, match="boundary entry 1: label 'free' is not one of"):
+            self.load(tmp_path, {"edges": [[1, 2]], "label": "free"})
+
+    def test_missing_label(self, tmp_path):
+        with pytest.raises(MeshError, match="boundary entry 1: label None is not one of"):
+            self.load(tmp_path, {"edges": [[1, 2]]})
 
 
 def test_side_structure_merges_collinear_edges():
