@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import sympy as sp
+import numpy.polynomial.polynomial as npoly
 
 from .assembly import AssembledSystem, ModelParams
 from .mesh import BoundaryLabel, PolygonalMesh
@@ -78,42 +78,6 @@ class ManufacturedCase:
 # case constructors
 
 
-def _wrap(fn) -> Pointwise:
-    def w(pts: np.ndarray) -> np.ndarray:
-        out = fn(pts[:, 0], pts[:, 1])
-        return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
-    return w
-
-
-def case_from_expressions(name: str, u_expr, p_expr, params: ModelParams,
-                          labeler, pressure_dirichlet_on_clamped: bool,
-                          domain: str) -> ManufacturedCase:
-    """Build every closure from two sympy expressions in x, y."""
-    x, y = sp.symbols("x y")
-    lap = lambda e: sp.diff(e, x, 2) + sp.diff(e, y, 2)
-    f_expr = u_expr + lap(lap(u_expr)) + params.alpha * lap(p_expr)
-    g_expr = params.beta * p_expr - params.alpha * lap(u_expr) \
-        - params.gamma * lap(p_expr)
-
-    def lam(e):
-        return _wrap(sp.lambdify((x, y), sp.expand(e), "numpy"))
-
-    ux, uy = sp.diff(u_expr, x), sp.diff(u_expr, y)
-    uxf, uyf = lam(ux), lam(uy)
-    hxx, hxy, hyy = lam(sp.diff(ux, x)), lam(sp.diff(ux, y)), lam(sp.diff(uy, y))
-    pxf, pyf = lam(sp.diff(p_expr, x)), lam(sp.diff(p_expr, y))
-    return ManufacturedCase(
-        name=name, params=params, labeler=labeler,
-        pressure_dirichlet_on_clamped=pressure_dirichlet_on_clamped,
-        domain=domain,
-        u=lam(u_expr),
-        grad_u=lambda pts: np.stack([uxf(pts), uyf(pts)], axis=1),
-        hess_u=lambda pts: np.stack([hxx(pts), hxy(pts), hyy(pts)], axis=1),
-        p=lam(p_expr),
-        grad_p=lambda pts: np.stack([pxf(pts), pyf(pts)], axis=1),
-        f=lam(f_expr), g=lam(g_expr))
-
-
 def smooth_square_labeler(edge_mid: np.ndarray, tol: float = 1e-12) -> BoundaryLabel:
     """Clamped on the two coordinate axes, simply supported elsewhere."""
     if edge_mid[0] < tol or edge_mid[1] < tol:
@@ -125,14 +89,81 @@ def _all_clamped(edge_mid: np.ndarray) -> BoundaryLabel:
     return BoundaryLabel.CLAMPED
 
 
+def _sin2_factors(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """S(t) = sin^2(pi t) and its derivatives S', S'' and S''''."""
+    pi = np.pi
+    s2, c2 = np.sin(2.0 * pi * t), np.cos(2.0 * pi * t)
+    return np.sin(pi * t) ** 2, pi * s2, 2.0 * pi ** 2 * c2, -8.0 * pi ** 4 * c2
+
+
 def smooth_case(params: ModelParams | None = None) -> ManufacturedCase:
-    """Trigonometric solution on the unit square with mixed boundary parts."""
+    """Trigonometric solution on the unit square with mixed boundary parts.
+
+    u = S(x) S(y) with S(t) = sin^2(pi t) and p = cos(pi x y); every
+    closure is a closed-form derivative of these two fields.
+    """
     params = params if params is not None else ModelParams(1.0, 1.0, 1.0)
-    x, y = sp.symbols("x y")
-    u = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-    p = sp.cos(sp.pi * x * y)
-    return case_from_expressions("smooth", u, p, params, smooth_square_labeler,
-                                 False, "unit-square")
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    pi = np.pi
+
+    def factors(pts):
+        return _sin2_factors(pts[:, 0]), _sin2_factors(pts[:, 1])
+
+    def u(pts):
+        (sx, *_), (sy, *_) = factors(pts)
+        return sx * sy
+
+    def grad_u(pts):
+        (sx, dx, *_), (sy, dy, *_) = factors(pts)
+        return np.stack([dx * sy, sx * dy], axis=1)
+
+    def hess_u(pts):
+        (sx, dx, ddx, _), (sy, dy, ddy, _) = factors(pts)
+        return np.stack([ddx * sy, dx * dy, sx * ddy], axis=1)
+
+    def p(pts):
+        return np.cos(pi * pts[:, 0] * pts[:, 1])
+
+    def grad_p(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        s = -pi * np.sin(pi * x * y)
+        return np.stack([s * y, s * x], axis=1)
+
+    def lap_p(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return -pi ** 2 * (x * x + y * y) * np.cos(pi * x * y)
+
+    def f(pts):
+        (sx, _, ddx, d4x), (sy, _, ddy, d4y) = factors(pts)
+        bilap_u = d4x * sy + 2.0 * ddx * ddy + sx * d4y
+        return sx * sy + bilap_u + alpha * lap_p(pts)
+
+    def g(pts):
+        (sx, _, ddx, _), (sy, _, ddy, _) = factors(pts)
+        lap_u = ddx * sy + sx * ddy
+        return beta * p(pts) - alpha * lap_u - gamma * lap_p(pts)
+
+    return ManufacturedCase(
+        name="smooth", params=params, labeler=smooth_square_labeler,
+        pressure_dirichlet_on_clamped=False, domain="unit-square",
+        u=u, grad_u=grad_u, hess_u=hess_u, p=p, grad_p=grad_p, f=f, g=g)
+
+
+def _deriv(C: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Coefficients of the (dx, dy) derivative of sum C[i, j] x^i y^j,
+    zero-padded to the shape of C."""
+    D = npoly.polyder(npoly.polyder(C, dx, axis=0), dy, axis=1)
+    out = np.zeros_like(C)
+    out[:D.shape[0], :D.shape[1]] = D
+    return out
+
+
+def _polyval(*coeffs: np.ndarray) -> Pointwise:
+    """Closure evaluating one coefficient array, or several as columns."""
+    def value(pts: np.ndarray) -> np.ndarray:
+        vals = [npoly.polyval2d(pts[:, 0], pts[:, 1], C) for C in coeffs]
+        return vals[0] if len(vals) == 1 else np.stack(vals, axis=1)
+    return value
 
 
 def polynomial_case(k: int, l: int, params: ModelParams | None = None,
@@ -141,23 +172,35 @@ def polynomial_case(k: int, l: int, params: ModelParams | None = None,
 
     Both fields carry every monomial up to degree k respectively l, so a
     scheme only passes when all dof classes and all data terms are exact.
+    The coefficients are quarter-integers, so their derivatives are exact
+    in floating point.
     """
     params = params if params is not None else ModelParams(1.0, 1.0, 1.0)
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
     rng = np.random.default_rng(seed)
-    x, y = sp.symbols("x y")
+    n = max(k, l) + 1
 
     def poly(deg):
-        e = sp.Integer(0)
+        C = np.zeros((n, n))        # C[i, j] multiplies x^i y^j
         for d in range(deg + 1):
             for ix in range(d, -1, -1):
-                c = sp.Rational(int(rng.integers(-9, 10)), 4)
-                e += c * x ** ix * y ** (d - ix)
-        return e
+                C[ix, d - ix] = int(rng.integers(-9, 10)) / 4
+        return C
 
-    u = poly(k)
-    p = poly(l)
-    return case_from_expressions(f"poly-k{k}-l{l}", u, p, params, _all_clamped,
-                                 True, domain)
+    def lap(C):
+        return _deriv(C, 2, 0) + _deriv(C, 0, 2)
+
+    U, Q = poly(k), poly(l)
+    return ManufacturedCase(
+        name=f"poly-k{k}-l{l}", params=params, labeler=_all_clamped,
+        pressure_dirichlet_on_clamped=True, domain=domain,
+        u=_polyval(U),
+        grad_u=_polyval(_deriv(U, 1, 0), _deriv(U, 0, 1)),
+        hess_u=_polyval(_deriv(U, 2, 0), _deriv(U, 1, 1), _deriv(U, 0, 2)),
+        p=_polyval(Q),
+        grad_p=_polyval(_deriv(Q, 1, 0), _deriv(Q, 0, 1)),
+        f=_polyval(U + lap(lap(U)) + alpha * lap(Q)),
+        g=_polyval(beta * Q - alpha * lap(U) - gamma * lap(Q)))
 
 
 def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
@@ -220,8 +263,8 @@ _CASES = {"smooth": smooth_case, "lshape": lshape_case}
 
 
 def known_case(name: str) -> bool:
-    """Whether get_case accepts name: a named case or any poly* name."""
-    return name in _CASES or name.startswith("poly")
+    """Whether get_case accepts name: a named case or "poly"."""
+    return name in _CASES or name == "poly"
 
 
 def get_case(name: str, params: ModelParams | None = None, k: int = 2,

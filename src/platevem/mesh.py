@@ -542,6 +542,10 @@ def save_mesh(mesh: PolygonalMesh, path: str) -> None:
         json.dump(body, fh)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_mesh(path: str, fmt: str = "native-json",
               labeler: Labeler | None = None, index_base: int = 0) -> PolygonalMesh:
     """Read a mesh file.
@@ -549,8 +553,9 @@ def load_mesh(path: str, fmt: str = "native-json",
     native-json: {"vertices": [[x, y], ...], "cells": [[i, ...], ...],
     "boundary": [entry, ...]} where an entry labels either explicit edges
     ({"edges": [[v0, v1], ...], "label": ...}) or a midpoint region
-    ({"region": [xmin, ymin, xmax, ymax], "label": ...}); an unknown label
-    or a pair that is no boundary edge of the mesh raises MeshError.
+    ({"region": [xmin, ymin, xmax, ymax], "label": ...}); a malformed
+    entry, an unknown label or a pair that is no boundary edge of the mesh
+    raises MeshError naming the entry.
 
     vertex-cell-text: 'nv nc' header, nv lines 'x y', nc lines
     'n i1 ... in' with indices offset by index_base; labels come from the
@@ -568,20 +573,39 @@ def load_mesh(path: str, fmt: str = "native-json",
         named: dict[tuple[int, int], tuple[int, list]] = {}   # entry and pair as given
         regions = []
         names = [lab.value for lab in BoundaryLabel]
-        for i, entry in enumerate(body.get("boundary", [])):
+        entries = body.get("boundary", [])
+        if not isinstance(entries, list):
+            raise MeshError(f"boundary: expected a list of entries, got {entries!r}")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise MeshError(f"boundary entry {i}: expected an object, got {entry!r}")
             if entry.get("label") not in names:
                 raise MeshError(f"boundary entry {i}: label {entry.get('label')!r} "
                                 f"is not one of {names}")
             label = BoundaryLabel(entry["label"])
             if "edges" in entry:
-                for v0, v1 in entry["edges"]:
+                pairs = entry["edges"]
+                if not isinstance(pairs, list):
+                    raise MeshError(f"boundary entry {i}: 'edges' must be a list of "
+                                    f"vertex pairs, got {pairs!r}")
+                for pair in pairs:
+                    if not (isinstance(pair, list) and len(pair) == 2
+                            and all(_is_int(v) for v in pair)):
+                        raise MeshError(f"boundary entry {i}: edge {pair!r} is not a "
+                                        "pair of integer vertex ids")
+                    v0, v1 = pair
                     key = (min(v0, v1), max(v0, v1))
                     edge_labels[key] = label
-                    named.setdefault(key, (i, [v0, v1]))
+                    named.setdefault(key, (i, pair))
             elif "region" in entry:
-                regions.append((tuple(entry["region"]), label))
+                box = entry["region"]
+                if not (isinstance(box, list) and len(box) == 4
+                        and all(_is_int(v) or isinstance(v, float) for v in box)):
+                    raise MeshError(f"boundary entry {i}: region {box!r} is not "
+                                    "[xmin, ymin, xmax, ymax]")
+                regions.append((tuple(box), label))
             else:
-                raise MeshError("boundary entry needs 'edges' or 'region'")
+                raise MeshError(f"boundary entry {i}: needs 'edges' or 'region'")
         lab = labeler
         if regions and lab is None:
             lab = region_labeler(regions)

@@ -102,6 +102,7 @@ class TestExitCodes:
         ({"mesh": {"kind": "voronoi", "counts": [16, 0]}}, "mesh.counts"),
         ({"mesh": {"kind": "files", "paths": "x"}}, "mesh.paths"),
         ({"mesh": 3}, "mesh"),
+        ({"case": "polygon"}, "case"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
@@ -237,6 +238,9 @@ class TestMeshInfoCommand:
          "error: boundary entry 0: edge [0, 7] is not a boundary edge"),
         ({"vertices": [[0, 0], [1, 0], [2, 0]], "cells": [[0, 1, 2]]},
          "error: cell 0 has zero area"),
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+          "boundary": [{"edges": [[0, 1, 2]], "label": "clamped"}]},
+         "error: boundary entry 0: edge [0, 1, 2] is not a pair of integer vertex ids"),
     ])
     def test_bad_mesh_file_exits_one(self, tmp_path, capsys, mesh, message):
         path = tmp_path / "mesh.json"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -75,6 +76,69 @@ class TestStrongFormConsistency:
             - params.gamma * lap_p
         assert np.abs(case.f(pts) - f).max() < 1e-7
         assert np.abs(case.g(pts) - g).max() < 1e-7
+
+
+X, Y = sp.symbols("x y")
+
+
+def sympy_polynomial(rng, deg):
+    """Dense polynomial with quarter-integer coefficients, drawn in the
+    order polynomial_case draws them."""
+    e = sp.Integer(0)
+    for d in range(deg + 1):
+        for ix in range(d, -1, -1):
+            e += sp.Rational(int(rng.integers(-9, 10)), 4) * X ** ix * Y ** (d - ix)
+    return e
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_fields(name, k):
+    """Lambdified u, p and their derivatives, differentiated symbolically."""
+    if name == "smooth":
+        u = sp.sin(sp.pi * X) ** 2 * sp.sin(sp.pi * Y) ** 2
+        p = sp.cos(sp.pi * X * Y)
+    else:
+        rng = np.random.default_rng(7)
+        u = sympy_polynomial(rng, k)
+        p = sympy_polynomial(rng, k - 1)
+    lap = lambda e: sp.diff(e, X, 2) + sp.diff(e, Y, 2)
+    exprs = {"u": u, "ux": sp.diff(u, X), "uy": sp.diff(u, Y),
+             "uxx": sp.diff(u, X, 2), "uxy": sp.diff(u, X, Y), "uyy": sp.diff(u, Y, 2),
+             "lap_u": lap(u), "bilap_u": lap(lap(u)),
+             "p": p, "px": sp.diff(p, X), "py": sp.diff(p, Y), "lap_p": lap(p)}
+    return {key: sp.lambdify((X, Y), e, "numpy") for key, e in exprs.items()}
+
+
+class TestClosuresMatchSympy:
+    """Every closure of the smooth and polynomial cases equals the symbolic
+    derivation of the strong form, relative to the field's magnitude."""
+
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 1.0), (1e-6, 1e6, 1e6),
+                                        (0.7, 2.3, 1.6)])
+    @pytest.mark.parametrize("name, k", [("smooth", 2), ("poly", 2), ("poly", 3),
+                                         ("poly", 4)])
+    def test_seven_closures(self, name, k, params, rng):
+        alpha, beta, gamma = params
+        case = get_case(name, params=ModelParams(*params), k=k, l=k - 1)
+        pts = np.vstack([rng.uniform(0.0, 1.0, size=(200, 2)),
+                         [[0, 0], [1, 0], [1, 1], [0, 1]]])
+        fn = sympy_fields(name, k)
+        ev = {key: np.broadcast_to(f(pts[:, 0], pts[:, 1]), len(pts))
+              for key, f in fn.items()}
+        expected = {
+            "u": ev["u"],
+            "grad_u": np.column_stack([ev["ux"], ev["uy"]]),
+            "hess_u": np.column_stack([ev["uxx"], ev["uxy"], ev["uyy"]]),
+            "p": ev["p"],
+            "grad_p": np.column_stack([ev["px"], ev["py"]]),
+            "f": ev["u"] + ev["bilap_u"] + alpha * ev["lap_p"],
+            "g": beta * ev["p"] - alpha * ev["lap_u"] - gamma * ev["lap_p"],
+        }
+        for attr, want in expected.items():
+            got = getattr(case, attr)(pts)
+            assert got.shape == want.shape, attr
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() < 1e-11 * scale, attr
 
 
 class TestDerivativeClosures:

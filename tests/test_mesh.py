@@ -310,6 +310,48 @@ class TestBoundaryEntries:
         with pytest.raises(MeshError, match="boundary entry 1: label None is not one of"):
             self.load(tmp_path, {"edges": [[1, 2]]})
 
+    def test_entry_that_is_a_list(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: expected an object"):
+            self.load(tmp_path, ["clamped"])
+
+    def test_boundary_that_is_an_object(self, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+            "boundary": {"edges": [[0, 1]], "label": "clamped"}}))
+        with pytest.raises(MeshError, match="boundary: expected a list of entries"):
+            load_mesh(str(path))
+
+    def test_edge_of_three_vertices(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: edge \[1, 2, 3\] is not a "
+                                            "pair of integer vertex ids"):
+            self.load(tmp_path, {"edges": [[1, 2, 3]], "label": "clamped"})
+
+    def test_string_vertex_id(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: edge \[1, '2'\] is not a "
+                                            "pair of integer vertex ids"):
+            self.load(tmp_path, {"edges": [[1, "2"]], "label": "clamped"})
+
+    def test_edges_that_are_no_list(self, tmp_path):
+        with pytest.raises(MeshError, match="boundary entry 1: 'edges' must be a list"):
+            self.load(tmp_path, {"edges": 12, "label": "clamped"})
+
+    def test_region_of_three_numbers(self, tmp_path):
+        with pytest.raises(MeshError, match=r"boundary entry 1: region \[0, 0, 1\] is not "
+                                            r"\[xmin, ymin, xmax, ymax\]"):
+            self.load(tmp_path, {"region": [0, 0, 1], "label": "clamped"})
+
+    def test_entry_without_edges_or_region(self, tmp_path):
+        with pytest.raises(MeshError, match="boundary entry 1: needs 'edges' or 'region'"):
+            self.load(tmp_path, {"label": "clamped"})
+
+    def test_region_entry_labels_edges(self, tmp_path):
+        mesh = self.load(tmp_path, {"region": [0.9, 0, 1.1, 1], "label": "simply_supported"})
+        bnd = np.flatnonzero(mesh.on_boundary)
+        right = mesh.vertices[mesh.edge_verts[bnd]].mean(axis=1)[:, 0] > 0.9
+        simply = [LABELS[c] is BoundaryLabel.SIMPLY_SUPPORTED for c in mesh.edge_label[bnd]]
+        assert simply == right.tolist()
+
 
 def test_side_structure_merges_collinear_edges():
     verts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
