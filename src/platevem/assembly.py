@@ -23,7 +23,7 @@ computable for every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,8 +32,11 @@ import scipy.sparse.linalg as spla
 from .mesh import SIMPLY_SUPPORTED, PolygonalMesh
 from .projectors import (CellGroup, ElementProjectors, cell_groups,
                          deflection_projectors, matvec, pressure_projectors)
-from .quadrature import monomials, pointwise, poly_dim
-from .spaces import Constraints, DofMap, SpaceKind, build_dof_map, pressure_is_dirichlet
+from .quadrature import pointwise, poly_dim
+from .spaces import Constraints, DofMap, SpaceKind, build_dof_map
+
+if TYPE_CHECKING:
+    from .manufactured import ManufacturedCase
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ class AssembledSystem:
     dof_p: DofMap
     K: sp.csr_matrix
     groups: list[ElementGroup]
-    pressure_dirichlet_on_clamped: bool = False
 
     @property
     def ndof(self) -> int:
@@ -180,13 +182,12 @@ def scatter(n: int, blocks) -> sp.csr_matrix:
 
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     params: ModelParams, *,
-                    pressure_dirichlet_on_clamped: bool = False,
                     singular_cells: frozenset[int] | set[int] = frozenset()) -> AssembledSystem:
     """Build the element operators group by group and scatter them into
     one sparse block matrix.
 
-    Cells in singular_cells integrate loads and estimator volume terms on
-    a once-subdivided rule.
+    Cells in singular_cells integrate case data on subdivided rules
+    (``CellGroup.data_rule``).
     """
     params.validate()
     dof_u = build_dof_map(mesh, space_u)
@@ -205,45 +206,38 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     (g.dofs_u, g.dofs_u, g.A1), (g.dofs_u, g.dofs_p, -g.B),
                     (g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)),
                     (g.dofs_p, g.dofs_p, g.A3))])
-    return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K,
-                           groups, pressure_dirichlet_on_clamped)
+    return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K, groups)
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
 
-def assemble_rhs(system: AssembledSystem, f, g, *,
-                 bending_moment_data=None, pressure_flux_data=None) -> np.ndarray:
-    """Volume loads against the L2 projections plus natural boundary data.
-
-    f and g take an (n, 2) array of points; the optional data callbacks take
-    points (..., 2) and unit normals (..., 2) that broadcast against them,
-    and return the scalar trace of d_nn(u) respectively
-    gamma d_n(p) + alpha d_n(u).  Each callback is called once per group,
-    on all of the group's edges that carry its data.
+def assemble_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
+    """The case's loads f, g against the L2 projections plus its natural
+    boundary data: the bending moment on simply supported edges and the
+    combined flux on pressure-Neumann edges.  Each data method is called
+    once per group, on all of the group's edges that carry its data.
     """
     nk = poly_dim(system.space_u.degree)
     nl = poly_dim(system.space_p.degree)
-    order = 2 * system.space_u.degree + 4
     mesh = system.mesh
     moment_edges = mesh.edge_label == SIMPLY_SUPPORTED
-    flux_edges = mesh.on_boundary & ~pressure_is_dirichlet(
-        mesh, system.pressure_dirichlet_on_clamped)
+    flux_edges = mesh.on_boundary & ~case.pressure_dirichlet_edges(mesh)
     F = np.zeros(system.ndof)
     for grp in system.groups:
         cg = grp.ctx
-        pts, w = cg.rule(order, cg.singular_subdivide)
-        Vw = (monomials(pts, cg.centroid, cg.diameter, cg.max_degree)
-              * w[..., None]).swapaxes(1, 2)
-        loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(Vw[:, :nk], pointwise(f, pts)))
-        loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(Vw[:, :nl], pointwise(g, pts)))
+        pts, w = cg.data_rule()
+        Vw = (cg.basis(pts) * w[..., None]).swapaxes(1, 2)
+        f, g = pointwise(case.f, pts), pointwise(case.g, pts)
+        loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(Vw[:, :nk], f))
+        loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(Vw[:, :nl], g))
 
         for data_fn, on, moments, loc in (
-                (bending_moment_data, moment_edges, grp.defl.normal_moments, loc_u),
-                (pressure_flux_data, flux_edges, grp.pres.value_moments, loc_p)):
+                (case.bending_moment_data, moment_edges, grp.defl.normal_moments, loc_u),
+                (case.pressure_flux_data, flux_edges, grp.pres.value_moments, loc_p)):
             i, j = np.nonzero(on[cg.eid])
-            if data_fn is None or i.size == 0:
+            if i.size == 0:
                 continue
             data = data_fn(cg.edge_pts[i, j], cg.normal[i, j, None, :])
             fit = cg.efit(data[..., None], moments.shape[-2] - 1)[..., 0]

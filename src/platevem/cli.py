@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from .assembly import ModelParams, derive_params
 from .manufactured import get_case, known_case, rate_table
 from .mesh import (generate_lshape, generate_structured, load_mesh,
                    quality_report, uniform_refine)
-from .runner import (assemble_projected_mass, case_rhs, constrained_system,
+from .runner import (assemble_projected_mass, constrained_system,
                      fit_loglog_slope, run_convergence, spaces_for,
                      timestep_driver, voronoi_ladder)
 from .spaces import Family
@@ -142,9 +143,15 @@ class RunConfig:
             raise ConfigError("steps", "need at least one step")
         if self.mesh.n0 < 1:
             raise ConfigError("mesh.n0", "need at least one cell")
+        if self.mesh.lloyd < 0:
+            raise ConfigError("mesh.lloyd", "number of Lloyd sweeps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be >= 0")
         if self.mesh.kind not in ("voronoi", "structured", "lshape", "files"):
             raise ConfigError("mesh.kind", f"unknown kind {self.mesh.kind!r}")
         if self.mesh.kind == "files":
+            if not self.mesh.paths:
+                raise ConfigError("mesh.paths", "kind 'files' needs at least one path")
             for p in self.mesh.paths:
                 if not Path(p).exists():
                     raise ConfigError("mesh.paths", f"no such file {p!r}")
@@ -169,10 +176,13 @@ _MESH_TYPES = {"kind": "str", "n0": "int", "lloyd": "int"}
 
 
 def _check_type(path: str, value, kind: str) -> None:
-    """Reject a value of the wrong JSON type; an int is a valid float."""
+    """Reject a value of the wrong JSON type; an int is a valid float, and
+    a float must be finite (json accepts NaN and Infinity)."""
     allowed = {"int": int, "float": (int, float), "str": str}[kind]
     if not isinstance(value, allowed) or isinstance(value, bool):
         raise ConfigError(path, f"expected {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def _numbers(path: str, doc, names: tuple[str, ...], required: bool) -> dict:
@@ -348,9 +358,8 @@ def cmd_timestep(cfg: RunConfig) -> int:
         case, mesh, spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
-    seq = timestep_driver(system, constraints, case_rhs(system, case), M,
-                          steps=cfg.steps, u0=np.zeros(n_u),
-                          p0=np.zeros(system.dof_p.ndof), solver=cfg.solver_method)
+    seq = timestep_driver(system, constraints, case, M, steps=cfg.steps,
+                          solver=cfg.solver_method)
     rows = []
     for step, (Un, Pn) in enumerate(seq, start=1):
         X = np.concatenate([Un, Pn])

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem
+from .manufactured import ManufacturedCase
 from .mesh import CLAMPED, SIMPLY_SUPPORTED
 from .projectors import data_oscillation, matvec
 from .quadrature import gauss_01, monomials, pointwise, poly_dim
-from .spaces import Family, pressure_is_dirichlet
+from .spaces import Family
 
 N_PARTS = 9
 
@@ -64,22 +65,16 @@ def _poly(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return matvec(V[..., :coeffs.shape[-1]], coeffs)
 
 
-def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
-             f, g,
-             bending_moment_data=None,
-             pressure_flux_data=None,
-             grad_u_data=None,
-             pressure_trace_data=None) -> EstimatorReport:
+def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
+             case: ManufacturedCase) -> EstimatorReport:
     """Compute all local contributions and the global estimator.
 
-    f and g are the sources of the two equations.  The optional callbacks
-    supply boundary data: the prescribed bending moment on simply
-    supported edges, the combined normal flux on pressure-Neumann edges,
-    and for the nonconforming trace terms the gradient of the prescribed
-    deflection and the pressure trace on its Dirichlet edges.  Missing
-    callbacks mean homogeneous data.  Each callback is called once, on the
-    stacked Gauss points of all edges that carry its data; the first two
-    also take the edge normals, shaped to broadcast against the points.
+    The case supplies the sources f and g and the boundary data: the
+    prescribed bending moment on simply supported edges, the combined
+    normal flux on pressure-Neumann edges, and for the nonconforming trace
+    terms the gradient of the prescribed deflection and the pressure trace
+    on its Dirichlet edges.  Each data function is called once, on the
+    stacked Gauss points of all edges that carry its data.
     """
     mesh = system.mesh
     k = system.space_u.degree
@@ -92,7 +87,6 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
         include += (8,)
         if k >= 3:
             include += (9,)
-    vol_order = 2 * k + 4
     nk, nl = poly_dim(k), poly_dim(l)
     gl = max(l - 1, 0)
     n_u = system.dof_u.ndof
@@ -123,10 +117,10 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
             + matvec(cg.deriv((0, 1), k - 1), gu[1, cells])
 
         # volume residuals with data oscillation
-        pts, w = cg.rule(vol_order, cg.singular_subdivide)
-        V = monomials(pts, cg.centroid, h, cg.max_degree)
-        fvals = pointwise(f, pts)
-        gvals = pointwise(g, pts)
+        pts, w = cg.data_rule()
+        V = cg.basis(pts)
+        fvals = pointwise(case.f, pts)
+        gvals = pointwise(case.g, pts)
         R1 = (fvals - _poly(V, bilap_u) - _poly(V, matvec(defl.l2, uloc))
               - alpha * _poly(V, div_gp))
         R2 = (gvals + gamma * _poly(V, div_gp)
@@ -164,7 +158,7 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
     R = np.where(boundary, L, mesh.edge_cells[:, 1])
     simply = mesh.edge_label == SIMPLY_SUPPORTED
     clamped = mesh.edge_label == CLAMPED
-    dirichlet_p = pressure_is_dirichlet(mesh, system.pressure_dirichlet_on_clamped)
+    dirichlet_p = case.pressure_dirichlet_edges(mesh)
     natural_p = boundary & ~dirichlet_p
     t01, w01 = gauss_01(k + 2)
     p0 = mesh.vertices[mesh.edge_verts[:, 0]][:, None, :]
@@ -180,7 +174,7 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
         takes the points, and with normal=True also the edge normals."""
         out = np.zeros(pts.shape[:2] + comps)
         on = np.flatnonzero(on)
-        if fn is not None and on.size:
+        if on.size:
             out[on] = fn(pts[on], n[on]) if normal else pointwise(fn, pts[on])
         return out
 
@@ -211,24 +205,24 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray, *,
     acc = np.zeros((mesh.nedges, N_PARTS))
 
     # eta_3: bending moment jump; interior and simply supported edges
-    j3 = dnnL - np.where(inside, dnnR, data(bending_moment_data, simply, normal=True))
+    j3 = dnnL - np.where(inside, dnnR, data(case.bending_moment_data, simply, normal=True))
     acc[:, 2] = np.where(~boundary | simply, he * integral(j3), 0.0)
 
     # eta_4: shear plus coupling jump; interior edges only
     acc[:, 3] = np.where(boundary, 0.0, he ** 3 * integral(shearL - shearR))
 
     # eta_5: combined normal flux; interior and pressure-Neumann edges
-    j5 = fluxL - np.where(inside, fluxR, data(pressure_flux_data, natural_p, normal=True))
+    j5 = fluxL - np.where(inside, fluxR, data(case.pressure_flux_data, natural_p, normal=True))
     acc[:, 4] = np.where(~boundary | natural_p, he * integral(j5), 0.0)
 
     # eta_8: trace jumps of the gradient and the pressure (nonconforming);
     # the deflection value is prescribed on the whole boundary, its normal
     # slope only on the clamped part
     if nonconf:
-        grad_data = data(grad_u_data, boundary, comps=(2,))
+        grad_data = data(case.grad_u, boundary, comps=(2,))
         dgx = gxL - np.where(inside, gxR, grad_data[..., 0])
         dgy = gyL - np.where(inside, gyR, grad_data[..., 1])
-        dp = pvL - np.where(inside, pvR, data(pressure_trace_data, dirichlet_p))
+        dp = pvL - np.where(inside, pvR, data(case.p, dirichlet_p))
         s8_bnd = integral(tx * dgx + ty * dgy) \
             + np.where(clamped, integral(nx * dgx + ny * dgy), 0.0) \
             + np.where(dirichlet_p, integral(dp), 0.0)

@@ -28,7 +28,8 @@ import numpy.polynomial.polynomial as npoly
 from .assembly import AssembledSystem, ModelParams
 from .mesh import BoundaryLabel, PolygonalMesh
 from .projectors import data_oscillation, matvec
-from .quadrature import monomials, pointwise, poly_dim
+from .quadrature import pointwise, poly_dim
+from .spaces import pressure_is_dirichlet
 
 
 Pointwise = Callable[[np.ndarray], np.ndarray]
@@ -62,6 +63,10 @@ class ManufacturedCase:
         gp = (pointwise(self.grad_p, pts) * normal).sum(-1)
         gu = (pointwise(self.grad_u, pts) * normal).sum(-1)
         return self.params.gamma * gp + self.params.alpha * gu
+
+    def pressure_dirichlet_edges(self, mesh: PolygonalMesh) -> np.ndarray:
+        """(nedges,) whether each edge carries the case's Dirichlet pressure."""
+        return pressure_is_dirichlet(mesh, self.pressure_dirichlet_on_clamped)
 
     def singular_cells(self, mesh: PolygonalMesh, tol: float = 1e-10) -> frozenset[int]:
         """Cells with a vertex within tol of a singular point."""
@@ -296,12 +301,10 @@ class ErrorReport:
 
 def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
                    case: ManufacturedCase) -> ErrorReport:
-    """Error norms on cell rules of order 2k+4, subdivided 3 times in the
-    groups of singular cells."""
+    """Error norms on the fine data rule of each group (``CellGroup.data_rule``)."""
     k = system.space_u.degree
     l = system.space_p.degree
     nk, nl = poly_dim(k), poly_dim(l)
-    order = 2 * k + 4
     beta, gamma = system.params.beta, system.params.gamma
     n_u = system.dof_u.ndof
 
@@ -311,10 +314,10 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     for grp in system.groups:
         cg = grp.ctx
         cells, h = cg.cells, cg.diameter
-        pts, w = cg.rule(order, 3 * cg.singular_subdivide)
+        pts, w = cg.data_rule(fine=True)
 
         def table(deriv, n=None):
-            return monomials(pts, cg.centroid, h, cg.max_degree, deriv)[..., :n]
+            return cg.basis(pts, deriv)[..., :n]
 
         uloc = U[grp.dofs_u]
         ploc = P[grp.dofs_p - n_u]

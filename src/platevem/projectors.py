@@ -186,6 +186,17 @@ class CellGroup:
         tris = polygon_triangles(self.coords, self.centroid)
         return map_triangles(subdivide_triangles(tris, subdivide), order)
 
+    def data_rule(self, fine: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The rule on which case data is integrated: order 2 max_degree + 4,
+        with singular groups split once (loads, estimator) or three times
+        (error norms, fine=True)."""
+        return self.rule(2 * self.max_degree + 4,
+                         (3 if fine else 1) * self.singular_subdivide)
+
+    def basis(self, pts: np.ndarray, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
+        """(ncells, npts, dim) scaled monomials at points (ncells, npts, 2)."""
+        return monomials(pts, self.centroid, self.diameter, self.max_degree, deriv)
+
     # tables ------------------------------------------------------------
     def _table(self, where: str, deriv: tuple[int, int]) -> np.ndarray:
         key = (where, deriv)

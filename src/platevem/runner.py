@@ -2,12 +2,13 @@
 
 Every experiment runs one level pipeline: assemble the system of a
 manufactured case on one mesh and build its essential boundary values as
-a ``Constraints`` value (``constrained_system``), then add the case
+a ``Constraints`` value (``constrained_system``), then assemble the case
 loads, factor once with those constraints, solve, and measure
-(``solve_level``).  On top of it sit the uniform convergence
-ladders, the patch solve with operator-synthesized data, and the
-two-step time discretisation where previous states feed the right-hand
-side through their projected polynomial representations.
+(``solve_level``); loads, error norms and the estimator read the case
+itself.  On top of it sit the uniform convergence ladders, the patch
+solve with operator-synthesized data, and the two-step time
+discretisation where previous states feed the right-hand side through
+their projected polynomial representations.
 """
 
 from __future__ import annotations
@@ -52,21 +53,12 @@ def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
     """The case's operator on one mesh and its essential boundary values,
     which every solve of that operator takes."""
     space_u, space_p = spaces
-    system = assemble_system(
-        mesh, space_u, space_p, case.params,
-        pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped,
-        singular_cells=case.singular_cells(mesh))
+    system = assemble_system(mesh, space_u, space_p, case.params,
+                             singular_cells=case.singular_cells(mesh))
     return system, Constraints.join(
         apply_essential_bc(system.dof_u, mesh, value=case.u, grad=case.grad_u),
         apply_essential_bc(system.dof_p, mesh, value=case.p,
                            pressure_dirichlet_on_clamped=case.pressure_dirichlet_on_clamped))
-
-
-def case_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
-    """Volume loads and natural boundary data of the case."""
-    return assemble_rhs(system, case.f, case.g,
-                        bending_moment_data=case.bending_moment_data,
-                        pressure_flux_data=case.pressure_flux_data)
 
 
 @dataclass
@@ -82,14 +74,9 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem,
                 constraints: Constraints, *, solver: str = "direct",
                 with_estimator: bool = True) -> LevelResult:
     """Solve the case under its constraints, then measure the solution."""
-    U, P = factor_system(system, constraints, solver).solve(case_rhs(system, case))
+    U, P = factor_system(system, constraints, solver).solve(assemble_rhs(system, case))
     report = compute_errors(system, U, P, case)
-    est = None
-    if with_estimator:
-        est = estimate(system, U, P, f=case.f, g=case.g,
-                       bending_moment_data=case.bending_moment_data,
-                       pressure_flux_data=case.pressure_flux_data,
-                       grad_u_data=case.grad_u, pressure_trace_data=case.p)
+    est = estimate(system, U, P, case) if with_estimator else None
     mesh = system.mesh
     return LevelResult(mesh.h, mesh.ncells, system.ndof, report, est)
 
@@ -98,7 +85,7 @@ def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
                k: int, l: int, *, solver: str = "direct"):
     """Constrained system and discrete solution of one case on one mesh."""
     system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
-    U, P = factor_system(system, constraints, solver).solve(case_rhs(system, case))
+    U, P = factor_system(system, constraints, solver).solve(assemble_rhs(system, case))
     return system, U, P
 
 
@@ -160,20 +147,21 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
 
 
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
-                    F: np.ndarray, M: sp.csr_matrix, *,
-                    steps: int, u0: np.ndarray, p0: np.ndarray,
-                    solver: str = "direct") -> list[tuple[np.ndarray, np.ndarray]]:
-    """March the one-step system with unit time step.
+                    case: ManufacturedCase, M: sp.csr_matrix, *,
+                    steps: int, solver: str = "direct"
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """March the one-step system with unit time step from rest.
 
-    F is the assembled load of step-independent data and M the projected
-    mass of ``assemble_projected_mass``.  Each step solves the static
-    system with the load F + M [2 u_n - u_{n-1}, p_n], so the previous
-    states act through their projections; the first step takes
-    u_{-1} = u0, and the operator is factored once for the whole march.
-    The boundary values of the constraints are held fixed over the march.
+    Each step solves the static system with the load F + M [2 u_n - u_{n-1},
+    p_n], where F is the case's load, assembled once, and M the projected
+    mass of ``assemble_projected_mass``; so the previous states act through
+    their projections.  The operator is factored once, and the boundary
+    values of the constraints are held fixed over the march.
     """
+    F = assemble_rhs(system, case)
     factored = factor_system(system, constraints, solver)
-    un, um1, pn = u0.copy(), u0.copy(), p0.copy()
+    un = um1 = np.zeros(system.dof_u.ndof)
+    pn = np.zeros(system.dof_p.ndof)
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(steps):
         U, P = factored.solve(F + M @ np.concatenate([2.0 * un - um1, pn]))
@@ -183,12 +171,12 @@ def timestep_driver(system: AssembledSystem, constraints: Constraints,
 
 
 def steady_timestep_state(system: AssembledSystem, constraints: Constraints,
-                          F: np.ndarray):
-    """Fixed point of the time march for step-independent data.
+                          case: ManufacturedCase):
+    """Fixed point of the time march for the case's step-independent data.
 
     Subtracting the projected-mass feedback from the operator and solving
     once gives the state that the march reproduces identically.
     """
     M = assemble_projected_mass(system)
     shifted = replace(system, K=(system.K - M).tocsr())
-    return factor_system(shifted, constraints).solve(F)
+    return factor_system(shifted, constraints).solve(assemble_rhs(system, case))

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,21 @@ from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh,
                            refine)
 from platevem.quadrature import (ScaledMonomialBasis, gauss_01, poly_dim, polygon_rule,
                                  triangle_rule_reference)
-from platevem.runner import (assemble_projected_mass, case_rhs,
+from platevem.runner import (assemble_projected_mass,
                              constrained_system, run_convergence, solve_case,
                              solve_patch, spaces_for, steady_timestep_state,
                              timestep_driver)
 from platevem.spaces import Family
 
 PARAMS = ModelParams(0.9, 1.2, 1.5)
+
+
+def scaled(case, c):
+    """The case with every data closure multiplied by c."""
+    def times(fn):
+        return lambda pts: c * fn(pts)
+    return replace(case, **{name: times(getattr(case, name)) for name in
+                            ("u", "grad_u", "hess_u", "p", "grad_p", "f", "g")})
 
 
 def cell_dofs(dofmap, mesh, c):
@@ -106,8 +115,7 @@ class TestGlobalSystem:
     def test_rhs_zero_data(self, voronoi25):
         space_u, space_p = spaces_for(Family.CONFORMING, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
-        zero = lambda pts: np.zeros(len(pts))
-        F = assemble_rhs(system, zero, zero)
+        F = assemble_rhs(system, scaled(get_case("smooth", params=PARAMS), 0.0))
         assert np.abs(F).max() == 0.0
 
     def test_rhs_linearity(self, voronoi25):
@@ -115,9 +123,9 @@ class TestGlobalSystem:
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
         f1 = lambda pts: np.sin(pts[:, 0]) * pts[:, 1]
         g1 = lambda pts: pts[:, 0] + pts[:, 1] ** 2
-        Fa = assemble_rhs(system, f1, g1)
-        Fb = assemble_rhs(system, lambda pts: 2 * f1(pts),
-                          lambda pts: 2 * g1(pts))
+        case = replace(get_case("smooth", params=PARAMS), f=f1, g=g1)
+        Fa = assemble_rhs(system, case)
+        Fb = assemble_rhs(system, scaled(case, 2.0))
         assert np.abs(Fb - 2 * Fa).max() < 1e-12 * np.abs(Fa).max()
 
 
@@ -176,7 +184,7 @@ class TestGroupedBuild:
         build_element and polygon_rule per cell: loads on the group's
         subdivision (1 at singular cells), errors on subdivision 3 there."""
         system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
-        F = case_rhs(system, case)
+        F = assemble_rhs(system, case)
         U, P = factor_system(system, constraints).solve(F)
         energy2 = compute_errors(system, U, P, case).cell_energy2
         singular = case.singular_cells(mesh)
@@ -315,12 +323,9 @@ class TestTimestepping:
         case = get_case("smooth")
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
-        U, P = factor_system(system, constraints).solve(case_rhs(system, case))
-        u0 = np.zeros(system.dof_u.ndof)
-        p0 = np.zeros(system.dof_p.ndof)
-        hist = timestep_driver(system, constraints, case_rhs(system, case),
-                               assemble_projected_mass(system),
-                               steps=1, u0=u0, p0=p0)
+        U, P = factor_system(system, constraints).solve(assemble_rhs(system, case))
+        hist = timestep_driver(system, constraints, case,
+                               assemble_projected_mass(system), steps=1)
         U1, P1 = hist[-1]
         scale = max(np.abs(U).max(), np.abs(P).max())
         assert np.abs(U1 - U).max() < 1e-10 * scale
@@ -332,14 +337,9 @@ class TestTimestepping:
         case = get_case("smooth", params=ModelParams(1.0, 2.0, 1.0))
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
-        u0 = np.zeros(system.dof_u.ndof)
-        p0 = np.zeros(system.dof_p.ndof)
-        F = assemble_rhs(system, case.f, case.g,
-                         bending_moment_data=case.bending_moment_data,
-                         pressure_flux_data=case.pressure_flux_data)
-        hist = timestep_driver(system, constraints, F, assemble_projected_mass(system),
-                               steps=60, u0=u0, p0=p0)
-        Us, Ps = steady_timestep_state(system, constraints, F)
+        hist = timestep_driver(system, constraints, case,
+                               assemble_projected_mass(system), steps=60)
+        Us, Ps = steady_timestep_state(system, constraints, case)
         Ue, Pe = hist[-1]
         scale = max(np.abs(Us).max(), np.abs(Ps).max())
         assert np.abs(Ue - Us).max() < 1e-6 * scale
@@ -367,16 +367,13 @@ class TestFactorOnce:
         case = get_case("smooth")
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
-        F = case_rhs(system, case)
         M = assemble_projected_mass(system)
         splu = count_calls(monkeypatch, assembly.spla, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
-        hist = timestep_driver(system, constraints, F, M, steps=6,
-                               u0=np.zeros(system.dof_u.ndof),
-                               p0=np.zeros(system.dof_p.ndof))
+        hist = timestep_driver(system, constraints, case, M, steps=6)
         assert len(hist) == 6
         assert len(splu) == 1
-        assert rhs == []
+        assert len(rhs) == 1
 
     def test_convergence_factors_once_per_level(self, monkeypatch, voronoi25):
         case = get_case("smooth")

@@ -103,6 +103,13 @@ class TestExitCodes:
         ({"mesh": {"kind": "files", "paths": "x"}}, "mesh.paths"),
         ({"mesh": 3}, "mesh"),
         ({"case": "polygon"}, "case"),
+        ({"mesh": {"kind": "files"}}, "mesh.paths"),
+        ({"mesh": {"kind": "voronoi", "lloyd": -3}}, "mesh.lloyd"),
+        ({"seed": -1}, "seed"),
+        ({"params": {"beta": float("nan")}}, "params.beta"),
+        ({"params": {"alpha": float("inf")}}, "params.alpha"),
+        ({"physical": {"lam": 1.0, "mu": float("nan"), "alpha": 1.0, "c0": 0.1}},
+         "physical.mu"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from platevem.assembly import ModelParams, assemble_system
+from platevem.assembly import ModelParams, assemble_rhs, assemble_system
 from platevem.estimator import EstimatorReport, estimate
 from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import BoundaryLabel, generate_lshape, generate_structured
@@ -15,12 +17,28 @@ def estimate_for(case, mesh, family, k, l, U=None, P=None):
     system, Us, Ps = solve_case(case, mesh, family, k, l)
     if U is None:
         U, P = Us, Ps
-    return system, estimate(
-        system, U, P, f=case.f, g=case.g,
-        bending_moment_data=case.bending_moment_data,
-        pressure_flux_data=case.pressure_flux_data,
-        grad_u_data=case.grad_u,
-        pressure_trace_data=case.p)
+    return system, estimate(system, U, P, case)
+
+
+def zeroed(case, *names):
+    """The case with the named closures replaced by zeros of their shapes."""
+    def zero(fn):
+        return lambda pts: np.zeros_like(fn(pts))
+    return replace(case, **{name: zero(getattr(case, name)) for name in names})
+
+
+def count_data(case, name: str) -> list:
+    """Record the calls of one of the case's data methods, wrapped as an
+    instance attribute."""
+    calls = []
+    method = getattr(case, name)
+
+    def counted(pts, normal):
+        calls.append(pts)
+        return method(pts, normal)
+
+    setattr(case, name, counted)
+    return calls
 
 
 class TestGlobalEta:
@@ -41,11 +59,7 @@ class TestExactness:
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
         U = interpolate(voronoi25, system.dof_u, case.u, case.grad_u)
         P = interpolate(voronoi25, system.dof_p, case.p)
-        rep = estimate(system, U, P, f=case.f, g=case.g,
-                       bending_moment_data=case.bending_moment_data,
-                       pressure_flux_data=case.pressure_flux_data,
-                       grad_u_data=case.grad_u,
-                       pressure_trace_data=case.p)
+        rep = estimate(system, U, P, case)
         comps = np.sqrt(rep.components2)
         # Every residual and jump term collapses to roundoff.  The one
         # exception is the coupling-distance term eta_7: it measures how far
@@ -58,10 +72,11 @@ class TestExactness:
     def test_zero_solution_zero_data(self, voronoi25):
         space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
-        zero = lambda pts: np.zeros(len(pts))
+        case = zeroed(get_case("smooth", params=PARAMS),
+                      "u", "grad_u", "hess_u", "p", "grad_p", "f", "g")
         U = np.zeros(system.dof_u.ndof)
         P = np.zeros(system.dof_p.ndof)
-        rep = estimate(system, U, P, f=zero, g=zero)
+        rep = estimate(system, U, P, case)
         assert rep.eta == 0.0
         assert np.all(rep.components2 == 0.0)
 
@@ -114,15 +129,8 @@ class TestBoundaryEdgeSets:
         U = interpolate(mesh, system.dof_u, case.u, case.grad_u)
         P = interpolate(mesh, system.dof_p, case.p)
 
-        calls = []
-
-        def moment_data(pts, normal):
-            calls.append(pts)
-            return case.bending_moment_data(pts, normal)
-
-        estimate(system, U, P, f=case.f, g=case.g,
-                 bending_moment_data=moment_data,
-                 pressure_flux_data=case.pressure_flux_data)
+        calls = count_data(case, "bending_moment_data")
+        estimate(system, U, P, case)
         assert not calls   # never evaluated on a clamped-only boundary
 
     def test_simply_supported_square_queries_moment_data(self):
@@ -133,19 +141,9 @@ class TestBoundaryEdgeSets:
         U = interpolate(mesh, system.dof_u, case.u, case.grad_u)
         P = interpolate(mesh, system.dof_p, case.p)
 
-        moment_calls, flux_calls = [], []
-
-        def moment_data(pts, normal):
-            moment_calls.append(pts)
-            return case.bending_moment_data(pts, normal)
-
-        def flux_data(pts, normal):
-            flux_calls.append(pts)
-            return case.pressure_flux_data(pts, normal)
-
-        estimate(system, U, P, f=case.f, g=case.g,
-                 bending_moment_data=moment_data,
-                 pressure_flux_data=flux_data)
+        moment_calls = count_data(case, "bending_moment_data")
+        flux_calls = count_data(case, "pressure_flux_data")
+        estimate(system, U, P, case)
         assert moment_calls        # every boundary edge is simply supported
         assert not flux_calls      # ... so pressure is Dirichlet everywhere
 
@@ -156,10 +154,27 @@ class TestBoundaryEdgeSets:
             8, 8, labeler=lambda m: BoundaryLabel.SIMPLY_SUPPORTED)
         case = get_case("smooth", params=PARAMS)
         system, U, P = solve_case(case, mesh, Family.CONFORMING, 2, 1)
-        with_data = estimate(system, U, P, f=case.f, g=case.g,
-                             bending_moment_data=case.bending_moment_data)
-        without = estimate(system, U, P, f=case.f, g=case.g)
+        with_data = estimate(system, U, P, case)
+        without = estimate(system, U, P, zeroed(case, "hess_u"))
         assert with_data.component(3) < without.component(3)
+
+    @pytest.mark.parametrize("name, queried", [("poly", False), ("smooth", True)])
+    def test_loads_and_estimator_follow_case_pressure_flag(self, name, queried):
+        """On a clamped-only boundary the flux data is needed exactly when
+        the case keeps the pressure natural on clamped edges: never for the
+        polynomial case (Dirichlet there), always for the smooth one."""
+        mesh = self._grid_case(lambda m: BoundaryLabel.CLAMPED)
+        case = get_case(name, params=PARAMS, k=2, l=1)
+        assert case.pressure_dirichlet_on_clamped is not queried
+        system = assemble_system(mesh, *spaces_for(Family.CONFORMING, 2, 1), PARAMS)
+        U = interpolate(mesh, system.dof_u, case.u, case.grad_u)
+        P = interpolate(mesh, system.dof_p, case.p)
+        calls = count_data(case, "pressure_flux_data")
+        assemble_rhs(system, case)
+        assert bool(calls) is queried
+        calls.clear()
+        estimate(system, U, P, case)
+        assert bool(calls) is queried
 
 
 class TestSingularityDetection:
