@@ -177,12 +177,19 @@ _MESH_TYPES = {"kind": "str", "n0": "int", "lloyd": "int"}
 
 def _check_type(path: str, value, kind: str) -> None:
     """Reject a value of the wrong JSON type; an int is a valid float, and
-    a float must be finite (json accepts NaN and Infinity)."""
+    a float must be finite (json accepts NaN and Infinity, and ints beyond
+    the float range)."""
     allowed = {"int": int, "float": (int, float), "str": str}[kind]
     if not isinstance(value, allowed) or isinstance(value, bool):
         raise ConfigError(path, f"expected {kind}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if kind == "float":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigError(path, "expected a finite number, got an integer "
+                                    "beyond the float range") from None
+        if not finite:
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def _numbers(path: str, doc, names: tuple[str, ...], required: bool) -> dict:

@@ -29,7 +29,7 @@ from .assembly import AssembledSystem
 from .manufactured import ManufacturedCase
 from .mesh import CLAMPED, SIMPLY_SUPPORTED
 from .projectors import data_oscillation, matvec
-from .quadrature import gauss_01, monomials, pointwise, poly_dim
+from .quadrature import PowerTable, gauss_01, pointwise, poly_dim
 from .spaces import Family
 
 N_PARTS = 9
@@ -118,7 +118,7 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
         # volume residuals with data oscillation
         pts, w = cg.data_rule()
-        V = cg.basis(pts)
+        V = cg.powers(pts).gather()
         fvals = pointwise(case.f, pts)
         gvals = pointwise(case.g, pts)
         R1 = (fvals - _poly(V, bilap_u) - _poly(V, matvec(defl.l2, uloc))
@@ -180,9 +180,8 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
     def traces(side: np.ndarray):
         """Edge traces of the polynomials of the cells on one side."""
-        def tab(deriv):
-            return monomials(pts, mesh.centroids[side], mesh.diameters[side],
-                             max(k, l), deriv)
+        tab = PowerTable.at(pts, mesh.centroids[side], mesh.diameters[side],
+                            max(k, l)).gather
 
         du = {d: _poly(tab(d), cu_pd[side]) for d in
               [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]}

@@ -42,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import MeshError, PolygonalMesh, SideStructure, corner_mask, size_groups
-from .quadrature import (edge_monomial_integrals, fan_is_star, gauss_01, map_triangles,
-                         monomials, poly_dim, polygon_triangles, subdivide_triangles,
+from .quadrature import (PowerTable, edge_monomial_integrals, fan_is_star, gauss_01,
+                         map_triangles, poly_dim, polygon_triangles, subdivide_triangles,
                          unit_deriv_matrix)
 from .spaces import DofLayout, Family, SpaceKind
 
@@ -193,20 +193,28 @@ class CellGroup:
         return self.rule(2 * self.max_degree + 4,
                          (3 if fine else 1) * self.singular_subdivide)
 
-    def basis(self, pts: np.ndarray, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """(ncells, npts, dim) scaled monomials at points (ncells, npts, 2)."""
-        return monomials(pts, self.centroid, self.diameter, self.max_degree, deriv)
+    def powers(self, pts: np.ndarray) -> PowerTable:
+        """Power table of the scaled monomials at points (ncells, npts, 2);
+        its tables have shape (ncells, npts, dim)."""
+        return PowerTable.at(pts, self.centroid, self.diameter, self.max_degree)
 
     # tables ------------------------------------------------------------
     def _table(self, where: str, deriv: tuple[int, int]) -> np.ndarray:
-        key = (where, deriv)
-        if key not in self._tabs:
+        """Memoised table at one point set.  The value table is gathered
+        from powers formed at the points; every derivative is gathered
+        from the powers that the value table holds."""
+        if (where, deriv) not in self._tabs:
             pts, center, h = {
                 "vol": (self.vol_pts, self.centroid, self.diameter),
                 "edge": (self.edge_pts, self.centroid[:, None], self.diameter[:, None]),
                 "vert": (self.coords, self.centroid, self.diameter)}[where]
-            self._tabs[key] = monomials(pts, center, h, self.max_degree, deriv)
-        return self._tabs[key]
+            if deriv == (0, 0):
+                powers = PowerTable.at(pts, center, h, self.max_degree)
+            else:
+                powers = PowerTable.of_values(self._table(where, (0, 0)), h,
+                                              self.max_degree)
+            self._tabs[where, deriv] = powers.gather(deriv)
+        return self._tabs[where, deriv]
 
     def vtab(self, deriv: tuple[int, int]) -> np.ndarray:
         """(ncells, nq, dim) at the volume points."""

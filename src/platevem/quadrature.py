@@ -68,11 +68,7 @@ class ScaledMonomialBasis:
     degree: int
 
     def eval(self, pts: np.ndarray, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """Evaluate d^deriv m_a at pts, returning shape (npts, dim).
-
-        Derivatives of a scaled monomial stay in the family:
-        d_x m_(a,b) = (a / h_K) m_(a-1,b), so the table is exact.
-        """
+        """Evaluate d^deriv m_a at pts, returning shape (npts, dim)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         return monomials(pts, self.center, self.diameter, self.degree, deriv)
 
@@ -87,18 +83,60 @@ class ScaledMonomialBasis:
         return unit_deriv_matrix(deriv, degree_in) / self.diameter ** sum(deriv)
 
 
+@dataclass(frozen=True)
+class PowerTable:
+    """Powers s^0 .. s^degree of the scaled coordinates s = (x - x_K) / h_K
+    at one point set.  Every scaled monomial table and every derivative
+    table at those points is a gather of two powers times a weight, so a
+    caller that needs several derivatives forms the powers once.
+    """
+
+    px: np.ndarray  # (..., npts, degree + 1): s_x^0 .. s_x^degree
+    py: np.ndarray  # (..., npts, degree + 1): s_y^0 .. s_y^degree
+    h: np.ndarray   # (..., 1, 1): the diameters
+
+    @classmethod
+    def at(cls, pts: np.ndarray, center: np.ndarray, diameter, degree: int) -> PowerTable:
+        """Powers by repeated multiplication.  pts has shape (..., npts, 2);
+        center (..., 2) and diameter (...) give one element per leading
+        index, so stacked elements evaluate at once."""
+        h = np.asarray(diameter, dtype=np.float64)[..., None, None]
+        s = np.moveaxis((pts - np.asarray(center)[..., None, :]) / h, -1, 0)
+        powers = np.empty((*s.shape, degree + 1))
+        powers[..., 0] = 1.0
+        for j in range(1, degree + 1):
+            np.multiply(powers[..., j - 1], s, out=powers[..., j])
+        return cls(*powers, h)
+
+    @classmethod
+    def of_values(cls, values: np.ndarray, diameter, degree: int) -> PowerTable:
+        """The powers held in a value table of this degree: its columns
+        (a, 0) and (0, a) are s_x^a and s_y^a times exactly 1."""
+        a = np.arange(degree + 1)
+        first = a * (a + 1) // 2
+        return cls(values[..., first], values[..., first + a],
+                   np.asarray(diameter, dtype=np.float64)[..., None, None])
+
+    def gather(self, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
+        """d^deriv of the scaled monomials, shape (..., npts, dim).
+
+        Derivatives of a scaled monomial stay in the family:
+        d_x m_(a,b) = (a / h_K) m_(a-1,b), so the table is exact.
+        """
+        dx, dy = deriv
+        ax, ay, coef = _deriv_tables(self.px.shape[-1] - 1, dx, dy)
+        # in place: the gathered py columns are the one temporary of this size
+        out = self.px[..., ax]
+        out *= self.py[..., ay]
+        out *= coef / self.h ** (dx + dy)
+        return out
+
+
 def monomials(pts: np.ndarray, center: np.ndarray, diameter, degree: int,
               deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """d^deriv of the scaled monomials at pts, shape (..., npts, dim).
-
-    pts has shape (..., npts, 2); center (..., 2) and diameter (...) give
-    one element per leading index, so stacked elements evaluate at once.
-    """
-    dx, dy = deriv
-    ax, ay, coef = _deriv_tables(degree, dx, dy)
-    h = np.asarray(diameter, dtype=np.float64)[..., None, None]
-    s = (pts - np.asarray(center)[..., None, :]) / h
-    return s[..., 0, None] ** ax * s[..., 1, None] ** ay * (coef / h ** (dx + dy))
+    """d^deriv of the scaled monomials at pts, shape (..., npts, dim); one
+    table of ``PowerTable``."""
+    return PowerTable.at(pts, center, diameter, degree).gather(deriv)
 
 
 def pointwise(fn, pts: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platevem import assembly, quadrature, runner
+from platevem import assembly, projectors, quadrature, runner
 from platevem.assembly import (ModelParams, assemble_rhs, assemble_system,
                                build_element, derive_params, factor_system)
 from platevem.cli import main
@@ -13,8 +13,8 @@ from platevem.manufactured import compute_errors, get_case, polynomial_case
 from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh,
                            generate_lshape, generate_structured, generate_voronoi,
                            refine)
-from platevem.quadrature import (ScaledMonomialBasis, gauss_01, poly_dim, polygon_rule,
-                                 triangle_rule_reference)
+from platevem.quadrature import (PowerTable, ScaledMonomialBasis, gauss_01, poly_dim,
+                                 polygon_rule, triangle_rule_reference)
 from platevem.runner import (assemble_projected_mass,
                              constrained_system, run_convergence, solve_case,
                              solve_patch, spaces_for, steady_timestep_state,
@@ -421,3 +421,50 @@ class TestNoPerCellLoop:
         assert levels[0].est is not None
         assert rules == []
         assert evals == []
+
+    def test_one_power_table_per_point_set(self, monkeypatch, voronoi25):
+        """Each point set a level reads has its coordinate powers formed
+        once, and every table on it is gathered from them: the element
+        tables at the volume, edge and vertex points of each group (whose
+        derivatives take the powers their value table holds), the data
+        rules of loads, error norms and estimator of each group, and the
+        two sides of the estimator's edge traces."""
+        readers = ("_table", "assemble_rhs", "compute_errors", "estimate", "traces")
+        at, gather = PowerTable.at, PowerTable.gather
+        formed, gathers, groups = [], [], []
+
+        def counted_at(cls, *args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in readers:
+                frame = frame.f_back
+            formed.append((frame.f_code.co_name, at(*args)))
+            return formed[-1][1]
+
+        def counted_gather(self, deriv=(0, 0)):
+            gathers.append(self)
+            return gather(self, deriv)
+
+        monkeypatch.setattr(PowerTable, "at", classmethod(counted_at))
+        monkeypatch.setattr(PowerTable, "gather", counted_gather)
+        from_values = count_calls(monkeypatch, PowerTable, "of_values")
+        init = projectors.CellGroup.__init__
+
+        def counted_init(cg, *args, **kwargs):
+            groups.append(cg)
+            init(cg, *args, **kwargs)
+
+        monkeypatch.setattr(projectors.CellGroup, "__init__", counted_init)
+        run_convergence(get_case("smooth"), [voronoi25], Family.CONFORMING, 2, 1)
+
+        n = len(groups)
+        assert n > 1
+        assert {r: sum(reader == r for reader, _ in formed) for r in readers} == \
+            {"_table": 3 * n, "assemble_rhs": n, "compute_errors": n, "estimate": n,
+             "traces": 2}
+        tables = {"_table": 1, "assemble_rhs": 1, "estimate": 1, "compute_errors": 6,
+                  "traces": 10}
+        for reader, powers in formed:
+            assert sum(g is powers for g in gathers) == tables[reader]
+        # every memoised derivative table, and only those, reads the powers
+        # of its point set's value table
+        assert len(from_values) == sum(len(cg._tabs) for cg in groups) - 3 * n

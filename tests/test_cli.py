@@ -110,6 +110,9 @@ class TestExitCodes:
         ({"params": {"alpha": float("inf")}}, "params.alpha"),
         ({"physical": {"lam": 1.0, "mu": float("nan"), "alpha": 1.0, "c0": 0.1}},
          "physical.mu"),
+        ({"params": {"beta": 10 ** 400}}, "params.beta"),
+        ({"physical": {"lam": 1.0, "mu": 1.0, "alpha": 10 ** 400, "c0": 0.1}},
+         "physical.alpha"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):

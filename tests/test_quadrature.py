@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platevem.quadrature import (QuadratureRule, ScaledMonomialBasis,
+from platevem.quadrature import (PowerTable, QuadratureRule, ScaledMonomialBasis,
                                  edge_monomial_integrals, edge_rule, gauss_01,
-                                 monomial_exponents, poly_dim,
+                                 monomial_exponents, monomials, poly_dim,
                                  polygon_area_centroid, polygon_rule,
                                  triangle_rule_reference)
 
@@ -159,6 +161,105 @@ class TestScaledMonomialBasis:
     def test_deriv_matrix_annihilates_low_degree(self):
         M = self.basis.deriv_matrix((3, 2), 4)
         assert M.shape == (0, 15)
+
+
+def reference_monomials(pts, center, diameter, degree, deriv):
+    """d^deriv of ((x - x_K) / h_K)^(a, b), one exponent pair at a time with
+    the power operator and the falling factorials written out."""
+    dx, dy = deriv
+    h = np.asarray(diameter, dtype=np.float64)[..., None]
+    s = (pts - np.asarray(center)[..., None, :]) / h[..., None]
+    cols = []
+    for d in range(degree + 1):
+        for b in range(d + 1):
+            a = d - b
+            if a < dx or b < dy:
+                cols.append(np.zeros(s.shape[:-1]))
+            else:
+                coef = math.perm(a, dx) * math.perm(b, dy)
+                cols.append(coef * s[..., 0] ** (a - dx) * s[..., 1] ** (b - dy)
+                            / h ** (dx + dy))
+    return np.stack(cols, axis=-1)
+
+
+def derivs_up_to(order):
+    return [(dx, n - dx) for n in range(order + 1) for dx in range(n + 1)]
+
+
+# Bound fixed from a rounding count, before any measurement: s^a by
+# repeated products is within (a - 1) u, the two powers, their product and
+# the weight add 3 u, and the reference's powers, products and division
+# about 5 u, so degree + 8 units of roundoff u = 2^-53 cover both sides.
+# Below 1e-290 both sides may round to subnormals and only the floor holds.
+def assert_matches_reference(table, ref, degree):
+    bound = (degree + 8) * np.finfo(np.float64).eps / 2
+    assert np.all(np.abs(table - ref) <= bound * np.abs(ref) + 1e-290)
+
+
+class TestPowerTableMonomials:
+    """Monomial tables gathered from one power table, against the
+    reference above."""
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_flat_points(self, degree):
+        rng = np.random.default_rng(degree)
+        pts = rng.uniform(-1.0, 2.0, size=(40, 2))
+        center, h = np.array([0.4, 0.7]), 1.3
+        powers = PowerTable.at(pts, center, h, degree)
+        for deriv in derivs_up_to(degree + 1):
+            table = powers.gather(deriv)
+            assert table.shape == (40, poly_dim(degree))
+            assert_matches_reference(
+                table, reference_monomials(pts, center, h, degree, deriv), degree)
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_stacked_points(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        center = rng.uniform(-3.0, 3.0, size=(7, 2))
+        h = rng.uniform(0.05, 2.0, size=7)
+        pts = center[:, None, :] + h[:, None, None] * rng.uniform(-1, 1, size=(7, 30, 2))
+        powers = PowerTable.at(pts, center, h, degree)
+        for deriv in derivs_up_to(degree + 1):
+            table = powers.gather(deriv)
+            assert table.shape == (7, 30, poly_dim(degree))
+            assert_matches_reference(
+                table, reference_monomials(pts, center, h, degree, deriv), degree)
+            assert np.array_equal(table, monomials(pts, center, h, degree, deriv))
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_exact_entries(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        center = rng.uniform(-1.0, 1.0, size=(5, 2))
+        h = rng.uniform(0.1, 1.0, size=5)
+        pts = rng.uniform(-2.0, 2.0, size=(5, 12, 2))
+        powers = PowerTable.at(pts, center, h, degree)
+        assert np.all(powers.gather()[..., 0] == 1.0)
+        exps = monomial_exponents(degree)
+        for dx, dy in derivs_up_to(degree + 1):
+            below = (exps[:, 0] < dx) | (exps[:, 1] < dy)
+            assert np.all(powers.gather((dx, dy))[..., below] == 0.0)
+        at_centre = PowerTable.at(center[:, None, :], center, h, degree).gather()
+        e0 = np.eye(1, poly_dim(degree))
+        assert np.array_equal(at_centre, np.broadcast_to(e0, at_centre.shape))
+        held = PowerTable.of_values(powers.gather(), h, degree)
+        assert np.array_equal(held.px, powers.px) and np.array_equal(held.py, powers.py)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(min_value=0, max_value=8),
+       center=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+       diameter=st.floats(1e-2, 10),
+       unit_pts=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                         min_size=1, max_size=12))
+def test_power_table_monomials_random(degree, center, diameter, unit_pts):
+    """Random centre, diameter and points within a diameter of the centre."""
+    center = np.array(center)
+    pts = center + diameter * np.array(unit_pts)
+    powers = PowerTable.at(pts, center, diameter, degree)
+    for deriv in derivs_up_to(degree + 1):
+        assert_matches_reference(
+            powers.gather(deriv),
+            reference_monomials(pts, center, diameter, degree, deriv), degree)
 
 
 @settings(max_examples=40, deadline=None)
