@@ -38,6 +38,10 @@ from .spaces import Constraints, DofMap, SpaceKind, build_dof_map
 if TYPE_CHECKING:
     from .manufactured import ManufacturedCase
 
+# Most cells built at once: bounds the monomial tables and temporaries of
+# the element build.
+BUILD_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -106,7 +110,8 @@ class AssembledSystem:
 
 def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
                  params: ModelParams):
-    """Projectors and local matrices (A1, B, A3) of every cell of a group."""
+    """Projectors and local matrices (A1, B, A3) of every cell of a group;
+    the group's build-only tables are released afterwards."""
     k = space_u.degree
     l = space_p.degree
     h2 = (group.diameter ** 2)[:, None, None]
@@ -152,6 +157,7 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
     Hcross = H[:, :poly_dim(gu), :ngp]
     B = params.alpha * (Gxu.swapaxes(-1, -2) @ Hcross @ Gxp
                         + Gyu.swapaxes(-1, -2) @ Hcross @ Gyp)
+    group.release()
     return P_u, P_p, A1, B, A3
 
 
@@ -169,15 +175,21 @@ def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
 
 def scatter(n: int, blocks) -> sp.csr_matrix:
     """Sum stacked local blocks (row dofs (m, r), col dofs (m, c), values
-    (m, r, c)) into one n x n sparse matrix."""
-    rows, cols, vals = [], [], []
-    for r, c, v in blocks:
-        rows.append(np.broadcast_to(r[:, :, None], v.shape).ravel())
-        cols.append(np.broadcast_to(c[:, None, :], v.shape).ravel())
-        vals.append(v.ravel())
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    (m, r, c)) into one n x n sparse matrix.  The triplets are written in
+    block order into one preallocated array, with int32 indices while n
+    fits."""
+    sizes = [v.size for _, _, v in blocks]
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(sum(sizes), dtype=index)
+    cols = np.empty_like(rows)
+    vals = np.empty(rows.shape)
+    end = 0
+    for (r, c, v), size in zip(blocks, sizes):
+        at, end = end, end + size
+        rows[at:end].reshape(v.shape)[...] = r[:, :, None]
+        cols[at:end].reshape(v.shape)[...] = c[:, None, :]
+        vals[at:end].reshape(v.shape)[...] = v
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
@@ -186,6 +198,10 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     """Build the element operators group by group and scatter them into
     one sparse block matrix.
 
+    The cells of one group key are built in chunks of at most BUILD_CHUNK
+    cells, one ElementGroup each, so the monomial tables of one chunk are
+    alive at a time.  The triplets keep the order group key, block (A1,
+    -B, B^T, A3), cell, which makes K independent of the chunk size.
     Cells in singular_cells integrate case data on subdivided rules
     (``CellGroup.data_rule``).
     """
@@ -195,17 +211,21 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     n_u = dof_u.ndof
     max_degree = max(space_u.degree, space_p.degree)
     groups: list[ElementGroup] = []
+    blocks = []
     for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
-        group = CellGroup(mesh, cells, max_degree, subdivide)
-        groups.append(ElementGroup(group, *_group_forms(group, space_u, space_p, params),
-                                   dof_u.table(group.verts, group.eid, group.cells),
-                                   dof_p.table(group.verts, group.eid, group.cells) + n_u))
-
-    K = scatter(n_u + dof_p.ndof,
-                [b for g in groups for b in (
-                    (g.dofs_u, g.dofs_u, g.A1), (g.dofs_u, g.dofs_p, -g.B),
-                    (g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)),
-                    (g.dofs_p, g.dofs_p, g.A3))])
+        chunks = []
+        for lo in range(0, len(cells), BUILD_CHUNK):
+            group = CellGroup(mesh, cells[lo:lo + BUILD_CHUNK], max_degree, subdivide)
+            chunks.append(ElementGroup(
+                group, *_group_forms(group, space_u, space_p, params),
+                dof_u.table(group.verts, group.eid, group.cells),
+                dof_p.table(group.verts, group.eid, group.cells) + n_u))
+        groups += chunks
+        blocks += [(g.dofs_u, g.dofs_u, g.A1) for g in chunks] \
+            + [(g.dofs_u, g.dofs_p, -g.B) for g in chunks] \
+            + [(g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)) for g in chunks] \
+            + [(g.dofs_p, g.dofs_p, g.A3) for g in chunks]
+    K = scatter(n_u + dof_p.ndof, blocks)
     return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K, groups)
 
 

@@ -546,6 +546,24 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_vertices(mesh: PolygonalMesh, index_base: int = 0) -> PolygonalMesh:
+    """Reject a vertex that no cell names and two vertices at one point,
+    which would split the cells that meet there; ids are named as in the
+    file (offset by index_base)."""
+    from scipy.spatial import cKDTree
+
+    unused = np.setdiff1d(np.arange(mesh.nvertices), mesh.cell_verts)
+    if unused.size:
+        raise MeshError(f"vertex {unused[0] + index_base} is not a vertex of any cell")
+    scale = np.ptp(mesh.vertices, axis=0).max()
+    pairs = cKDTree(mesh.vertices).query_pairs(1e-12 * scale, output_type="ndarray")
+    if len(pairs):
+        i, j = min(pairs.tolist())
+        raise MeshError(f"vertices {i + index_base} and {j + index_base} coincide "
+                        f"at {mesh.vertices[i].tolist()}")
+    return mesh
+
+
 def load_mesh(path: str, fmt: str = "native-json",
               labeler: Labeler | None = None, index_base: int = 0) -> PolygonalMesh:
     """Read a mesh file.
@@ -560,6 +578,9 @@ def load_mesh(path: str, fmt: str = "native-json",
     vertex-cell-text: 'nv nc' header, nv lines 'x y', nc lines
     'n i1 ... in' with indices offset by index_base; labels come from the
     labeler argument.
+
+    Either format raises MeshError naming a vertex that no cell uses, or
+    two vertices at one point.
     """
     if fmt == "native-json":
         with open(path) as fh:
@@ -609,7 +630,8 @@ def load_mesh(path: str, fmt: str = "native-json",
         lab = labeler
         if regions and lab is None:
             lab = region_labeler(regions)
-        mesh = build_mesh(vertices, cells, labeler=lab, edge_labels=edge_labels or None)
+        mesh = _check_vertices(build_mesh(vertices, cells, labeler=lab,
+                                          edge_labels=edge_labels or None))
         boundary = set(map(tuple, np.sort(mesh.edge_verts[mesh.on_boundary], axis=1).tolist()))
         for key, (i, pair) in named.items():
             if key not in boundary:
@@ -630,7 +652,7 @@ def load_mesh(path: str, fmt: str = "native-json",
                 cells.append([int(t) - index_base for t in toks[1:1 + n]])
         except (IndexError, ValueError) as err:
             raise MeshError(f"malformed mesh file {path}: {err}") from None
-        return build_mesh(vertices, cells, labeler=labeler)
+        return _check_vertices(build_mesh(vertices, cells, labeler=labeler), index_base)
     raise ValueError(f"unknown mesh format {fmt!r}")
 
 

@@ -128,8 +128,10 @@ class CellGroup:
     Cell arrays have shape (ncells, ...), edge arrays (ncells, nverts, ...);
     edge j runs from local vertex j to j+1, and loc0/loc1 give the local
     positions of its canonical start and end.  Monomial tables use the
-    scaled basis of each cell up to max_degree, evaluated once per
-    derivative.
+    scaled basis of each cell up to max_degree, memoised per point set and
+    derivative for the element build only: ``release`` drops them and the
+    volume rule, and keeps the geometry and ``H`` that loads, error norms
+    and the estimator read.
     """
 
     def __init__(self, mesh: PolygonalMesh, cells, max_degree: int,
@@ -168,7 +170,7 @@ class CellGroup:
         p1 = np.take_along_axis(self.coords, self.loc1[..., None], axis=1)
         self.edge_pts = p0[..., None, :] + t01[:, None] * (p1 - p0)[..., None, :]
         self.edge_w = w01 * self.length[..., None]
-        self.vol_pts, self.vol_w = self.rule(self.vol_order, 0)
+        self._vol: tuple[np.ndarray, np.ndarray] | None = None
         self._tabs: dict[tuple, np.ndarray] = {}
         self._H: np.ndarray | None = None
 
@@ -192,6 +194,28 @@ class CellGroup:
         (error norms, fine=True)."""
         return self.rule(2 * self.max_degree + 4,
                          (3 if fine else 1) * self.singular_subdivide)
+
+    @property
+    def vol_pts(self) -> np.ndarray:
+        """Points (ncells, nq, 2) of the element build's volume rule."""
+        return self._volume_rule()[0]
+
+    @property
+    def vol_w(self) -> np.ndarray:
+        """Weights (ncells, nq) of the element build's volume rule, exact
+        for degree 2 max_degree + 2 on the plain triangulation."""
+        return self._volume_rule()[1]
+
+    def _volume_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._vol is None:
+            self._vol = self.rule(self.vol_order, 0)
+        return self._vol
+
+    def release(self) -> None:
+        """Drop the build-only state, the memoised tables and the volume
+        rule, once the element build has formed ``H``."""
+        self._tabs.clear()
+        self._vol = None
 
     def powers(self, pts: np.ndarray) -> PowerTable:
         """Power table of the scaled monomials at points (ncells, npts, 2);

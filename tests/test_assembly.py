@@ -1,6 +1,7 @@
 import json
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from platevem.quadrature import (PowerTable, ScaledMonomialBasis, gauss_01, poly
                                  polygon_rule, triangle_rule_reference)
 from platevem.runner import (assemble_projected_mass,
                              constrained_system, run_convergence, solve_case,
-                             solve_patch, spaces_for, steady_timestep_state,
-                             timestep_driver)
+                             solve_level, solve_patch, spaces_for,
+                             steady_timestep_state, timestep_driver)
 from platevem.spaces import Family
 
 PARAMS = ModelParams(0.9, 1.2, 1.5)
@@ -276,6 +277,67 @@ class TestGroupedBuild:
         assert octagon.vol_w.shape[1] == 6 * len(triangle_rule_reference(8)[1])
 
 
+class TestBoundedBuild:
+    """The element build holds the monomial tables of at most BUILD_CHUNK
+    cells at a time, and nothing a level computes depends on the chunk
+    size."""
+
+    def test_no_table_outlives_the_build(self, voronoi25):
+        system = assemble_system(voronoi25, *spaces_for(Family.CONFORMING, 2, 1), PARAMS)
+        for g in system.groups:
+            assert g.ctx._tabs == {}
+            assert g.ctx._vol is None
+            assert g.ctx._H is not None
+
+    @staticmethod
+    def level(case, mesh, family):
+        system, constraints = constrained_system(case, mesh, spaces_for(family, 2, 1))
+        return system, solve_level(case, system, constraints)
+
+    @pytest.mark.parametrize("where, family", [
+        ("voronoi25", Family.CONFORMING), ("voronoi25", Family.NONCONFORMING),
+        ("lshape", Family.NONCONFORMING)])
+    def test_chunk_size_is_invisible(self, monkeypatch, voronoi25, where, family):
+        """K, the projected mass, the error norms and the estimator are
+        bit-identical when every group is split into chunks of at most 7
+        cells."""
+        if where == "lshape":
+            case, mesh = lshape_refined_twice()
+            assert case.singular_cells(mesh)
+        else:
+            case, mesh = get_case("smooth"), voronoi25
+        system, result = self.level(case, mesh, family)
+        monkeypatch.setattr(assembly, "BUILD_CHUNK", 7)
+        chunked, chunked_result = self.level(case, mesh, family)
+        assert max(len(g.ctx) for g in chunked.groups) <= 7
+        assert len(chunked.groups) > len(system.groups)
+        for got, want in ((chunked.K, system.K), (assemble_projected_mass(chunked),
+                                                  assemble_projected_mass(system))):
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        for f in fields(result.report):
+            assert np.array_equal(getattr(chunked_result.report, f.name),
+                                  getattr(result.report, f.name)), f.name
+        assert np.array_equal(chunked_result.est.parts, result.est.parts)
+        assert chunked_result.est.included == result.est.included
+
+    def test_traced_peak_of_a_400_cell_build(self):
+        """The build of a 400-cell Voronoi level (conforming k=2 l=1) peaks
+        at 13.8 MB of traced allocations.  Keeping every group's tables
+        until the level ends took it to 28 MB, and one scatter that
+        concatenates per-block triplet lists to 22 MB."""
+        case = get_case("smooth")
+        mesh = generate_voronoi(400, lloyd_iters=5, seed=205, labeler=case.labeler)
+        tracemalloc.start()
+        try:
+            assemble_system(mesh, *spaces_for(Family.CONFORMING, 2, 1), case.params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
+
+
 class TestPatchReproduction:
     """With the right-hand side synthesized from the interpolant, the
     solver must return that interpolant to solver precision."""
@@ -454,6 +516,15 @@ class TestNoPerCellLoop:
             init(cg, *args, **kwargs)
 
         monkeypatch.setattr(projectors.CellGroup, "__init__", counted_init)
+        # the tables live only during the build; count them when released
+        memoised = []
+        release = projectors.CellGroup.release
+
+        def counted_release(cg):
+            memoised.append(len(cg._tabs))
+            release(cg)
+
+        monkeypatch.setattr(projectors.CellGroup, "release", counted_release)
         run_convergence(get_case("smooth"), [voronoi25], Family.CONFORMING, 2, 1)
 
         n = len(groups)
@@ -467,4 +538,5 @@ class TestNoPerCellLoop:
             assert sum(g is powers for g in gathers) == tables[reader]
         # every memoised derivative table, and only those, reads the powers
         # of its point set's value table
-        assert len(from_values) == sum(len(cg._tabs) for cg in groups) - 3 * n
+        assert len(memoised) == n
+        assert len(from_values) == sum(memoised) - 3 * n

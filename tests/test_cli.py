@@ -261,6 +261,27 @@ class TestMeshInfoCommand:
         assert message in capsys.readouterr().err
 
 
+class TestVertexFaults:
+    @pytest.mark.parametrize("mesh, message", [
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0], [1, 1]],
+          "cells": [[0, 1, 2, 3], [6, 4, 5, 7]]},
+         "error: vertices 1 and 6 coincide at [1.0, 0.0]"),
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0.5, 2], [0, 1]], "cells": [[0, 1, 2, 4]]},
+         "error: vertex 3 is not a vertex of any cell"),
+    ], ids=["coincident", "unused"])
+    def test_convergence_writes_no_table(self, tmp_path, capsys, mesh, message):
+        """Two squares whose shared side lists its points twice, and a
+        vertex no cell names: the run fails with the vertex ids before any
+        level is solved."""
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(mesh))
+        cfg = write_config(tmp_path, levels=1,
+                           mesh={"kind": "files", "paths": [str(path)]})
+        assert main(["convergence", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "levels.csv").exists()
+
+
 class TestDeterminism:
     def test_repeated_run_output_is_byte_equal(self, tmp_path):
         """Two runs of one config in one process write identical CSVs, so

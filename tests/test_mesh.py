@@ -271,6 +271,68 @@ class TestIO:
             load_mesh(str(path))
 
 
+# two unit squares side by side whose shared side lists its two points
+# twice (ids 1, 2 and 6, 7), and one square with a vertex no cell names
+SPLIT_SQUARES = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0], [1, 1]],
+                 "cells": [[0, 1, 2, 3], [6, 4, 5, 7]]}
+STRAY_VERTEX = {"vertices": [[0, 0], [1, 0], [1, 1], [0.5, 2], [0, 1]],
+                "cells": [[0, 1, 2, 4]]}
+
+
+def vertex_cell_text(body: dict, base: int) -> str:
+    lines = [f"{len(body['vertices'])} {len(body['cells'])}"]
+    lines += [f"{x} {y}" for x, y in body["vertices"]]
+    lines += [" ".join(map(str, [len(c)] + [v + base for v in c])) for c in body["cells"]]
+    return "\n".join(lines) + "\n"
+
+
+class TestVertexFaults:
+    """A file whose vertices would make a mesh of a different problem
+    fails to load, naming the vertices as the file numbers them."""
+
+    @pytest.mark.parametrize("body, message", [
+        (SPLIT_SQUARES, r"vertices 1 and 6 coincide at \[1.0, 0.0\]"),
+        (STRAY_VERTEX, "vertex 3 is not a vertex of any cell")],
+        ids=["coincident", "unused"])
+    def test_native_json(self, tmp_path, body, message):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(MeshError, match=message):
+            load_mesh(str(path))
+
+    @pytest.mark.parametrize("body, message", [
+        (SPLIT_SQUARES, r"vertices 2 and 7 coincide"),
+        (STRAY_VERTEX, "vertex 4 is not a vertex of any cell")],
+        ids=["coincident", "unused"])
+    def test_vertex_cell_text(self, tmp_path, body, message):
+        path = tmp_path / "mesh.txt"
+        path.write_text(vertex_cell_text(body, 1))
+        with pytest.raises(MeshError, match=message):
+            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tolerance_follows_the_extent(self, tmp_path, scale):
+        """Points closer than 1e-12 of the mesh extent are one point, at
+        any scale; a gap of 1e-9 of it is two."""
+        path = tmp_path / "mesh.json"
+        for gap in (1e-13, 1e-9):
+            verts = SPLIT_SQUARES["vertices"][:6] + [[1 + gap, 0], [1 + gap, 1]]
+            path.write_text(json.dumps({"vertices": (scale * np.array(verts)).tolist(),
+                                        "cells": SPLIT_SQUARES["cells"]}))
+            if gap < 1e-12:
+                with pytest.raises(MeshError, match="vertices 1 and 6 coincide"):
+                    load_mesh(str(path))
+            else:
+                assert load_mesh(str(path)).ncells == 2
+
+    def test_generated_meshes_load_back(self, tmp_path):
+        path = tmp_path / "mesh.json"
+        for mesh in (generate_voronoi(30, seed=2), generate_lshape(2),
+                     refine(generate_structured(3, 3), [4])):
+            save_mesh(mesh, str(path))
+            assert load_mesh(str(path)).nvertices == mesh.nvertices
+
+
 class TestBoundaryEntries:
     """A native-json boundary entry must name boundary edges of the mesh
     and a known label; otherwise loading fails and names the entry."""
