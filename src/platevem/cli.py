@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +40,56 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: dataclasses whose annotations are the JSON types; `_parse`
+# checks a document against them and each `check` holds its range rules
 
 
 @dataclass
 class MeshSpec:
-    kind: str = "voronoi"          # voronoi | structured | lshape | files
+    kind: str = "voronoi"          # a key of MESH_KINDS
     n0: int = 25
     counts: list[int] | None = None
     lloyd: int = 5
     paths: list[str] = field(default_factory=list)
+
+    def check(self, levels: int = 1) -> None:
+        """Range rules; explicit counts or paths must give `levels` meshes."""
+        if self.kind not in MESH_KINDS:
+            raise ConfigError("mesh.kind", f"unknown kind {self.kind!r}")
+        reads, default = ("kind",) + MESH_KINDS[self.kind], MeshSpec()
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != getattr(default, f.name):
+                raise ConfigError(f"mesh.{f.name}", f"kind {self.kind!r} ignores it")
+        if self.n0 < 1:
+            raise ConfigError("mesh.n0", "need at least one cell")
+        if self.lloyd < 0:
+            raise ConfigError("mesh.lloyd", "number of Lloyd sweeps must be >= 0")
+        if min(self.counts or [1]) < 1:
+            raise ConfigError("mesh.counts", f"need positive counts, got {self.counts}")
+        for p in self.paths:
+            if not Path(p).is_file():
+                raise ConfigError("mesh.paths", f"not a file: {p!r}")
+        name = "paths" if self.kind == "files" else "counts"
+        given = getattr(self, name)
+        if given is not None and len(given) < levels:
+            raise ConfigError(f"mesh.{name}", f"gives {len(given)} of {levels} levels")
+
+
+@dataclass
+class Solver:
+    method: str = "direct"         # direct | gmres
+
+    def check(self) -> None:
+        if self.method not in ("direct", "gmres"):
+            raise ConfigError("solver.method", "direct or gmres")
+
+
+@dataclass
+class Physical:
+    lam: float
+    mu: float
+    alpha: float
+    c0: float
 
 
 @dataclass
@@ -57,82 +98,39 @@ class RunConfig:
     family: str = "conforming"
     k: int = 2
     l: int = 1
-    params: dict | None = None         # {alpha, beta, gamma}
-    physical: dict | None = None       # {lam, mu, c0, alpha}
+    params: ModelParams | None = None
+    physical: Physical | None = None
     mesh: MeshSpec = field(default_factory=MeshSpec)
     mode: str = "uniform"              # uniform | adaptive
     theta: float = 0.5
     levels: int = 5
     steps: int = 5
-    solver: dict = field(default_factory=lambda: {"method": "direct"})
+    solver: Solver = field(default_factory=Solver)
     out: str = "out"
     seed: int = 0
 
     @staticmethod
-    def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config", "expected an object")
-        cfg = RunConfig()
-        mesh_doc = doc.pop("mesh", None)
-        if mesh_doc is not None:
-            if not isinstance(mesh_doc, dict):
-                raise ConfigError("mesh", "expected an object")
-            unknown = set(mesh_doc) - set(MeshSpec.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"mesh.{sorted(unknown)[0]}", "unknown field")
-            cfg.mesh = MeshSpec(**mesh_doc)
-        for key, val in doc.items():
-            if key not in RunConfig.__dataclass_fields__:
-                raise ConfigError(key, "unknown field")
-            setattr(cfg, key, val)
-        return cfg
+    def from_dict(doc) -> "RunConfig":
+        """Check a JSON document against the schema and build the config."""
+        return _parse(RunConfig, doc, "")
 
     def model_params(self) -> ModelParams:
         if self.physical is not None:
-            if self.params is not None:
-                raise ConfigError("params", "give either params or physical, not both")
-            return derive_params(**_numbers("physical", self.physical,
-                                            ("lam", "mu", "alpha", "c0"), True))
-        if self.params is not None:
-            return ModelParams(**_numbers("params", self.params,
-                                          ("alpha", "beta", "gamma"), False))
-        return ModelParams()
-
-    @property
-    def solver_method(self) -> str:
-        return self.solver.get("method", "direct")
+            return derive_params(**asdict(self.physical))
+        return self.params or ModelParams()
 
     def family_enum(self) -> Family:
-        try:
-            return Family[self.family.upper()]
-        except KeyError:
-            raise ConfigError("family",
-                              f"unknown family {self.family!r} "
-                              "(conforming|nonconforming)") from None
+        return Family[self.family.upper()]
 
-    def validate(self) -> None:
-        for name, kind in _FIELD_TYPES.items():
-            _check_type(name, getattr(self, name), kind)
-        for name, kind in _MESH_TYPES.items():
-            _check_type(f"mesh.{name}", getattr(self.mesh, name), kind)
-        counts, paths = self.mesh.counts, self.mesh.paths
-        if counts is not None and not (
-                isinstance(counts, list)
-                and all(isinstance(n, int) and not isinstance(n, bool) and n > 0
-                        for n in counts)):
-            raise ConfigError("mesh.counts",
-                              f"expected a list of positive ints, got {counts!r}")
-        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-            raise ConfigError("mesh.paths", f"expected a list of strings, got {paths!r}")
+    def check(self) -> None:
         if not known_case(self.case):
             raise ConfigError("case", f"unknown case {self.case!r}")
+        if self.family.upper() not in Family.__members__:
+            raise ConfigError("family", f"unknown family {self.family!r}")
         if self.k < 2:
             raise ConfigError("k", "deflection degree must be at least 2")
         if not 1 <= self.l <= self.k:
             raise ConfigError("l", "pressure degree must satisfy 1 <= l <= k")
-        fam = self.family_enum()
-        if fam is Family.NONCONFORMING and self.k == 3 and self.l < self.k - 2:
-            raise ConfigError("l", "nonconforming estimator with k=3 needs l >= k-2")
         if self.mode not in ("uniform", "adaptive"):
             raise ConfigError("mode", f"unknown mode {self.mode!r} (uniform|adaptive)")
         if not 0.0 < self.theta <= 1.0:
@@ -141,48 +139,52 @@ class RunConfig:
             raise ConfigError("levels", "need at least one level")
         if self.steps < 1:
             raise ConfigError("steps", "need at least one step")
-        if self.mesh.n0 < 1:
-            raise ConfigError("mesh.n0", "need at least one cell")
-        if self.mesh.lloyd < 0:
-            raise ConfigError("mesh.lloyd", "number of Lloyd sweeps must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed", "seed must be >= 0")
-        if self.mesh.kind not in ("voronoi", "structured", "lshape", "files"):
-            raise ConfigError("mesh.kind", f"unknown kind {self.mesh.kind!r}")
-        if self.mesh.kind == "files":
-            if not self.mesh.paths:
-                raise ConfigError("mesh.paths", "kind 'files' needs at least one path")
-            for p in self.mesh.paths:
-                if not Path(p).exists():
-                    raise ConfigError("mesh.paths", f"no such file {p!r}")
-        if not isinstance(self.solver, dict):
-            raise ConfigError("solver", "expected an object")
-        unknown = set(self.solver) - {"method"}
-        if unknown:
-            raise ConfigError(f"solver.{sorted(unknown)[0]}", "unknown field")
-        if self.solver_method not in ("direct", "gmres"):
-            raise ConfigError("solver.method", "direct or gmres")
+        if self.params is not None and self.physical is not None:
+            raise ConfigError("params", "give either params or physical, not both")
         try:
-            self.model_params().validate()
-        except ValueError as exc:
+            params = self.model_params()
+            params.validate()
+            if not all(map(math.isfinite, asdict(params).values())):
+                raise ValueError(f"derived coefficients overflow: {params}")
+        except (ValueError, OverflowError) as exc:   # OverflowError(errno, text)
             raise ConfigError("params" if self.physical is None else "physical",
-                              str(exc)) from None
+                              str(exc.args[-1])) from None
 
 
-_FIELD_TYPES = {"case": "str", "family": "str", "k": "int", "l": "int",
-                "mode": "str", "theta": "float", "levels": "int",
-                "steps": "int", "out": "str", "seed": "int"}
-_MESH_TYPES = {"kind": "str", "n0": "int", "lloyd": "int"}
-
-
-def _check_type(path: str, value, kind: str) -> None:
-    """Reject a value of the wrong JSON type; an int is a valid float, and
-    a float must be finite (json accepts NaN and Infinity, and ints beyond
-    the float range)."""
-    allowed = {"int": int, "float": (int, float), "str": str}[kind]
-    if not isinstance(value, allowed) or isinstance(value, bool):
-        raise ConfigError(path, f"expected {kind}, got {value!r}")
-    if kind == "float":
+def _parse(schema, value, path: str):
+    """Check one JSON value against a schema type and build it: a dataclass
+    (then its `check`), a list, an optional or a leaf.  An int is a valid
+    float; a float must be finite (json accepts NaN, Infinity, 10**400)."""
+    if is_dataclass(schema):
+        if not isinstance(value, dict):
+            raise ConfigError(path or "config", "expected an object")
+        prefix = f"{path}." if path else ""
+        hints = typing.get_type_hints(schema)
+        for key in sorted(set(value) - set(hints)):
+            raise ConfigError(prefix + key, "unknown field")
+        kwargs = {}
+        for f in fields(schema):
+            if f.name in value:
+                kwargs[f.name] = _parse(hints[f.name], value[f.name], prefix + f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(prefix + f.name, "missing field")
+        obj = schema(**kwargs)
+        if hasattr(obj, "check"):
+            obj.check()
+        return obj
+    args = typing.get_args(schema)
+    if type(None) in args:
+        return None if value is None else _parse(args[0], value, path)
+    if typing.get_origin(schema) is list:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return [_parse(args[0], item, path) for item in value]
+    leaf = {int: int, float: (int, float), str: str}[schema]
+    if not isinstance(value, leaf) or isinstance(value, bool):
+        raise ConfigError(path, f"expected {schema.__name__}, got {value!r}")
+    if schema is float:
         try:
             finite = math.isfinite(value)
         except OverflowError:
@@ -190,36 +192,24 @@ def _check_type(path: str, value, kind: str) -> None:
                                     "beyond the float range") from None
         if not finite:
             raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return value
 
 
-def _numbers(path: str, doc, names: tuple[str, ...], required: bool) -> dict:
-    """Check an object of named numbers: no unknown keys, numeric values."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "expected an object")
-    unknown = set(doc) - set(names)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-    for name in names:
-        if name in doc:
-            _check_type(f"{path}.{name}", doc[name], "float")
-        elif required:
-            raise ConfigError(f"{path}.{name}", "missing field")
-    return doc
+_FLAGS = ("case", "levels", "theta", "family", "k", "l", "out", "seed")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    doc: dict = {}
+    """Read the config file, merge the flags into it and parse it once."""
+    doc = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError("config", f"no such file {args.config!r}")
-        doc = json.loads(path.read_text())
-    cfg = RunConfig.from_dict(doc)
-    for key in ("case", "levels", "theta", "family", "k", "l", "out", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.validate()
+        try:
+            doc = json.loads(Path(args.config).read_bytes())
+        except (OSError, ValueError) as exc:   # missing, a directory, bad UTF-8 or JSON
+            raise ConfigError("config", str(exc)) from None
+    flags = {k: v for k, v in vars(args).items() if k in _FLAGS and v is not None}
+    cfg = RunConfig.from_dict({**doc, **flags} if isinstance(doc, dict) else doc)
+    if args.command in ("convergence", "mesh-info"):   # they run every level
+        cfg.mesh.check(cfg.levels)
     return cfg
 
 
@@ -231,44 +221,54 @@ def _case_for(cfg: RunConfig):
     return get_case(cfg.case, params=cfg.model_params(), k=cfg.k, l=cfg.l)
 
 
+# mesh kind -> the MeshSpec fields its ladder reads; the others keep defaults
+MESH_KINDS = {"voronoi": ("n0", "counts", "lloyd"), "structured": ("n0",),
+              "lshape": ("n0",), "files": ("paths",)}
+
+
 def _mesh_ladder(cfg: RunConfig, case, levels: int | None = None) -> list:
-    ms = cfg.mesh
-    nlev = cfg.levels if levels is None else levels
-    if ms.kind == "voronoi":
-        counts = ms.counts or [ms.n0 * 4 ** j for j in range(nlev)]
-        return voronoi_ladder(case, counts[:nlev], seed=cfg.seed,
-                              lloyd_iters=ms.lloyd)
-    if ms.kind == "structured":
-        return [generate_structured(ms.n0 * 2 ** j, ms.n0 * 2 ** j,
-                                    labeler=case.labeler)
-                for j in range(nlev)]
-    if ms.kind == "lshape":
-        meshes = [generate_lshape(ms.n0, labeler=case.labeler)]
+    """The first `levels` (default cfg.levels) meshes of the configured ladder."""
+    kind, nlev = cfg.mesh.kind, cfg.levels if levels is None else levels
+    ms = {name: getattr(cfg.mesh, name) for name in MESH_KINDS[kind]}
+    if kind == "voronoi":
+        counts = ms["counts"] or [ms["n0"] * 4 ** j for j in range(nlev)]
+        return voronoi_ladder(case, counts[:nlev], seed=cfg.seed, lloyd_iters=ms["lloyd"])
+    if kind == "structured":
+        sides = [ms["n0"] * 2 ** j for j in range(nlev)]
+        return [generate_structured(n, n, labeler=case.labeler) for n in sides]
+    if kind == "lshape":
+        meshes = [generate_lshape(ms["n0"], labeler=case.labeler)]
         while len(meshes) < nlev:
             meshes.append(uniform_refine(meshes[-1]))
         return meshes
-    return [load_mesh(p, labeler=case.labeler) for p in ms.paths[:nlev]]
+    return [load_mesh(p, labeler=case.labeler) for p in ms["paths"][:nlev]]
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """Header and rows, comma-separated: ints as ints, floats with %.17g."""
+    def cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        return str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows])
 
 
 def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# platevem {SCHEMAS[schema]}", ",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{float(v):.17g}")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(f"# platevem {SCHEMAS[schema]}\n{_csv_text(header, rows)}\n")
 
 
-def _write_manifest(cfg: RunConfig, outdir: Path, command: str) -> None:
+def _write_outputs(cfg: RunConfig, command: str, tables: dict, summary: str) -> None:
+    """Write a solve command's tables {schema: (header, rows)} as <schema>.csv,
+    then manifest.json and summary.txt into cfg.out; print the summary."""
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for schema, (header, rows) in tables.items():
+        _write_csv(outdir / f"{schema}.csv", schema, header, rows)
     doc = {"command": command, "version": __version__, "seed": cfg.seed,
            "schemas": SCHEMAS, "config": asdict(cfg)}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (outdir / "summary.txt").write_text(summary + "\n")
+    print(summary)
 
 
 _LEVEL_HEADER = (["level", "ncells", "h", "ndof",
@@ -289,31 +289,24 @@ def _level_row(level: int, ncells: int, h: float, ndof: int, report,
 # subcommands
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
     case = _case_for(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     meshes = _mesh_ladder(cfg, case)
     results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l,
-                              solver=cfg.solver_method)
+                              solver=cfg.solver.method)
 
-    hs = [r.h for r in results]
-    rows = rate_table(hs, {
+    rows = rate_table([r.h for r in results], {
         "err_u_h2": [r.report.err_u_h2 for r in results],
         "err_p_h1": [r.report.err_p_h1 for r in results],
         "energy": [r.report.energy for r in results],
     })
-    header = ["h", "err_u_h2", "rate_u", "err_p_h1", "rate_p",
-              "energy", "rate_energy"]
-    csv_rows = [[row["h"], row["err_u_h2"], row["rate(err_u_h2)"],
-                 row["err_p_h1"], row["rate(err_p_h1)"],
-                 row["energy"], row["rate(energy)"]] for row in rows]
-    _write_csv(outdir / "rates.csv", "rates", header, csv_rows)
-    _write_csv(outdir / "levels.csv", "levels", _LEVEL_HEADER,
-               [_level_row(j, r.ncells, r.h, r.ndof, r.report,
-                           r.est.eta, r.est.components2)
-                for j, r in enumerate(results)])
-    _write_manifest(cfg, outdir, "convergence")
+    header = ["h", "err_u_h2", "rate_u", "err_p_h1", "rate_p", "energy", "rate_energy"]
+    keys = ["h", "err_u_h2", "rate(err_u_h2)", "err_p_h1", "rate(err_p_h1)",
+            "energy", "rate(energy)"]
+    csv_rows = [[row[key] for key in keys] for row in rows]
+    level_rows = [_level_row(j, r.ncells, r.h, r.ndof, r.report,
+                             r.est.eta, r.est.components2)
+                  for j, r in enumerate(results)]
 
     lines = [f"{cfg.case} {cfg.family} k={cfg.k} l={cfg.l}: "
              f"{len(results)} levels"]
@@ -321,27 +314,21 @@ def cmd_convergence(cfg: RunConfig) -> int:
         r = row["rate(energy)"]
         rs = r if isinstance(r, str) else f"{r:.3f}"
         lines.append(f"  h={row['h']:.4g} energy={row['energy']:.5g} rate={rs}")
-    summary = "\n".join(lines)
-    (outdir / "summary.txt").write_text(summary + "\n")
-    print(summary)
-    return 0
+    return ({"rates": (header, csv_rows), "levels": (_LEVEL_HEADER, level_rows)},
+            "\n".join(lines))
 
 
-def cmd_adaptive(cfg: RunConfig) -> int:
+def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
     case = _case_for(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     theta = 1.0 if cfg.mode == "uniform" else cfg.theta
     space_u, space_p = spaces_for(cfg.family_enum(), cfg.k, cfg.l)
     trace = adaptive_loop(case, mesh, space_u, space_p,
                           MarkingConfig(theta=theta, max_levels=cfg.levels),
-                          solver=cfg.solver_method)
-    _write_csv(outdir / "trace.csv", "trace", _LEVEL_HEADER + ["marked"],
-               [_level_row(lv.level, lv.ncells, lv.h, lv.ndof, lv.report,
-                           lv.eta, lv.components2) + [lv.n_marked]
-                for lv in trace.levels])
-    _write_manifest(cfg, outdir, "adaptive")
+                          solver=cfg.solver.method)
+    rows = [_level_row(lv.level, lv.ncells, lv.h, lv.ndof, lv.report,
+                       lv.eta, lv.components2) + [lv.n_marked]
+            for lv in trace.levels]
 
     tail = min(4, len(trace.levels))
     slope_err = fit_loglog_slope(trace.ndofs, trace.energies, tail)
@@ -351,22 +338,18 @@ def cmd_adaptive(cfg: RunConfig) -> int:
                f"final ndof={trace.ndofs[-1]}\n"
                f"  error slope vs ndof = {slope_err:.3f}\n"
                f"  eta slope vs ndof   = {slope_eta:.3f}")
-    (outdir / "summary.txt").write_text(summary + "\n")
-    print(summary)
-    return 0
+    return {"trace": (_LEVEL_HEADER + ["marked"], rows)}, summary
 
 
-def cmd_timestep(cfg: RunConfig) -> int:
+def cmd_timestep(cfg: RunConfig) -> tuple[dict, str]:
     case = _case_for(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     system, constraints = constrained_system(
         case, mesh, spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
     seq = timestep_driver(system, constraints, case, M, steps=cfg.steps,
-                          solver=cfg.solver_method)
+                          solver=cfg.solver.method)
     rows = []
     for step, (Un, Pn) in enumerate(seq, start=1):
         X = np.concatenate([Un, Pn])
@@ -375,12 +358,9 @@ def cmd_timestep(cfg: RunConfig) -> int:
         npres = float(np.sqrt(X[n_u:] @ MX[n_u:]))
         rows.append([step, nu, npres,
                      float(np.abs(Un).max()), float(np.abs(Pn).max())])
-    _write_csv(outdir / "steps.csv", "steps",
-               ["step", "u_l2", "p_l2", "u_max", "p_max"], rows)
-    _write_manifest(cfg, outdir, "timestep")
-    print(f"timestep: {cfg.steps} steps, final u_l2={rows[-1][1]:.6g} "
-          f"p_l2={rows[-1][2]:.6g}")
-    return 0
+    summary = (f"timestep: {cfg.steps} steps, final u_l2={rows[-1][1]:.6g} "
+               f"p_l2={rows[-1][2]:.6g}")
+    return {"steps": (["step", "u_l2", "p_l2", "u_max", "p_max"], rows)}, summary
 
 
 def cmd_mesh_info(cfg: RunConfig) -> int:
@@ -400,11 +380,7 @@ def cmd_mesh_info(cfg: RunConfig) -> int:
                      int(rep["star_shaped"].sum()),
                      float(rep["min_edge_ratio"].min()),
                      int(len(rep["flagged"]))] + [int(c) for c in hist])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else f"{v:.17g}"
-                              for v in row))
-    text = "\n".join(lines)
+    text = _csv_text(header, rows)
     print(text)
     if cfg.out != "out" or Path(cfg.out).exists():
         outdir = Path(cfg.out)
@@ -422,17 +398,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="platevem",
         description="Virtual element studies for the coupled plate-flow model")
     sub = ap.add_subparsers(dest="command", required=True)
+    hints = typing.get_type_hints(RunConfig)
     for name in ("convergence", "adaptive", "timestep", "mesh-info"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--case", default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--family", default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--l", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for flag in _FLAGS:
+            p.add_argument(f"--{flag}", type=hints[flag])
     return ap
 
 
@@ -440,13 +411,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    handlers = {"convergence": cmd_convergence, "adaptive": cmd_adaptive,
-                "timestep": cmd_timestep, "mesh-info": cmd_mesh_info}
+    solve = dict(convergence=cmd_convergence, adaptive=cmd_adaptive, timestep=cmd_timestep)
     try:
-        return handlers[args.command](cfg)
+        if args.command == "mesh-info":
+            return cmd_mesh_info(cfg)
+        _write_outputs(cfg, args.command, *solve[args.command](cfg))
+        return 0
     except Exception as exc:   # solver or I/O failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

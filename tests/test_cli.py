@@ -1,13 +1,22 @@
+import copy
 import csv
+import dataclasses
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import typing
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from platevem import cli
 from platevem.cli import ConfigError, RunConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,16 +54,14 @@ class TestRunConfig:
             RunConfig.from_dict({"mesh": {"kind": "voronoi", "cells": 4}})
 
     def test_validate_degree_compatibility(self):
-        cfg = RunConfig.from_dict({"k": 2, "l": 3})
         with pytest.raises(ConfigError):
-            cfg.validate()
+            RunConfig.from_dict({"k": 2, "l": 3})
 
     def test_params_and_physical_exclusive(self):
-        cfg = RunConfig.from_dict({
-            "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
-            "physical": {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c0": 0.1}})
         with pytest.raises(ConfigError):
-            cfg.model_params()
+            RunConfig.from_dict({
+                "params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
+                "physical": {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c0": 0.1}})
 
     def test_physical_constants_are_derived(self):
         cfg = RunConfig.from_dict({
@@ -113,6 +120,25 @@ class TestExitCodes:
         ({"params": {"beta": 10 ** 400}}, "params.beta"),
         ({"physical": {"lam": 1.0, "mu": 1.0, "alpha": 10 ** 400, "c0": 0.1}},
          "physical.alpha"),
+        ({"params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0},
+          "physical": {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c0": 0.1}}, "params"),
+        # a mesh field the kind does not read
+        ({"mesh": {"kind": "structured", "n0": 2, "counts": [4, 16], "lloyd": 7}},
+         "mesh.counts"),
+        ({"mesh": {"kind": "structured", "n0": 2, "lloyd": 7}}, "mesh.lloyd"),
+        ({"mesh": {"kind": "lshape", "n0": 1, "paths": ["nope.json"]}}, "mesh.paths"),
+        ({"mesh": {"kind": "files", "n0": 4, "paths": [__file__]}, "levels": 1},
+         "mesh.n0"),
+        # an explicit ladder shorter than levels, or empty
+        ({"mesh": {"kind": "voronoi", "n0": 16, "counts": [16]}, "levels": 3},
+         "mesh.counts"),
+        ({"mesh": {"kind": "voronoi", "counts": []}}, "mesh.counts"),
+        ({"mesh": {"kind": "files", "paths": [__file__]}, "levels": 2}, "mesh.paths"),
+        ({"mesh": {"kind": "files", "paths": [str(ROOT)]}, "levels": 1}, "mesh.paths"),
+        ({"theta": 0}, "theta"),
+        # derived coefficients that overflow
+        ({"physical": {"lam": 1.0, "mu": 1.0, "alpha": 1e200, "c0": 0.1}}, "physical"),
+        ({"physical": {"lam": 1e308, "mu": 1.0, "alpha": 1.0, "c0": 0.1}}, "physical"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
@@ -131,6 +157,314 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["convergence", "--config", str(cfg), "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_unreadable_config_names_config(self, tmp_path, capsys):
+        """A directory and a file that is not UTF-8 are config errors."""
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"case": "smooth", "out": "caf\xe9"}'.encode("latin-1"))
+        for path in (tmp_path, bad):
+            assert main(["convergence", "--config", str(path)]) == 2
+            assert "config error: config: " in capsys.readouterr().err
+
+
+def load_config(command: str, doc: dict, tmp_path: Path) -> RunConfig:
+    """Parse a document exactly as `command` would, without running it."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return cli._load_config(cli._build_parser().parse_args(
+        [command, "--config", str(path)]))
+
+
+class TestLadderLength:
+    """convergence and mesh-info run `levels` meshes of an explicit ladder;
+    adaptive and timestep start from its first mesh."""
+
+    SHORT = [({"kind": "voronoi", "n0": 16, "counts": [16]}, "mesh.counts"),
+             ({"kind": "files", "paths": [__file__]}, "mesh.paths")]
+
+    @pytest.mark.parametrize("command", ["convergence", "mesh-info"])
+    @pytest.mark.parametrize("mesh, path", SHORT)
+    def test_short_ladder_exits_two_before_output(self, tmp_path, capsys,
+                                                  command, mesh, path):
+        cfg = write_config(tmp_path, mesh=mesh, levels=3)
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}: gives 1 of 3 levels" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["adaptive", "timestep"])
+    @pytest.mark.parametrize("mesh", [mesh for mesh, _ in SHORT])
+    def test_first_mesh_is_enough(self, tmp_path, command, mesh):
+        cfg = load_config(command, {"mesh": mesh, "levels": 3}, tmp_path)
+        assert cfg.levels == 3
+
+    def test_levels_flag_is_checked_against_the_ladder(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mesh={"kind": "voronoi", "counts": [16, 64]},
+                           levels=1)
+        assert main(["convergence", "--config", str(cfg), "--levels", "3"]) == 2
+        assert "config error: mesh.counts: " in capsys.readouterr().err
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestTopLevelFields:
+    @pytest.mark.parametrize("command", ["convergence", "adaptive", "timestep",
+                                         "mesh-info"])
+    @pytest.mark.parametrize("name", ["uniform-voronoi", "adaptive-lshape",
+                                      "timestep-march"])
+    def test_benchmark_configs_parse_for_every_command(self, tmp_path, command,
+                                                       name):
+        """seed, mode, theta, steps and levels are accepted whatever the
+        command or mesh kind reads; the benchmark's configs rely on it."""
+        doc = _workloads()[name].config(0, str(tmp_path / "out"))
+        assert load_config(command, doc, tmp_path).seed == 0
+
+
+# ---------------------------------------------------------------------------
+# the schema, property-tested: every leaf path, its JSON type, and the
+# documented table
+
+
+def schema_paths(cls=RunConfig, prefix="", expand_optional=False) -> list[str]:
+    """Field paths of the schema: nested objects expand into their fields;
+    optional objects (params, physical) expand only when asked."""
+    out = []
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        inner = [a for a in typing.get_args(tp) if a is not type(None)]
+        if expand_optional and len(inner) == 1 and dataclasses.is_dataclass(inner[0]):
+            tp = inner[0]
+        if dataclasses.is_dataclass(tp):
+            out += schema_paths(tp, f"{prefix}{f.name}.", expand_optional)
+        else:
+            out.append(prefix + f.name)
+    return out
+
+
+# leaf path -> its JSON type
+LEAVES = {
+    "case": "str", "family": "str", "k": "int", "l": "int",
+    "params.alpha": "float", "params.beta": "float", "params.gamma": "float",
+    "physical.lam": "float", "physical.mu": "float", "physical.alpha": "float",
+    "physical.c0": "float",
+    "mesh.kind": "str", "mesh.n0": "int", "mesh.counts": "int list",
+    "mesh.lloyd": "int", "mesh.paths": "str list",
+    "mode": "str", "theta": "float", "levels": "int", "steps": "int",
+    "solver.method": "str", "out": "str", "seed": "int",
+}
+OBJECTS = {"": RunConfig, "mesh": cli.MeshSpec, "solver": cli.Solver,
+           "params": cli.ModelParams, "physical": cli.Physical}
+VALID_PHYSICAL = {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c0": 0.1}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def type_ok(kind: str, v) -> bool:
+    """Whether a JSON value has the leaf's type (ranges aside)."""
+    if kind == "int list":
+        return v is None or isinstance(v, list) and all(map(_is_int, v))
+    if kind == "str list":
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+    if kind == "float":
+        return _is_int(v) or isinstance(v, float)
+    return _is_int(v) if kind == "int" else isinstance(v, str)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4)
+
+
+@st.composite
+def valid_docs(draw):
+    """A valid document: any subset of the fields, in range, with an explicit
+    ladder long enough for every command."""
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "case": st.sampled_from(["smooth", "lshape", "poly"]),
+        "family": st.sampled_from(["conforming", "nonconforming"]),
+        "mode": st.sampled_from(["uniform", "adaptive"]),
+        "theta": st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+        "levels": st.integers(1, 5),
+        "steps": st.integers(1, 100),
+        "solver": st.fixed_dictionaries(
+            {}, optional={"method": st.sampled_from(["direct", "gmres"])}),
+        "out": st.text(max_size=8),
+        "seed": st.integers(0, 2 ** 40),
+    }))
+    k = draw(st.integers(2, 6))
+    doc.update(k=k, l=draw(st.integers(1, k)))
+    coefficients = draw(st.sampled_from(["none", "params", "physical"]))
+    if coefficients == "params":
+        doc["params"] = draw(st.fixed_dictionaries({}, optional={
+            "alpha": finite, "beta": positive, "gamma": positive}))
+    elif coefficients == "physical":
+        doc["physical"] = draw(st.fixed_dictionaries({
+            "lam": positive, "mu": positive,
+            "alpha": st.floats(-1e3, 1e3), "c0": positive}))
+    kind = draw(st.sampled_from(["voronoi", "structured", "lshape", "files", None]))
+    if kind == "files":
+        doc["mesh"] = {"kind": kind, "paths": [__file__] * draw(st.integers(5, 7))}
+    elif kind is not None:
+        reads = {"n0": st.integers(1, 400)}
+        if kind == "voronoi":
+            reads.update(counts=st.none() | st.lists(st.integers(1, 10 ** 6),
+                                                     min_size=5, max_size=7),
+                         lloyd=st.integers(0, 20))
+        doc["mesh"] = {"kind": kind, **draw(st.fixed_dictionaries({}, optional=reads))}
+    return doc
+
+
+def put(doc: dict, keys: tuple, value) -> dict:
+    """A copy of doc with value under keys; a value under params or physical
+    drops the other one, and physical starts complete."""
+    doc = copy.deepcopy(doc)
+    if keys[0] in ("params", "physical"):
+        doc.pop("physical" if keys[0] == "params" else "params", None)
+        if keys[0] == "physical" and len(keys) > 1:
+            doc["physical"] = doc.get("physical") or dict(VALID_PHYSICAL)
+    node = doc
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+    return doc
+
+
+# leaf path -> (out-of-range values, the path the rejection names)
+OUT_OF_RANGE = {
+    "case": (st.just("nope"), "case"), "family": (st.just("nope"), "family"),
+    "k": (st.integers(max_value=1), "k"), "l": (st.sampled_from([0, 7]), "l"),
+    "mode": (st.just("nope"), "mode"),
+    "theta": (st.sampled_from([0, -0.5, 1.5]), "theta"),
+    "levels": (st.integers(max_value=0), "levels"),
+    "steps": (st.integers(max_value=0), "steps"),
+    "seed": (st.integers(max_value=-1), "seed"),
+    "mesh.kind": (st.just("hexagonal"), "mesh.kind"),
+    "mesh.n0": (st.integers(max_value=0), "mesh.n0"),
+    "mesh.lloyd": (st.integers(max_value=-1), "mesh.lloyd"),
+    "mesh.counts": (st.lists(st.integers(max_value=0), min_size=1, max_size=3),
+                    "mesh.counts"),
+    "mesh.paths": (st.just(["no/such/mesh.json"]), "mesh.paths"),
+    "solver.method": (st.just("lu"), "solver.method"),
+    # the coefficient rules name their object
+    "params.beta": (st.floats(-1e300, 0), "params"),
+    "params.gamma": (st.integers(-10, 0), "params"),
+    "physical.mu": (st.floats(-1e3, 0), "physical"),
+}
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                              10 ** 400, -10 ** 400])
+# mesh kind -> the mesh fields it reads, and a non-default value of each field
+READS = {"voronoi": {"n0", "counts", "lloyd"}, "structured": {"n0"},
+         "lshape": {"n0"}, "files": {"paths"}}
+SET = {"n0": 3, "counts": [4, 16, 64, 256, 1024], "lloyd": 2, "paths": [__file__] * 5}
+
+
+FAULTS = ["type", "non-finite", "range", "unknown", "missing", "unread"]
+
+
+@st.composite
+def broken_docs(draw, fault: str):
+    """A valid document with one fault, and the path the fault must name."""
+    doc = draw(valid_docs())
+    if fault == "type":
+        path = draw(st.sampled_from(sorted(LEAVES) + ["mesh", "solver", "params",
+                                                     "physical"]))
+        lists = st.lists(json_values, min_size=1, max_size=3)
+        value = draw(lists | json_values if LEAVES.get(path, "").endswith("list")
+                     else json_values)
+        if path in LEAVES:
+            assume(not type_ok(LEAVES[path], value))
+        else:
+            assume(not isinstance(value, dict)
+                   and not (value is None and path in ("params", "physical")))
+        return put(doc, tuple(path.split(".")), value), path
+    if fault == "non-finite":
+        path = draw(st.sampled_from([p for p, kind in LEAVES.items() if kind == "float"]))
+        return put(doc, tuple(path.split(".")), draw(NON_FINITE)), path
+    if fault == "range":
+        path = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        values, named = OUT_OF_RANGE[path]
+        return put(doc, tuple(path.split(".")), draw(values)), named
+    if fault == "missing":
+        key = draw(st.sampled_from(sorted(VALID_PHYSICAL)))
+        doc = put(doc, ("physical",), {k: v for k, v in VALID_PHYSICAL.items() if k != key})
+        return doc, f"physical.{key}"
+    if fault == "unread":
+        kind = draw(st.sampled_from(sorted(READS)))
+        name = draw(st.sampled_from(sorted(set(SET) - READS[kind])))
+        mesh = {"kind": kind, name: SET[name]}
+        if kind == "files":
+            mesh["paths"] = SET["paths"]
+        return put(doc, ("mesh",), mesh), f"mesh.{name}"
+    level = draw(st.sampled_from(sorted(OBJECTS)))
+    key = draw(st.text(min_size=1, max_size=6))
+    assume(key not in {f.name for f in dataclasses.fields(OBJECTS[level])})
+    if level in ("params", "physical"):
+        doc = put(doc, (level, "alpha"), 1.0)
+    keys = (level, key) if level else (key,)
+    return put(doc, keys, 1), ".".join(keys)
+
+
+class TestSchemaProperties:
+    def test_leaf_table_is_the_schema(self):
+        assert sorted(schema_paths(expand_optional=True)) == sorted(LEAVES)
+        assert len(LEAVES) == 23
+
+    def test_readme_table_lists_the_schema(self):
+        """The field column of the README config table, in order, is the
+        schema's field paths, with params and physical one row each."""
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| field | default | meaning |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append(line.split("|")[1].strip().strip("`"))
+        assert rows == schema_paths()
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (ROOT / "scripts" / "configs").glob("*.json")))
+    def test_shipped_config_round_trips(self, name):
+        cfg = RunConfig.from_dict(
+            json.loads((ROOT / "scripts" / "configs" / name).read_text()))
+        assert RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_docs())
+    def test_generated_config_round_trips(self, doc):
+        cfg = RunConfig.from_dict(doc)
+        assert RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_fault_exits_two_naming_its_path(self, tmp_path, monkeypatch,
+                                                 fault, data):
+        """Only parsing runs: a document that parsed would reach the
+        stubbed command and exit 1."""
+        monkeypatch.setattr(cli, "cmd_convergence", lambda cfg: 1 / 0)
+        doc, path = data.draw(broken_docs(fault))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main(["convergence", "--config", str(cfg)])
+        assert rc == 2, (doc, err.getvalue())
+        assert err.getvalue().startswith(f"config error: {path}: "), (doc, err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +543,7 @@ class TestAdaptiveCommand:
 
 
 class TestTimestepCommand:
-    def test_steps_csv(self, tmp_path):
+    def test_steps_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
@@ -221,6 +555,7 @@ class TestTimestepCommand:
             "out": str(out),
         }))
         assert main(["timestep", "--config", str(cfg_path)]) == 0
+        assert (out / "summary.txt").read_text() == capsys.readouterr().out
         head, rows = read_schema_csv(out / "steps.csv")
         assert head == "# platevem steps-v1"
         assert len(rows) == 4
