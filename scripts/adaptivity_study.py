@@ -36,6 +36,8 @@ def main() -> None:
     ap.add_argument("--levels", type=int, default=9)
     ap.add_argument("--theta", type=float, default=0.5)
     args = ap.parse_args()
+    if args.levels < 2:
+        ap.error("--levels must be at least 2 to fit a slope")
 
     results = Path("results")
     for family in (Family.NONCONFORMING, Family.CONFORMING):

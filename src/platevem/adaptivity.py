@@ -31,11 +31,15 @@ def dorfler_mark(eta2, theta: float) -> list[int]:
 
     Cells are ranked by their squared contribution, largest first, ties
     broken by cell id; the returned ids form the shortest prefix whose sum
-    reaches theta times the total.
+    reaches theta times the total.  A non-finite indicator, the trace of a
+    failed solve, is rejected.
     """
     eta2 = np.asarray(eta2, dtype=np.float64)
     if eta2.size == 0:
         raise ValueError("empty estimator list")
+    bad = np.flatnonzero(~np.isfinite(eta2))
+    if bad.size:
+        raise ValueError(f"estimator of cell {bad[0]} is not finite ({eta2[bad[0]]})")
     total = float(eta2.sum())
     if total <= 0.0:
         return []

@@ -65,17 +65,6 @@ def derive_params(lam: float, mu: float, alpha: float, c0: float) -> ModelParams
 
 
 @dataclass
-class ElementOperators:
-    """The projectors and local matrices of one cell."""
-    cell: int
-    defl: ElementProjectors
-    pres: ElementProjectors
-    A1: np.ndarray
-    B: np.ndarray
-    A3: np.ndarray
-
-
-@dataclass
 class ElementGroup:
     """The stacked operators of one CellGroup and the cells' dof indices."""
     ctx: CellGroup
@@ -159,14 +148,6 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
                         + Gyu.swapaxes(-1, -2) @ Hcross @ Gyp)
     group.release()
     return P_u, P_p, A1, B, A3
-
-
-def build_element(mesh: PolygonalMesh, cell: int, space_u: SpaceKind,
-                  space_p: SpaceKind, params: ModelParams) -> ElementOperators:
-    """One cell's operators, built as a group of one."""
-    group = CellGroup(mesh, [cell], max(space_u.degree, space_p.degree))
-    P_u, P_p, A1, B, A3 = _group_forms(group, space_u, space_p, params)
-    return ElementOperators(cell, P_u.cell(0), P_p.cell(0), A1[0], B[0], A3[0])
 
 
 # ---------------------------------------------------------------------------

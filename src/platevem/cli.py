@@ -330,14 +330,14 @@ def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
                        lv.eta, lv.components2) + [lv.n_marked]
             for lv in trace.levels]
 
-    tail = min(4, len(trace.levels))
-    slope_err = fit_loglog_slope(trace.ndofs, trace.energies, tail)
-    slope_eta = fit_loglog_slope(trace.ndofs, trace.etas, tail)
+    def slope(y) -> str:
+        return "n/a" if len(trace.levels) < 2 else f"{fit_loglog_slope(trace.ndofs, y):.3f}"
+
     summary = (f"{cfg.case} {cfg.family} k={cfg.k} l={cfg.l} "
                f"theta={theta:g}: {len(trace.levels)} levels, "
                f"final ndof={trace.ndofs[-1]}\n"
-               f"  error slope vs ndof = {slope_err:.3f}\n"
-               f"  eta slope vs ndof   = {slope_eta:.3f}")
+               f"  error slope vs ndof = {slope(trace.energies)}\n"
+               f"  eta slope vs ndof   = {slope(trace.etas)}")
     return {"trace": (_LEVEL_HEADER + ["marked"], rows)}, summary
 
 

@@ -38,7 +38,6 @@ N_PARTS = 9
 @dataclass
 class EstimatorReport:
     parts: np.ndarray                # squared contributions eta_1..eta_9, (ncells, 9)
-    included: tuple[int, ...]        # 1-based component indices in the total
 
     @property
     def components2(self) -> np.ndarray:
@@ -82,11 +81,6 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     alpha, beta, gamma = (system.params.alpha, system.params.beta,
                           system.params.gamma)
     nonconf = system.space_u.family is Family.NONCONFORMING
-    include: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
-    if nonconf:
-        include += (8,)
-        if k >= 3:
-            include += (9,)
     nk, nl = poly_dim(k), poly_dim(l)
     gl = max(l - 1, 0)
     n_u = system.dof_u.ndof
@@ -230,4 +224,4 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
     np.add.at(parts, L, np.where(boundary, 1.0, 0.5)[:, None] * acc)
     np.add.at(parts, R[~boundary], 0.5 * acc[~boundary])
-    return EstimatorReport(parts, include)
+    return EstimatorReport(parts)

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .assembly import AssembledSystem, ModelParams
-from .mesh import BoundaryLabel, PolygonalMesh
+from .mesh import BoundaryLabel, PolygonalMesh, all_clamped
 from .projectors import data_oscillation, matvec
 from .quadrature import pointwise, poly_dim
 from .spaces import pressure_is_dirichlet
@@ -88,10 +88,6 @@ def smooth_square_labeler(edge_mid: np.ndarray, tol: float = 1e-12) -> BoundaryL
     if edge_mid[0] < tol or edge_mid[1] < tol:
         return BoundaryLabel.CLAMPED
     return BoundaryLabel.SIMPLY_SUPPORTED
-
-
-def _all_clamped(edge_mid: np.ndarray) -> BoundaryLabel:
-    return BoundaryLabel.CLAMPED
 
 
 def _sin2_factors(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -197,7 +193,7 @@ def polynomial_case(k: int, l: int, params: ModelParams | None = None,
 
     U, Q = poly(k), poly(l)
     return ManufacturedCase(
-        name=f"poly-k{k}-l{l}", params=params, labeler=_all_clamped,
+        name=f"poly-k{k}-l{l}", params=params, labeler=all_clamped,
         pressure_dirichlet_on_clamped=True, domain=domain,
         u=_polyval(U),
         grad_u=_polyval(_deriv(U, 1, 0), _deriv(U, 0, 1)),
@@ -257,7 +253,7 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
 
     beta = params.beta
     return ManufacturedCase(
-        name="lshape", params=params, labeler=_all_clamped,
+        name="lshape", params=params, labeler=all_clamped,
         pressure_dirichlet_on_clamped=True, domain="lshape",
         u=u, grad_u=grad_u, hess_u=hess_u, p=p, grad_p=grad_p,
         f=u, g=lambda pts: beta * p(pts),

@@ -1,4 +1,4 @@
-"""Polygonal meshes: construction, file I/O, generation, and refinement.
+"""Polygonal meshes: construction, file input, generation, and refinement.
 
 A mesh is a vertex table plus flat arrays (the node/elem layout with
 auxiliary edge arrays).  Cell c owns the slots cell_ptr[c]:cell_ptr[c+1]:
@@ -524,22 +524,7 @@ def uniform_refine(mesh: PolygonalMesh) -> PolygonalMesh:
 
 
 # ---------------------------------------------------------------------------
-# file I/O
-
-
-def save_mesh(mesh: PolygonalMesh, path: str) -> None:
-    bnd = np.flatnonzero(mesh.on_boundary)
-    body = {
-        "vertices": mesh.vertices.tolist(),
-        "cells": [c.tolist() for c in mesh.cells],
-        "boundary": [
-            {"edges": [pair], "label": LABELS[code].value}
-            for pair, code in zip(mesh.edge_verts[bnd].tolist(),
-                                  mesh.edge_label[bnd].tolist())
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(body, fh)
+# file input
 
 
 def _is_int(v) -> bool:

@@ -257,7 +257,8 @@ class CellGroup:
         return _edge_fit(self.edge_npts, degree) @ values
 
     def deriv(self, deriv: tuple[int, int], degree: int) -> np.ndarray:
-        """Per-cell deriv_matrix, shape (ncells, dim out, dim in)."""
+        """Per-cell ``unit_deriv_matrix`` at the cell diameters, shape
+        (ncells, dim out, dim in)."""
         return unit_deriv_matrix(deriv, degree) / self.diameter[:, None, None] ** sum(deriv)
 
     @property
@@ -270,8 +271,8 @@ class CellGroup:
 
 @dataclass
 class ElementProjectors:
-    """Projector matrices of one cell; on a group, every array carries a
-    leading cell axis and ``cell(i)`` is one cell's view."""
+    """Projector matrices of the cells of a group; every array carries a
+    leading cell axis."""
     ndof: int
     D: np.ndarray                                 # (ndof, n_poly)
     pd: np.ndarray                                # (n_poly, ndof)
@@ -281,15 +282,6 @@ class ElementProjectors:
     pg: dict[int, np.ndarray]
     normal_moments: np.ndarray | None             # (nedges, mu rows, ndof)
     value_moments: np.ndarray                     # (nedges, nu rows, ndof), plain integrals
-
-    def cell(self, i: int) -> ElementProjectors:
-        return ElementProjectors(
-            self.ndof, self.D[i], self.pd[i], self.l2[i],
-            {g: (gx[i], gy[i]) for g, (gx, gy) in self.grads.items()},
-            None if self.hess is None else tuple(h[i] for h in self.hess),
-            {d: P[i] for d, P in self.pg.items()},
-            None if self.normal_moments is None else self.normal_moments[i],
-            self.value_moments[i])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scaled monomial bases and quadrature on edges, triangles, and polygons.
+"""Scaled monomial tables and quadrature on edges, triangles, and polygons.
 
 All polynomial spaces on an element K use the scaled monomial basis
 
@@ -60,30 +60,6 @@ def _deriv_tables(degree: int, dx: int, dy: int):
 
 
 @dataclass(frozen=True)
-class ScaledMonomialBasis:
-    """Scaled monomials on one element: center x_K, diameter h_K, max degree."""
-
-    center: tuple[float, float]
-    diameter: float
-    degree: int
-
-    def eval(self, pts: np.ndarray, deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-        """Evaluate d^deriv m_a at pts, returning shape (npts, dim)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        return monomials(pts, self.center, self.diameter, self.degree, deriv)
-
-    def deriv_matrix(self, deriv: tuple[int, int], degree_in: int | None = None) -> np.ndarray:
-        """Coefficient map M_degree_in -> M_(degree_in - |deriv|) for d^deriv.
-
-        Columns index input monomials, rows index the (lower-degree) output
-        basis; each column has at most one nonzero entry.
-        """
-        if degree_in is None:
-            degree_in = self.degree
-        return unit_deriv_matrix(deriv, degree_in) / self.diameter ** sum(deriv)
-
-
-@dataclass(frozen=True)
 class PowerTable:
     """Powers s^0 .. s^degree of the scaled coordinates s = (x - x_K) / h_K
     at one point set.  Every scaled monomial table and every derivative
@@ -132,13 +108,6 @@ class PowerTable:
         return out
 
 
-def monomials(pts: np.ndarray, center: np.ndarray, diameter, degree: int,
-              deriv: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """d^deriv of the scaled monomials at pts, shape (..., npts, dim); one
-    table of ``PowerTable``."""
-    return PowerTable.at(pts, center, diameter, degree).gather(deriv)
-
-
 def pointwise(fn, pts: np.ndarray) -> np.ndarray:
     """fn, which maps (n, 2) points to (n, ...) values, at stacked points
     (..., n, 2)."""
@@ -148,7 +117,8 @@ def pointwise(fn, pts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
-    """deriv_matrix for unit diameter; divide by h^|deriv| for diameter h."""
+    """Coefficient map M_degree_in -> M_(degree_in - |deriv|) of d^deriv at
+    unit diameter; divide by h^|deriv| for diameter h."""
     dx, dy = deriv
     deg_out = degree_in - dx - dy
     exps_in = monomial_exponents(degree_in)
@@ -169,16 +139,6 @@ def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
 # quadrature rules
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray   # (..., n, 2) physical coordinates, per domain
-    weights: np.ndarray  # (..., n), sum equals the measure of the domain
-
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Integral of values (n, ...) at the points of a one-domain rule."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
-
 @lru_cache(maxsize=None)
 def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]; exact to degree 2 npts - 1."""
@@ -186,12 +146,13 @@ def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def edge_rule(p0: np.ndarray, p1: np.ndarray, order: int) -> QuadratureRule:
-    """Gauss rule along the segments p0 -> p1 (..., 2), exact for degree <= order."""
+def edge_rule(p0: np.ndarray, p1: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule along the segments p0 -> p1 (..., 2), exact for degree <= order:
+    points (..., n, 2) and weights (..., n)."""
     t, w = gauss_01(max(1, (order + 2) // 2))
     p0 = np.asarray(p0, dtype=np.float64)[..., None, :]
     d = np.asarray(p1, dtype=np.float64)[..., None, :] - p0
-    return QuadratureRule(p0 + t[:, None] * d, w * np.hypot(d[..., 0], d[..., 1]))
+    return p0 + t[:, None] * d, w * np.hypot(d[..., 0], d[..., 1])
 
 
 @lru_cache(maxsize=None)
@@ -330,20 +291,3 @@ def subdivide_triangles(tris: np.ndarray, times: int) -> np.ndarray:
         tris = tris.reshape(*tris.shape[:-4], -1, 3, 2)
     return tris
 
-
-def polygon_rule(coords: np.ndarray, order: int,
-                 centroid: np.ndarray | None = None,
-                 subdivide: int = 0) -> QuadratureRule:
-    """Quadrature on a simple polygon, exact for degree <= order.
-
-    Lays the triangle rule on polygon_triangles.  With subdivide = s > 0
-    every triangle is split 4^s-fold through edge midpoints before the
-    rule is laid down, which is used to tame nearly singular integrands
-    without raising the order.  This is the one-polygon case of
-    ``CellGroup.rule``.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if centroid is None:
-        _, centroid = polygon_area_centroid(coords)
-    tris = subdivide_triangles(polygon_triangles(coords, centroid), subdivide)
-    return QuadratureRule(*map_triangles(tris, order))

@@ -13,7 +13,7 @@ their projected polynomial representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,14 +81,6 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem,
     return LevelResult(mesh.h, mesh.ncells, system.ndof, report, est)
 
 
-def solve_case(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
-               k: int, l: int, *, solver: str = "direct"):
-    """Constrained system and discrete solution of one case on one mesh."""
-    system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
-    U, P = factor_system(system, constraints, solver).solve(assemble_rhs(system, case))
-    return system, U, P
-
-
 def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
                 k: int, l: int) -> ErrorReport:
     """Solve with data synthesized by the assembled operator itself.
@@ -119,9 +111,12 @@ def run_convergence(case: ManufacturedCase, meshes, family: Family,
 
 
 def fit_loglog_slope(x, y, tail: int = 4) -> float:
-    """Least-squares slope of log y against log x over the last tail points."""
+    """Least-squares slope of log y against log x over the last tail points;
+    a line needs at least two."""
     x = np.asarray(x, dtype=np.float64)[-tail:]
     y = np.asarray(y, dtype=np.float64)[-tail:]
+    if len(x) < 2:
+        raise ValueError(f"a slope needs at least two points, got {len(x)}")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
@@ -168,15 +163,3 @@ def timestep_driver(system: AssembledSystem, constraints: Constraints,
         out.append((U, P))
         um1, un, pn = un, U, P
     return out
-
-
-def steady_timestep_state(system: AssembledSystem, constraints: Constraints,
-                          case: ManufacturedCase):
-    """Fixed point of the time march for the case's step-independent data.
-
-    Subtracting the projected-mass feedback from the operator and solving
-    once gives the state that the march reproduces identically.
-    """
-    M = assemble_projected_mass(system)
-    shifted = replace(system, K=(system.K - M).tocsr())
-    return factor_system(shifted, constraints).solve(assemble_rhs(system, case))

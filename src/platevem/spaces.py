@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import ANGLE_TOL, CLAMPED, SIMPLY_SUPPORTED, PolygonalMesh, size_groups
-from .quadrature import (edge_rule, fan_is_star, map_triangles, monomials, pointwise,
+from .quadrature import (PowerTable, edge_rule, fan_is_star, map_triangles, pointwise,
                          poly_dim, polygon_triangles)
 
 
@@ -208,8 +208,7 @@ def _edge_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable,
                 grad: Callable, edges: np.ndarray) -> np.ndarray:
     """(len(edges), n_edge): normal moments, then scaled value moments."""
     ends = mesh.vertices[mesh.edge_verts[edges]]
-    rule = edge_rule(ends[:, 0], ends[:, 1], 2 * space.degree + 4)
-    pts, weights = rule.points, rule.weights
+    pts, weights = edge_rule(ends[:, 0], ends[:, 1], 2 * space.degree + 4)
     length = mesh.edge_length[edges, None]
     s = ((pts - mesh.edge_mid[edges, None, :]) @ mesh.edge_tangent[edges, :, None])[..., 0] \
         / length
@@ -239,7 +238,8 @@ def _cell_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable) -> np.nd
             c, center = cells[part], mesh.centroids[cells[part]]
             tris = polygon_triangles(coords[part], center)
             pts, w = map_triangles(tris, 2 * space.degree + 4)
-            mono = monomials(pts, center, mesh.diameters[c], space.degree)[..., :space.n_cell]
+            mono = PowerTable.at(pts, center, mesh.diameters[c],
+                                 space.degree).gather()[..., :space.n_cell]
             wv = w * pointwise(value, pts)
             # C order keeps each sum over one contiguous row, so every cell
             # sums its moments as its own rule alone would

@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
+from _elements import build_element, cell_view
 from _oracle import oracle_element
 
 from platevem.adaptivity import MarkingConfig, adaptive_loop
-from platevem.assembly import ModelParams, build_element
+from platevem.assembly import ModelParams
 from platevem.cli import main as cli_main
 from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import generate_lshape, generate_structured, generate_voronoi
@@ -110,7 +111,7 @@ def test_projector_polynomial_reproduction():
             C = rng.uniform(-1.0, 1.0, size=(nk, 200))
             for cell in range(mesh.ncells):
                 group = CellGroup(mesh, [cell], max_degree=k)
-                P = deflection_projectors(group, space).cell(0)
+                P = cell_view(deflection_projectors(group, space), 0)
                 X = P.D @ C
                 worst = max(worst, np.abs(P.pd @ X - C).max())
                 worst = max(worst, np.abs(P.l2 @ X - C).max())
@@ -128,7 +129,7 @@ def test_projector_polynomial_reproduction():
             C = rng.uniform(-1.0, 1.0, size=(nl, 200))
             for cell in range(mesh.ncells):
                 group = CellGroup(mesh, [cell], max_degree=l)
-                P = pressure_projectors(group, space).cell(0)
+                P = cell_view(pressure_projectors(group, space), 0)
                 X = P.D @ C
                 worst = max(worst, np.abs(P.pd @ X - C).max())
                 worst = max(worst, np.abs(P.l2 @ X - C).max())

@@ -37,6 +37,13 @@ class TestDorflerMarking:
         with pytest.raises(ValueError):
             dorfler_mark([], 0.5)
 
+    @pytest.mark.parametrize("eta2, cell", [([1.0, np.nan, 2.0], 1), ([np.inf, 1.0], 0),
+                                            ([1.0, 2.0, -np.inf, np.nan], 2)])
+    def test_non_finite_rejected(self, eta2, cell):
+        """A failed solve's indicators raise, naming the first bad cell."""
+        with pytest.raises(ValueError, match=f"estimator of cell {cell} is not finite"):
+            dorfler_mark(eta2, 0.5)
+
     def test_minimality(self):
         rng = np.random.default_rng(3)
         eta2 = rng.uniform(0.01, 1.0, size=40)

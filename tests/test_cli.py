@@ -541,6 +541,19 @@ class TestAdaptiveCommand:
         ndofs = [int(r["ndof"]) for r in rows]
         assert ndofs == sorted(ndofs)
 
+    def test_one_level_has_no_slope(self, tmp_path):
+        """A one-level run fits no slope: both read n/a, with no warning."""
+        cfg = write_config(tmp_path, case="lshape", family="nonconforming",
+                           mesh={"kind": "lshape", "n0": 2}, mode="adaptive", levels=1)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-m", "platevem.cli", "adaptive",
+                               "--config", str(cfg)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert summary == done.stdout
+        assert "error slope vs ndof = n/a\n  eta slope vs ndof   = n/a" in summary
+
 
 class TestTimestepCommand:
     def test_steps_csv(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from platevem.manufactured import (compute_errors, format_rate_table,
                                    get_case, lshape_case, polynomial_case,
                                    rate_table, rates_against, smooth_case)
 from platevem.mesh import generate_lshape, generate_voronoi
-from platevem.runner import solve_patch, spaces_for
+from platevem.runner import fit_loglog_slope, solve_patch, spaces_for
 from platevem.spaces import Family
 
 
@@ -236,6 +236,14 @@ class TestRateHelpers:
         text = format_rate_table(rows)
         assert "rate(e)" in text.splitlines()[0]
         assert len(text.splitlines()) == 4
+
+    def test_slope_needs_two_points(self):
+        assert fit_loglog_slope([10.0, 40.0], [1.0, 0.25]) == pytest.approx(-1.0)
+        assert fit_loglog_slope([10.0, 40.0, 160.0], [9.0, 1.0, 0.25], tail=2) \
+            == pytest.approx(-1.0)
+        for x, tail in (([10.0], 4), ([10.0, 40.0], 1), ([], 4)):
+            with pytest.raises(ValueError, match="at least two points"):
+                fit_loglog_slope(x, np.ones(len(x)), tail)
 
     def test_get_case_dispatch(self):
         assert get_case("smooth").name == "smooth"

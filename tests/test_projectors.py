@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from _elements import build_element, cell_view
 from _oracle import (oracle_deflection, oracle_element, oracle_pressure,
                      polygon_quad, shoelace)
 
-from platevem.assembly import ModelParams, build_element
+from platevem.assembly import ModelParams
 from platevem.mesh import generate_voronoi
 from platevem.projectors import (CellGroup, _edge_gram, deflection_projectors,
                                  pressure_projectors)
@@ -29,7 +30,7 @@ class TestPolynomialReproduction:
         space = SpaceKind("deflection", family, k)
         for cell in (0, 7, 13):
             group = CellGroup(voronoi25, [cell], max_degree=k)
-            P = deflection_projectors(group, space, pg_degrees=(k - 1,)).cell(0)
+            P = cell_view(deflection_projectors(group, space, pg_degrees=(k - 1,)), 0)
             nk = poly_dim(k)
             assert np.abs(P.pd @ P.D - np.eye(nk)).max() < 1e-9
             assert np.abs(P.l2 @ P.D - np.eye(nk)).max() < 1e-9
@@ -52,7 +53,7 @@ class TestPolynomialReproduction:
         space = SpaceKind("pressure", family, l)
         for cell in (2, 9):
             group = CellGroup(voronoi25, [cell], max_degree=l)
-            P = pressure_projectors(group, space).cell(0)
+            P = cell_view(pressure_projectors(group, space), 0)
             nl = poly_dim(l)
             assert np.abs(P.pd @ P.D - np.eye(nl)).max() < 1e-9
             assert np.abs(P.l2 @ P.D - np.eye(nl)).max() < 1e-9
@@ -138,8 +139,8 @@ class TestStabilizedStructure:
         """(I - D pd) annihilates polynomial dof vectors."""
         for family in (Family.CONFORMING, Family.NONCONFORMING):
             space = SpaceKind("deflection", family, 2)
-            P = deflection_projectors(CellGroup(voronoi25, [4], max_degree=2),
-                                      space).cell(0)
+            P = cell_view(deflection_projectors(CellGroup(voronoi25, [4], max_degree=2),
+                                                space), 0)
             S2 = np.eye(P.ndof) - P.D @ P.pd
             assert np.abs(S2 @ P.D).max() < 1e-10
 
@@ -149,6 +150,6 @@ class TestStabilizedStructure:
         space = SpaceKind("deflection", Family.CONFORMING, 2)
         shortest = np.minimum.reduceat(mesh.edge_length[mesh.cell_edge], mesh.cell_ptr[:-1])
         worst = int(np.argmin(shortest))
-        P = deflection_projectors(CellGroup(mesh, [worst], max_degree=2), space).cell(0)
+        P = cell_view(deflection_projectors(CellGroup(mesh, [worst], max_degree=2), space), 0)
         assert np.isfinite(P.pd).all()
         assert np.abs(P.pd @ P.D - np.eye(6)).max() < 1e-6

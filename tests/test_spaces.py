@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from _elements import polygon_rule
 
 from platevem.assembly import ModelParams, assemble_system
 from platevem.manufactured import get_case
 from platevem.mesh import (CLAMPED, BoundaryLabel, build_mesh, generate_structured,
                            generate_voronoi, region_labeler, size_groups)
-from platevem.quadrature import ScaledMonomialBasis, edge_rule, poly_dim, polygon_rule
+from platevem.quadrature import PowerTable, edge_rule, poly_dim
 from platevem.spaces import (DofLayout, Family, SpaceKind, apply_essential_bc,
                              build_dof_map, interpolate)
 
@@ -34,21 +35,19 @@ def reference_interpolant(mesh, space, value, grad):
             vals += list(mesh.vertex_char_length[v] * grad(x[None])[0])
         out += vals[:space.n_vertex]
     for e, (i, j) in enumerate(mesh.edge_verts):
-        rule = edge_rule(mesh.vertices[i], mesh.vertices[j], order)
-        s = ((rule.points - mesh.edge_mid[e]) @ mesh.edge_tangent[e]) / mesh.edge_length[e]
+        pts, w = edge_rule(mesh.vertices[i], mesh.vertices[j], order)
+        s = ((pts - mesh.edge_mid[e]) @ mesh.edge_tangent[e]) / mesh.edge_length[e]
         if space.n_edge_normal:
-            gn = grad(rule.points) @ mesh.edge_normal[e]
-            out += [np.sum(rule.weights * gn * s ** m) for m in range(space.n_edge_normal)]
-        vals = value(rule.points)
-        out += [np.sum(rule.weights * vals * s ** m) / mesh.edge_length[e]
+            gn = grad(pts) @ mesh.edge_normal[e]
+            out += [np.sum(w * gn * s ** m) for m in range(space.n_edge_normal)]
+        vals = value(pts)
+        out += [np.sum(w * vals * s ** m) / mesh.edge_length[e]
                 for m in range(space.n_edge_value)]
     for c in range(mesh.ncells if space.n_cell else 0):
-        basis = ScaledMonomialBasis(tuple(mesh.centroids[c]), float(mesh.diameters[c]),
-                                    space.degree)
-        rule = polygon_rule(mesh.cell_coords(c), order, centroid=mesh.centroids[c])
-        mono = basis.eval(rule.points)
-        vals = value(rule.points)
-        out += [np.sum(rule.weights * vals * mono[:, m]) / mesh.areas[c]
+        pts, w = polygon_rule(mesh.cell_coords(c), order)
+        mono = PowerTable.at(pts, mesh.centroids[c], mesh.diameters[c], space.degree).gather()
+        vals = value(pts)
+        out += [np.sum(w * vals * mono[:, m]) / mesh.areas[c]
                 for m in range(space.n_cell)]
     return np.array(out)
 
