@@ -28,10 +28,10 @@ Cells are built in groups that share one local shape (``CellGroup``):
 every array carries a leading axis over the cells of the group, and edge
 quantities a second axis over the local edges, so one numpy call serves
 the whole group.  What fixes the shapes, and hence the group key, is the
-vertex count, the volume triangulation (centroid fan or ear clipping),
-the singular subdivision, and for the nonconforming family the side
-structure; edge orientations and geometry are per-cell data.  One
-cell is a group of one.
+vertex count, the volume triangulation (centroid fan or ear clipping)
+and the singular subdivision; edge orientations, geometry and the
+corners of a nonconforming cell's sides are per-cell data.  One cell is
+a group of one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import MeshError, PolygonalMesh, SideStructure, corner_mask, size_groups
+from .mesh import MeshError, PolygonalMesh, corner_mask, size_groups
 from .quadrature import (PowerTable, edge_monomial_integrals, fan_is_star, gauss_01,
                          map_triangles, poly_dim, polygon_triangles, subdivide_triangles,
                          unit_deriv_matrix)
@@ -104,22 +104,19 @@ def cell_groups(mesh: PolygonalMesh, family: Family,
     """Cells sharing one group key, in order of first appearance, with the
     subdivision their loads and estimator terms are integrated on.  Keys
     are computed one vertex count at a time."""
-    key = np.zeros((mesh.ncells, 4), dtype=np.int64)
-    key[list(singular_cells), 3] = 1
+    key = np.zeros((mesh.ncells, 3), dtype=np.int64)
+    key[list(singular_cells), 2] = 1
     for cells, slots in size_groups(mesh.cell_ptr):
         coords = mesh.vertices[mesh.cell_verts[slots]]
         key[cells, 0] = slots.shape[1]
         key[cells, 1] = fan_is_star(coords, mesh.centroids[cells])
-        if family is Family.NONCONFORMING:
-            corners = corner_mask(coords)
-            if (corners.sum(axis=1) < 3).any():
-                raise MeshError("polygon has fewer than 3 corners")
-            key[cells, 2] = np.unique(corners, axis=0, return_inverse=True)[1].ravel()
+        if family is Family.NONCONFORMING and (corner_mask(coords).sum(axis=1) < 3).any():
+            raise MeshError("polygon has fewer than 3 corners")
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     by_group = np.argsort(inverse.ravel(), kind="stable")
     bounds = np.cumsum(np.bincount(inverse.ravel()))[:-1]
     groups = np.split(by_group, bounds)
-    return [(groups[g], int(key[first[g], 3])) for g in np.argsort(first)]
+    return [(groups[g], int(key[first[g], 2])) for g in np.argsort(first)]
 
 
 class CellGroup:
@@ -176,11 +173,6 @@ class CellGroup:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    @property
-    def side(self) -> SideStructure:
-        """Side structure of the first cell; nonconforming groups share it."""
-        return self.mesh.side_structure(int(self.cells[0]))
 
     def rule(self, order: int, subdivide: int) -> tuple[np.ndarray, np.ndarray]:
         """Volume points (ncells, nq, 2) and weights (ncells, nq), exact for
@@ -410,7 +402,12 @@ def _deflection_pd(g: CellGroup, space: SpaceKind, lay: DofLayout,
 def _nc_deflection_traces(g: CellGroup, space: SpaceKind, lay: DofLayout,
                           pd: np.ndarray) -> np.ndarray:
     """Edge traces of degree k from vertex values, the C1 rule along sides,
-    and value moments borrowed from the energy projection."""
+    and value moments borrowed from the energy projection.
+
+    Each cell walks its edges from its first corner.  The first edge of a
+    side takes k-1 moments; an edge that continues a side past a hanging
+    vertex matches the previous edge's tangential derivative there and
+    takes k-2 moments."""
     k = space.degree
     nk = poly_dim(k)
     pw = np.arange(k + 1)
@@ -418,37 +415,35 @@ def _nc_deflection_traces(g: CellGroup, space: SpaceKind, lay: DofLayout,
     # moments of the pd trace at the Gauss nodes, (ncells, nverts, k-1, ndof)
     powers = g.shat[:, None] ** np.arange(k - 1)[None, :]
     mom = _T(powers * g.edge_w[..., None]) @ (g.etab((0, 0))[..., :nk] @ pd[:, None])
+    gram = _edge_gram(k - 2, k, g.length)
     A_all, R_all = _endpoint_trace_system(g, k, lay.ndof)
     R_all[..., 0, :] = lay.vsel[g.loc0]
     R_all[..., 1, :] = lay.vsel[g.loc1]
     traces = np.zeros_like(R_all)
 
-    side = g.side
-    for s in range(side.nsides):
-        prev_deriv_row: np.ndarray | None = None
-        for pos_in_side, j in enumerate(side.side_edges(s, g.nverts)):
-            A, R = A_all[:, j], R_all[:, j]
-            sigma = g.sigma[:, j, None]
-            length = g.length[:, j, None]
-            if pos_in_side == 0:
-                n_mom = k - 1
-                first = 2
-            else:
-                # C1 matching of the running tangential derivative at the
-                # shared hanging vertex, then lower-order moments
-                start_shat = -0.5 * sigma
-                A[:, 2] = sigma * (dpw * np.where(
-                    pw >= 1, start_shat ** np.clip(pw - 1, 0, None), 0.0)) / length
-                R[:, 2] = prev_deriv_row
-                n_mom = k - 2
-                first = 3
-            A[:, first:first + n_mom] = _edge_gram(n_mom - 1, k, g.length[:, j])
-            R[:, first:first + n_mom] = mom[:, j, :n_mom]
-            trace = np.linalg.solve(A, R)
-            traces[:, j] = trace
-            end_shat = 0.5 * sigma
-            drow = dpw * np.where(pw >= 1, end_shat ** np.clip(pw - 1, 0, None), 0.0)
-            prev_deriv_row = sigma * (drow[:, None, :] @ trace)[:, 0] / length
+    corner = corner_mask(g.coords)
+    rows = np.arange(len(g))
+    start = corner.argmax(axis=1)
+    prev_deriv_row = np.zeros((len(g), lay.ndof))
+    for t in range(g.nverts):
+        j = (start + t) % g.nverts
+        A, R = A_all[rows, j], R_all[rows, j]
+        sigma = g.sigma[rows, j, None]
+        length = g.length[rows, j, None]
+        # C1 matching of the running tangential derivative at the shared
+        # hanging vertex, then lower-order moments
+        c1 = sigma * (dpw * np.where(
+            pw >= 1, (-0.5 * sigma) ** np.clip(pw - 1, 0, None), 0.0)) / length
+        cont = ~corner[rows, j, None, None]
+        A[:, 2:] = np.where(cont, np.concatenate([c1[:, None], gram[rows, j, :k - 2]], 1),
+                            gram[rows, j])
+        R[:, 2:] = np.where(cont, np.concatenate([prev_deriv_row[:, None],
+                                                  mom[rows, j, :k - 2]], 1), mom[rows, j])
+        trace = np.linalg.solve(A, R)
+        traces[rows, j] = trace
+        end_shat = 0.5 * sigma
+        drow = dpw * np.where(pw >= 1, end_shat ** np.clip(pw - 1, 0, None), 0.0)
+        prev_deriv_row = sigma * (drow[:, None, :] @ trace)[:, 0] / length
     return traces
 
 

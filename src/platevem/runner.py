@@ -113,6 +113,8 @@ def run_convergence(case: ManufacturedCase, meshes, family: Family,
 def fit_loglog_slope(x, y, tail: int = 4) -> float:
     """Least-squares slope of log y against log x over the last tail points;
     a line needs at least two."""
+    if tail < 2:
+        raise ValueError(f"a slope needs at least two points, got a tail of {tail}")
     x = np.asarray(x, dtype=np.float64)[-tail:]
     y = np.asarray(y, dtype=np.float64)[-tail:]
     if len(x) < 2:

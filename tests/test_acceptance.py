@@ -20,7 +20,7 @@ from platevem.adaptivity import MarkingConfig, adaptive_loop
 from platevem.assembly import ModelParams
 from platevem.cli import main as cli_main
 from platevem.manufactured import get_case, polynomial_case
-from platevem.mesh import generate_lshape, generate_structured, generate_voronoi
+from platevem.mesh import generate_lshape, generate_voronoi
 from platevem.projectors import CellGroup, deflection_projectors, pressure_projectors
 from platevem.quadrature import poly_dim
 from platevem.runner import (fit_loglog_slope, run_convergence, solve_patch,

@@ -12,7 +12,7 @@ from platevem.assembly import (ModelParams, assemble_rhs, assemble_system, deriv
                                factor_system)
 from platevem.cli import main
 from platevem.manufactured import compute_errors, get_case, polynomial_case
-from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh,
+from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh, corner_mask,
                            generate_lshape, generate_structured, generate_voronoi,
                            refine)
 from platevem.quadrature import PowerTable, gauss_01, poly_dim, triangle_rule_reference
@@ -261,11 +261,22 @@ class TestGroupedBuild:
         singular = case.singular_cells(mesh)
         system = self.check(mesh, Family.NONCONFORMING, 2, 1, singular)
         assert singular
-        assert len(system.groups) == 8
+        assert len(system.groups) == 4
         assert sum(g.ctx.singular_subdivide == 1 for g in system.groups) == 1
-        # hanging nodes: some group's cells have more edges than corners
-        assert any(g.ctx.side.nsides < g.ctx.nverts for g in system.groups)
+        # hanging nodes are per-cell data: the pentagons, squares with one
+        # hanging vertex in any of four places, share one group
+        assert any(len(np.unique(corner_mask(g.ctx.coords), axis=0)) > 1
+                   for g in system.groups)
         self.check_loads_and_errors(case, mesh, Family.NONCONFORMING, 2, 1)
+
+    def test_families_share_the_grouping(self):
+        case, mesh = lshape_refined_twice()
+        singular = case.singular_cells(mesh)
+        conforming, nonconforming = (projectors.cell_groups(mesh, family, singular)
+                                     for family in (Family.CONFORMING, Family.NONCONFORMING))
+        assert len(conforming) == len(nonconforming) == 4
+        for (cells_c, sub_c), (cells_n, sub_n) in zip(conforming, nonconforming):
+            assert np.array_equal(cells_c, cells_n) and sub_c == sub_n
 
     def test_ear_clipped_cell(self):
         """An L-shaped octagon whose centroid fan folds over is integrated

@@ -6,11 +6,11 @@ import pytest
 import sympy as sp
 
 from platevem.assembly import ModelParams
-from platevem.manufactured import (compute_errors, format_rate_table,
-                                   get_case, lshape_case, polynomial_case,
-                                   rate_table, rates_against, smooth_case)
-from platevem.mesh import generate_lshape, generate_voronoi
-from platevem.runner import fit_loglog_slope, solve_patch, spaces_for
+from platevem.manufactured import (format_rate_table, get_case, lshape_case,
+                                   polynomial_case, rate_table, rates_against,
+                                   smooth_case)
+from platevem.mesh import generate_lshape
+from platevem.runner import fit_loglog_slope, solve_patch
 from platevem.spaces import Family
 
 
@@ -241,7 +241,7 @@ class TestRateHelpers:
         assert fit_loglog_slope([10.0, 40.0], [1.0, 0.25]) == pytest.approx(-1.0)
         assert fit_loglog_slope([10.0, 40.0, 160.0], [9.0, 1.0, 0.25], tail=2) \
             == pytest.approx(-1.0)
-        for x, tail in (([10.0], 4), ([10.0, 40.0], 1), ([], 4)):
+        for x, tail in (([10.0], 4), ([10.0, 40.0], 1), ([], 4), ([10.0, 40.0, 160.0], 0)):
             with pytest.raises(ValueError, match="at least two points"):
                 fit_loglog_slope(x, np.ones(len(x)), tail)
 

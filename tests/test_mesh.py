@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platevem.mesh import (LABELS, BoundaryLabel, MeshError, all_clamped, build_mesh,
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, build_mesh,
                            generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, uniform_refine)

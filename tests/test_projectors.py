@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 from _elements import build_element, cell_view
-from _oracle import (oracle_deflection, oracle_element, oracle_pressure,
-                     polygon_quad, shoelace)
+from _oracle import oracle_element, polygon_quad, shoelace
+from test_assembly import lshape_refined_twice
 
 from platevem.assembly import ModelParams
-from platevem.mesh import generate_voronoi
+from platevem.mesh import build_mesh, corner_mask, generate_voronoi
 from platevem.projectors import (CellGroup, _edge_gram, deflection_projectors,
                                  pressure_projectors)
 from platevem.quadrature import edge_monomial_integrals, poly_dim
 from platevem.spaces import Family, SpaceKind
 
 PARAMS = ModelParams(0.7, 1.4, 1.1)
-
-
-def dof_vector_of_monomials(P, D):
-    """Columns of D are the dof vectors of the scaled monomials."""
-    return D
 
 
 class TestPolynomialReproduction:
@@ -100,6 +95,39 @@ class TestOracleAgreement:
             gp = max(l - 1, 0)
             assert rel_err(op.pres.grads[gp][0], oo.pres.grads[gp][0]) < 1e-9
             assert rel_err(op.pres.grads[gp][1], oo.pres.grads[gp][1]) < 1e-9
+
+
+class TestHangingNodeOracle:
+    """Nonconforming cells with hanging vertices, whose sides run over
+    several edges, against the dense oracle: the C1 continuation rule of
+    the edge traces is checked on its own, not only against another build
+    of the same code."""
+
+    @staticmethod
+    def hanging_cells():
+        _, mesh = lshape_refined_twice()
+        hanging = [c for c in range(mesh.ncells) if not corner_mask(mesh.cell_coords(c)).all()]
+        # a pentagon whose local vertex 0 hangs, so its bottom side wraps
+        # past vertex 0 from local edge 4 to local edge 0
+        pentagon = build_mesh(np.array([[.5, 0], [1, 0], [1, 1], [0, 1], [0, 0]]),
+                              [[0, 1, 2, 3, 4]])
+        assert not corner_mask(pentagon.cell_coords(0))[0]
+        return [(mesh, c) for c in hanging] + [(pentagon, 0)]
+
+    @pytest.mark.parametrize("k,l", [(2, 1), (3, 2)])
+    def test_projectors_and_forms(self, k, l):
+        space_u = SpaceKind("deflection", Family.NONCONFORMING, k)
+        space_p = SpaceKind("pressure", Family.NONCONFORMING, l)
+        cases = self.hanging_cells()
+        assert len(cases) > 10
+        for mesh, cell in cases:
+            op = build_element(mesh, cell, space_u, space_p, PARAMS)
+            oo = oracle_element(mesh, cell, space_u, space_p, PARAMS)
+            assert rel_err(op.A1, oo.A1) < 1e-9
+            assert rel_err(op.B, oo.B) < 1e-9
+            assert rel_err(op.A3, oo.A3) < 1e-9
+            assert rel_err(op.defl.pd, oo.defl.pd) < 1e-9
+            assert rel_err(op.defl.l2, oo.defl.l2) < 1e-9
 
 
 @pytest.mark.parametrize("d1, d2", [(0, 3), (1, 2), (2, 4)])

@@ -5,7 +5,7 @@ from _elements import polygon_rule
 from platevem.assembly import ModelParams, assemble_system
 from platevem.manufactured import get_case
 from platevem.mesh import (CLAMPED, BoundaryLabel, build_mesh, generate_structured,
-                           generate_voronoi, region_labeler, size_groups)
+                           region_labeler, size_groups)
 from platevem.quadrature import PowerTable, edge_rule, poly_dim
 from platevem.spaces import (DofLayout, Family, SpaceKind, apply_essential_bc,
                              build_dof_map, interpolate)
