@@ -1,6 +1,6 @@
 #!/bin/sh
 # Reproduce every stored experiment.  Results land under results/<name>/.
-# The two k=3 ladders are the slow ones (a few minutes each).
+# The five-level k=2 Voronoi ladders (up to 6,400 cells) take longest.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -9,12 +9,12 @@ for cfg in scripts/configs/ex1_*.json; do
     platevem convergence --config "$cfg"
 done
 
-echo "== adaptive scripts/configs/ex2_uniform.json"
-platevem adaptive --config scripts/configs/ex2_uniform.json
-for cfg in scripts/configs/ex2_adaptive_*.json; do
+for cfg in scripts/configs/ex2_*.json; do
     echo "== adaptive $cfg"
     platevem adaptive --config "$cfg"
 done
 
-echo "== timestep scripts/configs/timestep_demo.json"
-platevem timestep --config scripts/configs/timestep_demo.json
+for cfg in scripts/configs/timestep_*.json; do
+    echo "== timestep $cfg"
+    platevem timestep --config "$cfg"
+done

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manufactured import ErrorReport, ManufacturedCase
+from .manufactured import ManufacturedCase
 from .mesh import PolygonalMesh, refine
-from .runner import constrained_system, solve_level
+from .runner import LevelResult, constrained_system, solve_level
 from .spaces import SpaceKind
 
 
@@ -52,63 +52,25 @@ def dorfler_mark(eta2, theta: float) -> list[int]:
     return sorted(int(c) for c in order[:m])
 
 
-@dataclass
-class AdaptiveLevel:
-    level: int
-    ncells: int
-    h: float
-    ndof: int
-    eta: float
-    components2: np.ndarray
-    cell_eta2: np.ndarray
-    report: ErrorReport
-    n_marked: int
-
-
-@dataclass
-class AdaptiveTrace:
-    levels: list[AdaptiveLevel] = field(default_factory=list)
-    meshes: list[PolygonalMesh] = field(default_factory=list)
-
-    @property
-    def ndofs(self) -> np.ndarray:
-        return np.array([lv.ndof for lv in self.levels])
-
-    @property
-    def etas(self) -> np.ndarray:
-        return np.array([lv.eta for lv in self.levels])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([lv.report.energy for lv in self.levels])
-
-
 def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
                   space_u: SpaceKind, space_p: SpaceKind,
                   marking: MarkingConfig, *,
-                  solver: str = "direct",
-                  keep_meshes: bool = False) -> AdaptiveTrace:
+                  solver: str = "direct") -> list[LevelResult]:
     """Iterate solve/estimate/mark/refine on one manufactured case.
 
     Stops at the level cap or once the global estimator drops below the
-    configured tolerance; theta = 1 reproduces uniform refinement.
+    configured tolerance; theta = 1 reproduces uniform refinement.  Each
+    level's system is released before the next one is assembled.
     """
     marking.validate()
-    trace = AdaptiveTrace()
+    levels: list[LevelResult] = []
     for level in range(marking.max_levels):
-        system, constraints = constrained_system(case, mesh, (space_u, space_p))
-        result = solve_level(case, system, constraints, solver=solver)
-        est = result.est
-        if keep_meshes:
-            trace.meshes.append(mesh)
-
-        last = level == marking.max_levels - 1 or est.eta <= marking.eta_tol
-        marked = [] if last else dorfler_mark(est.cell_eta2, marking.theta)
-        trace.levels.append(AdaptiveLevel(
-            level, mesh.ncells, mesh.h, result.ndof, est.eta,
-            est.components2, est.cell_eta2, result.report,
-            len(marked)))
-        if last:
+        result = solve_level(case, *constrained_system(case, mesh, (space_u, space_p)),
+                             solver=solver)
+        levels.append(result)
+        if level == marking.max_levels - 1 or result.est.eta <= marking.eta_tol:
             break
+        marked = dorfler_mark(result.est.cell_eta2, marking.theta)
+        result.marked = len(marked)
         mesh = refine(mesh, marked)
-    return trace
+    return levels

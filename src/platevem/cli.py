@@ -24,13 +24,13 @@ from .assembly import ModelParams, derive_params
 from .manufactured import get_case, known_case, rate_table
 from .mesh import (generate_lshape, generate_structured, load_mesh,
                    quality_report, uniform_refine)
-from .runner import (assemble_projected_mass, constrained_system,
+from .runner import (LevelResult, assemble_projected_mass, constrained_system,
                      fit_loglog_slope, run_convergence, spaces_for,
                      timestep_driver, voronoi_ladder)
 from .spaces import Family
 
 SCHEMAS = {"rates": "rates-v1", "levels": "levels-v1",
-           "trace": "trace-v1", "steps": "steps-v1"}
+           "trace": "trace-v1", "steps": "steps-v1", "mesh": "mesh-v1"}
 
 
 class ConfigError(Exception):
@@ -277,12 +277,11 @@ _LEVEL_HEADER = (["level", "ncells", "h", "ndof",
                  + [f"eta{i}" for i in range(1, 10)])
 
 
-def _level_row(level: int, ncells: int, h: float, ndof: int, report,
-               eta: float, components2) -> list:
-    return ([level, ncells, h, ndof,
-             report.err_u_h2, report.err_p_h1, report.err_u_l2,
-             report.err_p_l2, report.energy, report.osc_f, report.osc_g, eta]
-            + [float(np.sqrt(c)) for c in components2])
+def _level_row(j: int, r: LevelResult) -> list:
+    rep, est = r.report, r.est
+    return ([j, r.mesh.ncells, r.mesh.h, r.ndof, rep.err_u_h2, rep.err_p_h1,
+             rep.err_u_l2, rep.err_p_l2, rep.energy, rep.osc_f, rep.osc_g, est.eta]
+            + [float(np.sqrt(c)) for c in est.components2])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
     results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l,
                               solver=cfg.solver.method)
 
-    rows = rate_table([r.h for r in results], {
+    rows = rate_table([r.mesh.h for r in results], {
         "err_u_h2": [r.report.err_u_h2 for r in results],
         "err_p_h1": [r.report.err_p_h1 for r in results],
         "energy": [r.report.energy for r in results],
@@ -304,9 +303,7 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
     keys = ["h", "err_u_h2", "rate(err_u_h2)", "err_p_h1", "rate(err_p_h1)",
             "energy", "rate(energy)"]
     csv_rows = [[row[key] for key in keys] for row in rows]
-    level_rows = [_level_row(j, r.ncells, r.h, r.ndof, r.report,
-                             r.est.eta, r.est.components2)
-                  for j, r in enumerate(results)]
+    level_rows = [_level_row(j, r) for j, r in enumerate(results)]
 
     lines = [f"{cfg.case} {cfg.family} k={cfg.k} l={cfg.l}: "
              f"{len(results)} levels"]
@@ -323,21 +320,20 @@ def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     theta = 1.0 if cfg.mode == "uniform" else cfg.theta
     space_u, space_p = spaces_for(cfg.family_enum(), cfg.k, cfg.l)
-    trace = adaptive_loop(case, mesh, space_u, space_p,
-                          MarkingConfig(theta=theta, max_levels=cfg.levels),
-                          solver=cfg.solver.method)
-    rows = [_level_row(lv.level, lv.ncells, lv.h, lv.ndof, lv.report,
-                       lv.eta, lv.components2) + [lv.n_marked]
-            for lv in trace.levels]
+    levels = adaptive_loop(case, mesh, space_u, space_p,
+                           MarkingConfig(theta=theta, max_levels=cfg.levels),
+                           solver=cfg.solver.method)
+    rows = [_level_row(j, r) + [r.marked] for j, r in enumerate(levels)]
+    ndofs = [r.ndof for r in levels]
 
     def slope(y) -> str:
-        return "n/a" if len(trace.levels) < 2 else f"{fit_loglog_slope(trace.ndofs, y):.3f}"
+        return "n/a" if len(levels) < 2 else f"{fit_loglog_slope(ndofs, y):.3f}"
 
     summary = (f"{cfg.case} {cfg.family} k={cfg.k} l={cfg.l} "
-               f"theta={theta:g}: {len(trace.levels)} levels, "
-               f"final ndof={trace.ndofs[-1]}\n"
-               f"  error slope vs ndof = {slope(trace.energies)}\n"
-               f"  eta slope vs ndof   = {slope(trace.etas)}")
+               f"theta={theta:g}: {len(levels)} levels, "
+               f"final ndof={ndofs[-1]}\n"
+               f"  error slope vs ndof = {slope([r.report.energy for r in levels])}\n"
+               f"  eta slope vs ndof   = {slope([r.est.eta for r in levels])}")
     return {"trace": (_LEVEL_HEADER + ["marked"], rows)}, summary
 
 
@@ -380,12 +376,11 @@ def cmd_mesh_info(cfg: RunConfig) -> int:
                      int(rep["star_shaped"].sum()),
                      float(rep["min_edge_ratio"].min()),
                      int(len(rep["flagged"]))] + [int(c) for c in hist])
-    text = _csv_text(header, rows)
-    print(text)
+    print(_csv_text(header, rows))
     if cfg.out != "out" or Path(cfg.out).exists():
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "mesh.csv").write_text(text + "\n")
+        _write_csv(outdir / "mesh.csv", "mesh", header, rows)
     return 0
 
 

@@ -283,8 +283,6 @@ def get_case(name: str, params: ModelParams | None = None, k: int = 2,
 
 @dataclass
 class ErrorReport:
-    h: float
-    ndof: int
     err_u_h2: float
     err_p_h1: float
     err_u_l2: float
@@ -345,9 +343,9 @@ def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     cell_energy2 = k_u0 + k_u2 + beta * k_p0 + gamma * k_p1
     e_u2, e_u0, e_p1, e_p0 = k_u2.sum(), k_u0.sum(), k_p1.sum(), k_p0.sum()
     energy = math.sqrt(e_u0 + e_u2 + beta * e_p0 + gamma * e_p1)
-    return ErrorReport(system.mesh.h, system.ndof, math.sqrt(e_u2),
-                       math.sqrt(e_p1), math.sqrt(e_u0), math.sqrt(e_p0), energy,
-                       math.sqrt(osc_f.sum()), math.sqrt(osc_g.sum()), cell_energy2)
+    return ErrorReport(math.sqrt(e_u2), math.sqrt(e_p1), math.sqrt(e_u0),
+                       math.sqrt(e_p0), energy, math.sqrt(osc_f.sum()),
+                       math.sqrt(osc_g.sum()), cell_energy2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +374,3 @@ def rate_table(hs, columns: dict[str, list[float]]) -> list[dict[str, object]]:
         rows.append(row)
     return rows
 
-
-def format_rate_table(rows: list[dict[str, object]]) -> str:
-    if not rows:
-        return ""
-    keys = list(rows[0].keys())
-    lines = ["  ".join(f"{k:>14s}" for k in keys)]
-    for row in rows:
-        parts = []
-        for k in keys:
-            v = row[k]
-            if isinstance(v, str):
-                parts.append(f"{v:>14s}")
-            else:
-                parts.append(f"{v:14.5e}" if abs(v) < 1e-2 or abs(v) >= 1e3
-                             else f"{v:14.4f}")
-        lines.append("  ".join(parts))
-    return "\n".join(lines)

@@ -19,9 +19,8 @@ vertex count at a time, as (m, n) blocks of slots, with the arithmetic
 of a one-cell computation.
 
 Vertices interior to a straight run of element boundary (pi-angle
-vertices, produced by local refinement) are ordinary mesh vertices; the
-side structure of each polygon groups its collinear edge runs so that
-spaces which need them can tell corners from hanging nodes.
+vertices, produced by local refinement) are ordinary mesh vertices;
+``corner_mask`` tells corners from these hanging nodes.
 """
 
 from __future__ import annotations
@@ -80,29 +79,6 @@ def region_labeler(regions: Sequence[tuple[tuple[float, float, float, float], Bo
     return labeler
 
 
-@dataclass(frozen=True)
-class SideStructure:
-    """Corner/side decomposition of one polygon boundary.
-
-    corners holds local vertex positions of the true corners; side j starts
-    at local edge index side_start[j] and contains side_extra[j] additional
-    collinear edges beyond the first, so edge counts sum to the number of
-    polygon vertices.
-    """
-
-    corners: tuple[int, ...]
-    side_start: tuple[int, ...]
-    side_extra: tuple[int, ...]
-
-    @property
-    def nsides(self) -> int:
-        return len(self.side_start)
-
-    def side_edges(self, j: int, nverts: int) -> list[int]:
-        start = self.side_start[j]
-        return [(start + i) % nverts for i in range(self.side_extra[j] + 1)]
-
-
 def size_groups(cell_ptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per vertex count, ascending: the ids of the cells with that count
     and the (m, n) block of their slots."""
@@ -159,9 +135,6 @@ class PolygonalMesh:
 
     def cell_coords(self, c: int) -> np.ndarray:
         return self.vertices[self.cell_verts[self.cell_ptr[c]:self.cell_ptr[c + 1]]]
-
-    def side_structure(self, c: int) -> SideStructure:
-        return side_structure(self.cell_coords(c))
 
 
 def _self_intersecting(coords: np.ndarray) -> np.ndarray:
@@ -320,21 +293,6 @@ def corner_mask(coords: np.ndarray) -> np.ndarray:
     turn = np.arctan2(prev_d[..., 0] * next_d[..., 1] - prev_d[..., 1] * next_d[..., 0],
                       prev_d[..., 0] * next_d[..., 0] + prev_d[..., 1] * next_d[..., 1])
     return np.abs(turn) > ANGLE_TOL
-
-
-def side_structure(coords: np.ndarray) -> SideStructure:
-    """Group the boundary of one CCW polygon into maximal collinear runs.
-
-    A vertex is a corner when the turn between its adjacent edges exceeds
-    ANGLE_TOL; collinear (pi-angle) vertices fall inside a side.  Fewer
-    than 3 corners means the polygon is degenerate.
-    """
-    n = len(coords)
-    corners = [int(i) for i in np.flatnonzero(corner_mask(coords))]
-    if len(corners) < 3:
-        raise MeshError("polygon has fewer than 3 corners")
-    extra = [(nxt - c) % n - 1 for c, nxt in zip(corners, corners[1:] + corners[:1])]
-    return SideStructure(tuple(corners), tuple(corners), tuple(extra))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ manufactured case on one mesh and build its essential boundary values as
 a ``Constraints`` value (``constrained_system``), then assemble the case
 loads, factor once with those constraints, solve, and measure
 (``solve_level``); loads, error norms and the estimator read the case
-itself.  On top of it sit the uniform convergence ladders, the patch
-solve with operator-synthesized data, and the two-step time
-discretisation where previous states feed the right-hand side through
-their projected polynomial representations.
+itself.  A solved level is one ``LevelResult``, from the solve to the
+CSV row.  On top of the pipeline sit the uniform convergence ladders and
+the two-step time discretisation where previous states feed the
+right-hand side through their projected polynomial representations.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .estimator import EstimatorReport, estimate
 from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
 from .mesh import PolygonalMesh, generate_voronoi
 from .quadrature import poly_dim
-from .spaces import Constraints, Family, SpaceKind, apply_essential_bc, interpolate
+from .spaces import Constraints, Family, SpaceKind, apply_essential_bc
 
 
 def spaces_for(family: Family, k: int, l: int) -> tuple[SpaceKind, SpaceKind]:
@@ -63,11 +63,12 @@ def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
 
 @dataclass
 class LevelResult:
-    h: float
-    ncells: int
+    """One solved level; `marked` counts the cells refined after it."""
+    mesh: PolygonalMesh
     ndof: int
     report: ErrorReport
     est: EstimatorReport | None
+    marked: int = 0
 
 
 def solve_level(case: ManufacturedCase, system: AssembledSystem,
@@ -77,24 +78,7 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem,
     U, P = factor_system(system, constraints, solver).solve(assemble_rhs(system, case))
     report = compute_errors(system, U, P, case)
     est = estimate(system, U, P, case) if with_estimator else None
-    mesh = system.mesh
-    return LevelResult(mesh.h, mesh.ncells, system.ndof, report, est)
-
-
-def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
-                k: int, l: int) -> ErrorReport:
-    """Solve with data synthesized by the assembled operator itself.
-
-    The right-hand side is the operator applied to the interpolant of the
-    exact polynomial pair, so the discrete solution must reproduce that
-    interpolant exactly; any deviation points at the assembly, scatter,
-    boundary, or solve stages.
-    """
-    system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
-    UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
-    PI = interpolate(mesh, system.dof_p, case.p)
-    U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
-    return compute_errors(system, U, P, case)
+    return LevelResult(system.mesh, system.ndof, report, est)
 
 
 # ---------------------------------------------------------------------------

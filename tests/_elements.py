@@ -2,16 +2,21 @@
 package's stacked paths: a one-cell ``CellGroup`` through the element build
 of ``assemble_system``, and the triangulation ``CellGroup.rule`` lays its
 rule on.  Tests compare them against the dense oracle and against the
-stacked arrays of a level."""
+stacked arrays of a level.  ``solve_patch`` solves a level whose data the
+assembled operator synthesizes itself."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from platevem.assembly import _group_forms
+from platevem.assembly import _group_forms, factor_system
+from platevem.manufactured import ErrorReport, ManufacturedCase, compute_errors
+from platevem.mesh import PolygonalMesh
 from platevem.projectors import CellGroup, ElementProjectors
 from platevem.quadrature import (map_triangles, polygon_area_centroid, polygon_triangles,
                                  subdivide_triangles)
+from platevem.runner import constrained_system, spaces_for
+from platevem.spaces import Family, interpolate
 
 
 def cell_view(P: ElementProjectors, i: int) -> ElementProjectors:
@@ -48,3 +53,19 @@ def polygon_rule(coords, order: int, subdivide: int = 0):
     _, centroid = polygon_area_centroid(coords)
     tris = subdivide_triangles(polygon_triangles(coords, centroid), subdivide)
     return map_triangles(tris, order)
+
+
+def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
+                k: int, l: int) -> ErrorReport:
+    """Solve with data synthesized by the assembled operator itself.
+
+    The right-hand side is the operator applied to the interpolant of the
+    exact polynomial pair, so the discrete solution must reproduce that
+    interpolant exactly; any deviation points at the assembly, scatter,
+    boundary, or solve stages.
+    """
+    system, constraints = constrained_system(case, mesh, spaces_for(family, k, l))
+    UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
+    PI = interpolate(mesh, system.dof_p, case.p)
+    U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
+    return compute_errors(system, U, P, case)

@@ -3,15 +3,17 @@
 Everything is recomputed from the defining equations with plain numpy
 quadrature: tensor Gauss rules collapsed onto fan triangles for volume
 integrals, Gauss-Legendre along edges, Vandermonde solves for polynomial
-edge coefficients.  Only mesh geometry and the space descriptors are
-imported from the package; the projector and assembly code paths are not
-touched, so agreement is evidence rather than tautology.
+edge coefficients.  Only mesh geometry, the corner test and the space
+descriptors are imported from the package; the projector and assembly
+code paths are not touched, so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from platevem.mesh import MeshError, corner_mask
 from platevem.spaces import Family, SpaceKind
 
 # ---------------------------------------------------------------------------
@@ -330,12 +332,23 @@ def _deflection_ritz(oc: OracleCell, space: SpaceKind, lay: OLayout,
     return np.linalg.solve(Gc, Bc)
 
 
+def side_runs(coords) -> list[list[int]]:
+    """Local edge ids of each maximal collinear run of a CCW polygon's
+    boundary, from one corner (``corner_mask``) to the next; fewer than 3
+    corners means the polygon is degenerate."""
+    n = len(coords)
+    corners = [int(i) for i in np.flatnonzero(corner_mask(coords))]
+    if len(corners) < 3:
+        raise MeshError("polygon has fewer than 3 corners")
+    return [[(c + i) % n for i in range((nxt - c) % n)]
+            for c, nxt in zip(corners, corners[1:] + corners[:1])]
+
+
 def _nc_deflection_traces(oc: OracleCell, space: SpaceKind, lay: OLayout,
                           pd: np.ndarray, vertex_sel):
     k = space.degree
     nk = pdim(k)
     pw = np.arange(k + 1)
-    side = oc.mesh.side_structure(oc.cell)
     traces: list = [None] * oc.nverts
 
     def pd_edge_moments(j: int, count: int) -> np.ndarray:
@@ -344,8 +357,7 @@ def _nc_deflection_traces(oc: OracleCell, space: SpaceKind, lay: OLayout,
         powers = e.shat[:, None] ** np.arange(count)[None, :]
         return (powers * e.weights[:, None]).T @ vals
 
-    for s in range(side.nsides):
-        edge_ids = side.side_edges(s, oc.nverts)
+    for edge_ids in side_runs(oc.coords):
         prev_deriv_row = None
         for pos_in_side, j in enumerate(edge_ids):
             e = oc.edges[j]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
-from _elements import build_element, cell_view
+from _elements import build_element, cell_view, solve_patch
 from _oracle import oracle_element
 
 from platevem.adaptivity import MarkingConfig, adaptive_loop
@@ -23,8 +23,7 @@ from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import generate_lshape, generate_voronoi
 from platevem.projectors import CellGroup, deflection_projectors, pressure_projectors
 from platevem.quadrature import poly_dim
-from platevem.runner import (fit_loglog_slope, run_convergence, solve_patch,
-                             spaces_for, voronoi_ladder)
+from platevem.runner import fit_loglog_slope, run_convergence, spaces_for, voronoi_ladder
 from platevem.spaces import Family, SpaceKind
 
 FAMILIES = (Family.CONFORMING, Family.NONCONFORMING)
@@ -164,7 +163,7 @@ def test_quadratic_rates(ex1_k2):
     bits = []
     for family in FAMILIES:
         lv = runs[family]
-        hs = [r.h for r in lv]
+        hs = [r.mesh.h for r in lv]
         er = settled_rate(hs, [r.report.energy for r in lv])
         pr = settled_rate(hs, [r.report.err_p_h1 for r in lv])
         ok = ok and 0.85 <= er <= 1.15 and pr >= 0.8
@@ -180,7 +179,7 @@ def test_cubic_rates(ex1_k3):
     bits = []
     for family in FAMILIES:
         lv = runs[family]
-        er = settled_rate([r.h for r in lv], [r.report.energy for r in lv])
+        er = settled_rate([r.mesh.h for r in lv], [r.report.energy for r in lv])
         ok = ok and 1.8 <= er <= 2.3
         bits.append(f"{family.value}: energy {er:.3f}")
     record(4, ok, "; ".join(bits) + f" (need [1.8,2.3]), {dt:.0f}s (cap 1200s)")
@@ -188,14 +187,14 @@ def test_cubic_rates(ex1_k3):
 
 def test_corner_singularity_slopes(lshape_runs):
     uniform, adaptive, dt = lshape_runs
-    err_u = np.array([lv.report.energy for lv in uniform.levels])
-    s_uni = fit_loglog_slope(uniform.ndofs, err_u, tail=4)
+    err_u = np.array([lv.report.energy for lv in uniform])
+    s_uni = fit_loglog_slope([lv.ndof for lv in uniform], err_u, tail=4)
     ok = abs(s_uni - (-1.0 / 3.0)) <= 0.10 + 1e-12 and dt < 900.0
     bits = [f"uniform {s_uni:.3f} (need -0.33 +/- 0.10)"]
     for family in FAMILIES:
         tr = adaptive[family]
-        err = np.array([lv.report.energy for lv in tr.levels])
-        s_ad = fit_loglog_slope(tr.ndofs, err, tail=4)
+        err = np.array([lv.report.energy for lv in tr])
+        s_ad = fit_loglog_slope([lv.ndof for lv in tr], err, tail=4)
         ok = ok and abs(s_ad - (-0.5)) <= 0.10 + 1e-12
         bits.append(f"adaptive {family.value} {s_ad:.3f} (need -0.50 +/- 0.10)")
     record(5, ok, "; ".join(bits) + f", {dt:.0f}s (cap 900s)")
@@ -215,7 +214,7 @@ def test_estimator_reliability_efficiency(ex1_k2, lshape_runs):
         eta = np.array([r.est.eta for r in lv])
         eff = eta[-5:] / err[-5:]
         ratio = eff.max() / eff.min()
-        hs = np.array([r.h for r in lv])
+        hs = np.array([r.mesh.h for r in lv])
         gap = abs(fit_loglog_slope(hs, eta, tail=3)
                   - fit_loglog_slope(hs, err, tail=3))
         ok = ok and ratio <= 3.0 and gap <= 0.2
@@ -223,11 +222,12 @@ def test_estimator_reliability_efficiency(ex1_k2, lshape_runs):
                     f"rate gap {gap:.2f}")
     for family in FAMILIES:
         tr = adaptive[family]
-        err = np.array([lv.report.energy for lv in tr.levels])
-        eff = tr.etas[-5:] / err[-5:]
+        err = np.array([lv.report.energy for lv in tr])
+        ndofs, etas = [lv.ndof for lv in tr], np.array([lv.est.eta for lv in tr])
+        eff = etas[-5:] / err[-5:]
         ratio = eff.max() / eff.min()
-        gap = abs(fit_loglog_slope(tr.ndofs, tr.etas, tail=3)
-                  - fit_loglog_slope(tr.ndofs, err, tail=3))
+        gap = abs(fit_loglog_slope(ndofs, etas, tail=3)
+                  - fit_loglog_slope(ndofs, err, tail=3))
         ok = ok and ratio <= 3.0 and gap <= 0.2
         bits.append(f"corner {family.value}: eff ratio {ratio:.2f}, "
                     f"rate gap {gap:.2f}")
@@ -243,7 +243,7 @@ def test_extreme_parameter_rates():
         meshes = voronoi_ladder(case, COUNTS_K2, seed=3)
         lv = run_convergence(case, meshes, family, 2, 1,
                              with_estimator=False)
-        hs = [r.h for r in lv]
+        hs = [r.mesh.h for r in lv]
         er = settled_rate(hs, [r.report.energy for r in lv])
         pr = settled_rate(hs, [r.report.err_p_h1 for r in lv])
         ok = ok and 0.85 <= er <= 1.15 and pr >= 0.8

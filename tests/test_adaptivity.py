@@ -1,13 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platevem.adaptivity import (AdaptiveTrace, MarkingConfig, adaptive_loop,
-                                 dorfler_mark)
+from platevem import runner
+from platevem.adaptivity import MarkingConfig, adaptive_loop, dorfler_mark
 from platevem.manufactured import get_case
 from platevem.mesh import generate_lshape
-from platevem.runner import spaces_for
+from platevem.runner import LevelResult, spaces_for
 from platevem.spaces import Family
 
 
@@ -89,8 +91,7 @@ def lshape_traces():
     mesh = generate_lshape(2, labeler=case.labeler)
     space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
     adaptive = adaptive_loop(case, mesh, space_u, space_p,
-                             MarkingConfig(theta=0.5, max_levels=5),
-                             keep_meshes=True)
+                             MarkingConfig(theta=0.5, max_levels=5))
     uniform = adaptive_loop(case, mesh, space_u, space_p,
                             MarkingConfig(theta=1.0, max_levels=3))
     return adaptive, uniform
@@ -99,25 +100,25 @@ def lshape_traces():
 class TestAdaptiveLoop:
 
     def test_trace_grows_and_improves(self, lshape_traces):
-        adaptive, _ = lshape_traces
-        tr: AdaptiveTrace = adaptive
-        assert len(tr.levels) == 5
-        assert list(tr.ndofs) == sorted(tr.ndofs)
-        assert tr.etas[-1] < tr.etas[0]
-        assert tr.levels[-1].n_marked == 0    # final level never refines
-        assert all(lv.n_marked > 0 for lv in tr.levels[:-1])
+        tr: list[LevelResult] = lshape_traces[0]
+        assert len(tr) == 5
+        ndofs = [lv.ndof for lv in tr]
+        assert ndofs == sorted(ndofs)
+        assert tr[-1].est.eta < tr[0].est.eta
+        assert tr[-1].marked == 0    # final level never refines
+        assert all(lv.marked > 0 for lv in tr[:-1])
 
     def test_theta_one_is_uniform(self, lshape_traces):
         _, uniform = lshape_traces
-        ncells = [lv.ncells for lv in uniform.levels]
+        ncells = [lv.mesh.ncells for lv in uniform]
         # quadrilateral cells quadruple under full marking
         assert ncells[1] == 4 * ncells[0]
         assert ncells[2] == 4 * ncells[1]
 
     def test_adaptive_concentrates_near_corner(self, lshape_traces):
         adaptive, _ = lshape_traces
-        first = adaptive.meshes[0]
-        last = adaptive.meshes[-1]
+        first = adaptive[0].mesh
+        last = adaptive[-1].mesh
 
         def min_cell_diam(mesh):
             best = np.inf
@@ -140,5 +141,23 @@ class TestAdaptiveLoop:
         tr = adaptive_loop(case, mesh, space_u, space_p,
                            MarkingConfig(theta=0.5, max_levels=8,
                                          eta_tol=1e9))
-        assert len(tr.levels) == 1
-        assert tr.levels[0].n_marked == 0
+        assert len(tr) == 1
+        assert tr[0].marked == 0
+
+    def test_previous_system_is_freed_before_the_next_build(self, monkeypatch):
+        """Each level's assembled system, with its K and projectors, is
+        garbage by the time the next level's system is assembled."""
+        original, built = runner.assemble_system, []
+
+        def assemble(*args, **kwargs):
+            assert all(ref() is None for ref in built)
+            system = original(*args, **kwargs)
+            built.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(runner, "assemble_system", assemble)
+        case = get_case("lshape")
+        mesh = generate_lshape(2, labeler=case.labeler)
+        tr = adaptive_loop(case, mesh, *spaces_for(Family.CONFORMING, 2, 1),
+                           MarkingConfig(theta=0.5, max_levels=3))
+        assert len(built) == len(tr) == 3

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from _elements import build_element, polygon_rule
+from _elements import build_element, polygon_rule, solve_patch
 
 from platevem import assembly, projectors, runner
 from platevem.assembly import (ModelParams, assemble_rhs, assemble_system, derive_params,
@@ -17,7 +17,7 @@ from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh, 
                            refine)
 from platevem.quadrature import PowerTable, gauss_01, poly_dim, triangle_rule_reference
 from platevem.runner import (assemble_projected_mass, constrained_system, run_convergence,
-                             solve_level, solve_patch, spaces_for, timestep_driver)
+                             solve_level, spaces_for, timestep_driver)
 from platevem.spaces import Family
 
 PARAMS = ModelParams(0.9, 1.2, 1.5)

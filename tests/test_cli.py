@@ -1,10 +1,12 @@
 import copy
 import csv
 import dataclasses
+import fnmatch
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -554,6 +556,19 @@ class TestAdaptiveCommand:
         assert summary == done.stdout
         assert "error slope vs ndof = n/a\n  eta slope vs ndof   = n/a" in summary
 
+    def test_one_level_row_matches_convergence(self, tmp_path):
+        """Both commands write one level through one row writer: a one-level
+        trace.csv is levels.csv plus the `marked` column."""
+        cfg = write_config(tmp_path, levels=1)
+        for command in ("convergence", "adaptive"):
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / command)]) == 0
+        levels = (tmp_path / "convergence" / "levels.csv").read_text().splitlines()[1:]
+        trace = (tmp_path / "adaptive" / "trace.csv").read_text().splitlines()[1:]
+        assert len(levels) == len(trace) == 2
+        assert [line.rsplit(",", 1) for line in trace] == [
+            [levels[0], "marked"], [levels[1], "0"]]
+
 
 class TestTimestepCommand:
     def test_steps_csv(self, tmp_path, capsys):
@@ -589,6 +604,12 @@ class TestMeshInfoCommand:
         first = lines[1].split(",")
         assert int(first[1]) == 16   # requested cell count on level 0
 
+    def test_mesh_csv_is_tagged(self, tmp_path, capsys):
+        """mesh.csv is the printed table under its schema line."""
+        cfg = write_config(tmp_path, levels=2)
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        text = (tmp_path / "out" / "mesh.csv").read_text()
+        assert text == "# platevem mesh-v1\n" + capsys.readouterr().out
 
     @pytest.mark.parametrize("mesh, message", [
         ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
@@ -646,16 +667,30 @@ class TestDeterminism:
 
 
 class TestScripts:
-    """The experiment scripts import and parse their arguments against the
-    current package, and the driver script is valid shell."""
+    """The driver script is valid shell, and every shipped config runs
+    under the command it gives that config."""
 
     @pytest.mark.parametrize("command", [
-        [sys.executable, "scripts/convergence_tables.py", "--help"],
-        [sys.executable, "scripts/adaptivity_study.py", "--help"],
         ["sh", "-n", "scripts/run_all.sh"],
-    ], ids=["convergence_tables", "adaptivity_study", "run_all"])
+    ], ids=["run_all"])
     def test_script_starts(self, command):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    @staticmethod
+    def run_all_commands() -> dict[str, str]:
+        """Config glob -> subcommand, as the loops of run_all.sh pair them."""
+        text = (ROOT / "scripts" / "run_all.sh").read_text()
+        return dict(re.findall(r"for cfg in (\S+); do\n.*\n\s+platevem (\S+) ", text))
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (ROOT / "scripts" / "configs").glob("*.json")))
+    def test_shipped_config_runs_one_level(self, tmp_path, capsys, name):
+        path = f"scripts/configs/{name}"
+        commands = [c for pattern, c in self.run_all_commands().items()
+                    if fnmatch.fnmatch(path, pattern)]
+        assert len(commands) == 1, f"run_all.sh runs {path} {len(commands)} times"
+        assert main([commands[0], "--config", str(ROOT / path), "--levels", "1",
+                     "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err

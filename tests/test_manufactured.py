@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from _elements import solve_patch
 
 from platevem.assembly import ModelParams
-from platevem.manufactured import (format_rate_table, get_case, lshape_case,
-                                   polynomial_case, rate_table, rates_against,
-                                   smooth_case)
+from platevem.manufactured import (get_case, lshape_case, polynomial_case,
+                                   rate_table, rates_against, smooth_case)
 from platevem.mesh import generate_lshape
-from platevem.runner import fit_loglog_slope, solve_patch
+from platevem.runner import fit_loglog_slope
 from platevem.spaces import Family
 
 
@@ -233,9 +233,6 @@ class TestRateHelpers:
         assert rows[0]["rate(e)"] == pytest.approx(2.0)
         assert rows[1]["rate(e)"] == pytest.approx(2.0)
         assert rows[2]["rate(e)"] == "*"
-        text = format_rate_table(rows)
-        assert "rate(e)" in text.splitlines()[0]
-        assert len(text.splitlines()) == 4
 
     def test_slope_needs_two_points(self):
         assert fit_loglog_slope([10.0, 40.0], [1.0, 0.25]) == pytest.approx(-1.0)

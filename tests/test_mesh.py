@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platevem.mesh import (LABELS, BoundaryLabel, MeshError, build_mesh,
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, build_mesh, corner_mask,
                            generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, uniform_refine)
@@ -429,8 +429,9 @@ class TestBoundaryEntries:
 def test_side_structure_merges_collinear_edges():
     verts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = build_mesh(verts, [[0, 1, 2, 3, 4]])
-    side = mesh.side_structure(0)
-    assert side.nsides == 4   # bottom side holds two collinear edges
+    corners = corner_mask(mesh.cell_coords(0))
+    # four sides: vertex 1 lies inside the bottom one, which holds two edges
+    assert corners.tolist() == [True, False, True, True, True]
 
 
 def test_h_is_max_diameter():
