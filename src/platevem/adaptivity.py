@@ -2,28 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .manufactured import ManufacturedCase
 from .mesh import PolygonalMesh, refine
 from .runner import LevelResult, constrained_system, solve_level
 from .spaces import SpaceKind
-
-
-@dataclass(frozen=True)
-class MarkingConfig:
-    """Bulk parameter, level cap, and optional stopping tolerance."""
-    theta: float = 0.5
-    max_levels: int = 12
-    eta_tol: float = 0.0
-
-    def validate(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if self.max_levels < 1:
-            raise ValueError("need at least one level")
 
 
 def dorfler_mark(eta2, theta: float) -> list[int]:
@@ -54,23 +38,25 @@ def dorfler_mark(eta2, theta: float) -> list[int]:
 
 def adaptive_loop(case: ManufacturedCase, mesh: PolygonalMesh,
                   space_u: SpaceKind, space_p: SpaceKind,
-                  marking: MarkingConfig, *,
-                  solver: str = "direct") -> list[LevelResult]:
+                  theta: float, max_levels: int) -> list[LevelResult]:
     """Iterate solve/estimate/mark/refine on one manufactured case.
 
-    Stops at the level cap or once the global estimator drops below the
-    configured tolerance; theta = 1 reproduces uniform refinement.  Each
-    level's system is released before the next one is assembled.
+    Marks a theta-fraction of the squared estimator (theta = 1 reproduces
+    uniform refinement) and stops after max_levels levels or once the
+    estimator is zero.  Each level's system is released before the next
+    one is assembled.
     """
-    marking.validate()
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("theta must lie in (0, 1]")
+    if max_levels < 1:
+        raise ValueError("need at least one level")
     levels: list[LevelResult] = []
-    for level in range(marking.max_levels):
-        result = solve_level(case, *constrained_system(case, mesh, (space_u, space_p)),
-                             solver=solver)
+    for level in range(max_levels):
+        result = solve_level(case, *constrained_system(case, mesh, (space_u, space_p)))
         levels.append(result)
-        if level == marking.max_levels - 1 or result.est.eta <= marking.eta_tol:
+        if level == max_levels - 1 or result.est.eta <= 0.0:
             break
-        marked = dorfler_mark(result.est.cell_eta2, marking.theta)
+        marked = dorfler_mark(result.est.cell_eta2, theta)
         result.marked = len(marked)
         mesh = refine(mesh, marked)
     return levels

@@ -23,7 +23,7 @@ computable for every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,43 +259,25 @@ class FactoredSystem:
 
     The essential values enter through a lift; its image under the full
     operator is kept, so each solve costs one subtraction and one
-    application of the factorization.
+    application of the sparse LU factors `lu`.
     """
     free: np.ndarray
     lift: np.ndarray
     K_lift: np.ndarray
     n_u: int
-    solve_free: Callable[[np.ndarray], np.ndarray]
+    lu: spla.SuperLU
 
     def solve(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full coefficient vectors (U, P) with boundary values filled in."""
         full = self.lift.copy()
-        full[self.free] = self.solve_free((F - self.K_lift)[self.free])
+        full[self.free] = self.lu.solve((F - self.K_lift)[self.free])
         return full[:self.n_u], full[self.n_u:]
 
 
-def factor_system(system: AssembledSystem, constraints: Constraints,
-                  method: str = "direct") -> FactoredSystem:
-    """Eliminate the fixed dofs by their lift and factor the free block.
-
-    "direct" is a sparse LU; "gmres" builds an incomplete LU once and uses
-    it to precondition every solve.
-    """
-    if method not in ("direct", "gmres"):
-        raise ValueError(f"unknown solve method {method!r}")
+def factor_system(system: AssembledSystem, constraints: Constraints) -> FactoredSystem:
+    """Eliminate the fixed dofs by their lift and factor the free block by
+    a sparse LU."""
     free = ~constraints.fixed
     Kff = system.K[free][:, free].tocsc()
-    if method == "direct":
-        solve_free = spla.splu(Kff).solve
-    else:
-        ilu = spla.spilu(Kff, drop_tol=1e-8, fill_factor=20)
-        M = spla.LinearOperator(Kff.shape, ilu.solve)
-
-        def solve_free(rhs: np.ndarray) -> np.ndarray:
-            x, info = spla.gmres(Kff, rhs, rtol=1e-12, atol=0.0, M=M,
-                                 restart=200, maxiter=2000)
-            if info != 0:
-                raise RuntimeError(f"gmres failed to converge (info={info})")
-            return x
     return FactoredSystem(free, constraints.lift, system.K @ constraints.lift,
-                          system.dof_u.ndof, solve_free)
+                          system.dof_u.ndof, spla.splu(Kff))

@@ -2,8 +2,8 @@
 
 One JSON config file describes one experiment; a handful of flags override
 the common fields.  Every run writes a manifest (config echo, package
-version, seed) next to its CSV outputs so a result can be reproduced
-bit-for-bit with the direct solver.
+version, seed) next to its CSV outputs; the echoed config, run again,
+reproduces every CSV bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adaptivity import MarkingConfig, adaptive_loop
+from .adaptivity import adaptive_loop
 from .assembly import ModelParams, derive_params
 from .manufactured import get_case, known_case, rate_table
 from .mesh import (generate_lshape, generate_structured, load_mesh,
@@ -76,15 +76,6 @@ class MeshSpec:
 
 
 @dataclass
-class Solver:
-    method: str = "direct"         # direct | gmres
-
-    def check(self) -> None:
-        if self.method not in ("direct", "gmres"):
-            raise ConfigError("solver.method", "direct or gmres")
-
-
-@dataclass
 class Physical:
     lam: float
     mu: float
@@ -105,7 +96,6 @@ class RunConfig:
     theta: float = 0.5
     levels: int = 5
     steps: int = 5
-    solver: Solver = field(default_factory=Solver)
     out: str = "out"
     seed: int = 0
 
@@ -291,8 +281,7 @@ def _level_row(j: int, r: LevelResult) -> list:
 def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
     case = _case_for(cfg)
     meshes = _mesh_ladder(cfg, case)
-    results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l,
-                              solver=cfg.solver.method)
+    results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l)
 
     rows = rate_table([r.mesh.h for r in results], {
         "err_u_h2": [r.report.err_u_h2 for r in results],
@@ -320,9 +309,7 @@ def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     theta = 1.0 if cfg.mode == "uniform" else cfg.theta
     space_u, space_p = spaces_for(cfg.family_enum(), cfg.k, cfg.l)
-    levels = adaptive_loop(case, mesh, space_u, space_p,
-                           MarkingConfig(theta=theta, max_levels=cfg.levels),
-                           solver=cfg.solver.method)
+    levels = adaptive_loop(case, mesh, space_u, space_p, theta, cfg.levels)
     rows = [_level_row(j, r) + [r.marked] for j, r in enumerate(levels)]
     ndofs = [r.ndof for r in levels]
 
@@ -344,8 +331,7 @@ def cmd_timestep(cfg: RunConfig) -> tuple[dict, str]:
         case, mesh, spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
-    seq = timestep_driver(system, constraints, case, M, steps=cfg.steps,
-                          solver=cfg.solver.method)
+    seq = timestep_driver(system, constraints, case, M, steps=cfg.steps)
     rows = []
     for step, (Un, Pn) in enumerate(seq, start=1):
         X = np.concatenate([Un, Pn])

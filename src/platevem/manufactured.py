@@ -41,7 +41,6 @@ class ManufacturedCase:
     params: ModelParams
     labeler: Callable
     pressure_dirichlet_on_clamped: bool
-    domain: str                      # "unit-square" or "lshape"
     u: Pointwise
     grad_u: Pointwise                # (n, 2)
     hess_u: Pointwise                # (n, 3): xx, xy, yy
@@ -146,7 +145,7 @@ def smooth_case(params: ModelParams | None = None) -> ManufacturedCase:
 
     return ManufacturedCase(
         name="smooth", params=params, labeler=smooth_square_labeler,
-        pressure_dirichlet_on_clamped=False, domain="unit-square",
+        pressure_dirichlet_on_clamped=False,
         u=u, grad_u=grad_u, hess_u=hess_u, p=p, grad_p=grad_p, f=f, g=g)
 
 
@@ -168,7 +167,7 @@ def _polyval(*coeffs: np.ndarray) -> Pointwise:
 
 
 def polynomial_case(k: int, l: int, params: ModelParams | None = None,
-                    seed: int = 7, domain: str = "unit-square") -> ManufacturedCase:
+                    seed: int = 7) -> ManufacturedCase:
     """Dense random polynomials of exactly the discrete degrees.
 
     Both fields carry every monomial up to degree k respectively l, so a
@@ -194,7 +193,7 @@ def polynomial_case(k: int, l: int, params: ModelParams | None = None,
     U, Q = poly(k), poly(l)
     return ManufacturedCase(
         name=f"poly-k{k}-l{l}", params=params, labeler=all_clamped,
-        pressure_dirichlet_on_clamped=True, domain=domain,
+        pressure_dirichlet_on_clamped=True,
         u=_polyval(U),
         grad_u=_polyval(_deriv(U, 1, 0), _deriv(U, 0, 1)),
         hess_u=_polyval(_deriv(U, 2, 0), _deriv(U, 1, 1), _deriv(U, 0, 2)),
@@ -254,7 +253,7 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
     beta = params.beta
     return ManufacturedCase(
         name="lshape", params=params, labeler=all_clamped,
-        pressure_dirichlet_on_clamped=True, domain="lshape",
+        pressure_dirichlet_on_clamped=True,
         u=u, grad_u=grad_u, hess_u=hess_u, p=p, grad_p=grad_p,
         f=u, g=lambda pts: beta * p(pts),
         singular_points=((0.0, 0.0),))

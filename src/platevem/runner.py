@@ -72,10 +72,9 @@ class LevelResult:
 
 
 def solve_level(case: ManufacturedCase, system: AssembledSystem,
-                constraints: Constraints, *, solver: str = "direct",
-                with_estimator: bool = True) -> LevelResult:
+                constraints: Constraints, *, with_estimator: bool = True) -> LevelResult:
     """Solve the case under its constraints, then measure the solution."""
-    U, P = factor_system(system, constraints, solver).solve(assemble_rhs(system, case))
+    U, P = factor_system(system, constraints).solve(assemble_rhs(system, case))
     report = compute_errors(system, U, P, case)
     est = estimate(system, U, P, case) if with_estimator else None
     return LevelResult(system.mesh, system.ndof, report, est)
@@ -86,11 +85,10 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem,
 
 
 def run_convergence(case: ManufacturedCase, meshes, family: Family,
-                    k: int, l: int, *, solver: str = "direct",
-                    with_estimator: bool = True) -> list[LevelResult]:
+                    k: int, l: int, *, with_estimator: bool = True) -> list[LevelResult]:
     spaces = spaces_for(family, k, l)
     return [solve_level(case, *constrained_system(case, mesh, spaces),
-                        solver=solver, with_estimator=with_estimator)
+                        with_estimator=with_estimator)
             for mesh in meshes]
 
 
@@ -129,8 +127,7 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
 
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
                     case: ManufacturedCase, M: sp.csr_matrix, *,
-                    steps: int, solver: str = "direct"
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+                    steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """March the one-step system with unit time step from rest.
 
     Each step solves the static system with the load F + M [2 u_n - u_{n-1},
@@ -140,7 +137,7 @@ def timestep_driver(system: AssembledSystem, constraints: Constraints,
     values of the constraints are held fixed over the march.
     """
     F = assemble_rhs(system, case)
-    factored = factor_system(system, constraints, solver)
+    factored = factor_system(system, constraints)
     un = um1 = np.zeros(system.dof_u.ndof)
     pn = np.zeros(system.dof_p.ndof)
     out: list[tuple[np.ndarray, np.ndarray]] = []

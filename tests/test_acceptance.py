@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES
 from _elements import build_element, cell_view, solve_patch
 from _oracle import oracle_element
 
-from platevem.adaptivity import MarkingConfig, adaptive_loop
+from platevem.adaptivity import adaptive_loop
 from platevem.assembly import ModelParams
 from platevem.cli import main as cli_main
 from platevem.manufactured import get_case, polynomial_case
@@ -83,14 +83,12 @@ def lshape_runs():
     t0 = time.perf_counter()
     mesh0 = generate_lshape(2, labeler=case.labeler)
     space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
-    uniform = adaptive_loop(case, mesh0, space_u, space_p,
-                            MarkingConfig(theta=1.0, max_levels=5))
+    uniform = adaptive_loop(case, mesh0, space_u, space_p, 1.0, 5)
     adaptive = {}
     for family in FAMILIES:
         su, sp_ = spaces_for(family, 2, 1)
         adaptive[family] = adaptive_loop(
-            case, generate_lshape(2, labeler=case.labeler), su, sp_,
-            MarkingConfig(theta=0.5, max_levels=10))
+            case, generate_lshape(2, labeler=case.labeler), su, sp_, 0.5, 10)
     return uniform, adaptive, time.perf_counter() - t0
 
 

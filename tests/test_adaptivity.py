@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platevem import runner
-from platevem.adaptivity import MarkingConfig, adaptive_loop, dorfler_mark
+from platevem.adaptivity import adaptive_loop, dorfler_mark
 from platevem.manufactured import get_case
 from platevem.mesh import generate_lshape
 from platevem.runner import LevelResult, spaces_for
@@ -75,14 +75,14 @@ class TestDorflerMarking:
 
 class TestMarkingConfig:
     def test_validate(self):
-        MarkingConfig(theta=0.3, max_levels=5).validate()
-        MarkingConfig(theta=1.0).validate()
-        with pytest.raises(ValueError):
-            MarkingConfig(theta=0.0).validate()
-        with pytest.raises(ValueError):
-            MarkingConfig(theta=1.5).validate()
-        with pytest.raises(ValueError):
-            MarkingConfig(max_levels=0).validate()
+        """adaptive_loop checks theta and the level cap before any solve."""
+        case = get_case("lshape")
+        mesh = generate_lshape(1, labeler=case.labeler)
+        spaces = spaces_for(Family.CONFORMING, 2, 1)
+        assert len(adaptive_loop(case, mesh, *spaces, 1.0, 1)) == 1
+        for theta, max_levels in [(0.0, 5), (1.5, 5), (0.3, 0)]:
+            with pytest.raises(ValueError):
+                adaptive_loop(case, mesh, *spaces, theta, max_levels)
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +90,8 @@ def lshape_traces():
     case = get_case("lshape")
     mesh = generate_lshape(2, labeler=case.labeler)
     space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
-    adaptive = adaptive_loop(case, mesh, space_u, space_p,
-                             MarkingConfig(theta=0.5, max_levels=5))
-    uniform = adaptive_loop(case, mesh, space_u, space_p,
-                            MarkingConfig(theta=1.0, max_levels=3))
+    adaptive = adaptive_loop(case, mesh, space_u, space_p, 0.5, 5)
+    uniform = adaptive_loop(case, mesh, space_u, space_p, 1.0, 3)
     return adaptive, uniform
 
 
@@ -134,16 +132,6 @@ class TestAdaptiveLoop:
         assert min_cell_diam(last) < 0.3 * min_cell_diam(first)
         assert last.h >= first.h / 4
 
-    def test_eta_tol_stops_early(self):
-        case = get_case("lshape")
-        mesh = generate_lshape(2, labeler=case.labeler)
-        space_u, space_p = spaces_for(Family.NONCONFORMING, 2, 1)
-        tr = adaptive_loop(case, mesh, space_u, space_p,
-                           MarkingConfig(theta=0.5, max_levels=8,
-                                         eta_tol=1e9))
-        assert len(tr) == 1
-        assert tr[0].marked == 0
-
     def test_previous_system_is_freed_before_the_next_build(self, monkeypatch):
         """Each level's assembled system, with its K and projectors, is
         garbage by the time the next level's system is assembled."""
@@ -158,6 +146,5 @@ class TestAdaptiveLoop:
         monkeypatch.setattr(runner, "assemble_system", assemble)
         case = get_case("lshape")
         mesh = generate_lshape(2, labeler=case.labeler)
-        tr = adaptive_loop(case, mesh, *spaces_for(Family.CONFORMING, 2, 1),
-                           MarkingConfig(theta=0.5, max_levels=3))
+        tr = adaptive_loop(case, mesh, *spaces_for(Family.CONFORMING, 2, 1), 0.5, 3)
         assert len(built) == len(tr) == 3

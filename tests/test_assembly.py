@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from _elements import build_element, polygon_rule, solve_patch
 
 from platevem import assembly, projectors, runner
@@ -370,24 +371,36 @@ class TestPatchReproduction:
         assert rep.err_p_h1 < 1e-8
 
 
-class TestSolvers:
-    def test_gmres_matches_direct(self, voronoi25):
-        case = get_case("smooth")
-        system, constraints = constrained_system(case, voronoi25,
-                                                 spaces_for(Family.CONFORMING, 2, 1))
-        F = assemble_rhs(system, case)
-        U1, P1 = factor_system(system, constraints, "direct").solve(F)
-        U2, P2 = factor_system(system, constraints, "gmres").solve(F)
-        scale = max(np.abs(U1).max(), np.abs(P1).max())
-        assert np.abs(U1 - U2).max() < 1e-8 * scale
-        assert np.abs(P1 - P2).max() < 1e-8 * scale
+def singular(system, constraints):
+    """The constrained system with the row and column of its first free
+    dof in K set to zero."""
+    keep = np.ones(system.ndof)
+    keep[np.flatnonzero(~constraints.fixed)[0]] = 0.0
+    D = sp.diags(keep)
+    return replace(system, K=(D @ system.K @ D).tocsr()), constraints
 
-    def test_unknown_method_raises(self, voronoi25):
+
+class TestSolvers:
+    def test_singular_free_block_raises(self, voronoi25):
+        """A free dof that no equation touches makes the LU fail loudly."""
         case = get_case("smooth")
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
-        with pytest.raises(ValueError):
-            factor_system(system, constraints, method="cholesky")
+        with pytest.raises(RuntimeError, match="Factor is exactly singular"):
+            factor_system(*singular(system, constraints))
+
+    def test_singular_level_exits_one_without_table(self, tmp_path, monkeypatch, capsys):
+        """Through the CLI the failed factorization is the run's reported
+        cause, and no level table is written."""
+        original = runner.constrained_system
+        monkeypatch.setattr(runner, "constrained_system",
+                            lambda *args: singular(*original(*args)))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mesh": {"kind": "voronoi", "n0": 16, "lloyd": 3},
+                                   "levels": 1, "out": str(tmp_path / "out")}))
+        assert main(["convergence", "--config", str(cfg)]) == 1
+        assert "error: Factor is exactly singular" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "levels.csv").exists()
 
 
 class TestTimestepping:

@@ -93,8 +93,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("overrides, path", [
         ({"quadrature": {"data_order": 6}}, "quadrature"),
-        ({"solver": {"method": "gmres", "tol": 1e-10}}, "solver.tol"),
-        ({"solver": {"method": "direct", "precond": "ilu"}}, "solver.precond"),
+        ({"solver": {"method": "gmres", "tol": 1e-10}}, "solver"),
+        ({"solver": {"method": "direct", "precond": "ilu"}}, "solver"),
         ({"mode": "adaptve"}, "mode"),
         ({"levels": "2"}, "levels"),
         ({"k": "2"}, "k"),
@@ -141,6 +141,8 @@ class TestExitCodes:
         # derived coefficients that overflow
         ({"physical": {"lam": 1.0, "mu": 1.0, "alpha": 1e200, "c0": 0.1}}, "physical"),
         ({"physical": {"lam": 1e308, "mu": 1.0, "alpha": 1.0, "c0": 0.1}}, "physical"),
+        # the solve is a sparse LU, with nothing to choose
+        ({"solver": {"method": "direct"}}, "solver"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
@@ -260,10 +262,10 @@ LEAVES = {
     "mesh.kind": "str", "mesh.n0": "int", "mesh.counts": "int list",
     "mesh.lloyd": "int", "mesh.paths": "str list",
     "mode": "str", "theta": "float", "levels": "int", "steps": "int",
-    "solver.method": "str", "out": "str", "seed": "int",
+    "out": "str", "seed": "int",
 }
-OBJECTS = {"": RunConfig, "mesh": cli.MeshSpec, "solver": cli.Solver,
-           "params": cli.ModelParams, "physical": cli.Physical}
+OBJECTS = {"": RunConfig, "mesh": cli.MeshSpec, "params": cli.ModelParams,
+           "physical": cli.Physical}
 VALID_PHYSICAL = {"lam": 1.0, "mu": 1.0, "alpha": 1.0, "c0": 0.1}
 
 
@@ -302,8 +304,6 @@ def valid_docs(draw):
         "theta": st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
         "levels": st.integers(1, 5),
         "steps": st.integers(1, 100),
-        "solver": st.fixed_dictionaries(
-            {}, optional={"method": st.sampled_from(["direct", "gmres"])}),
         "out": st.text(max_size=8),
         "seed": st.integers(0, 2 ** 40),
     }))
@@ -360,7 +360,6 @@ OUT_OF_RANGE = {
     "mesh.counts": (st.lists(st.integers(max_value=0), min_size=1, max_size=3),
                     "mesh.counts"),
     "mesh.paths": (st.just(["no/such/mesh.json"]), "mesh.paths"),
-    "solver.method": (st.just("lu"), "solver.method"),
     # the coefficient rules name their object
     "params.beta": (st.floats(-1e300, 0), "params"),
     "params.gamma": (st.integers(-10, 0), "params"),
@@ -382,8 +381,7 @@ def broken_docs(draw, fault: str):
     """A valid document with one fault, and the path the fault must name."""
     doc = draw(valid_docs())
     if fault == "type":
-        path = draw(st.sampled_from(sorted(LEAVES) + ["mesh", "solver", "params",
-                                                     "physical"]))
+        path = draw(st.sampled_from(sorted(LEAVES) + ["mesh", "params", "physical"]))
         lists = st.lists(json_values, min_size=1, max_size=3)
         value = draw(lists | json_values if LEAVES.get(path, "").endswith("list")
                      else json_values)
@@ -423,7 +421,7 @@ def broken_docs(draw, fault: str):
 class TestSchemaProperties:
     def test_leaf_table_is_the_schema(self):
         assert sorted(schema_paths(expand_optional=True)) == sorted(LEAVES)
-        assert len(LEAVES) == 23
+        assert len(LEAVES) == 22
 
     def test_readme_table_lists_the_schema(self):
         """The field column of the README config table, in order, is the
@@ -664,6 +662,17 @@ class TestDeterminism:
             outs.append([(out / name).read_bytes()
                          for name in ("rates.csv", "levels.csv")])
         assert outs[0] == outs[1]
+
+    def test_manifest_config_replays(self, run_dir, tmp_path):
+        """The config a run echoes into manifest.json, with only `out`
+        changed, writes the same CSVs and summary again."""
+        doc = json.loads((run_dir / "manifest.json").read_text())["config"]
+        doc["out"] = str(tmp_path / "replay")
+        cfg = tmp_path / "replay.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["convergence", "--config", str(cfg)]) == 0
+        for name in ("rates.csv", "levels.csv", "summary.txt"):
+            assert (tmp_path / "replay" / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 class TestScripts:
