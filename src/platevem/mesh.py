@@ -334,68 +334,152 @@ def generate_lshape(n: int, labeler: Labeler | None = None) -> PolygonalMesh:
                   labeler, None)
 
 
+# Half-width, in buckets of about one seed each, of the first window of
+# neighbour candidates around a Voronoi seed.
+VORONOI_WINDOW = 2
+
+
+def _clip(cells: np.ndarray, count: np.ndarray, p: np.ndarray, q: np.ndarray,
+          j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman step on convex CCW polygons (m, M, 3) of
+    count corners each (x, y and the line of the edge the corner starts),
+    padded with copies of their first or last corner: keep the side of the
+    bisector of seeds p and q (m, 2) that holds p; its edges are named j.
+    The output is padded with its first corner."""
+    d = q - p
+    s = (cells[..., :2] @ d[:, :, None])[..., 0] - 0.5 * ((p + q) * d).sum(axis=1)[:, None]
+    s1 = np.roll(s, -1, axis=1)
+    inside = s <= 0
+    cross = inside != (s1 <= 0)         # never between copies of a corner
+    t = np.divide(s, s - s1, out=np.zeros_like(s), where=cross)
+    xi = cells + t[..., None] * (np.roll(cells, -1, axis=1) - cells)
+    xi[..., 2] = np.where(inside, j[:, None], cells[..., 2])   # on the way out: the bisector
+    # each corner gives itself if kept, then the crossing on its edge
+    emit = np.stack([inside & (np.arange(cells.shape[1]) < count[:, None]), cross], axis=2)
+    size = emit.sum(axis=(1, 2))
+    r, k, e = np.nonzero(emit)
+    out = np.empty((len(cells), width := max(size.max(), cells.shape[1]), 3))
+    out[r, np.arange(len(r)) - (np.cumsum(size) - size)[r]] = np.stack([cells, xi], 2)[r, k, e]
+    return np.where(np.arange(width)[:, None] < size[:, None, None], out, out[:, :1]), size
+
+
+def _voronoi_cells(pts: np.ndarray, domain: tuple[float, float, float, float]):
+    """Voronoi cells of the seeds pts (n, 2) within the box: CCW corners
+    (n, M, 3) as x, y and the line of the edge each starts (the other
+    seed's id on a bisector; -1 to -4 on the bottom, right, top and left
+    side), padded with copies of the first or last corner; the corner
+    counts; and each seed's distance to its nearest other seed.
+
+    Each cell starts as the box and is cut by the bisectors of its
+    neighbours, nearest first, until the next is farther than twice the
+    cell's radius about its seed, past which no bisector can cut it.  They
+    come from a window of buckets around the seed, doubled while the cell
+    reaches past it."""
+    xmin, ymin, xmax, ymax = domain
+    n = len(pts)
+    box = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
+    extent = box[2] - box[0]
+    shape = np.ceil(extent / np.sqrt(extent.prod() / n)).astype(np.int64)
+    width = extent / shape
+    ij = np.clip(np.floor((pts - box[0]) / width).astype(np.int64), 0, shape - 1)
+    bucket = ij[:, 0] * shape[1] + ij[:, 1]
+    order = np.argsort(bucket, kind="stable")
+    rank = np.arange(n) - np.searchsorted(bucket[order], bucket[order])
+    table = np.full((shape.prod(), rank.max() + 1), -1)
+    table[bucket[order], rank] = order
+
+    cells = np.broadcast_to(np.column_stack([box, [-1, -2, -3, -4]]), (n, 4, 3)).copy()
+    count = np.full(n, 4)
+    r2 = ((box - pts[:, None]) ** 2).sum(axis=2).max(axis=1)
+    nearest = np.full(n, np.inf)
+    seen = np.zeros((2, n, 2), dtype=np.int64)     # bucket range of the last window
+    todo, w = np.arange(n), VORONOI_WINDOW
+    while todo.size:
+        # 2w + 1 buckets a side around the seed's, shifted into the grid,
+        # less the last window, whose seeds have cut already
+        span = np.minimum(2 * w + 1, shape)
+        lo = np.clip(ij[todo] - w, 0, shape - span)
+        bx, by = (lo[:, a, None] + np.arange(span[a]) for a in (0, 1))
+        cand = table[bx[:, :, None] * shape[1] + by[:, None, :]]
+        d2 = ((pts[cand] - pts[todo, None, None, None]) ** 2).sum(axis=4)
+        old = ((bx >= seen[0, todo, :1]) & (bx < seen[1, todo, :1]))[:, :, None, None] \
+            & ((by >= seen[0, todo, 1:]) & (by < seen[1, todo, 1:]))[:, None, :, None]
+        d2[(cand < 0) | (cand == todo[:, None, None, None]) | old] = np.inf
+        by_dist = np.argsort(d2.reshape(len(todo), -1), axis=1)
+        cand = np.take_along_axis(cand.reshape(len(todo), -1), by_dist, axis=1).T.copy()
+        d2 = np.take_along_axis(d2.reshape(len(todo), -1), by_dist, axis=1).T.copy()
+        nearest[todo] = np.minimum(nearest[todo], np.sqrt(d2[0]))
+        for t in range(len(d2)):
+            near = d2[t] <= 4.0 * r2[todo]
+            if not near.any():
+                break
+            alive = todo[near]
+            cut, count[alive] = _clip(cells[alive], count[alive], pts[alive],
+                                      pts[cand[t, near]], cand[t, near])
+            if (grow := cut.shape[1] - cells.shape[1]) > 0:     # copies of the last corner
+                cells = np.pad(cells, ((0, 0), (0, grow), (0, 0)), "edge")
+            cells[alive] = cut
+            r2[alive] = ((cut[..., :2] - pts[alive, None]) ** 2).sum(axis=2).max(axis=1)
+        # done where the window holds every seed within twice the radius
+        reach = np.minimum(np.where(lo > 0, pts[todo] - box[0] - lo * width, np.inf),
+                           np.where(lo + span < shape, box[0] + (lo + span) * width - pts[todo],
+                                    np.inf)).min(axis=1)
+        seen[:, todo] = lo, lo + span
+        todo, w = todo[4.0 * r2[todo] >= reach ** 2], 2 * w
+    return cells, count, nearest
+
+
 def generate_voronoi(n_seeds: int,
                      domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
                      lloyd_iters: int = 100, seed: int = 0,
                      labeler: Labeler | None = None) -> PolygonalMesh:
     """Centroidal Voronoi mesh of a rectangle.
 
-    Seeds are drawn uniformly, smoothed with the requested number of Lloyd
-    sweeps, and the final diagram is clipped exactly to the rectangle by
-    mirroring all seeds across the four sides, so boundary cells close on
-    the box without any half-plane bookkeeping.  Each sweep computes the
-    cell centroids one vertex count at a time (as PolyMesher does).
+    Seeds are drawn uniformly and smoothed with the requested number of
+    Lloyd sweeps (as PolyMesher does): each cuts every cell out of the box
+    by its neighbours' bisectors (``_voronoi_cells``) and moves its seed to
+    its centroid.  Each final corner is recomputed from the seeds and sides
+    through it, so every cell at the corner holds the same bits; three
+    seeds meet where the bisectors from the one at the widest angle of
+    their triangle cross, the best-conditioned pair.
     """
-    from scipy.spatial import Voronoi, cKDTree
-
     xmin, ymin, xmax, ymax = domain
     rng = np.random.default_rng(seed)
     pts = np.column_stack([rng.uniform(xmin, xmax, n_seeds),
                            rng.uniform(ymin, ymax, n_seeds)])
     scale = max(xmax - xmin, ymax - ymin)
+    cells, count, nearest = _voronoi_cells(pts, domain)
     for _ in range(64):
-        if not cKDTree(pts).query_pairs(1e-12 * scale):
+        if not (nearest <= 1e-12 * scale).any():
             break
         warnings.warn("coincident seeds; re-jittering", stacklevel=2)
         pts += rng.uniform(-1e-6, 1e-6, size=pts.shape) * scale
-
-    def mirrored(p: np.ndarray) -> np.ndarray:
-        left = p.copy();  left[:, 0] = 2 * xmin - p[:, 0]
-        right = p.copy(); right[:, 0] = 2 * xmax - p[:, 0]
-        low = p.copy();   low[:, 1] = 2 * ymin - p[:, 1]
-        up = p.copy();    up[:, 1] = 2 * ymax - p[:, 1]
-        return np.vstack([p, left, right, low, up])
-
-    def diagram(p: np.ndarray):
-        """Slot offsets, CCW corner coordinates (nslots, 2) and centroids
-        of the diagram cells of the seeds p."""
-        if len(p) == 1:
-            box = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]])
-            return np.array([0, 4]), box, polygon_area_centroid(box)[1][None]
-        vor = Voronoi(mirrored(p))
-        regions = [vor.regions[r] for r in vor.point_region[:len(p)]]
-        ptr = np.concatenate([[0], np.cumsum([len(r) for r in regions])])
-        flat = np.fromiter(chain.from_iterable(regions), dtype=np.int64, count=ptr[-1])
-        assert (flat >= 0).all(), "mirrored diagram should be bounded"
-        corners = vor.vertices[flat]
-        centroids = np.zeros((len(p), 2))
-        for cells, slots in size_groups(ptr):
-            poly = corners[slots]
-            area, centroid = polygon_area_centroid(poly)
-            cw = area < 0
-            poly[cw] = poly[cw, ::-1]
-            centroid[cw] = polygon_area_centroid(poly[cw])[1]
-            corners[slots] = poly
-            centroids[cells] = centroid
-        return ptr, corners, centroids
-
+        cells, count, nearest = _voronoi_cells(pts, domain)
     for _ in range(lloyd_iters):
-        pts = diagram(pts)[2]
-    ptr, corners, _ = diagram(pts)
-
-    # merge coincident diagram vertices (degenerate configurations produce
-    # duplicates) and snap onto the box sides; vertices are numbered in
-    # order of first appearance
+        pts = polygon_area_centroid(cells[..., :2])[1]
+        cells, count, _ = _voronoi_cells(pts, domain)
+    cell = np.repeat(np.arange(n_seeds), count)
+    ptr = np.concatenate([[0], np.cumsum(count)])
+    slot = np.arange(len(cell))
+    prev = np.where(slot == ptr[cell], ptr[cell + 1] - 1, slot - 1)
+    line = cells[np.arange(cells.shape[1]) < count[:, None]][:, 2].astype(np.int64)
+    key = np.sort(np.column_stack([line[prev], line, cell]), axis=1)    # sides first
+    origin = np.array([xmin, ymin], dtype=float)
+    q = pts - origin
+    tri = key[:, 0] >= 0
+    far = ((q[key[tri][:, [1, 2, 0]]] - q[key[tri][:, [2, 0, 1]]]) ** 2).sum(axis=2)
+    key[tri] = np.take_along_axis(key[tri], (far.argmax(1)[:, None] + [0, 1, 2]) % 3, 1)
+    i, j, k = key.T
+    # two lines through each corner: side a, or else the bisector of seeds a and b
+    a = np.concatenate([np.where(i < 0, j, i), i])
+    b = np.concatenate([np.where(i < 0, k, j), k])
+    normal = np.where(a[:, None] < 0, np.eye(2)[a % 2], q[b] - q[np.maximum(a, 0)])
+    offset = np.where(a < 0, np.array([0.0, xmax - xmin, ymax - ymin, 0.0])[(-a - 1) % 4],
+                      0.5 * (normal * (q[np.maximum(a, 0)] + q[b])).sum(axis=1))
+    corners = origin + np.linalg.solve(np.stack(np.split(normal, 2), axis=1),
+                                       np.stack(np.split(offset, 2), axis=1)[..., None])[..., 0]
+    # merge coincident corners (cocircular seeds give several) and snap onto
+    # the box sides; vertices are numbered in order of first appearance
     tol = 1e-9 * scale
     for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
         col = corners[:, axis]
@@ -404,12 +488,9 @@ def generate_voronoi(n_seeds: int,
     ids, head = _first_use(np.rint(corners / tol).astype(np.int64), axis=0)
     # drop repeats of the previous vertex within each cell, then cells
     # left with fewer than 3 vertices
-    cell_of = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    slot = np.arange(len(ids))
-    prev = np.where(slot == ptr[cell_of], ptr[cell_of + 1] - 1, slot - 1)
     keep = ids != ids[prev]
-    sizes = np.bincount(cell_of[keep], minlength=len(ptr) - 1)
-    keep &= sizes[cell_of] >= 3
+    sizes = np.bincount(cell[keep], minlength=n_seeds)
+    keep &= sizes[cell] >= 3
     sizes = sizes[sizes >= 3]
     return _build(corners[head], np.concatenate([[0], np.cumsum(sizes)]),
                   ids[keep], labeler, None)
@@ -489,19 +570,36 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_vertices(mesh: PolygonalMesh, index_base: int = 0) -> PolygonalMesh:
-    """Reject a vertex that no cell names and two vertices at one point,
-    which would split the cells that meet there; ids are named as in the
-    file (offset by index_base)."""
-    from scipy.spatial import cKDTree
+def _close_pair(points: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """The smallest pair (i, j), i < j, of points at most tol apart, or
+    None.  Each point is hashed to its tol-sized bucket, keyed x + iy
+    (exact below 2**53), and compared with the points of its own bucket and
+    of the four adjacent ones after it, which meets every adjacent pair."""
+    key = np.floor((points - points.min(axis=0)) / tol) @ np.array([1, 1j])
+    order = np.argsort(key, kind="stable")
+    best = len(points) ** 2
+    for shift in (0, 1j, 1 - 1j, 1, 1 + 1j):
+        lo = np.searchsorted(key[order], key + shift)
+        n = np.searchsorted(key[order], key + shift, side="right") - lo
+        i = np.repeat(np.arange(len(points)), n)
+        j = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        hit = (i != j) & (np.hypot(*(points[i] - points[j]).T) <= tol)
+        best = (np.minimum(i, j) * len(points) + np.maximum(i, j))[hit].min(initial=best)
+    return None if best == len(points) ** 2 else divmod(int(best), len(points))
 
+
+def _check_vertices(mesh: PolygonalMesh, index_base: int = 0) -> PolygonalMesh:
+    """Reject a vertex that no cell names, one off the finite plane, and two
+    vertices at one point, which would split the cells that meet there; ids
+    are named as in the file (offset by index_base)."""
     unused = np.setdiff1d(np.arange(mesh.nvertices), mesh.cell_verts)
     if unused.size:
         raise MeshError(f"vertex {unused[0] + index_base} is not a vertex of any cell")
+    if (v := _first(~np.isfinite(mesh.vertices).all(1), np.arange(mesh.nvertices))) is not None:
+        raise MeshError(f"vertex {v + index_base} has a coordinate that is not finite")
     scale = np.ptp(mesh.vertices, axis=0).max()
-    pairs = cKDTree(mesh.vertices).query_pairs(1e-12 * scale, output_type="ndarray")
-    if len(pairs):
-        i, j = min(pairs.tolist())
+    if (pair := _close_pair(mesh.vertices, 1e-12 * scale)) is not None:
+        i, j = pair
         raise MeshError(f"vertices {i + index_base} and {j + index_base} coincide "
                         f"at {mesh.vertices[i].tolist()}")
     return mesh
@@ -522,8 +620,9 @@ def load_mesh(path: str, fmt: str = "native-json",
     'n i1 ... in' with indices offset by index_base; labels come from the
     labeler argument.
 
-    Either format raises MeshError naming a vertex that no cell uses, or
-    two vertices at one point.
+    Either format raises MeshError naming a vertex that no cell uses, a
+    vertex with a coordinate that is not finite, or two vertices at one
+    point.
     """
     if fmt == "native-json":
         with open(path) as fh:

@@ -3,7 +3,8 @@ package's stacked paths: a one-cell ``CellGroup`` through the element build
 of ``assemble_system``, and the triangulation ``CellGroup.rule`` lays its
 rule on.  Tests compare them against the dense oracle and against the
 stacked arrays of a level.  ``solve_patch`` solves a level whose data the
-assembled operator synthesizes itself."""
+assembled operator synthesizes itself.  ``qhull_voronoi`` builds a
+Voronoi mesh an independent way, through qhull on mirrored seeds."""
 
 from dataclasses import dataclass
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from platevem.assembly import _group_forms, factor_system
 from platevem.manufactured import ErrorReport, ManufacturedCase, compute_errors
-from platevem.mesh import PolygonalMesh
+from platevem.mesh import PolygonalMesh, build_mesh
 from platevem.projectors import CellGroup, ElementProjectors
 from platevem.quadrature import (map_triangles, polygon_area_centroid, polygon_triangles,
                                  subdivide_triangles)
@@ -69,3 +70,57 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     PI = interpolate(mesh, system.dof_p, case.p)
     U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
     return compute_errors(system, U, P, case)
+
+
+def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
+    """The Voronoi mesh of the seeds pts within the box domain, from qhull,
+    and the distance from each vertex to the farthest corner merged into it.
+
+    Each seed is mirrored across the four sides moved out by a tenth of the
+    box size, which bounds the seeds' regions without putting an image near
+    any seed: an image closer than about 1e-8 of its seed costs qhull most
+    of its digits.  The regions are clipped to the box, and their corners
+    snapped onto the sides and merged at generate_voronoi's tolerance, 1e-9
+    of the box size."""
+    from scipy.spatial import Voronoi
+
+    xmin, ymin, xmax, ymax = domain
+    scale = max(xmax - xmin, ymax - ymin)
+    margin = 0.1 * scale
+    images = [pts]
+    for axis, level in ((0, xmin - margin), (0, xmax + margin),
+                        (1, ymin - margin), (1, ymax + margin)):
+        image = pts.copy()
+        image[:, axis] = 2 * level - pts[:, axis]
+        images.append(image)
+    vor = Voronoi(np.vstack(images))
+    cells = []
+    for r in vor.point_region[:len(pts)]:
+        poly = vor.vertices[vor.regions[r]]
+        assert min(vor.regions[r]) >= 0, "mirrored diagram should be bounded"
+        if polygon_area_centroid(poly)[0] < 0:
+            poly = poly[::-1]
+        for axis, level, sign in ((0, xmin, 1), (0, xmax, -1), (1, ymin, 1), (1, ymax, -1)):
+            kept = []
+            for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+                da, db = sign * (a[axis] - level), sign * (b[axis] - level)
+                if da >= 0:
+                    kept.append(a)
+                if (da >= 0) != (db >= 0):
+                    cut = a + da / (da - db) * (b - a)
+                    cut[axis] = level
+                    kept.append(cut)
+            poly = np.array(kept)
+        cells.append(poly)
+    corners = np.concatenate(cells)
+    tol = 1e-9 * scale
+    for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
+        corners[np.abs(corners[:, axis] - lo) < tol, axis] = lo
+        corners[np.abs(corners[:, axis] - hi) < tol, axis] = hi
+    _, first, ids = np.unique(np.rint(corners / tol).astype(np.int64), axis=0,
+                              return_index=True, return_inverse=True)
+    spread = np.zeros(len(first))
+    np.maximum.at(spread, ids.ravel(), np.hypot(*(corners - corners[first][ids.ravel()]).T))
+    ids = np.split(ids.ravel(), np.cumsum([len(c) for c in cells])[:-1])
+    return build_mesh(corners[first], [[v for v, u in zip(c, np.roll(c, 1)) if v != u]
+                                       for c in ids]), spread

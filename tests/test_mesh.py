@@ -1,12 +1,16 @@
 import json
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _elements import qhull_voronoi
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from platevem.mesh import (LABELS, BoundaryLabel, MeshError, build_mesh, corner_mask,
-                           generate_lshape, generate_structured,
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, _close_pair, build_mesh,
+                           corner_mask, generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, uniform_refine)
 from platevem.quadrature import polygon_area_centroid
@@ -212,6 +216,144 @@ class TestGenerators:
         assert BoundaryLabel.CLAMPED in labels
 
 
+@contextmanager
+def planted_seeds(pts):
+    """generate_voronoi draws the seeds pts: its generator hands out their
+    x and then their y coordinates, and real draws after that."""
+    real = np.random.default_rng
+
+    class Planted:
+        def __init__(self, seed):
+            self.rng, self.planted = real(seed), [pts[:, 1].copy(), pts[:, 0].copy()]
+
+        def uniform(self, *args, **kwargs):
+            return self.planted.pop() if self.planted else self.rng.uniform(*args, **kwargs)
+
+    with patch.object(np.random, "default_rng", Planted):
+        yield
+
+
+def clipped_mesh(pts, domain):
+    """The mesh generate_voronoi makes of the seeds pts, without sweeps."""
+    with planted_seeds(pts):
+        return generate_voronoi(len(pts), domain, lloyd_iters=0)
+
+
+def lattice(m, domain):
+    """An m x m lattice of seeds at the cell centres of a uniform grid."""
+    xmin, ymin, xmax, ymax = domain
+    g = (np.arange(m) + 0.5) / m
+    return np.column_stack([xmin + (xmax - xmin) * np.repeat(g, m),
+                            ymin + (ymax - ymin) * np.tile(g, m)])
+
+
+DOMAINS = [(0.0, 0.0, 1.0, 1.0), (-1.0, 2.0, 3.0, 2.5), (10.0, -5.0, 10.5, 3.0), (0, -2, 1, 3)]
+
+
+class TestVoronoiCells:
+    """The cells generate_voronoi cuts out of the box are qhull's cells,
+    and its meshes are valid polygonal tilings of the box."""
+
+    @staticmethod
+    def assert_cells_match(mesh, pts, domain):
+        """Each cell's corners are the cycle of qhull's cell, up to rotation,
+        within 1e-12 of the box size.  Where the merge joined corners, the
+        two meshes may keep different ones of them, so a vertex may also
+        differ by the spread of the corners qhull's merge joined there."""
+        xmin, ymin, xmax, ymax = domain
+        oracle, spread = qhull_voronoi(pts, domain)
+        assert mesh.ncells == oracle.ncells
+        for c in range(mesh.ncells):
+            got = mesh.cell_coords(c)
+            ids = oracle.cell_verts[oracle.cell_ptr[c]:oracle.cell_ptr[c + 1]]
+            assert len(got) == len(ids), f"cell {c}"
+            k = np.argmin(((oracle.vertices[ids] - got[0]) ** 2).sum(axis=1))
+            ids = np.roll(ids, -k)
+            gap = np.abs(oracle.vertices[ids] - got).max(axis=1)
+            assert (gap <= 1e-12 * max(xmax - xmin, ymax - ymin) + 2 * spread[ids]).all(), \
+                f"cell {c}: {got.tolist()} against {oracle.vertices[ids].tolist()}"
+
+    @staticmethod
+    def assert_valid(mesh, domain, apart=True):
+        """No two vertices within the merge tolerance (if apart), every
+        interior vertex on three or more edges, V - E + F = 1, and convex
+        CCW cells."""
+        xmin, ymin, xmax, ymax = domain
+        scale = max(xmax - xmin, ymax - ymin)
+        assert not (apart and cKDTree(mesh.vertices).query_pairs(1e-9 * scale))
+        boundary = np.zeros(mesh.nvertices, dtype=bool)
+        boundary[mesh.edge_verts[mesh.on_boundary]] = True
+        valence = np.bincount(mesh.edge_verts.ravel(), minlength=mesh.nvertices)
+        assert valence[~boundary].min(initial=3) >= 3
+        assert mesh.nvertices - mesh.nedges + mesh.ncells == 1
+        assert quality_report(mesh)["star_shaped"].all()
+        assert (mesh.areas > 0).all()
+        assert mesh.areas.sum() == pytest.approx((xmax - xmin) * (ymax - ymin), rel=1e-12)
+        for c in range(mesh.ncells):
+            p = mesh.cell_coords(c)
+            e = np.roll(p, -1, axis=0) - p
+            turn = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+            assert turn.min() > -1e-12 * scale ** 2, f"cell {c} is not convex"
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 80), domain=st.sampled_from(DOMAINS),
+           seed=st.integers(0, 2 ** 32 - 1), hug=st.integers(0, 8),
+           corners=st.integers(0, 4))
+    def test_cells_match_qhull(self, n, domain, seed, hug, corners):
+        """Random seeds; the first `hug` of them within 1e-10 of a side and
+        the next `corners` within 1e-10 of a box corner, one per corner."""
+        xmin, ymin, xmax, ymax = domain
+        scale = max(xmax - xmin, ymax - ymin)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform([xmin, ymin], [xmax, ymax], size=(n, 2))
+
+        def hug_side(i, axis, end):
+            gap = 1e-10 * scale * rng.uniform()
+            pts[i, axis] = domain[axis] + gap if end == 0 else domain[axis + 2] - gap
+
+        for i in range(min(hug, n)):
+            hug_side(i, rng.integers(2), rng.integers(2))
+        for i, c in enumerate(rng.permutation(4)[:min(corners, max(n - hug, 0))]):
+            hug_side(hug + i, 0, c & 1)
+            hug_side(hug + i, 1, c >> 1)
+        mesh = clipped_mesh(pts, domain)
+        self.assert_cells_match(mesh, pts, domain)
+        # corners closer than the merge tolerance can round to two points (in
+        # the qhull mesh too), so the ladder and lattice tests check that
+        self.assert_valid(mesh, domain, apart=False)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_lattice_corners_merge(self, domain):
+        """A 4 x 4 lattice meets four cells at each inner corner, where
+        cocircular seeds give one vertex of valence 4."""
+        pts = lattice(4, domain)
+        mesh = clipped_mesh(pts, domain)
+        self.assert_cells_match(mesh, pts, domain)
+        self.assert_valid(mesh, domain)
+        assert (mesh.ncells, mesh.nvertices) == (16, 25)
+        boundary = np.zeros(mesh.nvertices, dtype=bool)
+        boundary[mesh.edge_verts[mesh.on_boundary]] = True
+        valence = np.bincount(mesh.edge_verts.ravel(), minlength=mesh.nvertices)
+        assert valence[~boundary].tolist() == [4] * 9
+
+    @pytest.mark.parametrize("count", [25, 100, 400, 1600])
+    def test_shipped_ladder_is_valid(self, count):
+        """The meshes of the shipped ladders: seed 3, level j seeded 3 + 101 j."""
+        j = [25, 100, 400, 1600].index(count)
+        self.assert_valid(generate_voronoi(count, lloyd_iters=5, seed=3 + 101 * j),
+                          DOMAINS[0])
+
+    def test_coincident_seeds_are_jittered(self):
+        """Two seeds drawn at one point are moved apart, with a warning, and
+        the mesh still has a cell per seed."""
+        pts = np.random.default_rng(5).uniform(size=(12, 2))
+        pts[7] = pts[2]
+        with planted_seeds(pts), pytest.warns(UserWarning, match="coincident seeds; re-jittering"):
+            mesh = generate_voronoi(12, lloyd_iters=3, seed=5)
+        assert mesh.ncells == 12
+        self.assert_valid(mesh, DOMAINS[0])
+
+
 class TestRefine:
     def test_refined_area_preserved(self):
         mesh = generate_voronoi(10, seed=4)
@@ -342,6 +484,45 @@ class TestVertexFaults:
                      refine(generate_structured(3, 3), [4])):
             write_native_json(mesh, path)
             assert load_mesh(str(path)).nvertices == mesh.nvertices
+
+    def test_non_finite_vertex(self, tmp_path):
+        body = {"vertices": [[0, 0], [1, 0], [1, 1], [0.5, float("nan")], [0, 1]],
+                "cells": [[0, 1, 2, 3, 4]]}
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(MeshError, match="vertex 3 has a coordinate that is not finite"):
+            load_mesh(str(path))
+        path = tmp_path / "mesh.txt"
+        path.write_text(vertex_cell_text(body, 1))
+        with pytest.raises(MeshError, match="vertex 4 has a coordinate that is not finite"):
+            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]), on_lattice=st.booleans(),
+       planted=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199),
+                                  st.sampled_from([0.0, 0.5, 2.0])), max_size=6))
+def test_close_pair_matches_brute_force(n, seed, scale, on_lattice, planted):
+    """The bucket search of the coincident-vertex check reports the first
+    pair an all-pairs search reports, with pairs planted at 0, 0.5 and 2
+    times the tolerance; lattice points share coordinates and points."""
+    rng = np.random.default_rng(seed)
+    if on_lattice:
+        pts = rng.integers(0, 8, size=(n, 2)) * (scale / 7)
+    else:
+        pts = rng.uniform(0.0, scale, size=(n, 2))
+    tol = 1e-12 * scale
+    for i, j, factor in planted:
+        if i < n and j < n and i != j:
+            angle = rng.uniform(0, 2 * np.pi)
+            pts[j] = pts[i] + factor * tol * np.array([np.cos(angle), np.sin(angle)])
+    assume(np.ptp(pts, axis=0).max() > 0)
+    tol = 1e-12 * np.ptp(pts, axis=0).max()
+    i, j = np.triu_indices(n, 1)
+    close = np.hypot(*(pts[i] - pts[j]).T) <= tol
+    want = (int(i[close][0]), int(j[close][0])) if close.any() else None
+    assert _close_pair(pts, tol) == want
 
 
 class TestBoundaryEntries:

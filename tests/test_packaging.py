@@ -1,6 +1,8 @@
 """The runtime dependency contract: the package runs on numpy and scipy
-alone, and sympy is only a test dependency."""
+alone, sympy is only a test dependency, and of scipy only the sparse
+matrices and their LU are loaded."""
 
+import json
 import os
 import re
 import subprocess
@@ -19,6 +21,25 @@ def test_cli_and_cases_do_not_import_sympy():
             "for name in ('smooth', 'lshape', 'poly'):\n"
             "    get_case(name)\n"
             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_voronoi_runs_and_mesh_files_do_not_import_scipy_spatial(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mesh": {"kind": "voronoi", "n0": 16, "lloyd": 2},
+                               "steps": 2, "out": str(tmp_path / "out")}))
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1]],
+                                "cells": [[0, 1, 2, 3], [1, 4, 5, 2]]}))
+    code = ("import sys\n"
+            "from platevem.cli import main\n"
+            "from platevem.mesh import load_mesh\n"
+            f"assert main(['timestep', '--config', {str(cfg)!r}]) == 0\n"
+            f"assert load_mesh({str(mesh)!r}).ncells == 2\n"
+            "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
