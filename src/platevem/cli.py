@@ -247,15 +247,17 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
     path.write_text(f"# platevem {SCHEMAS[schema]}\n{_csv_text(header, rows)}\n")
 
 
-def _write_outputs(cfg: RunConfig, command: str, tables: dict, summary: str) -> None:
+def _write_outputs(cfg: RunConfig, command: str, tables: dict, summary: str,
+                   solve: list[dict]) -> None:
     """Write a solve command's tables {schema: (header, rows)} as <schema>.csv,
-    then manifest.json and summary.txt into cfg.out; print the summary."""
+    then manifest.json (with the `solve` record of each factorization) and
+    summary.txt into cfg.out; print the summary."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for schema, (header, rows) in tables.items():
         _write_csv(outdir / f"{schema}.csv", schema, header, rows)
     doc = {"command": command, "version": __version__, "seed": cfg.seed,
-           "schemas": SCHEMAS, "config": asdict(cfg)}
+           "schemas": SCHEMAS, "config": asdict(cfg), "solve": solve}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
     (outdir / "summary.txt").write_text(summary + "\n")
     print(summary)
@@ -278,7 +280,7 @@ def _level_row(j: int, r: LevelResult) -> list:
 # subcommands
 
 
-def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_convergence(cfg: RunConfig) -> tuple[dict, str, list]:
     case = _case_for(cfg)
     meshes = _mesh_ladder(cfg, case)
     results = run_convergence(case, meshes, cfg.family_enum(), cfg.k, cfg.l)
@@ -301,10 +303,10 @@ def cmd_convergence(cfg: RunConfig) -> tuple[dict, str]:
         rs = r if isinstance(r, str) else f"{r:.3f}"
         lines.append(f"  h={row['h']:.4g} energy={row['energy']:.5g} rate={rs}")
     return ({"rates": (header, csv_rows), "levels": (_LEVEL_HEADER, level_rows)},
-            "\n".join(lines))
+            "\n".join(lines), [r.solve for r in results])
 
 
-def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str, list]:
     case = _case_for(cfg)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     theta = 1.0 if cfg.mode == "uniform" else cfg.theta
@@ -321,10 +323,10 @@ def cmd_adaptive(cfg: RunConfig) -> tuple[dict, str]:
                f"final ndof={ndofs[-1]}\n"
                f"  error slope vs ndof = {slope([r.report.energy for r in levels])}\n"
                f"  eta slope vs ndof   = {slope([r.est.eta for r in levels])}")
-    return {"trace": (_LEVEL_HEADER + ["marked"], rows)}, summary
+    return {"trace": (_LEVEL_HEADER + ["marked"], rows)}, summary, [r.solve for r in levels]
 
 
-def cmd_timestep(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_timestep(cfg: RunConfig) -> tuple[dict, str, list]:
     case = _case_for(cfg)
     mesh = _mesh_ladder(cfg, case, levels=1)[0]
     system, constraints = constrained_system(
@@ -342,7 +344,8 @@ def cmd_timestep(cfg: RunConfig) -> tuple[dict, str]:
                      float(np.abs(Un).max()), float(np.abs(Pn).max())])
     summary = (f"timestep: {cfg.steps} steps, final u_l2={rows[-1][1]:.6g} "
                f"p_l2={rows[-1][2]:.6g}")
-    return {"steps": (["step", "u_l2", "p_l2", "u_max", "p_max"], rows)}, summary
+    return ({"steps": (["step", "u_l2", "p_l2", "u_max", "p_max"], rows)}, summary,
+            [seq.solve])
 
 
 def cmd_mesh_info(cfg: RunConfig) -> int:

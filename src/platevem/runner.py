@@ -63,21 +63,30 @@ def constrained_system(case: ManufacturedCase, mesh: PolygonalMesh,
 
 @dataclass
 class LevelResult:
-    """One solved level; `marked` counts the cells refined after it."""
+    """One solved level; `solve` is its ``FactoredSystem.record`` and
+    `marked` counts the cells refined after it."""
     mesh: PolygonalMesh
     ndof: int
     report: ErrorReport
     est: EstimatorReport | None
+    solve: dict
     marked: int = 0
 
 
 def solve_level(case: ManufacturedCase, system: AssembledSystem,
                 constraints: Constraints, *, with_estimator: bool = True) -> LevelResult:
-    """Solve the case under its constraints, then measure the solution."""
-    U, P = factor_system(system, constraints).solve(assemble_rhs(system, case))
+    """Solve the case under its constraints, then measure the solution.
+    The load is assembled before the factor and the factor is dropped
+    before the error norms, so the LU factors are never alive together
+    with the quadrature temporaries of either."""
+    F = assemble_rhs(system, case)
+    factored = factor_system(system, constraints)
+    U, P = factored.solve(F)
+    solve = factored.record
+    del F, factored
     report = compute_errors(system, U, P, case)
     est = estimate(system, U, P, case) if with_estimator else None
-    return LevelResult(system.mesh, system.ndof, report, est)
+    return LevelResult(system.mesh, system.ndof, report, est, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +134,18 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
     return scatter(system.ndof, blocks)
 
 
+class March(list):
+    """The (U, P) of every step of a time march; `solve` is the record of
+    its one factorization, with the largest residual of all steps."""
+
+    def __init__(self, states, solve: dict):
+        super().__init__(states)
+        self.solve = solve
+
+
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
                     case: ManufacturedCase, M: sp.csr_matrix, *,
-                    steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                    steps: int) -> March:
     """March the one-step system with unit time step from rest.
 
     Each step solves the static system with the load F + M [2 u_n - u_{n-1},
@@ -145,4 +163,4 @@ def timestep_driver(system: AssembledSystem, constraints: Constraints,
         U, P = factored.solve(F + M @ np.concatenate([2.0 * un - um1, pn]))
         out.append((U, P))
         um1, un, pn = un, U, P
-    return out
+    return March(out, factored.record)

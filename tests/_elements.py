@@ -4,11 +4,13 @@ of ``assemble_system``, and the triangulation ``CellGroup.rule`` lays its
 rule on.  Tests compare them against the dense oracle and against the
 stacked arrays of a level.  ``solve_patch`` solves a level whose data the
 assembled operator synthesizes itself.  ``qhull_voronoi`` builds a
-Voronoi mesh an independent way, through qhull on mirrored seeds."""
+Voronoi mesh an independent way, through qhull on mirrored seeds, and
+``coo_scatter`` sums local blocks the textbook way, through triplets."""
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from platevem.assembly import _group_forms, factor_system
 from platevem.manufactured import ErrorReport, ManufacturedCase, compute_errors
@@ -70,6 +72,18 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     PI = interpolate(mesh, system.dof_p, case.p)
     U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
     return compute_errors(system, U, P, case)
+
+
+def coo_scatter(n: int, blocks) -> sp.csr_matrix:
+    """The blocks of ``assembly.scatter`` as (row, col, value) triplets in
+    block order, int32 indices while n fits, summed by ``tocsr``."""
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
+                           for r, _, v in blocks]).astype(index)
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
+                           for _, c, v in blocks]).astype(index)
+    vals = np.concatenate([v.ravel() for _, _, v in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:

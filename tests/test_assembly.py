@@ -6,11 +6,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from _elements import build_element, polygon_rule, solve_patch
+import scipy.sparse.linalg as spla
+from _elements import build_element, coo_scatter, polygon_rule, solve_patch
 
 from platevem import assembly, projectors, runner
-from platevem.assembly import (ModelParams, assemble_rhs, assemble_system, derive_params,
-                               factor_system)
+from platevem.assembly import (SOLVE_RTOL, ModelParams, assemble_rhs, assemble_system,
+                               derive_params, factor_system)
 from platevem.cli import main
 from platevem.manufactured import compute_errors, get_case, polynomial_case
 from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh, corner_mask,
@@ -350,6 +351,37 @@ class TestBoundedBuild:
         assert peak < 17e6
 
 
+class TestScatter:
+    """`scatter` writes each entry into its CSR row and sums duplicates,
+    and K is bit-identical to summing the same triplets through a COO
+    matrix, whatever the chunk size."""
+
+    @pytest.fixture(scope="class")
+    def mesh400(self):
+        return generate_voronoi(400, lloyd_iters=5, seed=3,
+                                labeler=get_case("smooth").labeler)
+
+    @pytest.mark.parametrize("chunk", [1, 7, assembly.BUILD_CHUNK])
+    @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
+    def test_matches_coo_triplets(self, monkeypatch, mesh400, chunk, family):
+        calls = []
+        scatter = assembly.scatter
+
+        def recorded(n, blocks):
+            calls.append((n, blocks))
+            return scatter(n, blocks)
+
+        monkeypatch.setattr(assembly, "scatter", recorded)
+        monkeypatch.setattr(assembly, "BUILD_CHUNK", chunk)
+        system = assemble_system(mesh400, *spaces_for(family, 2, 1), PARAMS)
+        assert max(len(g.ctx) for g in system.groups) <= chunk
+        (n, blocks), = calls
+        want = coo_scatter(n, blocks)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(system.K, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestPatchReproduction:
     """With the right-hand side synthesized from the interpolant, the
     solver must return that interpolant to solver precision."""
@@ -401,6 +433,52 @@ class TestSolvers:
         assert main(["convergence", "--config", str(cfg)]) == 1
         assert "error: Factor is exactly singular" in capsys.readouterr().err
         assert not (tmp_path / "out" / "levels.csv").exists()
+
+    @staticmethod
+    def perturb_factor(monkeypatch):
+        """Make factor_system factor its free block plus 1e-3 I."""
+        splu = assembly.spla.splu
+        monkeypatch.setattr(assembly.spla, "splu", lambda A, **kw: splu(
+            (A + 1e-3 * sp.identity(A.shape[0], format="csc")).tocsc(), **kw))
+
+    def test_wrong_factor_fails_the_residual_check(self, monkeypatch, voronoi25):
+        """A factor of another matrix solves without error, and the
+        residual against K rejects its solution."""
+        case = get_case("smooth")
+        system, constraints = constrained_system(case, voronoi25,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
+        F = assemble_rhs(system, case)
+        factor_system(system, constraints).solve(F)
+        self.perturb_factor(monkeypatch)
+        with pytest.raises(RuntimeError, match="solve residual .* exceeds SOLVE_RTOL"):
+            factor_system(system, constraints).solve(F)
+
+    def test_wrong_factor_exits_one_without_table(self, tmp_path, monkeypatch, capsys):
+        self.perturb_factor(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mesh": {"kind": "voronoi", "n0": 16, "lloyd": 3},
+                                   "levels": 1, "out": str(tmp_path / "out")}))
+        assert main(["convergence", "--config", str(cfg)]) == 1
+        assert "error: solve residual" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "levels.csv").exists()
+
+    def test_ordering_is_structure_aware(self):
+        """On a 400-cell Voronoi level (conforming k=2 l=1) the factor
+        stores at most 0.8 of the entries of scipy's default LU (584k
+        against 803k), and its residual is far below SOLVE_RTOL."""
+        case = get_case("smooth")
+        mesh = generate_voronoi(400, lloyd_iters=5, seed=3, labeler=case.labeler)
+        system, constraints = constrained_system(case, mesh,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
+        factored = factor_system(system, constraints)
+        factored.solve(assemble_rhs(system, case))
+        record = factored.record
+        assert record["fill"] == factored.lu.L.nnz + factored.lu.U.nnz
+        free = ~constraints.fixed
+        default = spla.splu(system.K[free][:, free].tocsc())
+        assert record["fill"] <= 0.8 * (default.L.nnz + default.U.nnz)
+        assert record["residual"] < 1e-3 * SOLVE_RTOL
+        assert (record["ndof"], record["nnz"]) == (system.ndof, system.K.nnz)
 
 
 class TestTimestepping:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from platevem import cli
+from platevem.assembly import SOLVE_RTOL
 from platevem.cli import ConfigError, RunConfig, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -504,6 +505,12 @@ class TestConvergenceCommand:
         assert m["schemas"]["rates"] == "rates-v1"
         assert m["config"]["case"] == "smooth"
         assert m["seed"] == 1
+        _, rows = read_schema_csv(run_dir / "levels.csv")
+        assert [r["ndof"] for r in m["solve"]] == [int(r["ndof"]) for r in rows]
+        for r in m["solve"]:
+            assert set(r) == {"ndof", "nnz", "fill", "residual"}
+            assert r["ndof"] < r["nnz"] and r["fill"] > 0
+            assert 0 < r["residual"] <= SOLVE_RTOL
 
     def test_flag_overrides_take_precedence(self, tmp_path):
         cfg = write_config(tmp_path, levels=1)
@@ -589,6 +596,8 @@ class TestTimestepCommand:
         for r in rows:
             assert np.isfinite(float(r["u_l2"]))
             assert np.isfinite(float(r["p_l2"]))
+        (solve,) = json.loads((out / "manifest.json").read_text())["solve"]
+        assert 0 < solve["residual"] <= SOLVE_RTOL
 
 
 class TestMeshInfoCommand:
