@@ -162,10 +162,11 @@ def scatter(n: int, blocks) -> sp.csr_matrix:
     array, in block order within the row, which is the order
     ``coo_matrix(...).tocsr()`` gives the same triplets; summing the
     duplicates then makes K bit-identical to it without the triplets.
+    Row counts go by ``np.add.at``, so each block costs its entries, not n.
     Indices are int32 while the entry count and n fit."""
     counts = np.zeros(n, dtype=np.int64)
     for r, c, _ in blocks:
-        counts += np.bincount(r.ravel(), minlength=n) * c.shape[1]
+        np.add.at(counts, r.ravel(), c.shape[1])
     total = int(counts.sum())
     index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
@@ -185,7 +186,7 @@ def scatter(n: int, blocks) -> sp.csr_matrix:
         dest = start[:, None] + np.arange(width)
         indices[dest] = np.broadcast_to(c[:, None, :], v.shape).reshape(dest.shape)
         data[dest] = v.reshape(dest.shape)
-        cursor += np.bincount(rows, minlength=n) * width
+        np.add.at(cursor, rows, width)
     K = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     K.sum_duplicates()
     return K

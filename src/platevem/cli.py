@@ -243,19 +243,16 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows])
 
 
-def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    path.write_text(f"# platevem {SCHEMAS[schema]}\n{_csv_text(header, rows)}\n")
-
-
 def _write_outputs(cfg: RunConfig, command: str, tables: dict, summary: str,
                    solve: list[dict]) -> None:
-    """Write a solve command's tables {schema: (header, rows)} as <schema>.csv,
+    """Write a command's tables {schema: (header, rows)} as <schema>.csv,
     then manifest.json (with the `solve` record of each factorization) and
     summary.txt into cfg.out; print the summary."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for schema, (header, rows) in tables.items():
-        _write_csv(outdir / f"{schema}.csv", schema, header, rows)
+        (outdir / f"{schema}.csv").write_text(
+            f"# platevem {SCHEMAS[schema]}\n{_csv_text(header, rows)}\n")
     doc = {"command": command, "version": __version__, "seed": cfg.seed,
            "schemas": SCHEMAS, "config": asdict(cfg), "solve": solve}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -333,9 +330,9 @@ def cmd_timestep(cfg: RunConfig) -> tuple[dict, str, list]:
         case, mesh, spaces_for(cfg.family_enum(), cfg.k, cfg.l))
     M = assemble_projected_mass(system)
     n_u = system.dof_u.ndof
-    seq = timestep_driver(system, constraints, case, M, steps=cfg.steps)
+    states, solve = timestep_driver(system, constraints, case, M, steps=cfg.steps)
     rows = []
-    for step, (Un, Pn) in enumerate(seq, start=1):
+    for step, (Un, Pn) in enumerate(states, start=1):
         X = np.concatenate([Un, Pn])
         MX = M @ X
         nu = float(np.sqrt(X[:n_u] @ MX[:n_u]))
@@ -345,10 +342,10 @@ def cmd_timestep(cfg: RunConfig) -> tuple[dict, str, list]:
     summary = (f"timestep: {cfg.steps} steps, final u_l2={rows[-1][1]:.6g} "
                f"p_l2={rows[-1][2]:.6g}")
     return ({"steps": (["step", "u_l2", "p_l2", "u_max", "p_max"], rows)}, summary,
-            [seq.solve])
+            [solve])
 
 
-def cmd_mesh_info(cfg: RunConfig) -> int:
+def cmd_mesh_info(cfg: RunConfig) -> tuple[dict, str, list]:
     """Cell counts, mesh size and a 10-bin edge/diameter quality histogram."""
     case = _case_for(cfg)
     meshes = _mesh_ladder(cfg, case)
@@ -365,12 +362,7 @@ def cmd_mesh_info(cfg: RunConfig) -> int:
                      int(rep["star_shaped"].sum()),
                      float(rep["min_edge_ratio"].min()),
                      int(len(rep["flagged"]))] + [int(c) for c in hist])
-    print(_csv_text(header, rows))
-    if cfg.out != "out" or Path(cfg.out).exists():
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_csv(outdir / "mesh.csv", "mesh", header, rows)
-    return 0
+    return {"mesh": (header, rows)}, _csv_text(header, rows), []
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +390,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    solve = dict(convergence=cmd_convergence, adaptive=cmd_adaptive, timestep=cmd_timestep)
+    commands = {"convergence": cmd_convergence, "adaptive": cmd_adaptive,
+                "timestep": cmd_timestep, "mesh-info": cmd_mesh_info}
     try:
-        if args.command == "mesh-info":
-            return cmd_mesh_info(cfg)
-        _write_outputs(cfg, args.command, *solve[args.command](cfg))
+        _write_outputs(cfg, args.command, *commands[args.command](cfg))
         return 0
     except Exception as exc:   # solver or I/O failure
         print(f"error: {exc}", file=sys.stderr)

@@ -53,10 +53,6 @@ class EstimatorReport:
     def eta(self) -> float:
         return float(np.sqrt(self.components2.sum()))
 
-    def component(self, i: int) -> float:
-        """Global eta_i (1-based), as a plain square root."""
-        return float(np.sqrt(self.components2[i - 1]))
-
 
 def _poly(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Values at the points of tables V (..., npts, dim) of polynomials

@@ -34,6 +34,11 @@ from .spaces import pressure_is_dirichlet
 
 Pointwise = Callable[[np.ndarray], np.ndarray]
 
+# Distance within which a mesh vertex sits at a case's singular point.
+SINGULAR_TOL = 1e-10
+# Distance from a coordinate axis within which an edge midpoint lies on it.
+AXIS_TOL = 1e-12
+
 
 @dataclass
 class ManufacturedCase:
@@ -67,13 +72,13 @@ class ManufacturedCase:
         """(nedges,) whether each edge carries the case's Dirichlet pressure."""
         return pressure_is_dirichlet(mesh, self.pressure_dirichlet_on_clamped)
 
-    def singular_cells(self, mesh: PolygonalMesh, tol: float = 1e-10) -> frozenset[int]:
-        """Cells with a vertex within tol of a singular point."""
+    def singular_cells(self, mesh: PolygonalMesh) -> frozenset[int]:
+        """Cells with a vertex within SINGULAR_TOL of a singular point."""
         if not self.singular_points:
             return frozenset()
         pts = np.asarray(self.singular_points)
         d = np.linalg.norm(mesh.vertices[:, None, :] - pts[None, :, :], axis=2)
-        near = d.min(axis=1) < tol
+        near = d.min(axis=1) < SINGULAR_TOL
         cell_of = np.repeat(np.arange(mesh.ncells), np.diff(mesh.cell_ptr))
         return frozenset(np.unique(cell_of[near[mesh.cell_verts]]).tolist())
 
@@ -82,9 +87,9 @@ class ManufacturedCase:
 # case constructors
 
 
-def smooth_square_labeler(edge_mid: np.ndarray, tol: float = 1e-12) -> BoundaryLabel:
+def smooth_square_labeler(edge_mid: np.ndarray) -> BoundaryLabel:
     """Clamped on the two coordinate axes, simply supported elsewhere."""
-    if edge_mid[0] < tol or edge_mid[1] < tol:
+    if edge_mid[0] < AXIS_TOL or edge_mid[1] < AXIS_TOL:
         return BoundaryLabel.CLAMPED
     return BoundaryLabel.SIMPLY_SUPPORTED
 
@@ -268,12 +273,12 @@ def known_case(name: str) -> bool:
 
 
 def get_case(name: str, params: ModelParams | None = None, k: int = 2,
-             l: int = 1, **kw) -> ManufacturedCase:
+             l: int = 1) -> ManufacturedCase:
     if not known_case(name):
         raise KeyError(f"unknown case {name!r}; have {sorted(_CASES) + ['poly']}")
     if name in _CASES:
         return _CASES[name](params)
-    return polynomial_case(k, l, params, **kw)
+    return polynomial_case(k, l, params)
 
 
 # ---------------------------------------------------------------------------

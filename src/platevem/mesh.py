@@ -63,18 +63,18 @@ def all_clamped(_midpoint: np.ndarray) -> BoundaryLabel:
 
 
 def region_labeler(regions: Sequence[tuple[tuple[float, float, float, float], BoundaryLabel]],
-                   default: BoundaryLabel = BoundaryLabel.CLAMPED) -> Labeler:
+                   fallback: Labeler = all_clamped) -> Labeler:
     """Label boundary edges whose midpoint falls in an (xmin, ymin, xmax, ymax) box.
 
-    Later entries win; edges matching no box get the default label.
+    Later entries win; edges matching no box get the fallback's label.
     """
 
     def labeler(mid: np.ndarray) -> BoundaryLabel:
-        out = default
+        out = None
         for (xmin, ymin, xmax, ymax), label in regions:
             if xmin <= mid[0] <= xmax and ymin <= mid[1] <= ymax:
                 out = label
-        return out
+        return fallback(mid) if out is None else out
 
     return labeler
 
@@ -299,24 +299,12 @@ def corner_mask(coords: np.ndarray) -> np.ndarray:
 # generation
 
 
-def generate_structured(nx: int, ny: int,
-                        domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-                        perturb: float = 0.0, seed: int = 0,
-                        labeler: Labeler | None = None) -> PolygonalMesh:
-    """nx x ny quadrilateral grid; interior vertices jittered by perturb * min cell size."""
-    xmin, ymin, xmax, ymax = domain
-    xs = np.linspace(xmin, xmax, nx + 1)
-    ys = np.linspace(ymin, ymax, ny + 1)
+def generate_structured(nx: int, ny: int, labeler: Labeler | None = None) -> PolygonalMesh:
+    """nx x ny quadrilateral grid of the unit square."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-    if perturb > 0.0:
-        rng = np.random.default_rng(seed)
-        hmin = min((xmax - xmin) / nx, (ymax - ymin) / ny)
-        jitter = rng.uniform(-1.0, 1.0, size=verts.shape) * perturb * hmin
-        interior = np.zeros((nx + 1, ny + 1), dtype=bool)
-        interior[1:nx, 1:ny] = True
-        interior = interior.ravel()
-        verts[interior] += jitter[interior]
     v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
     cells = np.column_stack([v00, v00 + ny + 1, v00 + ny + 2, v00 + 1])
     return _build(verts, 4 * np.arange(nx * ny + 1), cells.ravel(), labeler, None)
@@ -588,121 +576,92 @@ def _close_pair(points: np.ndarray, tol: float) -> tuple[int, int] | None:
     return None if best == len(points) ** 2 else divmod(int(best), len(points))
 
 
-def _check_vertices(mesh: PolygonalMesh, index_base: int = 0) -> PolygonalMesh:
-    """Reject a vertex that no cell names, one off the finite plane, and two
-    vertices at one point, which would split the cells that meet there; ids
-    are named as in the file (offset by index_base)."""
+def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
+    """Read a mesh file: {"vertices": [[x, y], ...], "cells": [[i, ...], ...],
+    "boundary": [entry, ...]}, where an entry labels either explicit edges
+    ({"edges": [[v0, v1], ...], "label": ...}) or the edges whose midpoint
+    lies in a box ({"region": [xmin, ymin, xmax, ymax], "label": ...}).
+
+    A boundary edge takes the label of its `edges` entry, else of the last
+    `region` that holds its midpoint, else of the labeler (clamped if
+    none).  A malformed entry, an unknown label or a pair that is no
+    boundary edge of the mesh raises MeshError naming the entry; so does a
+    vertex that no cell uses, a vertex with a coordinate that is not
+    finite, or two vertices at one point, which would split the cells that
+    meet there.
+    """
+    with open(path) as fh:
+        body = json.load(fh)
+    try:
+        vertices = np.asarray(body["vertices"], dtype=np.float64)
+        cells = [list(map(int, c)) for c in body["cells"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise MeshError(f"malformed mesh file {path}: {err}") from None
+    edge_labels: dict[tuple[int, int], BoundaryLabel] = {}
+    named: dict[tuple[int, int], tuple[int, list]] = {}   # entry and pair as given
+    regions = []
+    names = [lab.value for lab in BoundaryLabel]
+    entries = body.get("boundary", [])
+    if not isinstance(entries, list):
+        raise MeshError(f"boundary: expected a list of entries, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise MeshError(f"boundary entry {i}: expected an object, got {entry!r}")
+        if entry.get("label") not in names:
+            raise MeshError(f"boundary entry {i}: label {entry.get('label')!r} "
+                            f"is not one of {names}")
+        label = BoundaryLabel(entry["label"])
+        if "edges" in entry:
+            pairs = entry["edges"]
+            if not isinstance(pairs, list):
+                raise MeshError(f"boundary entry {i}: 'edges' must be a list of "
+                                f"vertex pairs, got {pairs!r}")
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(_is_int(v) for v in pair)):
+                    raise MeshError(f"boundary entry {i}: edge {pair!r} is not a "
+                                    "pair of integer vertex ids")
+                v0, v1 = pair
+                key = (min(v0, v1), max(v0, v1))
+                edge_labels[key] = label
+                named.setdefault(key, (i, pair))
+        elif "region" in entry:
+            box = entry["region"]
+            if not (isinstance(box, list) and len(box) == 4
+                    and all(_is_int(v) or isinstance(v, float) for v in box)):
+                raise MeshError(f"boundary entry {i}: region {box!r} is not "
+                                "[xmin, ymin, xmax, ymax]")
+            regions.append((tuple(box), label))
+        else:
+            raise MeshError(f"boundary entry {i}: needs 'edges' or 'region'")
+    mesh = build_mesh(vertices, cells, labeler=region_labeler(regions, labeler or all_clamped),
+                      edge_labels=edge_labels or None)
     unused = np.setdiff1d(np.arange(mesh.nvertices), mesh.cell_verts)
     if unused.size:
-        raise MeshError(f"vertex {unused[0] + index_base} is not a vertex of any cell")
+        raise MeshError(f"vertex {unused[0]} is not a vertex of any cell")
     if (v := _first(~np.isfinite(mesh.vertices).all(1), np.arange(mesh.nvertices))) is not None:
-        raise MeshError(f"vertex {v + index_base} has a coordinate that is not finite")
+        raise MeshError(f"vertex {v} has a coordinate that is not finite")
     scale = np.ptp(mesh.vertices, axis=0).max()
     if (pair := _close_pair(mesh.vertices, 1e-12 * scale)) is not None:
         i, j = pair
-        raise MeshError(f"vertices {i + index_base} and {j + index_base} coincide "
-                        f"at {mesh.vertices[i].tolist()}")
+        raise MeshError(f"vertices {i} and {j} coincide at {mesh.vertices[i].tolist()}")
+    boundary = set(map(tuple, np.sort(mesh.edge_verts[mesh.on_boundary], axis=1).tolist()))
+    for key, (i, pair) in named.items():
+        if key not in boundary:
+            raise MeshError(f"boundary entry {i}: edge {pair} is not a boundary "
+                            "edge of the mesh")
     return mesh
-
-
-def load_mesh(path: str, fmt: str = "native-json",
-              labeler: Labeler | None = None, index_base: int = 0) -> PolygonalMesh:
-    """Read a mesh file.
-
-    native-json: {"vertices": [[x, y], ...], "cells": [[i, ...], ...],
-    "boundary": [entry, ...]} where an entry labels either explicit edges
-    ({"edges": [[v0, v1], ...], "label": ...}) or a midpoint region
-    ({"region": [xmin, ymin, xmax, ymax], "label": ...}); a malformed
-    entry, an unknown label or a pair that is no boundary edge of the mesh
-    raises MeshError naming the entry.
-
-    vertex-cell-text: 'nv nc' header, nv lines 'x y', nc lines
-    'n i1 ... in' with indices offset by index_base; labels come from the
-    labeler argument.
-
-    Either format raises MeshError naming a vertex that no cell uses, a
-    vertex with a coordinate that is not finite, or two vertices at one
-    point.
-    """
-    if fmt == "native-json":
-        with open(path) as fh:
-            body = json.load(fh)
-        try:
-            vertices = np.asarray(body["vertices"], dtype=np.float64)
-            cells = [list(map(int, c)) for c in body["cells"]]
-        except (KeyError, TypeError, ValueError) as err:
-            raise MeshError(f"malformed mesh file {path}: {err}") from None
-        edge_labels: dict[tuple[int, int], BoundaryLabel] = {}
-        named: dict[tuple[int, int], tuple[int, list]] = {}   # entry and pair as given
-        regions = []
-        names = [lab.value for lab in BoundaryLabel]
-        entries = body.get("boundary", [])
-        if not isinstance(entries, list):
-            raise MeshError(f"boundary: expected a list of entries, got {entries!r}")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise MeshError(f"boundary entry {i}: expected an object, got {entry!r}")
-            if entry.get("label") not in names:
-                raise MeshError(f"boundary entry {i}: label {entry.get('label')!r} "
-                                f"is not one of {names}")
-            label = BoundaryLabel(entry["label"])
-            if "edges" in entry:
-                pairs = entry["edges"]
-                if not isinstance(pairs, list):
-                    raise MeshError(f"boundary entry {i}: 'edges' must be a list of "
-                                    f"vertex pairs, got {pairs!r}")
-                for pair in pairs:
-                    if not (isinstance(pair, list) and len(pair) == 2
-                            and all(_is_int(v) for v in pair)):
-                        raise MeshError(f"boundary entry {i}: edge {pair!r} is not a "
-                                        "pair of integer vertex ids")
-                    v0, v1 = pair
-                    key = (min(v0, v1), max(v0, v1))
-                    edge_labels[key] = label
-                    named.setdefault(key, (i, pair))
-            elif "region" in entry:
-                box = entry["region"]
-                if not (isinstance(box, list) and len(box) == 4
-                        and all(_is_int(v) or isinstance(v, float) for v in box)):
-                    raise MeshError(f"boundary entry {i}: region {box!r} is not "
-                                    "[xmin, ymin, xmax, ymax]")
-                regions.append((tuple(box), label))
-            else:
-                raise MeshError(f"boundary entry {i}: needs 'edges' or 'region'")
-        lab = labeler
-        if regions and lab is None:
-            lab = region_labeler(regions)
-        mesh = _check_vertices(build_mesh(vertices, cells, labeler=lab,
-                                          edge_labels=edge_labels or None))
-        boundary = set(map(tuple, np.sort(mesh.edge_verts[mesh.on_boundary], axis=1).tolist()))
-        for key, (i, pair) in named.items():
-            if key not in boundary:
-                raise MeshError(f"boundary entry {i}: edge {pair} is not a boundary "
-                                "edge of the mesh")
-        return mesh
-    if fmt == "vertex-cell-text":
-        with open(path) as fh:
-            rows = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
-        try:
-            nv, nc = map(int, rows[0].split())
-            vertices = np.array([[float(t) for t in rows[1 + i].split()[:2]]
-                                 for i in range(nv)])
-            cells = []
-            for i in range(nc):
-                toks = rows[1 + nv + i].split()
-                n = int(toks[0])
-                cells.append([int(t) - index_base for t in toks[1:1 + n]])
-        except (IndexError, ValueError) as err:
-            raise MeshError(f"malformed mesh file {path}: {err}") from None
-        return _check_vertices(build_mesh(vertices, cells, labeler=labeler), index_base)
-    raise ValueError(f"unknown mesh format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # quality
 
 
-def quality_report(mesh: PolygonalMesh, flag_ratio: float = 0.05) -> dict:
+# Shortest-edge to diameter ratio below which quality_report flags a cell.
+FLAG_RATIO = 0.05
+
+
+def quality_report(mesh: PolygonalMesh) -> dict:
     """Shape-regularity report: star-shapedness and edge/diameter ratios."""
     star = np.ones(mesh.ncells, dtype=bool)
     for cells, slots in size_groups(mesh.cell_ptr):
@@ -710,6 +669,6 @@ def quality_report(mesh: PolygonalMesh, flag_ratio: float = 0.05) -> dict:
                                   mesh.centroids[cells])
     min_ratio = np.minimum.reduceat(mesh.edge_length[mesh.cell_edge],
                                     mesh.cell_ptr[:-1]) / mesh.diameters
-    flagged = np.nonzero(min_ratio < flag_ratio)[0]
+    flagged = np.nonzero(min_ratio < FLAG_RATIO)[0]
     return {"star_shaped": star, "min_edge_ratio": min_ratio,
             "flagged": flagged, "h": mesh.h}

@@ -134,19 +134,12 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
     return scatter(system.ndof, blocks)
 
 
-class March(list):
-    """The (U, P) of every step of a time march; `solve` is the record of
-    its one factorization, with the largest residual of all steps."""
-
-    def __init__(self, states, solve: dict):
-        super().__init__(states)
-        self.solve = solve
-
-
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
                     case: ManufacturedCase, M: sp.csr_matrix, *,
-                    steps: int) -> March:
-    """March the one-step system with unit time step from rest.
+                    steps: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
+    """March the one-step system with unit time step from rest: the (U, P)
+    of every step, and the record of the one factorization, with the
+    largest residual of all steps.
 
     Each step solves the static system with the load F + M [2 u_n - u_{n-1},
     p_n], where F is the case's load, assembled once, and M the projected
@@ -163,4 +156,4 @@ def timestep_driver(system: AssembledSystem, constraints: Constraints,
         U, P = factored.solve(F + M @ np.concatenate([2.0 * un - um1, pn]))
         out.append((U, P))
         um1, un, pn = un, U, P
-    return March(out, factored.record)
+    return out, factored.record

@@ -5,7 +5,8 @@ rule on.  Tests compare them against the dense oracle and against the
 stacked arrays of a level.  ``solve_patch`` solves a level whose data the
 assembled operator synthesizes itself.  ``qhull_voronoi`` builds a
 Voronoi mesh an independent way, through qhull on mirrored seeds, and
-``coo_scatter`` sums local blocks the textbook way, through triplets."""
+``coo_scatter`` sums local blocks the textbook way, through triplets.
+``perturbed_grid`` jitters the interior vertices of a structured grid."""
 
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 
 from platevem.assembly import _group_forms, factor_system
 from platevem.manufactured import ErrorReport, ManufacturedCase, compute_errors
-from platevem.mesh import PolygonalMesh, build_mesh
+from platevem.mesh import PolygonalMesh, build_mesh, generate_structured
 from platevem.projectors import CellGroup, ElementProjectors
 from platevem.quadrature import (map_triangles, polygon_area_centroid, polygon_triangles,
                                  subdivide_triangles)
@@ -138,3 +139,17 @@ def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
     ids = np.split(ids.ravel(), np.cumsum([len(c) for c in cells])[:-1])
     return build_mesh(corners[first], [[v for v, u in zip(c, np.roll(c, 1)) if v != u]
                                        for c in ids]), spread
+
+
+def perturbed_grid(nx: int, ny: int, perturb: float, seed: int) -> PolygonalMesh:
+    """The nx x ny grid of the unit square with each interior vertex moved
+    by uniform draws in [-1, 1] times perturb times the smaller cell side."""
+    grid = generate_structured(nx, ny)
+    verts = grid.vertices.copy()
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-1.0, 1.0, size=verts.shape) * perturb * min(1.0 / nx, 1.0 / ny)
+    interior = np.zeros((nx + 1, ny + 1), dtype=bool)
+    interior[1:nx, 1:ny] = True
+    interior = interior.ravel()
+    verts[interior] += jitter[interior]
+    return build_mesh(verts, grid.cell_verts.reshape(-1, 4))

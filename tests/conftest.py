@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from _elements import perturbed_grid
 
-from platevem.mesh import generate_structured, generate_voronoi
+from platevem.mesh import generate_voronoi
 
 # One line per shipping criterion, echoed after the test summary so the
 # verdicts stay visible regardless of output capturing.
@@ -22,7 +23,7 @@ def voronoi25():
 
 @pytest.fixture(scope="session")
 def grid4():
-    return generate_structured(4, 4, perturb=0.2, seed=1)
+    return perturbed_grid(4, 4, 0.2, 1)
 
 
 @pytest.fixture

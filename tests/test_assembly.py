@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from _elements import build_element, coo_scatter, polygon_rule, solve_patch
+from _elements import build_element, coo_scatter, perturbed_grid, polygon_rule, solve_patch
 
 from platevem import assembly, projectors, runner
 from platevem.assembly import (SOLVE_RTOL, ModelParams, assemble_rhs, assemble_system,
@@ -15,8 +15,7 @@ from platevem.assembly import (SOLVE_RTOL, ModelParams, assemble_rhs, assemble_s
 from platevem.cli import main
 from platevem.manufactured import compute_errors, get_case, polynomial_case
 from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh, corner_mask,
-                           generate_lshape, generate_structured, generate_voronoi,
-                           refine)
+                           generate_lshape, generate_voronoi, refine)
 from platevem.quadrature import PowerTable, gauss_01, poly_dim, triangle_rule_reference
 from platevem.runner import (assemble_projected_mass, constrained_system, run_convergence,
                              solve_level, spaces_for, timestep_driver)
@@ -389,7 +388,7 @@ class TestPatchReproduction:
     @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
     @pytest.mark.parametrize("k", [2, 3])
     def test_perturbed_grid(self, family, k):
-        mesh = generate_structured(4, 4, perturb=0.2, seed=1)
+        mesh = perturbed_grid(4, 4, 0.2, 1)
         case = polynomial_case(k, k - 1, PARAMS, seed=12)
         rep = solve_patch(case, mesh, family, k, k - 1)
         assert rep.err_u_h2 < 1e-8
@@ -489,9 +488,9 @@ class TestTimestepping:
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
         U, P = factor_system(system, constraints).solve(assemble_rhs(system, case))
-        hist = timestep_driver(system, constraints, case,
-                               assemble_projected_mass(system), steps=1)
-        U1, P1 = hist[-1]
+        states, _ = timestep_driver(system, constraints, case,
+                                    assemble_projected_mass(system), steps=1)
+        U1, P1 = states[-1]
         scale = max(np.abs(U).max(), np.abs(P).max())
         assert np.abs(U1 - U).max() < 1e-10 * scale
         assert np.abs(P1 - P).max() < 1e-10 * scale
@@ -505,10 +504,10 @@ class TestTimestepping:
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
         M = assemble_projected_mass(system)
-        hist = timestep_driver(system, constraints, case, M, steps=60)
+        states, _ = timestep_driver(system, constraints, case, M, steps=60)
         shifted = replace(system, K=(system.K - M).tocsr())
         Us, Ps = factor_system(shifted, constraints).solve(assemble_rhs(system, case))
-        Ue, Pe = hist[-1]
+        Ue, Pe = states[-1]
         scale = max(np.abs(Us).max(), np.abs(Ps).max())
         assert np.abs(Ue - Us).max() < 1e-6 * scale
         assert np.abs(Pe - Ps).max() < 1e-6 * scale
@@ -538,8 +537,8 @@ class TestFactorOnce:
         M = assemble_projected_mass(system)
         splu = count_calls(monkeypatch, assembly.spla, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
-        hist = timestep_driver(system, constraints, case, M, steps=6)
-        assert len(hist) == 6
+        states, _ = timestep_driver(system, constraints, case, M, steps=6)
+        assert len(states) == 6
         assert len(splu) == 1
         assert len(rhs) == 1
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from platevem import cli
 from platevem.assembly import SOLVE_RTOL
 from platevem.cli import ConfigError, RunConfig, main
+from platevem.mesh import generate_structured
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -618,6 +619,34 @@ class TestMeshInfoCommand:
         text = (tmp_path / "out" / "mesh.csv").read_text()
         assert text == "# platevem mesh-v1\n" + capsys.readouterr().out
 
+    def test_default_out_gets_the_writer_outputs(self, tmp_path, monkeypatch, capsys):
+        """Under the default `out`, as every command, mesh-info writes its
+        table, a manifest with no solve and the printed summary."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, levels=2)
+        doc = json.loads(cfg.read_text())
+        del doc["out"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mesh.csv",
+                                                         "summary.txt"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "mesh-info" and manifest["solve"] == []
+        assert (out / "summary.txt").read_text() == capsys.readouterr().out
+
+    def test_manifest_config_replays(self, tmp_path):
+        """The config mesh-info echoes, run again, writes the same mesh.csv."""
+        cfg = write_config(tmp_path, levels=2)
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        doc["out"] = str(tmp_path / "replay")
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(doc))
+        assert main(["mesh-info", "--config", str(replay)]) == 0
+        assert (tmp_path / "replay" / "mesh.csv").read_bytes() == \
+            (tmp_path / "out" / "mesh.csv").read_bytes()
+
     @pytest.mark.parametrize("mesh, message", [
         ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
           "boundary": [{"edges": [[0, 7]], "label": "simply_supported"}]},
@@ -635,6 +664,29 @@ class TestMeshInfoCommand:
                            mesh={"kind": "files", "paths": [str(path)]})
         assert main(["mesh-info", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestMeshFileLabels:
+    def test_region_entries_beat_the_case_labeler(self, tmp_path):
+        """A grid file that labels every side simply supported by `region`
+        solves as the same file labelling each boundary edge by `edges`,
+        and not as the smooth case's labeler, which clamps two sides."""
+        grid = generate_structured(3, 3)
+        body = {"vertices": grid.vertices.tolist(),
+                "cells": grid.cell_verts.reshape(-1, 4).tolist()}
+        boundaries = {
+            "region": [{"region": [-1, -1, 2, 2], "label": "simply_supported"}],
+            "edges": [{"edges": grid.edge_verts[grid.on_boundary].tolist(),
+                       "label": "simply_supported"}],
+            "none": []}
+        tables = {}
+        for name, boundary in boundaries.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**body, "boundary": boundary}))
+            cfg = write_config(tmp_path, levels=1, mesh={"kind": "files", "paths": [str(path)]})
+            assert main(["convergence", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            tables[name] = (tmp_path / name / "levels.csv").read_text()
+        assert tables["region"] == tables["edges"] != tables["none"]
 
 
 class TestVertexFaults:
@@ -710,5 +762,6 @@ class TestScripts:
         commands = [c for pattern, c in self.run_all_commands().items()
                     if fnmatch.fnmatch(path, pattern)]
         assert len(commands) == 1, f"run_all.sh runs {path} {len(commands)} times"
-        assert main([commands[0], "--config", str(ROOT / path), "--levels", "1",
-                     "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+        for command in (commands[0], "mesh-info"):
+            assert main([command, "--config", str(ROOT / path), "--levels", "1",
+                         "--out", str(tmp_path / command)]) == 0, capsys.readouterr().err

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from _elements import qhull_voronoi
+from _elements import perturbed_grid, qhull_voronoi
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -108,12 +109,6 @@ class TestBuildMeshErrors:
         with pytest.raises(MeshError, match="cell 0 has zero area"):
             build_mesh(verts, [[0, 1, 2]])
 
-    def test_text_file_index_out_of_range(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        path.write_text("4 1\n0 0\n1 0\n1 1\n0 1\n4 1 2 3 5\n")
-        with pytest.raises(MeshError, match="cell 0 references a vertex out of range"):
-            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
-
 
 def per_cell_reference(mesh):
     """The derived arrays of a mesh recomputed one cell and one edge at a
@@ -163,7 +158,7 @@ class TestArraysMatchPerCellReference:
 
     @pytest.mark.parametrize("make", [
         lambda: generate_voronoi(30, lloyd_iters=3, seed=11),
-        lambda: generate_structured(5, 4, perturb=0.3, seed=2),
+        lambda: perturbed_grid(5, 4, 0.3, 2),
         lambda: refine(refine(generate_lshape(2), [0, 5, 7]), [0, 1, 2, 20]),
     ])
     def test_bitwise(self, make):
@@ -180,11 +175,18 @@ class TestGenerators:
         assert mesh.nvertices == 20
 
     def test_structured_perturbed_keeps_boundary(self):
-        mesh = generate_structured(5, 5, perturb=0.3, seed=7)
+        mesh = perturbed_grid(5, 5, 0.3, 7)
         on_boundary = np.isclose(mesh.vertices, 0.0) | np.isclose(mesh.vertices, 1.0)
         boundary_vertices = set(mesh.edge_verts[mesh.on_boundary].ravel().tolist())
         for v in boundary_vertices:
             assert on_boundary[v].any()
+
+    def test_criterion_2_grid_is_pinned(self):
+        """The jittered 4 x 4 grid that criterion 2 and the patch tests
+        solve on, as the SHA-256 of its vertex bytes."""
+        mesh = perturbed_grid(4, 4, 0.2, 1)
+        assert hashlib.sha256(mesh.vertices.tobytes()).hexdigest() == \
+            "7ce5175d95cbfb1b1230ad6c2d9e18e321cf95e1a53899990167f311e5fc5439"
 
     def test_lshape_excludes_fourth_quadrant(self):
         mesh = generate_lshape(3)
@@ -208,8 +210,7 @@ class TestGenerators:
         assert np.array_equal(a.cell_verts, b.cell_verts)
 
     def test_region_labeler(self):
-        lab = region_labeler([((-0.1, -0.1, 1.1, 0.0 + 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)],
-                             default=BoundaryLabel.CLAMPED)
+        lab = region_labeler([((-0.1, -0.1, 1.1, 0.0 + 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)])
         mesh = generate_structured(2, 2, labeler=lab)
         labels = {LABELS[c] for c in mesh.edge_label[mesh.on_boundary]}
         assert BoundaryLabel.SIMPLY_SUPPORTED in labels
@@ -379,8 +380,7 @@ class TestRefine:
         assert fine.areas.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_labels_inherited(self):
-        lab = region_labeler([((-0.1, -0.1, 1.1, 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)],
-                             default=BoundaryLabel.CLAMPED)
+        lab = region_labeler([((-0.1, -0.1, 1.1, 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)])
         mesh = generate_structured(2, 2, labeler=lab)
         fine = uniform_refine(mesh)
         for e in np.flatnonzero(fine.on_boundary):
@@ -425,18 +425,13 @@ class TestIO:
 
 
 # two unit squares side by side whose shared side lists its two points
-# twice (ids 1, 2 and 6, 7), and one square with a vertex no cell names
+# twice (ids 1, 2 and 6, 7), one square with a vertex no cell names, and
+# one whose cell names a vertex the file does not have
 SPLIT_SQUARES = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0], [1, 1]],
                  "cells": [[0, 1, 2, 3], [6, 4, 5, 7]]}
 STRAY_VERTEX = {"vertices": [[0, 0], [1, 0], [1, 1], [0.5, 2], [0, 1]],
                 "cells": [[0, 1, 2, 4]]}
-
-
-def vertex_cell_text(body: dict, base: int) -> str:
-    lines = [f"{len(body['vertices'])} {len(body['cells'])}"]
-    lines += [f"{x} {y}" for x, y in body["vertices"]]
-    lines += [" ".join(map(str, [len(c)] + [v + base for v in c])) for c in body["cells"]]
-    return "\n".join(lines) + "\n"
+MISSING_VERTEX = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 4]]}
 
 
 class TestVertexFaults:
@@ -445,23 +440,14 @@ class TestVertexFaults:
 
     @pytest.mark.parametrize("body, message", [
         (SPLIT_SQUARES, r"vertices 1 and 6 coincide at \[1.0, 0.0\]"),
-        (STRAY_VERTEX, "vertex 3 is not a vertex of any cell")],
-        ids=["coincident", "unused"])
+        (STRAY_VERTEX, "vertex 3 is not a vertex of any cell"),
+        (MISSING_VERTEX, "cell 0 references a vertex out of range")],
+        ids=["coincident", "unused", "out-of-range"])
     def test_native_json(self, tmp_path, body, message):
         path = tmp_path / "mesh.json"
         path.write_text(json.dumps(body))
         with pytest.raises(MeshError, match=message):
             load_mesh(str(path))
-
-    @pytest.mark.parametrize("body, message", [
-        (SPLIT_SQUARES, r"vertices 2 and 7 coincide"),
-        (STRAY_VERTEX, "vertex 4 is not a vertex of any cell")],
-        ids=["coincident", "unused"])
-    def test_vertex_cell_text(self, tmp_path, body, message):
-        path = tmp_path / "mesh.txt"
-        path.write_text(vertex_cell_text(body, 1))
-        with pytest.raises(MeshError, match=message):
-            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_tolerance_follows_the_extent(self, tmp_path, scale):
@@ -492,10 +478,6 @@ class TestVertexFaults:
         path.write_text(json.dumps(body))
         with pytest.raises(MeshError, match="vertex 3 has a coordinate that is not finite"):
             load_mesh(str(path))
-        path = tmp_path / "mesh.txt"
-        path.write_text(vertex_cell_text(body, 1))
-        with pytest.raises(MeshError, match="vertex 4 has a coordinate that is not finite"):
-            load_mesh(str(path), fmt="vertex-cell-text", index_base=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -598,6 +580,32 @@ class TestBoundaryEntries:
     def test_entry_without_edges_or_region(self, tmp_path):
         with pytest.raises(MeshError, match="boundary entry 1: needs 'edges' or 'region'"):
             self.load(tmp_path, {"label": "clamped"})
+
+    def test_label_precedence(self, tmp_path):
+        """An edge takes its `edges` entry, else the last region holding its
+        midpoint, else the caller's labeler, else clamped."""
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
+            "boundary": [{"edges": [[0, 1]], "label": "clamped"},
+                         {"region": [-1, -1, 2, 0.1], "label": "simply_supported"},
+                         {"region": [0.9, -1, 2, 2], "label": "simply_supported"},
+                         {"region": [-1, 0.9, 2, 2], "label": "simply_supported"},
+                         {"region": [0.9, 0.4, 1.1, 0.6], "label": "clamped"}]}))
+
+        def labels(mesh):
+            """First letters of the labels of the bottom, right, top and left side."""
+            bnd = np.flatnonzero(mesh.on_boundary)
+            mid = np.rint(2 * mesh.edge_mid[bnd]).astype(int).tolist()
+            side = {(1, 0): 0, (2, 1): 1, (1, 2): 2, (0, 1): 3}
+            out = [None] * 4
+            for m, code in zip(mid, mesh.edge_label[bnd]):
+                out[side[tuple(m)]] = LABELS[code].value[0]
+            return "".join(out)
+
+        assert labels(load_mesh(str(path))) == "ccsc"
+        assert labels(load_mesh(str(path), labeler=lambda mid: BoundaryLabel.SIMPLY_SUPPORTED)) \
+            == "ccss"
 
     def test_region_entry_labels_edges(self, tmp_path):
         mesh = self.load(tmp_path, {"region": [0.9, 0, 1.1, 1], "label": "simply_supported"})

@@ -206,8 +206,7 @@ class TestDofMap:
 
 
 def mixed_mesh():
-    lab = region_labeler([((-0.1, -0.1, 1.1, 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)],
-                         default=BoundaryLabel.CLAMPED)
+    lab = region_labeler([((-0.1, -0.1, 1.1, 1e-9), BoundaryLabel.SIMPLY_SUPPORTED)])
     return generate_structured(3, 3, labeler=lab)
 
 
