@@ -22,7 +22,7 @@ computable for every family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,13 +66,13 @@ def derive_params(lam: float, mu: float, alpha: float, c0: float) -> ModelParams
 
 @dataclass
 class ElementGroup:
-    """The stacked operators of one CellGroup and the cells' dof indices."""
+    """What loads, error norms and the estimator read of one CellGroup:
+    its projectors (without the deflection's Hessian projection, value
+    moments and build-only gradient degrees) and the cells' dof indices.
+    The local matrices go into K as they are built and are not kept."""
     ctx: CellGroup
     defl: ElementProjectors
     pres: ElementProjectors
-    A1: np.ndarray             # (ncells, ndof_u, ndof_u)
-    B: np.ndarray              # (ncells, ndof_u, ndof_p)
-    A3: np.ndarray             # (ncells, ndof_p, ndof_p)
     dofs_u: np.ndarray         # (ncells, ndof_u) global deflection dofs
     dofs_p: np.ndarray         # (ncells, ndof_p) global pressure dofs, offset by n_u
 
@@ -154,55 +154,77 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
 # global assembly
 
 
-def scatter(n: int, blocks) -> sp.csr_matrix:
-    """Sum stacked local blocks (row dofs (m, r), col dofs (m, c), values
-    (m, r, c)) into one n x n sparse matrix.
+class CsrPlan:
+    """The unsummed CSR arrays of a sum of stacked local blocks, planned
+    from their dof tables alone, so that each block's values can be written
+    the moment they are built and then dropped.
 
-    Each entry is written straight into its row of one unsummed CSR
-    array, in block order within the row, which is the order
+    Block i has row dofs (m, r) and column dofs (m, c), and its values
+    (m, r, c) come through ``write(i, values)``.  Each entry has its place
+    in its row in block order, which is the order
     ``coo_matrix(...).tocsr()`` gives the same triplets; summing the
-    duplicates then makes K bit-identical to it without the triplets.
-    Row counts go by ``np.add.at``, so each block costs its entries, not n.
+    duplicates in ``matrix`` then makes the sum bit-identical to it.  Row
+    counts go by ``np.add.at``, so each block costs its entries, not n.
     Indices are int32 while the entry count and n fit."""
-    counts = np.zeros(n, dtype=np.int64)
-    for r, c, _ in blocks:
-        np.add.at(counts, r.ravel(), c.shape[1])
-    total = int(counts.sum())
-    index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
-    cursor = indptr[:-1].astype(np.int64)
-    indices = np.empty(total, dtype=index)
-    data = np.empty(total)
-    for r, c, v in blocks:
-        rows = r.ravel()
-        width = c.shape[1]
-        order = np.argsort(rows, kind="stable")
-        ranked = rows[order]
-        # an occurrence's rank among this block's entries of its row
-        rank = np.arange(rows.size) - np.searchsorted(ranked, ranked)
-        start = np.empty(rows.size, dtype=np.int64)
-        start[order] = cursor[ranked] + rank * width
-        dest = start[:, None] + np.arange(width)
-        indices[dest] = np.broadcast_to(c[:, None, :], v.shape).reshape(dest.shape)
-        data[dest] = v.reshape(dest.shape)
-        np.add.at(cursor, rows, width)
-    K = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    K.sum_duplicates()
-    return K
+
+    def __init__(self, n: int, pattern):
+        counts = np.zeros(n, dtype=np.int64)
+        for r, c in pattern:
+            np.add.at(counts, r.ravel(), c.shape[1])
+        total = int(counts.sum())
+        index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
+        self.shape = (n, n)
+        self.indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(counts, out=self.indptr[1:])
+        cursor = self.indptr[:-1].astype(np.int64)
+        self.indices = np.empty(total, dtype=index)
+        self.data = np.empty(total)
+        # per block, where the entries of each of its rows start
+        self.starts: list[np.ndarray | None] = []
+        for r, c in pattern:
+            rows = r.ravel()
+            width = c.shape[1]
+            order = np.argsort(rows, kind="stable")
+            ranked = rows[order]
+            # an occurrence's rank among this block's entries of its row
+            rank = np.arange(rows.size) - np.searchsorted(ranked, ranked)
+            start = np.empty(rows.size, dtype=np.int64)
+            start[order] = cursor[ranked] + rank * width
+            dest = start[:, None] + np.arange(width)
+            self.indices[dest] = np.broadcast_to(c[:, None, :], (*r.shape, width)
+                                                 ).reshape(dest.shape)
+            np.add.at(cursor, rows, width)
+            self.starts.append(start)
+
+    def write(self, i: int, values: np.ndarray) -> None:
+        """The values (m, r, c) of block i, written once."""
+        start = self.starts[i]
+        self.starts[i] = None
+        dest = start[:, None] + np.arange(values.shape[-1])
+        self.data[dest] = values.reshape(dest.shape)
+
+    def matrix(self) -> sp.csr_matrix:
+        """The summed matrix, once every block is written."""
+        if any(s is not None for s in self.starts):
+            raise RuntimeError("a planned block was never written")
+        K = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+        K.sum_duplicates()
+        return K
 
 
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
                     params: ModelParams, *,
                     singular_cells: frozenset[int] | set[int] = frozenset()) -> AssembledSystem:
-    """Build the element operators group by group and scatter them into
+    """Build the element operators group by group and stream them into
     one sparse block matrix.
 
     The cells of one group key are built in chunks of at most BUILD_CHUNK
     cells, one ElementGroup each, so the monomial tables of one chunk are
-    alive at a time.  The triplets keep the order group key, block (A1,
-    -B, B^T, A3), cell, which makes K independent of the chunk size.
-    Cells in singular_cells integrate case data on subdivided rules
+    alive at a time.  The CSR arrays of K are planned from the chunks' dof
+    tables first, in the order group key, block (A1, -B, B^T, A3), cell,
+    which makes K independent of the chunk size; each chunk's blocks are
+    then written into them as soon as they are built.  Cells in
+    singular_cells integrate case data on subdivided rules
     (``CellGroup.data_rule``).
     """
     params.validate()
@@ -210,23 +232,30 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     dof_p = build_dof_map(mesh, space_p)
     n_u = dof_u.ndof
     max_degree = max(space_u.degree, space_p.degree)
-    groups: list[ElementGroup] = []
-    blocks = []
+    chunks, pattern, slots = [], [], []
     for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
-        chunks = []
+        key = []
         for lo in range(0, len(cells), BUILD_CHUNK):
             group = CellGroup(mesh, cells[lo:lo + BUILD_CHUNK], max_degree, subdivide)
-            chunks.append(ElementGroup(
-                group, *_group_forms(group, space_u, space_p, params),
-                dof_u.table(group.verts, group.eid, group.cells),
-                dof_p.table(group.verts, group.eid, group.cells) + n_u))
-        groups += chunks
-        blocks += [(g.dofs_u, g.dofs_u, g.A1) for g in chunks] \
-            + [(g.dofs_u, g.dofs_p, -g.B) for g in chunks] \
-            + [(g.dofs_p, g.dofs_u, g.B.swapaxes(1, 2)) for g in chunks] \
-            + [(g.dofs_p, g.dofs_p, g.A3) for g in chunks]
-    K = scatter(n_u + dof_p.ndof, blocks)
-    return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, K, groups)
+            key.append((group, dof_u.table(group.verts, group.eid, group.cells),
+                        dof_p.table(group.verts, group.eid, group.cells) + n_u))
+        # block b of chunk c of this key is pattern entry first + b * len(key) + c
+        first = len(pattern)
+        for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            pattern += [(chunk[rows], chunk[cols]) for chunk in key]
+        slots += [first + c + len(key) * np.arange(4) for c in range(len(key))]
+        chunks += key
+    plan = CsrPlan(n_u + dof_p.ndof, pattern)
+    groups = []
+    k = space_u.degree
+    for (group, dofs_u, dofs_p), slot in zip(chunks, slots):
+        P_u, P_p, A1, B, A3 = _group_forms(group, space_u, space_p, params)
+        for i, values in zip(slot, (A1, -B, B.swapaxes(1, 2), A3)):
+            plan.write(i, values)
+        defl = replace(P_u, grads={k - 1: P_u.grads[k - 1]}, hess=None, value_moments=None)
+        groups.append(ElementGroup(group, defl, P_p, dofs_u, dofs_p))
+    return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, plan.matrix(),
+                           groups)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +277,10 @@ def assemble_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
     for grp in system.groups:
         cg = grp.ctx
         pts, w = cg.data_rule()
-        Vw = (cg.powers(pts).gather() * w[..., None]).swapaxes(1, 2)
-        f, g = pointwise(case.f, pts), pointwise(case.g, pts)
-        loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(Vw[:, :nk], f))
-        loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(Vw[:, :nl], g))
+        V = cg.powers(pts).gather().swapaxes(1, 2)
+        wf, wg = w * pointwise(case.f, pts), w * pointwise(case.g, pts)
+        loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(V[:, :nk], wf))
+        loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(V[:, :nl], wg))
 
         for data_fn, on, moments, loc in (
                 (case.bending_moment_data, moment_edges, grp.defl.normal_moments, loc_u),
@@ -288,7 +317,9 @@ class FactoredSystem:
     The essential values enter through a lift; its image under the full
     operator `K` is kept, so each solve costs one subtraction and one
     application of the sparse LU factors `lu`.  Every solve is checked
-    against `K`, and `residual` is the largest relative residual checked.
+    against `K`: `residual` is the largest relative residual checked, and
+    `residual_u`, `residual_p` the largest of the deflection and pressure
+    rows alone, each relative to its own rows of the load.
     """
     K: sp.csr_matrix
     free: np.ndarray
@@ -297,6 +328,8 @@ class FactoredSystem:
     n_u: int
     lu: spla.SuperLU
     residual: float = 0.0
+    residual_u: float = 0.0
+    residual_p: float = 0.0
 
     def solve(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full coefficient vectors (U, P) with boundary values filled in;
@@ -304,21 +337,33 @@ class FactoredSystem:
         b = (F - self.K_lift)[self.free]
         full = self.lift.copy()
         full[self.free] = self.lu.solve(b)
-        r = np.linalg.norm((self.K @ full - F)[self.free])
-        bnorm = np.linalg.norm(b)
-        rel = r / bnorm if bnorm else r
-        if not rel <= SOLVE_RTOL:      # NaN fails too
-            raise RuntimeError(f"solve residual {rel:.3g} exceeds SOLVE_RTOL {SOLVE_RTOL:g}")
-        self.residual = max(self.residual, float(rel))
+        r = (self.K @ full - F)[self.free]
+
+        def rel(rows: slice) -> float:
+            bnorm = np.linalg.norm(b[rows])
+            rnorm = np.linalg.norm(r[rows])
+            return float(rnorm / bnorm if bnorm else rnorm)
+
+        combined = rel(slice(None))
+        if not combined <= SOLVE_RTOL:      # NaN fails too
+            raise RuntimeError(f"solve residual {combined:.3g} exceeds SOLVE_RTOL "
+                               f"{SOLVE_RTOL:g}")
+        # the free dofs are ascending, so the deflection rows come first
+        split = int(np.count_nonzero(self.free[:self.n_u]))
+        self.residual = max(self.residual, combined)
+        self.residual_u = max(self.residual_u, rel(slice(None, split)))
+        self.residual_p = max(self.residual_p, rel(slice(split, None)))
         return full[:self.n_u], full[self.n_u:]
 
     @property
     def record(self) -> dict:
         """ndof and nnz of K, the entries SuperLU stores for L and U (the
-        `lu.L` and `lu.U` views would copy them) and the largest relative
-        residual checked."""
+        `lu.L` and `lu.U` views would copy them), and the largest relative
+        residuals checked: of all free rows, then of the deflection and
+        the pressure rows."""
         return {"ndof": self.K.shape[0], "nnz": int(self.K.nnz),
-                "fill": int(self.lu.nnz), "residual": self.residual}
+                "fill": int(self.lu.nnz), "residual": self.residual,
+                "residual_u": self.residual_u, "residual_p": self.residual_p}
 
 
 def factor_system(system: AssembledSystem, constraints: Constraints) -> FactoredSystem:

@@ -2,8 +2,10 @@
 
 One JSON config file describes one experiment; a handful of flags override
 the common fields.  Every run writes a manifest (config echo, package
-version, seed) next to its CSV outputs; the echoed config, run again,
-reproduces every CSV bit-for-bit.
+version, seed, solve records, wall time and peak RSS) next to its CSV
+outputs; the echoed config, run again, reproduces every CSV bit-for-bit.
+`mesh-info` writes into the `mesh-info` subdirectory of `out`, so that it
+leaves the record of a solve run in `out` alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
+import time
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -243,18 +247,25 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows])
 
 
-def _write_outputs(cfg: RunConfig, command: str, tables: dict, summary: str,
-                   solve: list[dict]) -> None:
+def _write_outputs(cfg: RunConfig, command: str, started: float, tables: dict,
+                   summary: str, solve: list[dict]) -> None:
     """Write a command's tables {schema: (header, rows)} as <schema>.csv,
-    then manifest.json (with the `solve` record of each factorization) and
-    summary.txt into cfg.out; print the summary."""
+    then manifest.json and summary.txt into cfg.out (its `mesh-info`
+    subdirectory for that command); print the summary.  The manifest
+    carries the `solve` record of each factorization, the seconds since
+    `started` and the process's peak resident set (ru_maxrss, KiB on
+    Linux) in MiB."""
     outdir = Path(cfg.out)
+    if command == "mesh-info":
+        outdir = outdir / "mesh-info"
     outdir.mkdir(parents=True, exist_ok=True)
     for schema, (header, rows) in tables.items():
         (outdir / f"{schema}.csv").write_text(
             f"# platevem {SCHEMAS[schema]}\n{_csv_text(header, rows)}\n")
     doc = {"command": command, "version": __version__, "seed": cfg.seed,
-           "schemas": SCHEMAS, "config": asdict(cfg), "solve": solve}
+           "schemas": SCHEMAS, "config": asdict(cfg), "solve": solve,
+           "wall_s": time.perf_counter() - started,
+           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
     (outdir / "summary.txt").write_text(summary + "\n")
     print(summary)
@@ -384,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
@@ -393,7 +405,7 @@ def main(argv=None) -> int:
     commands = {"convergence": cmd_convergence, "adaptive": cmd_adaptive,
                 "timestep": cmd_timestep, "mesh-info": cmd_mesh_info}
     try:
-        _write_outputs(cfg, args.command, *commands[args.command](cfg))
+        _write_outputs(cfg, args.command, started, *commands[args.command](cfg))
         return 0
     except Exception as exc:   # solver or I/O failure
         print(f"error: {exc}", file=sys.stderr)

@@ -125,10 +125,14 @@ class CellGroup:
     Cell arrays have shape (ncells, ...), edge arrays (ncells, nverts, ...);
     edge j runs from local vertex j to j+1, and loc0/loc1 give the local
     positions of its canonical start and end.  Monomial tables use the
-    scaled basis of each cell up to max_degree, memoised per point set and
-    derivative for the element build only: ``release`` drops them and the
-    volume rule, and keeps the geometry and ``H`` that loads, error norms
-    and the estimator read.
+    scaled basis of each cell up to max_degree.  The group memoises one
+    value table per edge and vertex point set, for the element build only;
+    a derivative table is gathered from the powers its value table holds
+    on each call, so a build gathers each once and passes it on.  The
+    volume rule serves only the mass Gram ``H``, and every derivative Gram
+    is formed from ``H`` and ``deriv``.  ``release`` drops the value tables
+    and keeps the geometry and ``H`` that loads, error norms and the
+    estimator read.
     """
 
     def __init__(self, mesh: PolygonalMesh, cells, max_degree: int,
@@ -167,8 +171,7 @@ class CellGroup:
         p1 = np.take_along_axis(self.coords, self.loc1[..., None], axis=1)
         self.edge_pts = p0[..., None, :] + t01[:, None] * (p1 - p0)[..., None, :]
         self.edge_w = w01 * self.length[..., None]
-        self._vol: tuple[np.ndarray, np.ndarray] | None = None
-        self._tabs: dict[tuple, np.ndarray] = {}
+        self._tabs: dict[str, np.ndarray] = {}
         self._H: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -187,27 +190,9 @@ class CellGroup:
         return self.rule(2 * self.max_degree + 4,
                          (3 if fine else 1) * self.singular_subdivide)
 
-    @property
-    def vol_pts(self) -> np.ndarray:
-        """Points (ncells, nq, 2) of the element build's volume rule."""
-        return self._volume_rule()[0]
-
-    @property
-    def vol_w(self) -> np.ndarray:
-        """Weights (ncells, nq) of the element build's volume rule, exact
-        for degree 2 max_degree + 2 on the plain triangulation."""
-        return self._volume_rule()[1]
-
-    def _volume_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._vol is None:
-            self._vol = self.rule(self.vol_order, 0)
-        return self._vol
-
     def release(self) -> None:
-        """Drop the build-only state, the memoised tables and the volume
-        rule, once the element build has formed ``H``."""
+        """Drop the build-only value tables once the element build is done."""
         self._tabs.clear()
-        self._vol = None
 
     def powers(self, pts: np.ndarray) -> PowerTable:
         """Power table of the scaled monomials at points (ncells, npts, 2);
@@ -216,25 +201,16 @@ class CellGroup:
 
     # tables ------------------------------------------------------------
     def _table(self, where: str, deriv: tuple[int, int]) -> np.ndarray:
-        """Memoised table at one point set.  The value table is gathered
-        from powers formed at the points; every derivative is gathered
-        from the powers that the value table holds."""
-        if (where, deriv) not in self._tabs:
-            pts, center, h = {
-                "vol": (self.vol_pts, self.centroid, self.diameter),
-                "edge": (self.edge_pts, self.centroid[:, None], self.diameter[:, None]),
-                "vert": (self.coords, self.centroid, self.diameter)}[where]
-            if deriv == (0, 0):
-                powers = PowerTable.at(pts, center, h, self.max_degree)
-            else:
-                powers = PowerTable.of_values(self._table(where, (0, 0)), h,
-                                              self.max_degree)
-            self._tabs[where, deriv] = powers.gather(deriv)
-        return self._tabs[where, deriv]
-
-    def vtab(self, deriv: tuple[int, int]) -> np.ndarray:
-        """(ncells, nq, dim) at the volume points."""
-        return self._table("vol", deriv)
+        """The memoised value table at one point set, or a derivative
+        table gathered from the powers that value table holds."""
+        pts, center, h = {
+            "edge": (self.edge_pts, self.centroid[:, None], self.diameter[:, None]),
+            "vert": (self.coords, self.centroid, self.diameter)}[where]
+        if where not in self._tabs:
+            self._tabs[where] = PowerTable.at(pts, center, h, self.max_degree).gather()
+        if deriv == (0, 0):
+            return self._tabs[where]
+        return PowerTable.of_values(self._tabs[where], h, self.max_degree).gather(deriv)
 
     def etab(self, deriv: tuple[int, int]) -> np.ndarray:
         """(ncells, nverts, npts, dim) at the edge Gauss points."""
@@ -253,11 +229,20 @@ class CellGroup:
         (ncells, dim out, dim in)."""
         return unit_deriv_matrix(deriv, degree) / self.diameter[:, None, None] ** sum(deriv)
 
+    def deriv_gram(self, deriv: tuple[int, int], degree: int) -> np.ndarray:
+        """int_K d m_a d m_b over the monomials of degree <= degree for the
+        derivative d = deriv, as D^T H D: ``H`` integrates every product of
+        degree <= 2 max_degree exactly, so no derivative table is formed."""
+        D = self.deriv(deriv, degree)
+        return _T(D) @ self.H[:, :D.shape[1], :D.shape[1]] @ D
+
     @property
     def H(self) -> np.ndarray:
-        """Mass Gram matrices of the full monomial basis, (ncells, dim, dim)."""
+        """Mass Gram matrices of the full monomial basis, (ncells, dim, dim),
+        on the volume rule exact for degree 2 max_degree + 2."""
         if self._H is None:
-            self._H = _gram(self.vtab((0, 0)), self.vol_w)
+            pts, w = self.rule(self.vol_order, 0)
+            self._H = _gram(self.powers(pts).gather(), w)
         return self._H
 
 
@@ -273,7 +258,7 @@ class ElementProjectors:
     hess: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     pg: dict[int, np.ndarray]
     normal_moments: np.ndarray | None             # (nedges, mu rows, ndof)
-    value_moments: np.ndarray                     # (nedges, nu rows, ndof), plain integrals
+    value_moments: np.ndarray | None              # (nedges, nu rows, ndof), plain integrals
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +322,14 @@ def _moments_from_trace(trace: np.ndarray, length: np.ndarray, n_rows: int) -> n
 
 
 def _deflection_pd(g: CellGroup, space: SpaceKind, lay: DofLayout,
-                   mu: np.ndarray, nu_low: np.ndarray):
+                   mu: np.ndarray, nu_low: np.ndarray, egrad, vgrad):
     k = space.degree
     nk = poly_dim(k)
-    w = g.vol_w
     sigma = g.sigma[..., None, None]
     nx, ny = g.normal[..., 0, None, None], g.normal[..., 1, None, None]
     tx, ty = g.tangent[..., 0, None, None], g.tangent[..., 1, None, None]
 
-    G = _gram(g.vtab((2, 0))[..., :nk], w) + 2.0 * _gram(g.vtab((1, 1))[..., :nk], w) \
-        + _gram(g.vtab((0, 2))[..., :nk], w)
+    G = g.deriv_gram((2, 0), k) + 2.0 * g.deriv_gram((1, 1), k) + g.deriv_gram((0, 2), k)
 
     # d_nn(m) against the normal-derivative moments
     e_nn = nx * nx * g.etab((2, 0))[..., :nk] + 2.0 * nx * ny * g.etab((1, 1))[..., :nk] \
@@ -383,15 +366,15 @@ def _deflection_pd(g: CellGroup, space: SpaceKind, lay: DofLayout,
     G[:, 0] = g.vert((0, 0))[..., :nk].mean(axis=1)
     B[:, 0] = lay.vsel.mean(axis=0)
     if space.family is Family.CONFORMING:
-        G[:, 1] = g.vert((1, 0))[..., :nk].mean(axis=1)
-        G[:, 2] = g.vert((0, 1))[..., :nk].mean(axis=1)
+        G[:, 1] = vgrad[0][..., :nk].mean(axis=1)
+        G[:, 2] = vgrad[1][..., :nk].mean(axis=1)
         B[:, 1:3] = 0.0
         B[:, 1, lay.igrad[:, 0]] = 1.0 / g.char / n
         B[:, 2, lay.igrad[:, 1]] = 1.0 / g.char / n
     else:
         w_e = g.edge_w[..., None, :]
-        G[:, 1] = (w_e @ g.etab((1, 0))[..., :nk]).sum(axis=1)[:, 0]
-        G[:, 2] = (w_e @ g.etab((0, 1))[..., :nk]).sum(axis=1)[:, 0]
+        G[:, 1] = (w_e @ egrad[0][..., :nk]).sum(axis=1)[:, 0]
+        G[:, 2] = (w_e @ egrad[1][..., :nk]).sum(axis=1)[:, 0]
         jump_v = lay.vsel[g.loc1] - lay.vsel[g.loc0]
         for c in range(2):
             B[:, 1 + c] = (g.normal[..., c, None] * mu[..., 0, :]
@@ -484,7 +467,7 @@ def _grad_projection(g: CellGroup, deg: int, proj_full: np.ndarray,
 
 
 def _hessian_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
-                        mu: np.ndarray, nu_low: np.ndarray):
+                        mu: np.ndarray, nu_low: np.ndarray, egrad):
     """Componentwise L2 projection of the Hessian onto degree k-2.
 
     Each component row chi E_ab is integrated by parts twice; the
@@ -496,7 +479,7 @@ def _hessian_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
     n, t, sigma = g.normal, g.tangent, g.sigma
     C_mu = _T(g.efit(g.etab((0, 0))[..., :nh], k - 2)) @ mu[..., :k - 1, :]
     if k >= 3:
-        ex, ey = g.etab((1, 0))[..., :nh], g.etab((0, 1))[..., :nh]
+        ex, ey = egrad[0][..., :nh], egrad[1][..., :nh]
         dt = t[..., 0, None, None] * ex + t[..., 1, None, None] * ey
         C_dt = _T(g.efit(dt, k - 3)) @ nu_low[..., :k - 2, :]
         C_d = [_T(g.efit(e, k - 3)) @ nu_low[..., :k - 2, :] for e in (ex, ey)]
@@ -523,8 +506,8 @@ def _hessian_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
 
 
 def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
-                          degree: int, nu: np.ndarray,
-                          volume_proj: np.ndarray) -> np.ndarray:
+                          degree: int, nu: np.ndarray, volume_proj: np.ndarray,
+                          egrad) -> np.ndarray:
     """Gradient Ritz projection onto degree `degree`.
 
     volume_proj supplies the moments for -(v, lap chi): either the cell
@@ -533,11 +516,10 @@ def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
     conforming spaces, else by the boundary integral.
     """
     nd = poly_dim(degree)
-    w = g.vol_w
-    G = _gram(g.vtab((1, 0))[..., :nd], w) + _gram(g.vtab((0, 1))[..., :nd], w)
+    G = g.deriv_gram((1, 0), degree) + g.deriv_gram((0, 1), degree)
 
-    dn = g.normal[..., 0, None, None] * g.etab((1, 0))[..., :nd] \
-        + g.normal[..., 1, None, None] * g.etab((0, 1))[..., :nd]
+    dn = g.normal[..., 0, None, None] * egrad[0][..., :nd] \
+        + g.normal[..., 1, None, None] * egrad[1][..., :nd]
     B = (g.sigma[..., None, None] * _T(g.efit(dn, degree - 1))
          @ nu[..., :degree, :]).sum(axis=1)
     lap = g.deriv((2, 0), degree) + g.deriv((0, 2), degree)
@@ -557,18 +539,21 @@ def _ritz_grad_projection(g: CellGroup, space: SpaceKind, lay: DofLayout,
 # dof matrix
 
 
-def _dof_matrix(g: CellGroup, space: SpaceKind, lay: DofLayout) -> np.ndarray:
-    """D[i, a] = dof_i(m_a): every dof functional applied to the monomials."""
+def _dof_matrix(g: CellGroup, space: SpaceKind, lay: DofLayout,
+                egrad=None, vgrad=None) -> np.ndarray:
+    """D[i, a] = dof_i(m_a): every dof functional applied to the monomials;
+    gradient dofs read the gradient tables at the vertices (vgrad) and the
+    edge points (egrad)."""
     n = poly_dim(space.degree)
     D = np.zeros((len(g), lay.ndof, n))
     D[:, lay.iv] = g.vert((0, 0))[:, :len(lay.iv), :n]
     if space.n_vertex == 3:
-        D[:, lay.igrad[:, 0]] = g.char[..., None] * g.vert((1, 0))[..., :n]
-        D[:, lay.igrad[:, 1]] = g.char[..., None] * g.vert((0, 1))[..., :n]
+        D[:, lay.igrad[:, 0]] = g.char[..., None] * vgrad[0][..., :n]
+        D[:, lay.igrad[:, 1]] = g.char[..., None] * vgrad[1][..., :n]
     weights = g.edge_w[..., None]
     if space.n_edge_normal > 0:
-        dn = g.normal[..., 0, None, None] * g.etab((1, 0))[..., :n] \
-            + g.normal[..., 1, None, None] * g.etab((0, 1))[..., :n]
+        dn = g.normal[..., 0, None, None] * egrad[0][..., :n] \
+            + g.normal[..., 1, None, None] * egrad[1][..., :n]
         powers = g.shat[:, None] ** np.arange(space.n_edge_normal)[None, :]
         D[:, lay.inorm] = _T(powers * weights) @ dn
     if space.n_edge_value > 0:
@@ -592,6 +577,9 @@ def deflection_projectors(g: CellGroup, space: SpaceKind,
     if grad_degrees is None:
         grad_degrees = (k - 1,)
     lay = DofLayout(space, g.nverts)
+    # the gradient tables the projections share, gathered once
+    egrad = g.etab((1, 0)), g.etab((0, 1))
+    vgrad = (g.vert((1, 0)), g.vert((0, 1))) if space.n_vertex == 3 else None
 
     if space.family is Family.CONFORMING:
         value_traces, normal_traces = _conforming_deflection_traces(g, space, lay)
@@ -605,7 +593,7 @@ def deflection_projectors(g: CellGroup, space: SpaceKind,
             nu_low = np.concatenate(
                 [nu_low, np.zeros((*nu_low.shape[:2], pad, lay.ndof))], axis=-2)
 
-    pd = _deflection_pd(g, space, lay, mu, nu_low)
+    pd = _deflection_pd(g, space, lay, mu, nu_low, egrad, vgrad)
 
     if space.family is Family.NONCONFORMING:
         value_traces = _nc_deflection_traces(g, space, lay, pd)
@@ -613,11 +601,11 @@ def deflection_projectors(g: CellGroup, space: SpaceKind,
     nu = _moments_from_trace(value_traces, g.length, k)
     l2 = _l2_projection(g, k, space.n_cell, lay.csel, pd)
     grads = {d: _grad_projection(g, d, l2, nu) for d in sorted(set(grad_degrees))}
-    hess = _hessian_projection(g, space, lay, mu, nu_low)
+    hess = _hessian_projection(g, space, lay, mu, nu_low, egrad)
     volume_proj = g.H[:, :, :poly_dim(k)] @ l2
-    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_proj)
+    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_proj, egrad)
           for d in sorted(set(pg_degrees))}
-    D = _dof_matrix(g, space, lay)
+    D = _dof_matrix(g, space, lay, egrad, vgrad)
     return ElementProjectors(lay.ndof, D, pd, l2, grads, hess, pg, mu, nu)
 
 
@@ -640,7 +628,8 @@ def pressure_projectors(g: CellGroup, space: SpaceKind,
         nu = g.length[..., None, None] * lay.valsel
 
     volume_from_cells = g.area[:, None, None] * lay.csel
-    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_from_cells)
+    egrad = g.etab((1, 0)), g.etab((0, 1))
+    pg = {d: _ritz_grad_projection(g, space, lay, d, nu, volume_from_cells, egrad)
           for d in sorted(set((l,) + tuple(extra_pg_degrees)))}
     l2 = _l2_projection(g, l, space.n_cell, lay.csel, pg[l])
     grads = {l - 1: _grad_projection(g, l - 1, l2, nu)}

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (AssembledSystem, assemble_rhs, assemble_system,
-                       factor_system, scatter)
+from .assembly import (AssembledSystem, CsrPlan, assemble_rhs, assemble_system,
+                       factor_system)
 from .estimator import EstimatorReport, estimate
 from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
 from .mesh import PolygonalMesh, generate_voronoi
@@ -126,12 +126,12 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
     """
     nk = poly_dim(system.space_u.degree)
     nl = poly_dim(system.space_p.degree)
-    blocks = []
-    for g in system.groups:
-        Mu = g.defl.l2.swapaxes(1, 2) @ g.ctx.H[:, :nk, :nk] @ g.defl.l2
-        Mp = g.pres.l2.swapaxes(1, 2) @ g.ctx.H[:, :nl, :nl] @ g.pres.l2
-        blocks += [(g.dofs_u, g.dofs_u, Mu), (g.dofs_p, g.dofs_p, Mp)]
-    return scatter(system.ndof, blocks)
+    plan = CsrPlan(system.ndof, [pair for g in system.groups
+                                 for pair in ((g.dofs_u, g.dofs_u), (g.dofs_p, g.dofs_p))])
+    for i, g in enumerate(system.groups):
+        plan.write(2 * i, g.defl.l2.swapaxes(1, 2) @ g.ctx.H[:, :nk, :nk] @ g.defl.l2)
+        plan.write(2 * i + 1, g.pres.l2.swapaxes(1, 2) @ g.ctx.H[:, :nl, :nl] @ g.pres.l2)
+    return plan.matrix()
 
 
 def timestep_driver(system: AssembledSystem, constraints: Constraints,

@@ -76,8 +76,10 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
 
 
 def coo_scatter(n: int, blocks) -> sp.csr_matrix:
-    """The blocks of ``assembly.scatter`` as (row, col, value) triplets in
-    block order, int32 indices while n fits, summed by ``tocsr``."""
+    """Stacked local blocks (row dofs (m, r), col dofs (m, c), values
+    (m, r, c)) as (row, col, value) triplets in block order, int32 indices
+    while n fits, summed by ``tocsr``: the reference for
+    ``assembly.CsrPlan``."""
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
                            for r, _, v in blocks]).astype(index)

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from _elements import build_element, coo_scatter, perturbed_grid, polygon_rule, solve_patch
 
 from platevem import assembly, projectors, runner
-from platevem.assembly import (SOLVE_RTOL, ModelParams, assemble_rhs, assemble_system,
-                               derive_params, factor_system)
+from platevem.assembly import (SOLVE_RTOL, ModelParams, _group_forms, assemble_rhs,
+                               assemble_system, derive_params, factor_system)
 from platevem.cli import main
 from platevem.manufactured import compute_errors, get_case, polynomial_case
 from platevem.mesh import (LABELS, SIMPLY_SUPPORTED, BoundaryLabel, build_mesh, corner_mask,
@@ -142,7 +142,9 @@ def lshape_refined_twice():
 class TestGroupedBuild:
     """Every cell's operators from the grouped build in assemble_system
     equal those of build_element on that cell alone, and the loads and
-    error norms read from the group arrays equal a per-cell recomputation."""
+    error norms read from the group arrays equal a per-cell recomputation.
+    The local matrices of a group come from ``_group_forms`` on it, as in
+    the build, which streams them into K and keeps none."""
 
     @staticmethod
     def check(mesh, family, k, l, singular):
@@ -154,10 +156,11 @@ class TestGroupedBuild:
         seen = []
         for g in system.groups:
             cells = g.ctx.cells
-            assert len(g.A1) == len(g.dofs_u) == len(g.dofs_p) == len(cells)
+            _, _, A1, B, A3 = _group_forms(g.ctx, space_u, space_p, PARAMS)
+            assert len(A1) == len(g.dofs_u) == len(g.dofs_p) == len(cells)
             for i, cell in enumerate(cells):
                 ref = build_element(mesh, cell, space_u, space_p, PARAMS)
-                pairs = [(g.A1[i], ref.A1), (g.B[i], ref.B), (g.A3[i], ref.A3),
+                pairs = [(A1[i], ref.A1), (B[i], ref.B), (A3[i], ref.A3),
                          (g.defl.pd[i], ref.defl.pd), (g.defl.l2[i], ref.defl.l2),
                          (g.pres.l2[i], ref.pres.l2), (g.pres.pg[l][i], ref.pres.pg[l])]
                 for got, want in pairs:
@@ -287,7 +290,8 @@ class TestGroupedBuild:
         mesh = build_mesh(vertices, [[0, 7, 1, 2, 3, 4, 5, 8], [3, 2, 6, 4]])
         system = self.check(mesh, Family.NONCONFORMING, 3, 2, frozenset())
         octagon = next(g.ctx for g in system.groups if g.ctx.nverts == 8)
-        assert octagon.vol_w.shape[1] == 6 * len(triangle_rule_reference(8)[1])
+        assert octagon.rule(octagon.vol_order, 0)[1].shape[1] == \
+            6 * len(triangle_rule_reference(8)[1])
 
 
 class TestBoundedBuild:
@@ -296,11 +300,16 @@ class TestBoundedBuild:
     size."""
 
     def test_no_table_outlives_the_build(self, voronoi25):
+        """No monomial table and no local matrix outlives the build; of the
+        deflection projectors a group keeps what loads, error norms and the
+        estimator read."""
         system = assemble_system(voronoi25, *spaces_for(Family.CONFORMING, 2, 1), PARAMS)
         for g in system.groups:
             assert g.ctx._tabs == {}
-            assert g.ctx._vol is None
             assert g.ctx._H is not None
+            assert not {"A1", "B", "A3"} & set(vars(g))
+            assert g.defl.hess is None and g.defl.value_moments is None
+            assert set(g.defl.grads) == {1}
 
     @staticmethod
     def level(case, mesh, family):
@@ -334,11 +343,33 @@ class TestBoundedBuild:
                                   getattr(result.report, f.name)), f.name
         assert np.array_equal(chunked_result.est.parts, result.est.parts)
 
+    @pytest.mark.parametrize("family, peak_mb, live_mb", [
+        (Family.CONFORMING, 9.5, 6.5), (Family.NONCONFORMING, 6.2, 4.0)])
+    def test_level_memory(self, family, peak_mb, live_mb):
+        """The build of the seed-3 400-cell Voronoi level (k=2 l=1) peaks at
+        8.73 MB of traced allocations and keeps 6.01 MB alive (conforming),
+        5.69 and 3.63 MB (nonconforming).  Holding every chunk's local
+        matrices until one scatter, volume derivative tables and the
+        deflection's build-only projectors took it to 12.47 and 8.39 MB
+        (conforming), 10.72 and 5.05 MB (nonconforming)."""
+        case = get_case("smooth")
+        mesh = generate_voronoi(400, lloyd_iters=5, seed=3, labeler=case.labeler)
+        tracemalloc.start()
+        try:
+            system = assemble_system(mesh, *spaces_for(family, 2, 1), case.params)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.K.shape == (system.ndof, system.ndof)
+        assert peak < peak_mb * 1e6
+        assert live < live_mb * 1e6
+
     def test_traced_peak_of_a_400_cell_build(self):
         """The build of a 400-cell Voronoi level (conforming k=2 l=1) peaks
-        at 13.8 MB of traced allocations.  Keeping every group's tables
-        until the level ends took it to 28 MB, and one scatter that
-        concatenates per-block triplet lists to 22 MB."""
+        at 9.3 MB of traced allocations; 13.8 MB before its blocks were
+        streamed into K.  Keeping every group's tables until the level ends
+        took it to 28 MB, and one scatter that concatenates per-block
+        triplet lists to 22 MB."""
         case = get_case("smooth")
         mesh = generate_voronoi(400, lloyd_iters=5, seed=205, labeler=case.labeler)
         tracemalloc.start()
@@ -347,13 +378,15 @@ class TestBoundedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 17e6
+        assert peak < 11e6
 
 
 class TestScatter:
-    """`scatter` writes each entry into its CSR row and sums duplicates,
-    and K is bit-identical to summing the same triplets through a COO
-    matrix, whatever the chunk size."""
+    """`assemble_system` writes each chunk's blocks into their planned
+    places in the CSR rows and sums duplicates, and K is bit-identical to
+    summing the same blocks as triplets through a COO matrix, whatever the
+    chunk size.  The blocks are rebuilt by ``_group_forms`` on each group,
+    in the plan's order: group key, block (A1, -B, B^T, A3), chunk."""
 
     @pytest.fixture(scope="class")
     def mesh400(self):
@@ -363,22 +396,33 @@ class TestScatter:
     @pytest.mark.parametrize("chunk", [1, 7, assembly.BUILD_CHUNK])
     @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
     def test_matches_coo_triplets(self, monkeypatch, mesh400, chunk, family):
-        calls = []
-        scatter = assembly.scatter
-
-        def recorded(n, blocks):
-            calls.append((n, blocks))
-            return scatter(n, blocks)
-
-        monkeypatch.setattr(assembly, "scatter", recorded)
         monkeypatch.setattr(assembly, "BUILD_CHUNK", chunk)
-        system = assemble_system(mesh400, *spaces_for(family, 2, 1), PARAMS)
+        spaces = spaces_for(family, 2, 1)
+        system = assemble_system(mesh400, *spaces, PARAMS)
         assert max(len(g.ctx) for g in system.groups) <= chunk
-        (n, blocks), = calls
-        want = coo_scatter(n, blocks)
+        blocks, groups = [], iter(system.groups)
+        for cells, _ in projectors.cell_groups(mesh400, family):
+            chunks = [next(groups) for _ in range(0, len(cells), chunk)]
+            forms = [_group_forms(g.ctx, *spaces, PARAMS)[2:] for g in chunks]
+            blocks += [(g.dofs_u, g.dofs_u, A1) for g, (A1, _, _) in zip(chunks, forms)] \
+                + [(g.dofs_u, g.dofs_p, -B) for g, (_, B, _) in zip(chunks, forms)] \
+                + [(g.dofs_p, g.dofs_u, B.swapaxes(1, 2)) for g, (_, B, _) in zip(chunks, forms)] \
+                + [(g.dofs_p, g.dofs_p, A3) for g, (_, _, A3) in zip(chunks, forms)]
+        assert next(groups, None) is None
+        want = coo_scatter(system.ndof, blocks)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(system.K, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_unwritten_block_fails(self):
+        """A plan whose blocks are not all written gives no matrix."""
+        dofs = np.array([[0, 1]])
+        plan = assembly.CsrPlan(2, [(dofs, dofs), (dofs, dofs)])
+        plan.write(0, np.ones((1, 2, 2)))
+        with pytest.raises(RuntimeError, match="never written"):
+            plan.matrix()
+        plan.write(1, np.ones((1, 2, 2)))
+        assert np.array_equal(plan.matrix().toarray(), np.full((2, 2), 2.0))
 
 
 class TestPatchReproduction:
@@ -460,6 +504,22 @@ class TestSolvers:
         assert main(["convergence", "--config", str(cfg)]) == 1
         assert "error: solve residual" in capsys.readouterr().err
         assert not (tmp_path / "out" / "levels.csv").exists()
+
+    def test_per_field_residuals(self):
+        """Under criterion 7's parameters (alpha, beta, gamma) = (1e-6, 1e6,
+        1e6) the pressure rows dominate the combined residual, so the record
+        gives each field's rows their own relative residual: the
+        combined one lies between them and the deflection's is larger."""
+        case = get_case("smooth", params=ModelParams(1e-6, 1e6, 1e6))
+        mesh = generate_voronoi(100, lloyd_iters=5, seed=3, labeler=case.labeler)
+        system, constraints = constrained_system(case, mesh,
+                                                 spaces_for(Family.CONFORMING, 2, 1))
+        factored = factor_system(system, constraints)
+        factored.solve(assemble_rhs(system, case))
+        record = factored.record
+        u, p, both = record["residual_u"], record["residual_p"], record["residual"]
+        assert 0 < p <= both * (1 + 1e-9) and both <= u <= SOLVE_RTOL
+        assert u > 5 * both
 
     def test_ordering_is_structure_aware(self):
         """On a 400-cell Voronoi level (conforming k=2 l=1) the factor
@@ -572,29 +632,42 @@ class TestNoPerCellLoop:
 
     def test_one_power_table_per_point_set(self, monkeypatch, voronoi25):
         """Each point set a level reads has its coordinate powers formed
-        once, and every table on it is gathered from them: the element
-        tables at the volume, edge and vertex points of each group (whose
-        derivatives take the powers their value table holds), the data
-        rules of loads, error norms and estimator of each group, and the
-        two sides of the estimator's edge traces."""
-        readers = ("_table", "assemble_rhs", "compute_errors", "estimate", "traces")
-        at, gather = PowerTable.at, PowerTable.gather
-        formed, gathers, groups = [], [], []
+        once, and every table on it is gathered from them: the volume rule
+        of each group, whose value table forms H and nothing else (every
+        derivative Gram comes from H, so no volume derivative table
+        exists); the edge and vertex points of each group, whose value
+        tables alone are memoised and whose derivative tables are gathered
+        from the powers those value tables hold, each at most once per
+        projector build; the data rules of loads, error norms and
+        estimator of each group; and the two sides of the estimator's edge
+        traces."""
+        readers = ("_table", "H", "assemble_rhs", "compute_errors", "estimate", "traces")
+        builders = ("deflection_projectors", "pressure_projectors")
+        at, gather, of_values = PowerTable.at, PowerTable.gather, PowerTable.of_values
+        formed, derived, gathers, groups, memoised = [], [], [], [], []
+
+        def caller(names):
+            """The innermost of names on the stack above the wrapper, or None."""
+            frame = sys._getframe(2)
+            while frame is not None and frame.f_code.co_name not in names:
+                frame = frame.f_back
+            return None if frame is None else frame.f_code.co_name
 
         def counted_at(cls, *args):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name not in readers:
-                frame = frame.f_back
-            formed.append((frame.f_code.co_name, at(*args)))
+            formed.append((caller(readers), at(*args)))
             return formed[-1][1]
 
+        def counted_of_values(cls, values, *args):
+            derived.append((values, of_values(values, *args)))
+            return derived[-1][1]
+
         def counted_gather(self, deriv=(0, 0)):
-            gathers.append(self)
+            gathers.append((self, deriv, caller(builders)))
             return gather(self, deriv)
 
         monkeypatch.setattr(PowerTable, "at", classmethod(counted_at))
+        monkeypatch.setattr(PowerTable, "of_values", classmethod(counted_of_values))
         monkeypatch.setattr(PowerTable, "gather", counted_gather)
-        from_values = count_calls(monkeypatch, PowerTable, "of_values")
         init = projectors.CellGroup.__init__
 
         def counted_init(cg, *args, **kwargs):
@@ -602,12 +675,11 @@ class TestNoPerCellLoop:
             init(cg, *args, **kwargs)
 
         monkeypatch.setattr(projectors.CellGroup, "__init__", counted_init)
-        # the tables live only during the build; count them when released
-        memoised = []
+        # the tables live only during the build; collect them when released
         release = projectors.CellGroup.release
 
         def counted_release(cg):
-            memoised.append(len(cg._tabs))
+            memoised.append(dict(cg._tabs))
             release(cg)
 
         monkeypatch.setattr(projectors.CellGroup, "release", counted_release)
@@ -616,13 +688,23 @@ class TestNoPerCellLoop:
         n = len(groups)
         assert n > 1
         assert {r: sum(reader == r for reader, _ in formed) for r in readers} == \
-            {"_table": 3 * n, "assemble_rhs": n, "compute_errors": n, "estimate": n,
-             "traces": 2}
-        tables = {"_table": 1, "assemble_rhs": 1, "estimate": 1, "compute_errors": 6,
-                  "traces": 10}
+            {"_table": 2 * n, "H": n, "assemble_rhs": n, "compute_errors": n,
+             "estimate": n, "traces": 2}
+        tables = {"_table": 1, "H": 1, "assemble_rhs": 1, "estimate": 1,
+                  "compute_errors": 6, "traces": 10}
         for reader, powers in formed:
-            assert sum(g is powers for g in gathers) == tables[reader]
-        # every memoised derivative table, and only those, reads the powers
-        # of its point set's value table
+            assert sum(p is powers for p, _, _ in gathers) == tables[reader], reader
+        # the volume and the memoised point sets are gathered as values only
+        assert all(d == (0, 0) for reader, powers in formed if reader in ("_table", "H")
+                   for p, d, _ in gathers if p is powers)
+        # one value table per edge and vertex point set is memoised, and
+        # every derivative table reads the powers of one of them
         assert len(memoised) == n
-        assert len(from_values) == sum(memoised) - 3 * n
+        assert all(sorted(tabs) == ["edge", "vert"] for tabs in memoised)
+        values = [t for tabs in memoised for t in tabs.values()]
+        assert derived and all(any(v is t for t in values) for v, _ in derived)
+        once = [(id(v), d, builder) for v, powers in derived
+                for p, d, builder in gathers if p is powers]
+        assert len(once) == len(derived)
+        assert all(builder in builders for _, _, builder in once)
+        assert len(set(once)) == len(once)

@@ -509,9 +509,13 @@ class TestConvergenceCommand:
         _, rows = read_schema_csv(run_dir / "levels.csv")
         assert [r["ndof"] for r in m["solve"]] == [int(r["ndof"]) for r in rows]
         for r in m["solve"]:
-            assert set(r) == {"ndof", "nnz", "fill", "residual"}
+            assert set(r) == {"ndof", "nnz", "fill", "residual", "residual_u", "residual_p"}
             assert r["ndof"] < r["nnz"] and r["fill"] > 0
-            assert 0 < r["residual"] <= SOLVE_RTOL
+            for key in ("residual", "residual_u", "residual_p"):
+                assert 0 < r[key] <= SOLVE_RTOL
+        # the run's own cost: seconds in main and the process's peak RSS
+        assert 0 < m["wall_s"] < 600
+        assert 10 < m["peak_rss_mb"] < 1e5
 
     def test_flag_overrides_take_precedence(self, tmp_path):
         cfg = write_config(tmp_path, levels=1)
@@ -616,36 +620,54 @@ class TestMeshInfoCommand:
         """mesh.csv is the printed table under its schema line."""
         cfg = write_config(tmp_path, levels=2)
         assert main(["mesh-info", "--config", str(cfg)]) == 0
-        text = (tmp_path / "out" / "mesh.csv").read_text()
+        text = (tmp_path / "out" / "mesh-info" / "mesh.csv").read_text()
         assert text == "# platevem mesh-v1\n" + capsys.readouterr().out
 
     def test_default_out_gets_the_writer_outputs(self, tmp_path, monkeypatch, capsys):
         """Under the default `out`, as every command, mesh-info writes its
-        table, a manifest with no solve and the printed summary."""
+        table, a manifest with no solve and the printed summary, all in
+        the `mesh-info` subdirectory."""
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, levels=2)
         doc = json.loads(cfg.read_text())
         del doc["out"]
         cfg.write_text(json.dumps(doc))
         assert main(["mesh-info", "--config", str(cfg)]) == 0
-        out = tmp_path / "out"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["mesh-info"]
+        out = tmp_path / "out" / "mesh-info"
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mesh.csv",
                                                          "summary.txt"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "mesh-info" and manifest["solve"] == []
         assert (out / "summary.txt").read_text() == capsys.readouterr().out
 
+    def test_solve_record_survives(self, tmp_path, capsys):
+        """mesh-info after convergence on one config and `out` leaves the
+        convergence run's manifest and summary beside its tables."""
+        cfg = write_config(tmp_path, levels=1)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg)]) == 0
+        summary = capsys.readouterr().out
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(["mesh-info", "--config", str(cfg)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert json.loads((out / "manifest.json").read_text())["command"] == "convergence"
+        assert (out / "summary.txt").read_text() == summary
+        assert json.loads((out / "mesh-info" / "manifest.json").read_text())["command"] \
+            == "mesh-info"
+
     def test_manifest_config_replays(self, tmp_path):
         """The config mesh-info echoes, run again, writes the same mesh.csv."""
         cfg = write_config(tmp_path, levels=2)
         assert main(["mesh-info", "--config", str(cfg)]) == 0
-        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        done = tmp_path / "out" / "mesh-info"
+        doc = json.loads((done / "manifest.json").read_text())["config"]
         doc["out"] = str(tmp_path / "replay")
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(doc))
         assert main(["mesh-info", "--config", str(replay)]) == 0
-        assert (tmp_path / "replay" / "mesh.csv").read_bytes() == \
-            (tmp_path / "out" / "mesh.csv").read_bytes()
+        assert (tmp_path / "replay" / "mesh-info" / "mesh.csv").read_bytes() == \
+            (done / "mesh.csv").read_bytes()
 
     @pytest.mark.parametrize("mesh, message", [
         ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]],
