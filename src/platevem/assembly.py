@@ -51,6 +51,8 @@ class ModelParams:
     gamma: float = 1.0
 
     def validate(self) -> None:
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.beta <= 0 or self.gamma <= 0:
             raise ValueError("beta and gamma must be positive")
 

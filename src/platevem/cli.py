@@ -11,6 +11,7 @@ leaves the record of a solve run in `out` alone.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import resource
@@ -20,18 +21,34 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
+# The imports leave some 44,000 objects that the collector tracks and that
+# live as long as the process, so the collector is off while they are made.
+# Freezing and at once unfreezing them moves them, unwalked, into the oldest
+# generation, which only a full pass reads; without that, the first young
+# pass after re-enabling would walk them all.  The unfreeze would release
+# what an importer froze itself, so such an importer skips both.  `entry`
+# freezes them for good.
+_gc_on = gc.isenabled()
+gc.disable()
+try:
+    import numpy as np
 
-from . import __version__
-from .adaptivity import adaptive_loop
-from .assembly import ModelParams, derive_params
-from .manufactured import get_case, known_case, rate_table
-from .mesh import (generate_lshape, generate_structured, load_mesh,
-                   quality_report, uniform_refine)
-from .runner import (LevelResult, assemble_projected_mass, constrained_system,
-                     fit_loglog_slope, run_convergence, spaces_for,
-                     timestep_driver, voronoi_ladder)
-from .spaces import Family
+    from . import __version__
+    from .adaptivity import adaptive_loop
+    from .assembly import ModelParams, derive_params
+    from .manufactured import get_case, known_case, rate_table
+    from .mesh import (generate_lshape, generate_structured, load_mesh,
+                       quality_report, uniform_refine)
+    from .runner import (LevelResult, assemble_projected_mass, constrained_system,
+                         fit_loglog_slope, run_convergence, spaces_for,
+                         timestep_driver, voronoi_ladder)
+    from .spaces import Family
+finally:
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_on:
+        gc.enable()
 
 SCHEMAS = {"rates": "rates-v1", "levels": "levels-v1",
            "trace": "trace-v1", "steps": "steps-v1", "mesh": "mesh-v1"}
@@ -137,14 +154,16 @@ class RunConfig:
             raise ConfigError("seed", "seed must be >= 0")
         if self.params is not None and self.physical is not None:
             raise ConfigError("params", "give either params or physical, not both")
+        name = "params" if self.physical is None else "physical"
         try:
             params = self.model_params()
+            if params.alpha < 0:        # derive_params passes alpha through
+                raise ConfigError(f"{name}.alpha", "alpha must be >= 0")
             params.validate()
             if not all(map(math.isfinite, asdict(params).values())):
                 raise ValueError(f"derived coefficients overflow: {params}")
         except (ValueError, OverflowError) as exc:   # OverflowError(errno, text)
-            raise ConfigError("params" if self.physical is None else "physical",
-                              str(exc.args[-1])) from None
+            raise ConfigError(name, str(exc.args[-1])) from None
 
 
 def _parse(schema, value, path: str):
@@ -412,5 +431,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The program: `python -m platevem.cli` and the `platevem` script.
+    Moves everything imported so far out of the collector's reach, so that
+    neither its passes during the run nor the one at exit walk it, then
+    runs `main`, which leaves the collector as its caller set it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

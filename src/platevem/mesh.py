@@ -452,20 +452,19 @@ def generate_voronoi(n_seeds: int,
     prev = np.where(slot == ptr[cell], ptr[cell + 1] - 1, slot - 1)
     line = cells[np.arange(cells.shape[1]) < count[:, None]][:, 2].astype(np.int64)
     key = np.sort(np.column_stack([line[prev], line, cell]), axis=1)    # sides first
-    origin = np.array([xmin, ymin], dtype=float)
-    q = pts - origin
     tri = key[:, 0] >= 0
-    far = ((q[key[tri][:, [1, 2, 0]]] - q[key[tri][:, [2, 0, 1]]]) ** 2).sum(axis=2)
+    far = ((pts[key[tri][:, [1, 2, 0]]] - pts[key[tri][:, [2, 0, 1]]]) ** 2).sum(axis=2)
     key[tri] = np.take_along_axis(key[tri], (far.argmax(1)[:, None] + [0, 1, 2]) % 3, 1)
     i, j, k = key.T
-    # two lines through each corner: side a, or else the bisector of seeds a and b
+    # two lines through each corner: side a, or else the bisector of seeds a and b,
+    # in the seeds' own coordinates (shifting them to the box origin rounds them)
     a = np.concatenate([np.where(i < 0, j, i), i])
     b = np.concatenate([np.where(i < 0, k, j), k])
-    normal = np.where(a[:, None] < 0, np.eye(2)[a % 2], q[b] - q[np.maximum(a, 0)])
-    offset = np.where(a < 0, np.array([0.0, xmax - xmin, ymax - ymin, 0.0])[(-a - 1) % 4],
-                      0.5 * (normal * (q[np.maximum(a, 0)] + q[b])).sum(axis=1))
-    corners = origin + np.linalg.solve(np.stack(np.split(normal, 2), axis=1),
-                                       np.stack(np.split(offset, 2), axis=1)[..., None])[..., 0]
+    normal = np.where(a[:, None] < 0, np.eye(2)[a % 2], pts[b] - pts[np.maximum(a, 0)])
+    offset = np.where(a < 0, np.array([ymin, xmax, ymax, xmin], dtype=float)[(-a - 1) % 4],
+                      0.5 * (normal * (pts[np.maximum(a, 0)] + pts[b])).sum(axis=1))
+    corners = np.linalg.solve(np.stack(np.split(normal, 2), axis=1),
+                              np.stack(np.split(offset, 2), axis=1)[..., None])[..., 0]
     # merge coincident corners (cocircular seeds give several) and snap onto
     # the box sides; vertices are numbered in order of first appearance
     tol = 1e-9 * scale

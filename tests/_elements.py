@@ -98,7 +98,10 @@ def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
     any seed: an image closer than about 1e-8 of its seed costs qhull most
     of its digits.  The regions are clipped to the box, and their corners
     snapped onto the sides and merged at generate_voronoi's tolerance, 1e-9
-    of the box size."""
+    of the box size.  A side cuts an edge where it crosses the edge's own
+    line: the side it lies on, or the bisector of the seed pair of its
+    qhull ridge, so that a side corner does not carry the rounding of the
+    qhull vertices it lies between."""
     from scipy.spatial import Voronoi
 
     xmin, ymin, xmax, ymax = domain
@@ -111,23 +114,44 @@ def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
         image[:, axis] = 2 * level - pts[:, axis]
         images.append(image)
     vor = Voronoi(np.vstack(images))
+    other = {}                      # (point, ridge's vertex pair) -> point across it
+    for (p, q), ridge in zip(vor.ridge_points, vor.ridge_vertices):
+        other[p, frozenset(ridge)] = q
+        other[q, frozenset(ridge)] = p
+
+    def cross(seed, line, axis, level):
+        """The point of a line of the seed's region (the point across its
+        bisector, or a side as (axis, level)) whose coordinate along axis
+        is level."""
+        cut = np.empty(2)
+        cut[axis] = level
+        if isinstance(line, tuple):             # the perpendicular side
+            cut[1 - axis] = line[1]
+        else:
+            ps, pt = vor.points[seed], vor.points[line]
+            normal = pt - ps
+            cut[1 - axis] = (0.5 * normal @ (ps + pt) - normal[axis] * level) / normal[1 - axis]
+        return cut
+
     cells = []
-    for r in vor.point_region[:len(pts)]:
-        poly = vor.vertices[vor.regions[r]]
-        assert min(vor.regions[r]) >= 0, "mirrored diagram should be bounded"
-        if polygon_area_centroid(poly)[0] < 0:
-            poly = poly[::-1]
+    for s, r in enumerate(vor.point_region[:len(pts)]):
+        region = vor.regions[r]
+        assert min(region) >= 0, "mirrored diagram should be bounded"
+        if polygon_area_centroid(vor.vertices[region])[0] < 0:
+            region = region[::-1]
+        poly = vor.vertices[region]
+        lines = [other[s, frozenset(e)] for e in zip(region, np.roll(region, -1))]
         for axis, level, sign in ((0, xmin, 1), (0, xmax, -1), (1, ymin, 1), (1, ymax, -1)):
-            kept = []
-            for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+            kept, kept_lines = [], []
+            for a, b, line in zip(poly, np.roll(poly, -1, axis=0), lines):
                 da, db = sign * (a[axis] - level), sign * (b[axis] - level)
                 if da >= 0:
                     kept.append(a)
+                    kept_lines.append(line)
                 if (da >= 0) != (db >= 0):
-                    cut = a + da / (da - db) * (b - a)
-                    cut[axis] = level
-                    kept.append(cut)
-            poly = np.array(kept)
+                    kept.append(cross(s, line, axis, level))
+                    kept_lines.append((axis, level) if da >= 0 else line)
+            poly, lines = np.array(kept), kept_lines
         cells.append(poly)
     corners = np.concatenate(cells)
     tol = 1e-9 * scale

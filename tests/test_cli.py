@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import fnmatch
+import gc
 import importlib.util
 import io
 import json
@@ -145,12 +146,18 @@ class TestExitCodes:
         ({"physical": {"lam": 1e308, "mu": 1.0, "alpha": 1.0, "c0": 0.1}}, "physical"),
         # the solve is a sparse LU, with nothing to choose
         ({"solver": {"method": "direct"}}, "solver"),
+        # a negative coupling coefficient, given or passed through derive_params
+        ({"params": {"alpha": -3}}, "params.alpha"),
+        ({"physical": {"lam": 1.0, "mu": 1.0, "alpha": -0.5, "c0": 0.1}},
+         "physical.alpha"),
     ])
     def test_rejected_field_names_its_path(self, tmp_path, capsys,
                                            overrides, path):
         cfg = write_config(tmp_path, **overrides)
         assert main(["convergence", "--config", str(cfg)]) == 2
-        assert f"config error: {path}: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"config error: {path}: " in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_non_object_document_names_config(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -287,6 +294,7 @@ def type_ok(kind: str, v) -> bool:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(0, allow_infinity=False)
 positive = st.one_of(st.integers(1, 1000), st.floats(1e-3, 1e3))
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text(max_size=4)),
@@ -314,11 +322,11 @@ def valid_docs(draw):
     coefficients = draw(st.sampled_from(["none", "params", "physical"]))
     if coefficients == "params":
         doc["params"] = draw(st.fixed_dictionaries({}, optional={
-            "alpha": finite, "beta": positive, "gamma": positive}))
+            "alpha": non_negative, "beta": positive, "gamma": positive}))
     elif coefficients == "physical":
         doc["physical"] = draw(st.fixed_dictionaries({
             "lam": positive, "mu": positive,
-            "alpha": st.floats(-1e3, 1e3), "c0": positive}))
+            "alpha": st.floats(0, 1e3), "c0": positive}))
     kind = draw(st.sampled_from(["voronoi", "structured", "lshape", "files", None]))
     if kind == "files":
         doc["mesh"] = {"kind": kind, "paths": [__file__] * draw(st.integers(5, 7))}
@@ -362,7 +370,9 @@ OUT_OF_RANGE = {
     "mesh.counts": (st.lists(st.integers(max_value=0), min_size=1, max_size=3),
                     "mesh.counts"),
     "mesh.paths": (st.just(["no/such/mesh.json"]), "mesh.paths"),
-    # the coefficient rules name their object
+    "params.alpha": (st.floats(-1e300, -1e-300), "params.alpha"),
+    "physical.alpha": (st.floats(-1e3, -1e-300), "physical.alpha"),
+    # the rules on more than one coefficient name their object
     "params.beta": (st.floats(-1e300, 0), "params"),
     "params.gamma": (st.integers(-10, 0), "params"),
     "physical.mu": (st.floats(-1e3, 0), "physical"),
@@ -756,6 +766,62 @@ class TestDeterminism:
         assert main(["convergence", "--config", str(cfg)]) == 0
         for name in ("rates.csv", "levels.csv", "summary.txt"):
             assert (tmp_path / "replay" / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+class TestEntry:
+    """`entry`, the program, freezes the import heap out of the collector's
+    reach; importing the module or calling `main` in process leaves the
+    collector on and nothing frozen."""
+
+    @staticmethod
+    def run_python(code: str) -> None:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_entry_freezes_and_collects(self, tmp_path):
+        """After `entry` the import heap is frozen, and the collector ran
+        during the run: a callback saw a pass once the freeze was made."""
+        cfg = write_config(tmp_path, mesh={"kind": "voronoi", "n0": 16, "lloyd": 2},
+                           steps=2)
+        self.run_python(
+            "import gc, sys\n"
+            "from platevem.cli import entry\n"
+            "frozen_at_pass = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'stop' and\n"
+            "                    frozen_at_pass.append(gc.get_freeze_count()))\n"
+            f"sys.argv = ['platevem', 'timestep', '--config', {str(cfg)!r}]\n"
+            "assert entry() == 0\n"
+            "assert gc.get_freeze_count() > 0, 'nothing frozen'\n"
+            "assert max(frozen_at_pass, default=0) > 0, 'no collection during the run'\n")
+        assert (tmp_path / "out" / "steps.csv").is_file()
+
+    def test_import_keeps_the_collector_state(self):
+        """The import turns the collector off only while it runs and
+        freezes nothing; a caller's disabled collector stays disabled, and
+        what a caller froze stays frozen."""
+        self.run_python(
+            "import gc\n"
+            "gc.disable()\n"
+            "import platevem.cli\n"
+            "assert not gc.isenabled() and gc.get_freeze_count() == 0\n")
+        self.run_python(
+            "import gc\n"
+            "gc.freeze()\n"
+            "import platevem.cli\n"
+            "assert gc.isenabled() and gc.get_freeze_count() > 0\n")
+        self.run_python(
+            "import gc\n"
+            "import platevem.cli\n"
+            "assert gc.isenabled() and gc.get_freeze_count() == 0\n")
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        cfg = write_config(tmp_path, levels=1)
+        frozen = gc.get_freeze_count()
+        assert main(["convergence", "--config", str(cfg)]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
 
 
 class TestScripts:

@@ -2,6 +2,7 @@
 alone, sympy is only a test dependency, and of scipy only the sparse
 matrices and their LU are loaded."""
 
+import ast
 import json
 import os
 import re
@@ -57,3 +58,17 @@ def test_runtime_dependencies_are_numpy_and_scipy():
         project = tomllib.load(fh)["project"]
     assert names(project["dependencies"]) == ["numpy", "scipy"]
     assert "sympy" in names(project["optional-dependencies"]["dev"])
+
+
+def test_console_script_is_the_main_block_entry():
+    """`platevem` and `python -m platevem.cli` run one function."""
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["platevem"]
+    module, _, function = script.partition(":")
+    tree = ast.parse((ROOT / "src" / module.replace(".", "/")).with_suffix(".py").read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [ast.unparse(node.func) for node in ast.walk(block)
+              if isinstance(node, ast.Call)]
+    assert called == ["sys.exit", function]
