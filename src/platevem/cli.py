@@ -174,7 +174,9 @@ def _parse(schema, value, path: str):
         if not isinstance(value, dict):
             raise ConfigError(path or "config", "expected an object")
         prefix = f"{path}." if path else ""
-        hints = typing.get_type_hints(schema)
+        # this module's namespace, not that of the class's `__module__`:
+        # run under a wrapper such as cProfile, `__main__` is the wrapper
+        hints = typing.get_type_hints(schema, globals())
         for key in sorted(set(value) - set(hints)):
             raise ConfigError(prefix + key, "unknown field")
         kwargs = {}
@@ -404,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="platevem",
         description="Virtual element studies for the coupled plate-flow model")
     sub = ap.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(RunConfig)
+    hints = typing.get_type_hints(RunConfig, globals())
     for name in ("convergence", "adaptive", "timestep", "mesh-info"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")

@@ -1,4 +1,7 @@
-"""Residual a posteriori error estimator for the coupled plate/flow system.
+"""Measuring a discrete solution: the error norms of a manufactured case
+and the residual a posteriori estimator of the coupled plate/flow system,
+in one pass (``measure``) that fills an ``ErrorReport`` and an
+``EstimatorReport``.
 
 Nine squared contributions are collected per element:
 
@@ -16,17 +19,19 @@ mode the total is the sum of the first seven parts and both are stored as
 zero.  Boundary edges enter the jump terms with the prescribed data
 subtracted where a natural or essential trace is known, so manufactured
 runs with inhomogeneous data keep the estimator decaying at the error's
-rate.
+rate.  The data oscillation in parts 1 and 2 is the one the error report
+carries, except on singular groups, whose error norms use a finer rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import AssembledSystem
-from .manufactured import ManufacturedCase
+from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import CLAMPED, SIMPLY_SUPPORTED
 from .projectors import data_oscillation, matvec
 from .quadrature import PowerTable, gauss_01, pointwise, poly_dim
@@ -60,16 +65,21 @@ def _poly(V: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return matvec(V[..., :coeffs.shape[-1]], coeffs)
 
 
-def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
-             case: ManufacturedCase) -> EstimatorReport:
-    """Compute all local contributions and the global estimator.
+def measure(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
+            case: ManufacturedCase) -> tuple[ErrorReport, EstimatorReport]:
+    """The error norms and the estimator of one discrete solution, in one
+    walk over the cell groups.
 
-    The case supplies the sources f and g and the boundary data: the
-    prescribed bending moment on simply supported edges, the combined
+    Each group's coefficient vectors, and the data rule with its tables,
+    source values and data oscillations, serve both; only a singular group
+    integrates its error norms on a finer split of that rule
+    (``CellGroup.data_rule``) and its estimator on a second, coarser one.
+    The case supplies the exact fields and sources, and the boundary data:
+    the prescribed bending moment on simply supported edges, the combined
     normal flux on pressure-Neumann edges, and for the nonconforming trace
     terms the gradient of the prescribed deflection and the pressure trace
-    on its Dirichlet edges.  Each data function is called once, on the
-    stacked Gauss points of all edges that carry its data.
+    on its Dirichlet edges.  Each boundary data function is called once,
+    on the stacked Gauss points of all edges that carry its data.
     """
     mesh = system.mesh
     k = system.space_u.degree
@@ -81,6 +91,9 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     gl = max(l - 1, 0)
     n_u = system.dof_u.ndof
 
+    # per cell: |u - pd u_h|_2^2, ||u - Pi u_h||^2, |p - pg p_h|_1^2,
+    # ||p - Pi p_h||^2, and the two data oscillations
+    norms = np.zeros((6, mesh.ncells))
     parts = np.zeros((mesh.ncells, N_PARTS))
     # coefficients of the polynomials the edge terms compare, one row per cell
     cu_pd = np.zeros((mesh.ncells, nk))
@@ -88,13 +101,49 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     gu = np.zeros((2, mesh.ncells, poly_dim(k - 1)))
     gp = np.zeros((2, mesh.ncells, poly_dim(gl)))
 
+    def data(cg, fine: bool):
+        """A group's data rule, its power and value tables, the sources on
+        it and their squared distances to P_k and P_l."""
+        pts, w = cg.data_rule(fine)
+        powers = cg.powers(pts)
+        V = powers.gather()
+        fvals, gvals = pointwise(case.f, pts), pointwise(case.g, pts)
+        return (pts, w, powers, V, fvals, gvals, data_oscillation(V[..., :nk], w, fvals),
+                data_oscillation(V[..., :nl], w, gvals))
+
     for grp in system.groups:
         cg, defl, pres = grp.ctx, grp.defl, grp.pres
         cells, h = cg.cells, cg.diameter
         uloc = U[grp.dofs_u]
         ploc = P[grp.dofs_p - n_u]
         cu_pd[cells] = cu = matvec(defl.pd, uloc)
+        cu0 = matvec(defl.l2, uloc)
+        cp = matvec(pres.pg[l], ploc)
         cp_l2[cells] = cp0 = matvec(pres.l2, ploc)
+
+        # error norms on the fine data rule
+        pts, w, powers, V, fvals, gvals, osc_f, osc_g = data(cg, fine=True)
+        Hex = pointwise(case.hess_u, pts)
+        d_xx = Hex[..., 0] - _poly(powers.gather((2, 0)), cu)
+        d_xy = Hex[..., 1] - _poly(powers.gather((1, 1)), cu)
+        d_yy = Hex[..., 2] - _poly(powers.gather((0, 2)), cu)
+        norms[0, cells] = (w * (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2)).sum(-1)
+        # each error term's temporaries go before the next one's are made
+        del Hex, d_xx, d_xy, d_yy
+        Gex = pointwise(case.grad_p, pts)
+        d_px = Gex[..., 0] - _poly(powers.gather((1, 0)), cp)
+        d_py = Gex[..., 1] - _poly(powers.gather((0, 1)), cp)
+        norms[2, cells] = (w * (d_px ** 2 + d_py ** 2)).sum(-1)
+        del Gex, d_px, d_py, powers
+        norms[1, cells] = (w * (pointwise(case.u, pts) - _poly(V, cu0)) ** 2).sum(-1)
+        norms[3, cells] = (w * (pointwise(case.p, pts) - _poly(V, cp0)) ** 2).sum(-1)
+        norms[4, cells] = h ** 4 * osc_f
+        norms[5, cells] = h ** 2 * osc_g
+        if cg.singular_subdivide:
+            # the estimator integrates its data on the coarser split
+            del pts, w, V, fvals, gvals
+            pts, w, _, V, fvals, gvals, osc_f, osc_g = data(cg, fine=False)
+
         for c in range(2):
             gu[c, cells] = matvec(defl.grads[k - 1][c], uloc)
             gp[c, cells] = matvec(pres.grads[gl][c], ploc)
@@ -107,22 +156,16 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
             + matvec(cg.deriv((0, 1), k - 1), gu[1, cells])
 
         # volume residuals with data oscillation
-        pts, w = cg.data_rule()
-        V = cg.powers(pts).gather()
-        fvals = pointwise(case.f, pts)
-        gvals = pointwise(case.g, pts)
-        R1 = (fvals - _poly(V, bilap_u) - _poly(V, matvec(defl.l2, uloc))
+        R1 = (fvals - _poly(V, bilap_u) - _poly(V, cu0)
               - alpha * _poly(V, div_gp))
         R2 = (gvals + gamma * _poly(V, div_gp)
               - beta * _poly(V, cp0) + alpha * _poly(V, div_gu))
-        parts[cells, 0] = h ** 4 * (data_oscillation(V[..., :nk], w, fvals)
-                                    + (w * R1 ** 2).sum(-1))
-        parts[cells, 1] = h ** 2 * (data_oscillation(V[..., :nl], w, gvals)
-                                    + (w * R2 ** 2).sum(-1))
+        parts[cells, 0] = h ** 4 * (osc_f + (w * R1 ** 2).sum(-1))
+        parts[cells, 1] = h ** 2 * (osc_g + (w * R2 ** 2).sum(-1))
 
         # stabilisation energies of the remainders
         s_hess = ((uloc - matvec(defl.D, cu)) ** 2).sum(-1) / h ** 2
-        s_grad = gamma * ((ploc - matvec(pres.D, matvec(pres.pg[l], ploc))) ** 2).sum(-1)
+        s_grad = gamma * ((ploc - matvec(pres.D, cp)) ** 2).sum(-1)
         s_mass = beta * h ** 2 * ((ploc - matvec(pres.D, cp0)) ** 2).sum(-1)
         wgt = (1.0 + np.sqrt(alpha) * h + h ** 2) ** 2
         parts[cells, 5] = wgt * s_hess + s_grad + s_mass
@@ -220,4 +263,11 @@ def estimate(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
     np.add.at(parts, L, np.where(boundary, 1.0, 0.5)[:, None] * acc)
     np.add.at(parts, R[~boundary], 0.5 * acc[~boundary])
-    return EstimatorReport(parts)
+
+    k_u2, k_u0, k_p1, k_p0, osc_f, osc_g = norms
+    e_u2, e_u0, e_p1, e_p0 = k_u2.sum(), k_u0.sum(), k_p1.sum(), k_p0.sum()
+    report = ErrorReport(math.sqrt(e_u2), math.sqrt(e_p1), math.sqrt(e_u0), math.sqrt(e_p0),
+                         math.sqrt(e_u0 + e_u2 + beta * e_p0 + gamma * e_p1),
+                         math.sqrt(osc_f.sum()), math.sqrt(osc_g.sum()),
+                         k_u0 + k_u2 + beta * k_p0 + gamma * k_p1)
+    return report, EstimatorReport(parts)

@@ -1,4 +1,4 @@
-"""Manufactured solution cases, error norms, and convergence-rate tables.
+"""Manufactured solution cases, the error report, and convergence-rate tables.
 
 Each case packages exact fields, loads derived from the strong form
 
@@ -9,9 +9,11 @@ boundary labeling, and the boundary data needed when the exact solution
 does not satisfy the homogeneous natural conditions (bending moment on
 simply supported edges, combined flux on pressure-Neumann edges).
 
-Errors are measured against the projected discrete solution: broken H2
-seminorm of u - pd(u_h), broken H1 seminorm of p - pg(p_h), their L2
-counterparts, and the parameter-weighted combined norm
+An ``ErrorReport`` holds the errors against the projected discrete
+solution, which ``estimator.measure`` computes together with the
+estimator: broken H2 seminorm of u - pd(u_h), broken H1 seminorm of
+p - pg(p_h), their L2 counterparts, and the parameter-weighted combined
+norm
 
     ||(v, q)||^2 = ||v||^2 + |v|_2^2 + beta ||q||^2 + gamma |q|_1^2.
 """
@@ -25,10 +27,9 @@ from typing import Callable
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .assembly import AssembledSystem, ModelParams
+from .assembly import ModelParams
 from .mesh import BoundaryLabel, PolygonalMesh, all_clamped
-from .projectors import data_oscillation, matvec
-from .quadrature import pointwise, poly_dim
+from .quadrature import pointwise
 from .spaces import pressure_is_dirichlet
 
 
@@ -282,7 +283,7 @@ def get_case(name: str, params: ModelParams | None = None, k: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# error measurement
+# error report
 
 
 @dataclass
@@ -294,62 +295,7 @@ class ErrorReport:
     energy: float
     osc_f: float
     osc_g: float
-    cell_energy2: np.ndarray = field(repr=False, default=None)
-
-
-def compute_errors(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
-                   case: ManufacturedCase) -> ErrorReport:
-    """Error norms on the fine data rule of each group (``CellGroup.data_rule``)."""
-    k = system.space_u.degree
-    l = system.space_p.degree
-    nk, nl = poly_dim(k), poly_dim(l)
-    beta, gamma = system.params.beta, system.params.gamma
-    n_u = system.dof_u.ndof
-
-    # per cell: |u - pd u_h|_2^2, ||u - Pi u_h||^2, |p - pg p_h|_1^2,
-    # ||p - Pi p_h||^2, and the two data oscillations
-    norms = np.zeros((6, system.mesh.ncells))
-    for grp in system.groups:
-        cg = grp.ctx
-        cells, h = cg.cells, cg.diameter
-        pts, w = cg.data_rule(fine=True)
-        powers = cg.powers(pts)
-
-        def table(deriv, n=None):
-            return powers.gather(deriv)[..., :n]
-
-        uloc = U[grp.dofs_u]
-        ploc = P[grp.dofs_p - n_u]
-        cu = matvec(grp.defl.pd, uloc)
-        cu0 = matvec(grp.defl.l2, uloc)
-        cp = matvec(grp.pres.pg[l], ploc)
-        cp0 = matvec(grp.pres.l2, ploc)
-        V = table((0, 0))
-        Vu, Vp = V[..., :nk], V[..., :nl]
-
-        Hex = pointwise(case.hess_u, pts)
-        d_xx = Hex[..., 0] - matvec(table((2, 0), nk), cu)
-        d_xy = Hex[..., 1] - matvec(table((1, 1), nk), cu)
-        d_yy = Hex[..., 2] - matvec(table((0, 2), nk), cu)
-        Gex = pointwise(case.grad_p, pts)
-        d_px = Gex[..., 0] - matvec(table((1, 0), nl), cp)
-        d_py = Gex[..., 1] - matvec(table((0, 1), nl), cp)
-        norms[0, cells] = (w * (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2)).sum(-1)
-        d_u = pointwise(case.u, pts) - matvec(Vu, cu0)
-        d_p = pointwise(case.p, pts) - matvec(Vp, cp0)
-        norms[1, cells] = (w * d_u ** 2).sum(-1)
-        norms[2, cells] = (w * (d_px ** 2 + d_py ** 2)).sum(-1)
-        norms[3, cells] = (w * d_p ** 2).sum(-1)
-        norms[4, cells] = h ** 4 * data_oscillation(Vu, w, pointwise(case.f, pts))
-        norms[5, cells] = h ** 2 * data_oscillation(Vp, w, pointwise(case.g, pts))
-
-    k_u2, k_u0, k_p1, k_p0, osc_f, osc_g = norms
-    cell_energy2 = k_u0 + k_u2 + beta * k_p0 + gamma * k_p1
-    e_u2, e_u0, e_p1, e_p0 = k_u2.sum(), k_u0.sum(), k_p1.sum(), k_p0.sum()
-    energy = math.sqrt(e_u0 + e_u2 + beta * e_p0 + gamma * e_p1)
-    return ErrorReport(math.sqrt(e_u2), math.sqrt(e_p1), math.sqrt(e_u0),
-                       math.sqrt(e_p0), energy, math.sqrt(osc_f.sum()),
-                       math.sqrt(osc_g.sum()), cell_energy2)
+    cell_energy2: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Every experiment runs one level pipeline: assemble the system of a
 manufactured case on one mesh and build its essential boundary values as
 a ``Constraints`` value (``constrained_system``), then assemble the case
-loads, factor once with those constraints, solve, and measure
-(``solve_level``); loads, error norms and the estimator read the case
-itself.  A solved level is one ``LevelResult``, from the solve to the
-CSV row.  On top of the pipeline sit the uniform convergence ladders and
-the two-step time discretisation where previous states feed the
-right-hand side through their projected polynomial representations.
+loads, factor once with those constraints, solve, and measure the error
+norms and the estimator in one pass (``solve_level``); the loads and that
+pass read the case itself.  A solved level is one ``LevelResult``, from
+the solve to the CSV row.  On top of the pipeline sit the uniform
+convergence ladders and the two-step time discretisation where previous
+states feed the right-hand side through their projected polynomial
+representations.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import scipy.sparse as sp
 
 from .assembly import (AssembledSystem, CsrPlan, assemble_rhs, assemble_system,
                        factor_system)
-from .estimator import EstimatorReport, estimate
-from .manufactured import (ErrorReport, ManufacturedCase, compute_errors)
+from .estimator import EstimatorReport, measure
+from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import PolygonalMesh, generate_voronoi
 from .quadrature import poly_dim
 from .spaces import Constraints, Family, SpaceKind, apply_essential_bc
@@ -68,24 +69,23 @@ class LevelResult:
     mesh: PolygonalMesh
     ndof: int
     report: ErrorReport
-    est: EstimatorReport | None
+    est: EstimatorReport
     solve: dict
     marked: int = 0
 
 
 def solve_level(case: ManufacturedCase, system: AssembledSystem,
-                constraints: Constraints, *, with_estimator: bool = True) -> LevelResult:
+                constraints: Constraints) -> LevelResult:
     """Solve the case under its constraints, then measure the solution.
     The load is assembled before the factor and the factor is dropped
-    before the error norms, so the LU factors are never alive together
-    with the quadrature temporaries of either."""
+    before the measuring pass, so the LU factors are never alive together
+    with the quadrature temporaries of the load or of that pass."""
     F = assemble_rhs(system, case)
     factored = factor_system(system, constraints)
     U, P = factored.solve(F)
     solve = factored.record
     del F, factored
-    report = compute_errors(system, U, P, case)
-    est = estimate(system, U, P, case) if with_estimator else None
+    report, est = measure(system, U, P, case)
     return LevelResult(system.mesh, system.ndof, report, est, solve)
 
 
@@ -94,11 +94,9 @@ def solve_level(case: ManufacturedCase, system: AssembledSystem,
 
 
 def run_convergence(case: ManufacturedCase, meshes, family: Family,
-                    k: int, l: int, *, with_estimator: bool = True) -> list[LevelResult]:
+                    k: int, l: int) -> list[LevelResult]:
     spaces = spaces_for(family, k, l)
-    return [solve_level(case, *constrained_system(case, mesh, spaces),
-                        with_estimator=with_estimator)
-            for mesh in meshes]
+    return [solve_level(case, *constrained_system(case, mesh, spaces)) for mesh in meshes]
 
 
 def fit_loglog_slope(x, y, tail: int = 4) -> float:

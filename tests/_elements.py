@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from platevem.assembly import _group_forms, factor_system
-from platevem.manufactured import ErrorReport, ManufacturedCase, compute_errors
+from platevem.estimator import measure
+from platevem.manufactured import ErrorReport, ManufacturedCase
 from platevem.mesh import PolygonalMesh, build_mesh, generate_structured
 from platevem.projectors import CellGroup, ElementProjectors
 from platevem.quadrature import (map_triangles, polygon_area_centroid, polygon_triangles,
@@ -72,7 +73,7 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     UI = interpolate(mesh, system.dof_u, case.u, case.grad_u)
     PI = interpolate(mesh, system.dof_p, case.p)
     U, P = factor_system(system, constraints).solve(system.K @ np.concatenate([UI, PI]))
-    return compute_errors(system, U, P, case)
+    return measure(system, U, P, case)[0]
 
 
 def coo_scatter(n: int, blocks) -> sp.csr_matrix:

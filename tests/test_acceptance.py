@@ -60,8 +60,7 @@ def ex1_k2():
     runs = {}
     for family in FAMILIES:
         meshes = voronoi_ladder(case, COUNTS_K2, seed=3)
-        runs[family] = run_convergence(case, meshes, family, 2, 1,
-                                       with_estimator=True)
+        runs[family] = run_convergence(case, meshes, family, 2, 1)
     return runs, time.perf_counter() - t0
 
 
@@ -72,8 +71,7 @@ def ex1_k3():
     runs = {}
     for family in FAMILIES:
         meshes = voronoi_ladder(case, COUNTS_K3, seed=3)
-        runs[family] = run_convergence(case, meshes, family, 3, 2,
-                                       with_estimator=False)
+        runs[family] = run_convergence(case, meshes, family, 3, 2)
     return runs, time.perf_counter() - t0
 
 
@@ -239,8 +237,7 @@ def test_extreme_parameter_rates():
     bits = []
     for family in FAMILIES:
         meshes = voronoi_ladder(case, COUNTS_K2, seed=3)
-        lv = run_convergence(case, meshes, family, 2, 1,
-                             with_estimator=False)
+        lv = run_convergence(case, meshes, family, 2, 1)
         hs = [r.mesh.h for r in lv]
         er = settled_rate(hs, [r.report.energy for r in lv])
         pr = settled_rate(hs, [r.report.err_p_h1 for r in lv])

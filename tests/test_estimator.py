@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from platevem.assembly import ModelParams, assemble_rhs, assemble_system, factor_system
-from platevem.estimator import EstimatorReport, estimate
+from platevem.estimator import EstimatorReport, measure
 from platevem.manufactured import get_case, polynomial_case
 from platevem.mesh import BoundaryLabel, generate_lshape, generate_structured
 from platevem.runner import constrained_system, spaces_for
@@ -21,7 +21,7 @@ def solve(case, mesh, family, k, l):
 
 def estimate_for(case, mesh, family, k, l):
     system, U, P = solve(case, mesh, family, k, l)
-    return system, estimate(system, U, P, case)
+    return system, measure(system, U, P, case)[1]
 
 
 def zeroed(case, *names):
@@ -63,7 +63,7 @@ class TestExactness:
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
         U = interpolate(voronoi25, system.dof_u, case.u, case.grad_u)
         P = interpolate(voronoi25, system.dof_p, case.p)
-        rep = estimate(system, U, P, case)
+        rep = measure(system, U, P, case)[1]
         comps = np.sqrt(rep.components2)
         # Every residual and jump term collapses to roundoff.  The one
         # exception is the coupling-distance term eta_7: it measures how far
@@ -80,7 +80,7 @@ class TestExactness:
                       "u", "grad_u", "hess_u", "p", "grad_p", "f", "g")
         U = np.zeros(system.dof_u.ndof)
         P = np.zeros(system.dof_p.ndof)
-        rep = estimate(system, U, P, case)
+        rep = measure(system, U, P, case)[1]
         assert rep.eta == 0.0
         assert np.all(rep.components2 == 0.0)
 
@@ -132,7 +132,7 @@ class TestBoundaryEdgeSets:
         P = interpolate(mesh, system.dof_p, case.p)
 
         calls = count_data(case, "bending_moment_data")
-        estimate(system, U, P, case)
+        measure(system, U, P, case)
         assert not calls   # never evaluated on a clamped-only boundary
 
     def test_simply_supported_square_queries_moment_data(self):
@@ -145,7 +145,7 @@ class TestBoundaryEdgeSets:
 
         moment_calls = count_data(case, "bending_moment_data")
         flux_calls = count_data(case, "pressure_flux_data")
-        estimate(system, U, P, case)
+        measure(system, U, P, case)
         assert moment_calls        # every boundary edge is simply supported
         assert not flux_calls      # ... so pressure is Dirichlet everywhere
 
@@ -156,8 +156,8 @@ class TestBoundaryEdgeSets:
             8, 8, labeler=lambda m: BoundaryLabel.SIMPLY_SUPPORTED)
         case = get_case("smooth", params=PARAMS)
         system, U, P = solve(case, mesh, Family.CONFORMING, 2, 1)
-        with_data = estimate(system, U, P, case)
-        without = estimate(system, U, P, zeroed(case, "hess_u"))
+        with_data = measure(system, U, P, case)[1]
+        without = measure(system, U, P, zeroed(case, "hess_u"))[1]
         assert with_data.components2[2] < without.components2[2]
 
     @pytest.mark.parametrize("name, queried", [("poly", False), ("smooth", True)])
@@ -175,7 +175,7 @@ class TestBoundaryEdgeSets:
         assemble_rhs(system, case)
         assert bool(calls) is queried
         calls.clear()
-        estimate(system, U, P, case)
+        measure(system, U, P, case)
         assert bool(calls) is queried
 
 

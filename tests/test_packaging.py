@@ -72,3 +72,18 @@ def test_console_script_is_the_main_block_entry():
     called = [ast.unparse(node.func) for node in ast.walk(block)
               if isinstance(node, ast.Call)]
     assert called == ["sys.exit", function]
+
+
+def test_cli_runs_under_cprofile(tmp_path):
+    """Under `python -m cProfile -m platevem.cli`, `__main__` is cProfile's
+    module, so the config schema's annotations must resolve in the CLI's
+    own namespace."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mesh": {"kind": "voronoi", "n0": 9, "lloyd": 1},
+                               "levels": 2, "out": str(tmp_path / "out")}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "prof"),
+                           "-m", "platevem.cli", "convergence", "--config", str(cfg)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "rates.csv").is_file()
