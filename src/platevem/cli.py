@@ -73,8 +73,8 @@ class MeshSpec:
     lloyd: int = 5
     paths: list[str] = field(default_factory=list)
 
-    def check(self, levels: int = 1) -> None:
-        """Range rules; explicit counts or paths must give `levels` meshes."""
+    def check(self) -> None:
+        """Range rules; `_load_config` checks the ladder's length."""
         if self.kind not in MESH_KINDS:
             raise ConfigError("mesh.kind", f"unknown kind {self.kind!r}")
         reads, default = ("kind",) + MESH_KINDS[self.kind], MeshSpec()
@@ -90,10 +90,6 @@ class MeshSpec:
         for p in self.paths:
             if not Path(p).is_file():
                 raise ConfigError("mesh.paths", f"not a file: {p!r}")
-        name = "paths" if self.kind == "files" else "counts"
-        given = getattr(self, name)
-        if given is not None and len(given) < levels:
-            raise ConfigError(f"mesh.{name}", f"gives {len(given)} of {levels} levels")
 
 
 @dataclass
@@ -223,8 +219,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config", str(exc)) from None
     flags = {k: v for k, v in vars(args).items() if k in _FLAGS and v is not None}
     cfg = RunConfig.from_dict({**doc, **flags} if isinstance(doc, dict) else doc)
-    if args.command in ("convergence", "mesh-info"):   # they run every level
-        cfg.mesh.check(cfg.levels)
+    # explicit counts or paths must give every mesh the command builds
+    levels = cfg.levels if args.command in ("convergence", "mesh-info") else 1
+    name = "paths" if cfg.mesh.kind == "files" else "counts"
+    given = getattr(cfg.mesh, name)
+    if given is not None and len(given) < levels:
+        raise ConfigError(f"mesh.{name}", f"gives {len(given)} of {levels} levels")
     return cfg
 
 

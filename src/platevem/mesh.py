@@ -169,14 +169,39 @@ def _first(mask: np.ndarray, ids: np.ndarray) -> int | None:
     return int(ids[hit[0]]) if hit.size else None
 
 
-def _first_use(keys: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids 0, 1, ... of the distinct keys in order of first occurrence, per
     entry, and the entry of each id's first occurrence."""
-    _, first, inverse = np.unique(keys, axis=axis, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], first[order]
+    return rank[inverse], first[order]
+
+
+def _merge_close(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ids 0, 1, ... in order of first appearance, per point (n, 2), of the
+    groups that chains of pairs at most tol apart join, and each group's
+    first point.  Equal points join first; the rest are hashed to tol-sized
+    buckets keyed x + iy (exact below 2**53) and compared within a bucket
+    and with the four adjacent ones after it, meeting every pair within tol."""
+    ids, head = _first_use(np.ascontiguousarray(points).view(np.complex128)[:, 0])
+    p = points[head]
+    key = np.floor((p - p.min(axis=0)) / tol) @ np.array([1, 1j])
+    order = np.argsort(key, kind="stable")
+    near = key + np.array([[0], [1j], [1 - 1j], [1], [1 + 1j]])
+    lo = np.searchsorted(key[order], near).ravel()
+    n = np.searchsorted(key[order], near, side="right").ravel() - lo
+    a = np.repeat(np.tile(np.arange(len(p)), 5), n)
+    b = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    hit = (a != b) & (np.hypot(*(p[a] - p[b]).T) <= tol)
+    i, j = np.r_[a[hit], b[hit]], np.r_[b[hit], a[hit]]
+    label = np.arange(len(p))
+    while (label[i] != label[j]).any():     # pass the lower label on
+        np.minimum.at(label, i, label[j])
+        label = label[label]
+    group, first = _first_use(label)
+    return group[ids], head[first]
 
 
 def build_mesh(vertices: np.ndarray, cells: Sequence[Sequence[int]],
@@ -429,7 +454,8 @@ def generate_voronoi(n_seeds: int,
     its centroid.  Each final corner is recomputed from the seeds and sides
     through it, so every cell at the corner holds the same bits; three
     seeds meet where the bisectors from the one at the widest angle of
-    their triangle cross, the best-conditioned pair.
+    their triangle cross, the best-conditioned pair.  ``_merge_close``
+    joins corners within 1e-9 of the box size, as load_mesh does at 1e-12.
     """
     xmin, ymin, xmax, ymax = domain
     rng = np.random.default_rng(seed)
@@ -465,14 +491,14 @@ def generate_voronoi(n_seeds: int,
                       0.5 * (normal * (pts[np.maximum(a, 0)] + pts[b])).sum(axis=1))
     corners = np.linalg.solve(np.stack(np.split(normal, 2), axis=1),
                               np.stack(np.split(offset, 2), axis=1)[..., None])[..., 0]
-    # merge coincident corners (cocircular seeds give several) and snap onto
-    # the box sides; vertices are numbered in order of first appearance
+    # snap corners onto the box sides and merge those within tol (cocircular
+    # seeds give several); vertices are numbered in order of first appearance
     tol = 1e-9 * scale
     for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
         col = corners[:, axis]
         col[np.abs(col - lo) < tol] = lo
         col[np.abs(col - hi) < tol] = hi
-    ids, head = _first_use(np.rint(corners / tol).astype(np.int64), axis=0)
+    ids, head = _merge_close(corners, tol)
     # drop repeats of the previous vertex within each cell, then cells
     # left with fewer than 3 vertices
     keep = ids != ids[prev]
@@ -557,24 +583,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _close_pair(points: np.ndarray, tol: float) -> tuple[int, int] | None:
-    """The smallest pair (i, j), i < j, of points at most tol apart, or
-    None.  Each point is hashed to its tol-sized bucket, keyed x + iy
-    (exact below 2**53), and compared with the points of its own bucket and
-    of the four adjacent ones after it, which meets every adjacent pair."""
-    key = np.floor((points - points.min(axis=0)) / tol) @ np.array([1, 1j])
-    order = np.argsort(key, kind="stable")
-    best = len(points) ** 2
-    for shift in (0, 1j, 1 - 1j, 1, 1 + 1j):
-        lo = np.searchsorted(key[order], key + shift)
-        n = np.searchsorted(key[order], key + shift, side="right") - lo
-        i = np.repeat(np.arange(len(points)), n)
-        j = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        hit = (i != j) & (np.hypot(*(points[i] - points[j]).T) <= tol)
-        best = (np.minimum(i, j) * len(points) + np.maximum(i, j))[hit].min(initial=best)
-    return None if best == len(points) ** 2 else divmod(int(best), len(points))
-
-
 def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
     """Read a mesh file: {"vertices": [[x, y], ...], "cells": [[i, ...], ...],
     "boundary": [entry, ...]}, where an entry labels either explicit edges
@@ -586,8 +594,8 @@ def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
     none).  A malformed entry, an unknown label or a pair that is no
     boundary edge of the mesh raises MeshError naming the entry; so does a
     vertex that no cell uses, a vertex with a coordinate that is not
-    finite, or two vertices at one point, which would split the cells that
-    meet there.
+    finite, or two vertices at one point (joined by ``_merge_close`` at
+    1e-12 of the mesh extent), which would split the cells that meet there.
     """
     with open(path) as fh:
         body = json.load(fh)
@@ -640,9 +648,10 @@ def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
         raise MeshError(f"vertex {unused[0]} is not a vertex of any cell")
     if (v := _first(~np.isfinite(mesh.vertices).all(1), np.arange(mesh.nvertices))) is not None:
         raise MeshError(f"vertex {v} has a coordinate that is not finite")
-    scale = np.ptp(mesh.vertices, axis=0).max()
-    if (pair := _close_pair(mesh.vertices, 1e-12 * scale)) is not None:
-        i, j = pair
+    ids, head = _merge_close(mesh.vertices, 1e-12 * np.ptp(mesh.vertices, axis=0).max())
+    if len(head) < mesh.nvertices:      # the first vertex to repeat an earlier one
+        j = np.flatnonzero(head[ids] != np.arange(mesh.nvertices))[0]
+        i = head[ids[j]]
         raise MeshError(f"vertices {i} and {j} coincide at {mesh.vertices[i].tolist()}")
     boundary = set(map(tuple, np.sort(mesh.edge_verts[mesh.on_boundary], axis=1).tolist()))
     for key, (i, pair) in named.items():

@@ -98,12 +98,14 @@ def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
     box size, which bounds the seeds' regions without putting an image near
     any seed: an image closer than about 1e-8 of its seed costs qhull most
     of its digits.  The regions are clipped to the box, and their corners
-    snapped onto the sides and merged at generate_voronoi's tolerance, 1e-9
-    of the box size.  A side cuts an edge where it crosses the edge's own
-    line: the side it lies on, or the bisector of the seed pair of its
-    qhull ridge, so that a side corner does not carry the rounding of the
-    qhull vertices it lies between."""
-    from scipy.spatial import Voronoi
+    snapped onto the sides at generate_voronoi's tolerance, 1e-9 of the box
+    size, and merged where chains of pairs within it join them: the
+    connected components of a k-d tree's pairs.  A side cuts an edge where
+    it crosses the edge's own line: the side it lies on, or the bisector of
+    the seed pair of its qhull ridge, so that a side corner does not carry
+    the rounding of the qhull vertices it lies between."""
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import Voronoi, cKDTree
 
     xmin, ymin, xmax, ymax = domain
     scale = max(xmax - xmin, ymax - ymin)
@@ -159,11 +161,13 @@ def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:
     for axis, (lo, hi) in enumerate([(xmin, xmax), (ymin, ymax)]):
         corners[np.abs(corners[:, axis] - lo) < tol, axis] = lo
         corners[np.abs(corners[:, axis] - hi) < tol, axis] = hi
-    _, first, ids = np.unique(np.rint(corners / tol).astype(np.int64), axis=0,
-                              return_index=True, return_inverse=True)
+    pairs = cKDTree(corners).query_pairs(tol, output_type="ndarray")
+    _, ids = connected_components(sp.coo_matrix(
+        (np.ones(len(pairs)), pairs.T), shape=(len(corners),) * 2), directed=False)
+    _, first = np.unique(ids, return_index=True)
     spread = np.zeros(len(first))
-    np.maximum.at(spread, ids.ravel(), np.hypot(*(corners - corners[first][ids.ravel()]).T))
-    ids = np.split(ids.ravel(), np.cumsum([len(c) for c in cells])[:-1])
+    np.maximum.at(spread, ids, np.hypot(*(corners - corners[first][ids]).T))
+    ids = np.split(ids, np.cumsum([len(c) for c in cells])[:-1])
     return build_mesh(corners[first], [[v for v, u in zip(c, np.roll(c, 1)) if v != u]
                                        for c in ids]), spread
 

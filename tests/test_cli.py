@@ -212,6 +212,14 @@ class TestLadderLength:
         cfg = load_config(command, {"mesh": mesh, "levels": 3}, tmp_path)
         assert cfg.levels == 3
 
+    @pytest.mark.parametrize("command, levels", [("convergence", 2), ("mesh-info", 2),
+                                                 ("adaptive", 1), ("timestep", 1)])
+    def test_empty_ladder_names_the_levels_the_command_builds(self, tmp_path, capsys,
+                                                              command, levels):
+        cfg = write_config(tmp_path, mesh={"kind": "voronoi", "counts": []}, levels=2)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"config error: mesh.counts: gives 0 of {levels} levels" in capsys.readouterr().err
+
     def test_levels_flag_is_checked_against_the_ladder(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mesh={"kind": "voronoi", "counts": [16, 64]},
                            levels=1)

@@ -8,9 +8,11 @@ import pytest
 from _elements import perturbed_grid, qhull_voronoi
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from platevem.mesh import (LABELS, BoundaryLabel, MeshError, _close_pair, build_mesh,
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, _merge_close, build_mesh,
                            corner_mask, generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, uniform_refine)
@@ -275,13 +277,12 @@ class TestVoronoiCells:
                 f"cell {c}: {got.tolist()} against {oracle.vertices[ids].tolist()}"
 
     @staticmethod
-    def assert_valid(mesh, domain, apart=True):
-        """No two vertices within the merge tolerance (if apart), every
-        interior vertex on three or more edges, V - E + F = 1, and convex
-        CCW cells."""
+    def assert_valid(mesh, domain):
+        """No two vertices within the merge tolerance, every interior vertex
+        on three or more edges, V - E + F = 1, and convex CCW cells."""
         xmin, ymin, xmax, ymax = domain
         scale = max(xmax - xmin, ymax - ymin)
-        assert not (apart and cKDTree(mesh.vertices).query_pairs(1e-9 * scale))
+        assert not cKDTree(mesh.vertices).query_pairs(1e-9 * scale)
         boundary = np.zeros(mesh.nvertices, dtype=bool)
         boundary[mesh.edge_verts[mesh.on_boundary]] = True
         valence = np.bincount(mesh.edge_verts.ravel(), minlength=mesh.nvertices)
@@ -301,12 +302,15 @@ class TestVoronoiCells:
            seed=st.integers(0, 2 ** 32 - 1), hug=st.integers(0, 8),
            corners=st.integers(0, 4))
     @example(n=8, domain=DOMAINS[2], seed=2353652848, hug=7, corners=0)
+    @example(n=4, domain=DOMAINS[2], seed=5, hug=0, corners=4)
     def test_cells_match_qhull(self, n, domain, seed, hug, corners):
         """Random seeds; the first `hug` of them within 1e-10 of a side and
         the next `corners` within 1e-10 of a box corner, one per corner.
-        The example puts two seeds 5.4e-6 apart within 1e-10 of the top
-        side, off the origin: their near-vertical bisector meets the other
-        lines at corners that lose bits if solved in shifted coordinates."""
+        The first example puts two seeds 5.4e-6 apart within 1e-10 of the
+        top side, off the origin: their near-vertical bisector meets the
+        other lines at corners that lose bits if solved in shifted
+        coordinates.  The second gives two corners 2.2e-9 apart, under the
+        8e-9 merge tolerance, on either side of a multiple of it."""
         xmin, ymin, xmax, ymax = domain
         scale = max(xmax - xmin, ymax - ymin)
         rng = np.random.default_rng(seed)
@@ -323,9 +327,7 @@ class TestVoronoiCells:
             hug_side(hug + i, 1, c >> 1)
         mesh = clipped_mesh(pts, domain)
         self.assert_cells_match(mesh, pts, domain)
-        # corners closer than the merge tolerance can round to two points (in
-        # the qhull mesh too), so the ladder and lattice tests check that
-        self.assert_valid(mesh, domain, apart=False)
+        self.assert_valid(mesh, domain)
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_lattice_corners_merge(self, domain):
@@ -488,11 +490,16 @@ class TestVertexFaults:
 @given(n=st.integers(2, 200), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1e-6, 1.0, 1e6]), on_lattice=st.booleans(),
        planted=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199),
-                                  st.sampled_from([0.0, 0.5, 2.0])), max_size=6))
-def test_close_pair_matches_brute_force(n, seed, scale, on_lattice, planted):
-    """The bucket search of the coincident-vertex check reports the first
-    pair an all-pairs search reports, with pairs planted at 0, 0.5 and 2
-    times the tolerance; lattice points share coordinates and points."""
+                                  st.sampled_from([0.0, 0.5, 2.0])), max_size=6),
+       chains=st.integers(0, 2), straddles=st.integers(0, 3))
+def test_merge_close_matches_brute_force(n, seed, scale, on_lattice, planted,
+                                         chains, straddles):
+    """The close-point merge gives the groups of the all-pairs graph of
+    points at most tol apart, numbered by first appearance, with pairs
+    planted at 0, 0.5 and 2 times the tolerance, chains of three points
+    0.6 of it apart (one group, though the ends are 1.2 apart) and pairs
+    0.3 of it apart across a bucket edge in x, in y or in both; lattice
+    points share coordinates and points."""
     rng = np.random.default_rng(seed)
     if on_lattice:
         pts = rng.integers(0, 8, size=(n, 2)) * (scale / 7)
@@ -505,10 +512,32 @@ def test_close_pair_matches_brute_force(n, seed, scale, on_lattice, planted):
             pts[j] = pts[i] + factor * tol * np.array([np.cos(angle), np.sin(angle)])
     assume(np.ptp(pts, axis=0).max() > 0)
     tol = 1e-12 * np.ptp(pts, axis=0).max()
-    i, j = np.triu_indices(n, 1)
+    joined = []
+    for _ in range(chains):
+        angle = rng.uniform(0, 2 * np.pi)
+        step = 0.6 * tol * np.array([np.cos(angle), np.sin(angle)])
+        joined.append(len(pts) + np.arange(3))
+        pts = np.vstack([pts, pts[rng.integers(n)] + np.outer([0, 1, 2], step)])
+    tol = 1e-12 * np.ptp(pts, axis=0).max()
+    for _ in range(straddles):
+        # 0.15 of the tolerance below a bucket edge, and past it in x, y or both
+        near = pts.min(axis=0) + tol * (rng.integers(1, 1000, size=2) + 0.85)
+        across = near + 0.3 * tol * np.array([[1, 0], [0, 1], [1, 1]])[rng.integers(3)]
+        joined.append(len(pts) + np.arange(2))
+        pts = np.vstack([pts, near, across])
+    m = len(pts)
+    i, j = np.triu_indices(m, 1)
     close = np.hypot(*(pts[i] - pts[j]).T) <= tol
-    want = (int(i[close][0]), int(j[close][0])) if close.any() else None
-    assert _close_pair(pts, tol) == want
+    ncomp, comp = connected_components(
+        coo_matrix((np.ones(close.sum()), (i[close], j[close])), shape=(m, m)), directed=False)
+    lowest = np.full(ncomp, m)
+    np.minimum.at(lowest, comp, np.arange(m))
+    head = np.unique(lowest)
+    ids, got = _merge_close(pts, tol)
+    assert got.tolist() == head.tolist()
+    assert ids.tolist() == np.searchsorted(head, lowest[comp]).tolist()
+    for group in joined:
+        assert len(set(ids[group].tolist())) == 1
 
 
 class TestBoundaryEntries:
