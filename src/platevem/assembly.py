@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .mesh import SIMPLY_SUPPORTED, PolygonalMesh
 from .projectors import (CellGroup, ElementProjectors, cell_groups,
                          deflection_projectors, matvec, pressure_projectors)
-from .quadrature import pointwise, poly_dim
+from .quadrature import poly_dim
 from .spaces import Constraints, DofMap, SpaceKind, build_dof_map
 
 if TYPE_CHECKING:
@@ -108,7 +108,7 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
     h2 = (group.diameter ** 2)[:, None, None]
     H = group.H
 
-    grad_degrees = tuple(sorted({k - 1, max(l - 1, 0), k - 2}))
+    grad_degrees = (k - 2, k - 1)
     extra_pg = (k - 2,) if (k - 2 >= 1 and k - 2 != l) else ()
     P_u = deflection_projectors(group, space_u, pg_degrees=(l,),
                                 grad_degrees=grad_degrees)
@@ -280,7 +280,7 @@ def assemble_rhs(system: AssembledSystem, case: ManufacturedCase) -> np.ndarray:
         cg = grp.ctx
         pts, w = cg.data_rule()
         V = cg.powers(pts).gather().swapaxes(1, 2)
-        wf, wg = w * pointwise(case.f, pts), w * pointwise(case.g, pts)
+        wf, wg = w * case.f(pts), w * case.g(pts)
         loc_u = matvec(grp.defl.l2.swapaxes(1, 2), matvec(V[:, :nk], wf))
         loc_p = matvec(grp.pres.l2.swapaxes(1, 2), matvec(V[:, :nl], wg))
 

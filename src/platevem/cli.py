@@ -74,7 +74,7 @@ class MeshSpec:
     paths: list[str] = field(default_factory=list)
 
     def check(self) -> None:
-        """Range rules; `_load_config` checks the ladder's length."""
+        """Range rules; `_mesh_ladder` checks the ladder's length."""
         if self.kind not in MESH_KINDS:
             raise ConfigError("mesh.kind", f"unknown kind {self.kind!r}")
         reads, default = ("kind",) + MESH_KINDS[self.kind], MeshSpec()
@@ -218,14 +218,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except (OSError, ValueError) as exc:   # missing, a directory, bad UTF-8 or JSON
             raise ConfigError("config", str(exc)) from None
     flags = {k: v for k, v in vars(args).items() if k in _FLAGS and v is not None}
-    cfg = RunConfig.from_dict({**doc, **flags} if isinstance(doc, dict) else doc)
-    # explicit counts or paths must give every mesh the command builds
-    levels = cfg.levels if args.command in ("convergence", "mesh-info") else 1
-    name = "paths" if cfg.mesh.kind == "files" else "counts"
-    given = getattr(cfg.mesh, name)
-    if given is not None and len(given) < levels:
-        raise ConfigError(f"mesh.{name}", f"gives {len(given)} of {levels} levels")
-    return cfg
+    return RunConfig.from_dict({**doc, **flags} if isinstance(doc, dict) else doc)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +235,17 @@ MESH_KINDS = {"voronoi": ("n0", "counts", "lloyd"), "structured": ("n0",),
 
 
 def _mesh_ladder(cfg: RunConfig, case, levels: int | None = None) -> list:
-    """The first `levels` (default cfg.levels) meshes of the configured ladder."""
+    """The first `levels` (default cfg.levels) meshes of the configured
+    ladder.  Explicit counts or paths must give every one of them."""
     kind, nlev = cfg.mesh.kind, cfg.levels if levels is None else levels
     ms = {name: getattr(cfg.mesh, name) for name in MESH_KINDS[kind]}
+    name = "paths" if kind == "files" else "counts"
+    if ms.get(name) is not None and len(ms[name]) < nlev:
+        raise ConfigError(f"mesh.{name}", f"gives {len(ms[name])} of {nlev} levels")
     if kind == "voronoi":
-        counts = ms["counts"] or [ms["n0"] * 4 ** j for j in range(nlev)]
+        counts = ms["counts"]
+        if counts is None:
+            counts = [ms["n0"] * 4 ** j for j in range(nlev)]
         return voronoi_ladder(case, counts[:nlev], seed=cfg.seed, lloyd_iters=ms["lloyd"])
     if kind == "structured":
         sides = [ms["n0"] * 2 ** j for j in range(nlev)]
@@ -418,16 +417,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     commands = {"convergence": cmd_convergence, "adaptive": cmd_adaptive,
                 "timestep": cmd_timestep, "mesh-info": cmd_mesh_info}
     try:
+        cfg = _load_config(args)
         _write_outputs(cfg, args.command, started, *commands[args.command](cfg))
         return 0
+    except ConfigError as exc:   # the config, or a mesh ladder it cannot give
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:   # solver or I/O failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from .assembly import AssembledSystem
 from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import CLAMPED, SIMPLY_SUPPORTED
 from .projectors import data_oscillation, matvec
-from .quadrature import PowerTable, gauss_01, pointwise, poly_dim
+from .quadrature import PowerTable, edge_rule, poly_dim
 from .spaces import Family
 
 N_PARTS = 9
@@ -107,7 +107,7 @@ def measure(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
         pts, w = cg.data_rule(fine)
         powers = cg.powers(pts)
         V = powers.gather()
-        fvals, gvals = pointwise(case.f, pts), pointwise(case.g, pts)
+        fvals, gvals = case.f(pts), case.g(pts)
         return (pts, w, powers, V, fvals, gvals, data_oscillation(V[..., :nk], w, fvals),
                 data_oscillation(V[..., :nl], w, gvals))
 
@@ -123,20 +123,20 @@ def measure(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
 
         # error norms on the fine data rule
         pts, w, powers, V, fvals, gvals, osc_f, osc_g = data(cg, fine=True)
-        Hex = pointwise(case.hess_u, pts)
+        Hex = case.hess_u(pts)
         d_xx = Hex[..., 0] - _poly(powers.gather((2, 0)), cu)
         d_xy = Hex[..., 1] - _poly(powers.gather((1, 1)), cu)
         d_yy = Hex[..., 2] - _poly(powers.gather((0, 2)), cu)
         norms[0, cells] = (w * (d_xx ** 2 + 2.0 * d_xy ** 2 + d_yy ** 2)).sum(-1)
         # each error term's temporaries go before the next one's are made
         del Hex, d_xx, d_xy, d_yy
-        Gex = pointwise(case.grad_p, pts)
+        Gex = case.grad_p(pts)
         d_px = Gex[..., 0] - _poly(powers.gather((1, 0)), cp)
         d_py = Gex[..., 1] - _poly(powers.gather((0, 1)), cp)
         norms[2, cells] = (w * (d_px ** 2 + d_py ** 2)).sum(-1)
         del Gex, d_px, d_py, powers
-        norms[1, cells] = (w * (pointwise(case.u, pts) - _poly(V, cu0)) ** 2).sum(-1)
-        norms[3, cells] = (w * (pointwise(case.p, pts) - _poly(V, cp0)) ** 2).sum(-1)
+        norms[1, cells] = (w * (case.u(pts) - _poly(V, cu0)) ** 2).sum(-1)
+        norms[3, cells] = (w * (case.p(pts) - _poly(V, cp0)) ** 2).sum(-1)
         norms[4, cells] = h ** 4 * osc_f
         norms[5, cells] = h ** 2 * osc_g
         if cg.singular_subdivide:
@@ -193,11 +193,8 @@ def measure(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
     clamped = mesh.edge_label == CLAMPED
     dirichlet_p = case.pressure_dirichlet_edges(mesh)
     natural_p = boundary & ~dirichlet_p
-    t01, w01 = gauss_01(k + 2)
-    p0 = mesh.vertices[mesh.edge_verts[:, 0]][:, None, :]
-    p1 = mesh.vertices[mesh.edge_verts[:, 1]][:, None, :]
-    pts = p0 + t01[:, None] * (p1 - p0)
-    w = w01 * he[:, None]
+    ends = mesh.vertices[mesh.edge_verts]
+    pts, w = edge_rule(ends[:, 0], ends[:, 1], 2 * k + 2)
 
     def integral(v: np.ndarray) -> np.ndarray:
         return (w * v ** 2).sum(-1)
@@ -208,7 +205,7 @@ def measure(system: AssembledSystem, U: np.ndarray, P: np.ndarray,
         out = np.zeros(pts.shape[:2] + comps)
         on = np.flatnonzero(on)
         if on.size:
-            out[on] = fn(pts[on], n[on]) if normal else pointwise(fn, pts[on])
+            out[on] = fn(pts[on], n[on]) if normal else fn(pts[on])
         return out
 
     def traces(side: np.ndarray):

@@ -29,10 +29,10 @@ import numpy.polynomial.polynomial as npoly
 
 from .assembly import ModelParams
 from .mesh import BoundaryLabel, PolygonalMesh, all_clamped
-from .quadrature import pointwise
 from .spaces import pressure_is_dirichlet
 
 
+# A data callable: maps points (..., 2) to values (...) or (..., c).
 Pointwise = Callable[[np.ndarray], np.ndarray]
 
 # Distance within which a mesh vertex sits at a case's singular point.
@@ -48,8 +48,8 @@ class ManufacturedCase:
     labeler: Callable
     pressure_dirichlet_on_clamped: bool
     u: Pointwise
-    grad_u: Pointwise                # (n, 2)
-    hess_u: Pointwise                # (n, 3): xx, xy, yy
+    grad_u: Pointwise                # (..., 2)
+    hess_u: Pointwise                # (..., 3): xx, xy, yy
     p: Pointwise
     grad_p: Pointwise
     f: Pointwise
@@ -59,14 +59,14 @@ class ManufacturedCase:
     def bending_moment_data(self, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """d_nn(u) at points (..., 2) for unit normals (..., 2) that
         broadcast against them."""
-        H = pointwise(self.hess_u, pts)
+        H = self.hess_u(pts)
         nx, ny = normal[..., 0], normal[..., 1]
         return H[..., 0] * nx * nx + 2.0 * H[..., 1] * nx * ny + H[..., 2] * ny * ny
 
     def pressure_flux_data(self, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """gamma d_n(p) + alpha d_n(u), shaped as bending_moment_data."""
-        gp = (pointwise(self.grad_p, pts) * normal).sum(-1)
-        gu = (pointwise(self.grad_u, pts) * normal).sum(-1)
+        gp = (self.grad_p(pts) * normal).sum(-1)
+        gu = (self.grad_u(pts) * normal).sum(-1)
         return self.params.gamma * gp + self.params.alpha * gu
 
     def pressure_dirichlet_edges(self, mesh: PolygonalMesh) -> np.ndarray:
@@ -113,7 +113,7 @@ def smooth_case(params: ModelParams | None = None) -> ManufacturedCase:
     pi = np.pi
 
     def factors(pts):
-        return _sin2_factors(pts[:, 0]), _sin2_factors(pts[:, 1])
+        return _sin2_factors(pts[..., 0]), _sin2_factors(pts[..., 1])
 
     def u(pts):
         (sx, *_), (sy, *_) = factors(pts)
@@ -121,22 +121,22 @@ def smooth_case(params: ModelParams | None = None) -> ManufacturedCase:
 
     def grad_u(pts):
         (sx, dx, *_), (sy, dy, *_) = factors(pts)
-        return np.stack([dx * sy, sx * dy], axis=1)
+        return np.stack([dx * sy, sx * dy], axis=-1)
 
     def hess_u(pts):
         (sx, dx, ddx, _), (sy, dy, ddy, _) = factors(pts)
-        return np.stack([ddx * sy, dx * dy, sx * ddy], axis=1)
+        return np.stack([ddx * sy, dx * dy, sx * ddy], axis=-1)
 
     def p(pts):
-        return np.cos(pi * pts[:, 0] * pts[:, 1])
+        return np.cos(pi * pts[..., 0] * pts[..., 1])
 
     def grad_p(pts):
-        x, y = pts[:, 0], pts[:, 1]
+        x, y = pts[..., 0], pts[..., 1]
         s = -pi * np.sin(pi * x * y)
-        return np.stack([s * y, s * x], axis=1)
+        return np.stack([s * y, s * x], axis=-1)
 
     def lap_p(pts):
-        x, y = pts[:, 0], pts[:, 1]
+        x, y = pts[..., 0], pts[..., 1]
         return -pi ** 2 * (x * x + y * y) * np.cos(pi * x * y)
 
     def f(pts):
@@ -165,10 +165,11 @@ def _deriv(C: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def _polyval(*coeffs: np.ndarray) -> Pointwise:
-    """Closure evaluating one coefficient array, or several as columns."""
+    """Closure evaluating one coefficient array at points (..., 2), or
+    several stacked on a last axis."""
     def value(pts: np.ndarray) -> np.ndarray:
-        vals = [npoly.polyval2d(pts[:, 0], pts[:, 1], C) for C in coeffs]
-        return vals[0] if len(vals) == 1 else np.stack(vals, axis=1)
+        vals = [npoly.polyval2d(pts[..., 0], pts[..., 1], C) for C in coeffs]
+        return vals[0] if len(vals) == 1 else np.stack(vals, axis=-1)
     return value
 
 
@@ -222,8 +223,8 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
     c = 2.0 / 3.0
 
     def polar(pts):
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
+        r = np.hypot(pts[..., 0], pts[..., 1])
+        th = np.arctan2(pts[..., 1], pts[..., 0])
         th = np.where(th < 0.0, th + 2.0 * np.pi, th)
         return r, th
 
@@ -239,13 +240,13 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
     def grad_u(pts):
         r, th = polar(pts)
         s = a * rpow(r, a - 1.0)
-        return np.stack([s * np.sin((a - 1.0) * th), s * np.cos((a - 1.0) * th)], axis=1)
+        return np.stack([s * np.sin((a - 1.0) * th), s * np.cos((a - 1.0) * th)], axis=-1)
 
     def hess_u(pts):
         r, th = polar(pts)
         s = a * (a - 1.0) * rpow(r, a - 2.0)
         return np.stack([s * np.sin((a - 2.0) * th), s * np.cos((a - 2.0) * th),
-                         -s * np.sin((a - 2.0) * th)], axis=1)
+                         -s * np.sin((a - 2.0) * th)], axis=-1)
 
     def p(pts):
         r, th = polar(pts)
@@ -254,7 +255,7 @@ def lshape_case(params: ModelParams | None = None) -> ManufacturedCase:
     def grad_p(pts):
         r, th = polar(pts)
         s = c * rpow(r, c - 1.0)
-        return np.stack([s * np.sin((c - 1.0) * th), s * np.cos((c - 1.0) * th)], axis=1)
+        return np.stack([s * np.sin((c - 1.0) * th), s * np.cos((c - 1.0) * th)], axis=-1)
 
     beta = params.beta
     return ManufacturedCase(

@@ -42,9 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import MeshError, PolygonalMesh, corner_mask, size_groups
-from .quadrature import (PowerTable, edge_monomial_integrals, fan_is_star, gauss_01,
-                         map_triangles, poly_dim, polygon_triangles, subdivide_triangles,
-                         unit_deriv_matrix)
+from .quadrature import (PowerTable, edge_monomial_integrals, edge_rule, fan_is_star,
+                         gauss_01, map_triangles, poly_dim, polygon_triangles,
+                         subdivide_triangles, unit_deriv_matrix)
 from .spaces import DofLayout, Family, SpaceKind
 
 
@@ -165,12 +165,10 @@ class CellGroup:
         self.tangent = mesh.edge_tangent[self.eid]
         self.length = mesh.edge_length[self.eid]
 
-        t01, w01 = gauss_01(self.edge_npts)
-        self.shat = t01 - 0.5
-        p0 = np.take_along_axis(self.coords, self.loc0[..., None], axis=1)
-        p1 = np.take_along_axis(self.coords, self.loc1[..., None], axis=1)
-        self.edge_pts = p0[..., None, :] + t01[:, None] * (p1 - p0)[..., None, :]
-        self.edge_w = w01 * self.length[..., None]
+        self.shat = gauss_01(self.edge_npts)[0] - 0.5
+        ends = mesh.vertices[mesh.edge_verts[self.eid]]
+        self.edge_pts, self.edge_w = edge_rule(ends[..., 0, :], ends[..., 1, :],
+                                               2 * self.edge_npts - 1)
         self._tabs: dict[str, np.ndarray] = {}
         self._H: np.ndarray | None = None
 

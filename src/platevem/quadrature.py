@@ -9,6 +9,11 @@ The same scaling convention is used on edges with the midpoint as center
 and the edge length as diameter, so the 1D coordinate lives in [-1/2, 1/2].
 Bases of different degrees on the same element are nested prefixes of each
 other, which the projector code relies on throughout.
+
+Rules come stacked: points (..., n, 2) and weights (..., n), one rule per
+leading index, so a data callable that maps points (..., 2) to values
+(...) or (..., c) runs on a whole group's rule at once.  ``edge_rule`` is
+the one constructor of Gauss rules on edges.
 """
 
 from __future__ import annotations
@@ -108,13 +113,6 @@ class PowerTable:
         return out
 
 
-def pointwise(fn, pts: np.ndarray) -> np.ndarray:
-    """fn, which maps (n, 2) points to (n, ...) values, at stacked points
-    (..., n, 2)."""
-    vals = np.asarray(fn(pts.reshape(-1, 2)))
-    return vals.reshape(*pts.shape[:-1], *vals.shape[1:])
-
-
 @lru_cache(maxsize=None)
 def unit_deriv_matrix(deriv: tuple[int, int], degree_in: int) -> np.ndarray:
     """Coefficient map M_degree_in -> M_(degree_in - |deriv|) of d^deriv at
@@ -148,7 +146,8 @@ def gauss_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def edge_rule(p0: np.ndarray, p1: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule along the segments p0 -> p1 (..., 2), exact for degree <= order:
-    points (..., n, 2) and weights (..., n)."""
+    points (..., n, 2) and weights (..., n).  Every edge rule of the
+    package is laid here; n = order // 2 + 1 Gauss points on [0, 1]."""
     t, w = gauss_01(max(1, (order + 2) // 2))
     p0 = np.asarray(p0, dtype=np.float64)[..., None, :]
     d = np.asarray(p1, dtype=np.float64)[..., None, :] - p0

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import ANGLE_TOL, CLAMPED, SIMPLY_SUPPORTED, PolygonalMesh, size_groups
-from .quadrature import (PowerTable, edge_rule, fan_is_star, map_triangles, pointwise,
+from .quadrature import (PowerTable, edge_rule, fan_is_star, map_triangles,
                          poly_dim, polygon_triangles)
 
 
@@ -214,10 +214,10 @@ def _edge_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable,
         / length
     cols = []
     if space.n_edge_normal:
-        gn = (pointwise(grad, pts) @ mesh.edge_normal[edges, :, None])[..., 0]
+        gn = (grad(pts) @ mesh.edge_normal[edges, :, None])[..., 0]
         cols += [(weights * gn * s ** m).sum(axis=-1) for m in range(space.n_edge_normal)]
     if space.n_edge_value:
-        vals = pointwise(value, pts)
+        vals = value(pts)
         cols += [(weights * vals * s ** m).sum(axis=-1) / length[:, 0]
                  for m in range(space.n_edge_value)]
     return np.array(cols).reshape(space.n_edge, len(edges)).T
@@ -240,7 +240,7 @@ def _cell_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable) -> np.nd
             pts, w = map_triangles(tris, 2 * space.degree + 4)
             mono = PowerTable.at(pts, center, mesh.diameters[c],
                                  space.degree).gather()[..., :space.n_cell]
-            wv = w * pointwise(value, pts)
+            wv = w * value(pts)
             # C order keeps each sum over one contiguous row, so every cell
             # sums its moments as its own rule alone would
             out[c] = np.multiply(wv[:, None, :], mono.swapaxes(1, 2), order="C").sum(axis=-1) \
@@ -250,7 +250,8 @@ def _cell_block(mesh: PolygonalMesh, space: SpaceKind, value: Callable) -> np.nd
 
 def interpolate(mesh: PolygonalMesh, dofmap: DofMap, value: Callable,
                 grad: Callable | None = None) -> np.ndarray:
-    """Dof vector of an analytic function, block by block."""
+    """Dof vector of an analytic function, block by block: value maps
+    points (..., 2) to values (...), and grad to gradients (..., 2)."""
     space = dofmap.space
     if grad is None and (space.n_vertex == 3 or space.n_edge_normal):
         raise ValueError("gradient data required for vertex gradients and normal moments")
@@ -292,7 +293,8 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
     Pressure: Dirichlet data on simply supported edges, extended to clamped
     edges when pressure_dirichlet_on_clamped is set.
 
-    Omitted value data is homogeneous, and omitted gradient data zero.
+    value and grad take points (..., 2) as in ``interpolate``.  Omitted
+    value data is homogeneous, and omitted gradient data zero.
     """
     space = dofmap.space
     grad_vertices = np.zeros(mesh.nvertices, dtype=bool)
@@ -324,7 +326,7 @@ def apply_essential_bc(dofmap: DofMap, mesh: PolygonalMesh, *,
                             np.zeros(space.n_cell * mesh.ncells, dtype=bool)])
     lift = np.zeros(dofmap.ndof)
     if value is not None:
-        grad = grad or (lambda pts: np.zeros((len(pts), 2)))
+        grad = grad or np.zeros_like
         verts = np.flatnonzero(vertex_fixed.any(axis=1))
         edges = np.flatnonzero(edge_fixed.any(axis=1))
         lift[space.n_vertex * verts[:, None] + np.arange(space.n_vertex)] = \

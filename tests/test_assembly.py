@@ -95,6 +95,22 @@ class TestElementForms:
         assert np.abs(op2.A1 - op1.A1).max() == 0.0
         assert np.abs(op2.A3 - op1.A3).max() == 0.0
 
+    @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
+    def test_deflection_gradients_that_are_read(self, monkeypatch, family, voronoi25):
+        """The deflection's gradient projections are built at k-2 (the
+        coupling) and k-1 (the estimator) only; at k=3, l=1 the pressure's
+        degree l-1 = 0 is not among them."""
+        real, seen = projectors._grad_projection, []
+
+        def spy(g, deg, l2, nu):
+            seen.append((l2.shape[-2], deg))
+            return real(g, deg, l2, nu)
+
+        monkeypatch.setattr(projectors, "_grad_projection", spy)
+        space_u, space_p = spaces_for(family, 3, 1)
+        build_element(voronoi25, 3, space_u, space_p, PARAMS)
+        assert {deg for rows, deg in seen if rows == poly_dim(3)} == {1, 2}
+
 
 class TestGlobalSystem:
     @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
@@ -122,8 +138,8 @@ class TestGlobalSystem:
     def test_rhs_linearity(self, voronoi25):
         space_u, space_p = spaces_for(Family.CONFORMING, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
-        f1 = lambda pts: np.sin(pts[:, 0]) * pts[:, 1]
-        g1 = lambda pts: pts[:, 0] + pts[:, 1] ** 2
+        f1 = lambda pts: np.sin(pts[..., 0]) * pts[..., 1]
+        g1 = lambda pts: pts[..., 0] + pts[..., 1] ** 2
         case = replace(get_case("smooth", params=PARAMS), f=f1, g=g1)
         Fa = assemble_rhs(system, case)
         Fb = assemble_rhs(system, scaled(case, 2.0))
@@ -743,7 +759,8 @@ class TestNoPerCellLoop:
         calls = {"f": [], "g": []}
         for name, seen in calls.items():
             fn = getattr(case, name)
-            setattr(case, name, lambda pts, fn=fn, seen=seen: seen.append(len(pts)) or fn(pts))
+            setattr(case, name,
+                    lambda pts, fn=fn, seen=seen: seen.append(pts[..., 0].size) or fn(pts))
         measure(system, U, P, case)
         singular = [g.ctx.singular_subdivide > 0 for g in system.groups]
         assert sum(singular) == (where == "lshape")

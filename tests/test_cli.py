@@ -220,6 +220,17 @@ class TestLadderLength:
         assert main([command, "--config", str(cfg)]) == 2
         assert f"config error: mesh.counts: gives 0 of {levels} levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mesh, path", [
+        ({"kind": "voronoi", "counts": []}, "mesh.counts"),
+        ({"kind": "files", "paths": [__file__]}, "mesh.paths")])
+    def test_ladder_builder_refuses_a_short_list(self, mesh, path):
+        """An empty counts list is not the default ladder, and a paths list
+        shorter than the levels does not give fewer meshes."""
+        cfg = RunConfig.from_dict({"mesh": mesh, "levels": 2})
+        with pytest.raises(ConfigError) as exc:
+            cli._mesh_ladder(cfg, cli._case_for(cfg))
+        assert exc.value.field_path == path
+
     def test_levels_flag_is_checked_against_the_ladder(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mesh={"kind": "voronoi", "counts": [16, 64]},
                            levels=1)

@@ -10,6 +10,7 @@ from platevem.assembly import ModelParams
 from platevem.manufactured import (get_case, lshape_case, polynomial_case,
                                    rate_table, rates_against, smooth_case)
 from platevem.mesh import generate_lshape
+from platevem.projectors import CellGroup, cell_groups
 from platevem.runner import fit_loglog_slope
 from platevem.spaces import Family
 
@@ -214,6 +215,41 @@ class TestLshapeCase:
 
     def test_pressure_dirichlet_everywhere(self):
         assert lshape_case().pressure_dirichlet_on_clamped is True
+
+
+class TestStackedPoints:
+    """Every field maps points (..., 2) to values (...) or (..., c): on a
+    group's data rule (ncells, nq, 2) and on its edge points, each gives
+    bit for bit what it gives on the same points flattened to (n, 2)."""
+
+    FIELDS = ("u", "grad_u", "hess_u", "p", "grad_p", "f", "g")
+
+    @staticmethod
+    def flat(fn, pts, *normals):
+        """fn on pts (and normals broadcast against them) flattened to (n, 2),
+        reshaped back to the leading axes of pts."""
+        vals = fn(pts.reshape(-1, 2),
+                  *(np.broadcast_to(n, pts.shape).reshape(-1, 2) for n in normals))
+        return vals.reshape(*pts.shape[:-1], *vals.shape[1:])
+
+    @pytest.mark.parametrize("name, k", [("smooth", 2), ("lshape", 2),
+                                         ("poly", 2), ("poly", 3), ("poly", 4)])
+    def test_fields_on_stacked_points(self, voronoi25, name, k):
+        case = get_case(name, k=k, l=k - 1)
+        mesh = generate_lshape(2, labeler=case.labeler) if name == "lshape" else voronoi25
+        groups = cell_groups(mesh, Family.CONFORMING, case.singular_cells(mesh))
+        assert any(sub for _, sub in groups) == (name == "lshape")
+        for cells, sub in groups:
+            cg = CellGroup(mesh, cells, k, sub)
+            # the data rule with one edge normal per cell, the edge points
+            # with the normal of each edge
+            for pts, normal in ((cg.data_rule()[0], cg.normal[:, :1]),
+                                (cg.edge_pts, cg.normal[..., None, :])):
+                for field in self.FIELDS:
+                    fn = getattr(case, field)
+                    assert np.array_equal(fn(pts), self.flat(fn, pts)), field
+                for fn in (case.bending_moment_data, case.pressure_flux_data):
+                    assert np.array_equal(fn(pts, normal), self.flat(fn, pts, normal))
 
 
 class TestRateHelpers:

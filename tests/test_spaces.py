@@ -153,8 +153,8 @@ class TestDofMap:
         """Interpolating x^2 y then evaluating the same functionals is a fixed point."""
         space = SpaceKind("deflection", Family.CONFORMING, 3)
         dm = build_dof_map(grid4, space)
-        f = lambda pts: pts[:, 0] ** 2 * pts[:, 1]
-        g = lambda pts: np.column_stack([2 * pts[:, 0] * pts[:, 1], pts[:, 0] ** 2])
+        f = lambda pts: pts[..., 0] ** 2 * pts[..., 1]
+        g = lambda pts: np.stack([2 * pts[..., 0] * pts[..., 1], pts[..., 0] ** 2], axis=-1)
         vec = interpolate(grid4, dm, f, g)
         again = interpolate(grid4, dm, f, g)
         assert np.array_equal(vec, again)
@@ -194,9 +194,9 @@ class TestDofMap:
                 return fn(pts)
             return wrapped
 
-        f = counted("value", lambda pts: np.sin(pts[:, 0]) * pts[:, 1])
-        g = counted("grad", lambda pts: np.column_stack(
-            [np.cos(pts[:, 0]) * pts[:, 1], np.sin(pts[:, 0])]))
+        f = counted("value", lambda pts: np.sin(pts[..., 0]) * pts[..., 1])
+        g = counted("grad", lambda pts: np.stack(
+            [np.cos(pts[..., 0]) * pts[..., 1], np.sin(pts[..., 0])], axis=-1))
         dm = build_dof_map(voronoi25, SpaceKind("deflection", family, 4))
         vec = interpolate(voronoi25, dm, f, g)
         assert np.isfinite(vec).all()
@@ -279,8 +279,8 @@ class TestEssentialBC:
     def test_inhomogeneous_values_evaluated(self):
         mesh = mixed_mesh()
         space = SpaceKind("deflection", Family.CONFORMING, 2)
-        f = lambda pts: pts[:, 0] + 2.0 * pts[:, 1]
-        g = lambda pts: np.tile([1.0, 2.0], (len(pts), 1))
+        f = lambda pts: pts[..., 0] + 2.0 * pts[..., 1]
+        g = lambda pts: np.broadcast_to([1.0, 2.0], pts.shape)
         dm = build_dof_map(mesh, space)
         bc = apply_essential_bc(dm, mesh, value=f, grad=g)
         fixed, lift = blocks(dm, bc.fixed)[0][:, 0], blocks(dm, bc.lift)[0][:, 0]
