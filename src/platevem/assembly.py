@@ -22,12 +22,14 @@ computable for every family.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import SIMPLY_SUPPORTED, PolygonalMesh
 from .projectors import (CellGroup, ElementProjectors, cell_groups,
@@ -41,6 +43,55 @@ if TYPE_CHECKING:
 # Most cells built at once: bounds the monomial tables and temporaries of
 # the element build.
 BUILD_CHUNK = 256
+
+
+def _gstrf(superlu, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """``superlu.gstrf`` on the CSC matrix (data, indices, indptr), called
+    as ``scipy.sparse.linalg.splu`` calls it for a minimum-degree ordering
+    of A^T + A, no pivoting and symmetric mode.  The factor's ``L`` and
+    ``U`` are their CSC arrays (data, indices, indptr)."""
+    return superlu.gstrf(indptr.size - 1, data.size, data, indices, indptr,
+                         csc_construct_func=lambda arrays, shape: arrays, ilu=False,
+                         options={"DiagPivotThresh": 0.0, "ColPerm": "MMD_AT_PLUS_A",
+                                  "PanelSize": None, "Relax": None,
+                                  "SymmetricMode": True})
+
+
+def load_superlu():
+    """SuperLU's compiled module ``_superlu`` from scipy's
+    ``sparse/linalg/_dsolve``; its ``gstrf`` is what
+    ``scipy.sparse.linalg.splu`` calls.  Loading the module alone runs no
+    scipy package code, so no ``scipy.*`` module is imported.  The module
+    factors a 1x1 matrix through ``_gstrf`` before it is returned, so a
+    scipy whose layout or ``gstrf`` signature differs fails here, with an
+    ImportError that names the directory searched and scipy's version."""
+    scipy = importlib.util.find_spec("scipy")
+    directory = None if scipy is None else os.path.join(
+        scipy.submodule_search_locations[0], "sparse", "linalg", "_dsolve")
+    spec = None if directory is None else \
+        importlib.machinery.PathFinder.find_spec("_superlu", [directory])
+
+    def failure(cause: str) -> ImportError:
+        from importlib.metadata import PackageNotFoundError, version
+        try:
+            found = f"scipy {version('scipy')}"
+        except PackageNotFoundError:
+            found = "no scipy installed"
+        return ImportError(f"SuperLU's compiled module _superlu {cause} "
+                           f"(searched {directory}; {found})")
+
+    if spec is None:
+        raise failure("is missing")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    try:
+        _gstrf(module, np.ones(1), np.zeros(1, dtype=np.intc), np.arange(2, dtype=np.intc))
+    except (AttributeError, TypeError, ValueError) as err:
+        raise failure(f"does not factor as splu calls it: {err}") from err
+    return module
+
+
+_superlu = load_superlu()
 
 
 @dataclass(frozen=True)
@@ -87,7 +138,7 @@ class AssembledSystem:
     params: ModelParams
     dof_u: DofMap
     dof_p: DofMap
-    K: sp.csr_matrix
+    K: CsrMatrix
     groups: list[ElementGroup]
 
     @property
@@ -156,62 +207,81 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
 # global assembly
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in canonical CSR form: each row's column indices
+    ascend, without duplicates.  ``A @ x`` adds each row's products onto
+    zero in index order (``np.add.at`` adds in the order of its indices),
+    as scipy's ``csr_matvec`` does, so the two agree to the bit."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.shape[0])
+        np.add.at(y, self._rows, self.data * x[self.indices])
+        return y
+
+
 class CsrPlan:
-    """The unsummed CSR arrays of a sum of stacked local blocks, planned
-    from their dof tables alone, so that each block's values can be written
-    the moment they are built and then dropped.
+    """The CSR arrays of a sum of stacked local blocks, planned from their
+    dof tables alone, so that each block's values can be added the moment
+    they are built and then dropped.
 
     Block i has row dofs (m, r) and column dofs (m, c), and its values
-    (m, r, c) come through ``write(i, values)``.  Each entry has its place
-    in its row in block order, which is the order
-    ``coo_matrix(...).tocsr()`` gives the same triplets; summing the
-    duplicates in ``matrix`` then makes the sum bit-identical to it.  Row
-    counts go by ``np.add.at``, so each block costs its entries, not n.
-    Indices are int32 while the entry count and n fit."""
+    (m, r, c) come through ``write(i, values)``.  The plan holds the summed
+    pattern and the slot of each of a block's entries in it, and ``write``
+    adds the entries into their slots cell by cell, in order.  An entry's
+    sum thus follows the order the blocks that share it are written in,
+    and not how their cells are split into blocks.  Indices are int32
+    while the entry count and n fit."""
 
     def __init__(self, n: int, pattern):
-        counts = np.zeros(n, dtype=np.int64)
-        for r, c in pattern:
-            np.add.at(counts, r.ravel(), c.shape[1])
-        total = int(counts.sum())
+        # block i's entries are bounds[i]:bounds[i + 1] of the plan's
+        self.bounds = np.zeros(len(pattern) + 1, dtype=np.int64)
+        np.cumsum([r.size * c.shape[1] for r, c in pattern], out=self.bounds[1:])
+        total = int(self.bounds[-1])
         index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
+        keys = np.empty(total, dtype=np.int64)      # entry (i, j) is i n + j
+        for (r, c), lo, hi in zip(pattern, self.bounds[:-1], self.bounds[1:]):
+            keys[lo:hi] = (r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(total, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # an entry's slot: how many distinct keys precede its own
+        self.slot = np.empty(total, dtype=index)
+        self.slot[order] = np.cumsum(first, dtype=index) - 1
+        del order, first
         self.shape = (n, n)
+        self.indices = (keys % n).astype(index)
         self.indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(counts, out=self.indptr[1:])
-        cursor = self.indptr[:-1].astype(np.int64)
-        self.indices = np.empty(total, dtype=index)
-        self.data = np.empty(total)
-        # per block, where the entries of each of its rows start
-        self.starts: list[np.ndarray | None] = []
-        for r, c in pattern:
-            rows = r.ravel()
-            width = c.shape[1]
-            order = np.argsort(rows, kind="stable")
-            ranked = rows[order]
-            # an occurrence's rank among this block's entries of its row
-            rank = np.arange(rows.size) - np.searchsorted(ranked, ranked)
-            start = np.empty(rows.size, dtype=np.int64)
-            start[order] = cursor[ranked] + rank * width
-            dest = start[:, None] + np.arange(width)
-            self.indices[dest] = np.broadcast_to(c[:, None, :], (*r.shape, width)
-                                                 ).reshape(dest.shape)
-            np.add.at(cursor, rows, width)
-            self.starts.append(start)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self.data = np.zeros(keys.size)
+        self.unwritten = set(range(len(pattern)))
 
     def write(self, i: int, values: np.ndarray) -> None:
-        """The values (m, r, c) of block i, written once."""
-        start = self.starts[i]
-        self.starts[i] = None
-        dest = start[:, None] + np.arange(values.shape[-1])
-        self.data[dest] = values.reshape(dest.shape)
+        """The values (m, r, c) of block i, added once."""
+        self.unwritten.remove(i)
+        np.add.at(self.data, self.slot[self.bounds[i]:self.bounds[i + 1]], values.ravel())
 
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> CsrMatrix:
         """The summed matrix, once every block is written."""
-        if any(s is not None for s in self.starts):
+        if self.unwritten:
             raise RuntimeError("a planned block was never written")
-        K = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-        K.sum_duplicates()
-        return K
+        return CsrMatrix(self.data, self.indices, self.indptr, self.shape)
 
 
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
@@ -222,10 +292,11 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
 
     The cells of one group key are built in chunks of at most BUILD_CHUNK
     cells, one ElementGroup each, so the monomial tables of one chunk are
-    alive at a time.  The CSR arrays of K are planned from the chunks' dof
-    tables first, in the order group key, block (A1, -B, B^T, A3), cell,
-    which makes K independent of the chunk size; each chunk's blocks are
-    then written into them as soon as they are built.  Cells in
+    alive at a time.  The CSR pattern of K is planned from the chunks' dof
+    tables first; each chunk's blocks (A1, -B, B^T, A3) are then added
+    into it as soon as they are built, chunk after chunk, so each entry of
+    K sums its cells' values in the order group key, cell, whatever the
+    chunk size.  Cells in
     singular_cells integrate case data on subdivided rules
     (``CellGroup.data_rule``).
     """
@@ -234,26 +305,21 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
     dof_p = build_dof_map(mesh, space_p)
     n_u = dof_u.ndof
     max_degree = max(space_u.degree, space_p.degree)
-    chunks, pattern, slots = [], [], []
+    chunks = []
     for cells, subdivide in cell_groups(mesh, space_u.family, singular_cells):
-        key = []
         for lo in range(0, len(cells), BUILD_CHUNK):
             group = CellGroup(mesh, cells[lo:lo + BUILD_CHUNK], max_degree, subdivide)
-            key.append((group, dof_u.table(group.verts, group.eid, group.cells),
-                        dof_p.table(group.verts, group.eid, group.cells) + n_u))
-        # block b of chunk c of this key is pattern entry first + b * len(key) + c
-        first = len(pattern)
-        for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            pattern += [(chunk[rows], chunk[cols]) for chunk in key]
-        slots += [first + c + len(key) * np.arange(4) for c in range(len(key))]
-        chunks += key
-    plan = CsrPlan(n_u + dof_p.ndof, pattern)
+            chunks.append((group, dof_u.table(group.verts, group.eid, group.cells),
+                           dof_p.table(group.verts, group.eid, group.cells) + n_u))
+    # chunk c's blocks A1, -B, B^T, A3 are pattern entries 4 c to 4 c + 3
+    plan = CsrPlan(n_u + dof_p.ndof, [(rows, cols) for _, u, p in chunks
+                                      for rows, cols in ((u, u), (u, p), (p, u), (p, p))])
     groups = []
     k = space_u.degree
-    for (group, dofs_u, dofs_p), slot in zip(chunks, slots):
+    for c, (group, dofs_u, dofs_p) in enumerate(chunks):
         P_u, P_p, A1, B, A3 = _group_forms(group, space_u, space_p, params)
-        for i, values in zip(slot, (A1, -B, B.swapaxes(1, 2), A3)):
-            plan.write(i, values)
+        for b, values in enumerate((A1, -B, B.swapaxes(1, 2), A3)):
+            plan.write(4 * c + b, values)
         defl = replace(P_u, grads={k - 1: P_u.grads[k - 1]}, hess=None, value_moments=None)
         groups.append(ElementGroup(group, defl, P_p, dofs_u, dofs_p))
     return AssembledSystem(mesh, space_u, space_p, params, dof_u, dof_p, plan.matrix(),
@@ -323,12 +389,12 @@ class FactoredSystem:
     `residual_u`, `residual_p` the largest of the deflection and pressure
     rows alone, each relative to its own rows of the load.
     """
-    K: sp.csr_matrix
+    K: CsrMatrix
     free: np.ndarray
     lift: np.ndarray
     K_lift: np.ndarray
     n_u: int
-    lu: spla.SuperLU
+    lu: _superlu.SuperLU
     residual: float = 0.0
     residual_u: float = 0.0
     residual_p: float = 0.0
@@ -359,13 +425,40 @@ class FactoredSystem:
 
     @property
     def record(self) -> dict:
-        """ndof and nnz of K, the entries SuperLU stores for L and U (the
-        `lu.L` and `lu.U` views would copy them), and the largest relative
-        residuals checked: of all free rows, then of the deflection and
-        the pressure rows."""
-        return {"ndof": self.K.shape[0], "nnz": int(self.K.nnz),
+        """ndof and nnz of K, the entries SuperLU stores for L and U, and
+        the largest relative residuals checked: of all free rows, then of
+        the deflection and the pressure rows."""
+        return {"ndof": self.K.shape[0], "nnz": self.K.nnz,
                 "fill": int(self.lu.nnz), "residual": self.residual,
                 "residual_u": self.residual_u, "residual_p": self.residual_p}
+
+
+def free_block(K: CsrMatrix, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical CSC arrays (data, row indices, column pointers; intc
+    indices) of K restricted to the free rows and columns.
+
+    Each entry of K is keyed by its column's place among the free dofs,
+    and by nfree in a fixed row or column; one stable sort of the keys
+    then lists the free block column by column, each column's rows
+    ascending, and leaves the other entries at the end.  numpy sorts keys
+    of 16 bits by radix, several times faster than 32-bit ones."""
+    nfree = int(np.count_nonzero(free))
+    counts = np.diff(K.indptr)
+    number = np.where(free, np.cumsum(free) - 1, nfree).astype(np.intc)
+    key = number.astype(np.uint16 if nfree < 2 ** 16 else np.intc)[K.indices]
+    key[~np.repeat(free, counts)] = nfree
+    indptr = np.zeros(nfree + 1, dtype=np.intc)
+    np.cumsum(np.bincount(key, minlength=nfree + 1)[:nfree], out=indptr[1:])
+    order = np.argsort(key, kind="stable")[:indptr[-1]]
+    del key
+    rows = np.repeat(number, counts)[order]
+    return K.data[order], rows, indptr
+
+
+def splu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU's factor of the CSC matrix (data, indices, indptr), by
+    ``_gstrf``."""
+    return _gstrf(_superlu, data, indices, indptr)
 
 
 def factor_system(system: AssembledSystem, constraints: Constraints) -> FactoredSystem:
@@ -377,8 +470,6 @@ def factor_system(system: AssembledSystem, constraints: Constraints) -> Factored
     definite, so its symmetric part diag(A, D) is positive definite and an
     LU without pivoting exists under any symmetric permutation."""
     free = ~constraints.fixed
-    Kff = system.K[free][:, free].tocsc()
-    lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    lu = splu(*free_block(system.K, free))
     return FactoredSystem(system.K, free, constraints.lift, system.K @ constraints.lift,
                           system.dof_u.ndof, lu)

@@ -21,7 +21,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-# The imports leave some 44,000 objects that the collector tracks and that
+# The imports leave some 33,000 objects that the collector tracks and that
 # live as long as the process, so the collector is off while they are made.
 # Freezing and at once unfreezing them moves them, unwalked, into the oldest
 # generation, which only a full pass reads; without that, the first young

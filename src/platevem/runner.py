@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import (AssembledSystem, CsrPlan, assemble_rhs, assemble_system,
-                       factor_system)
+from .assembly import (AssembledSystem, CsrMatrix, CsrPlan, assemble_rhs,
+                       assemble_system, factor_system)
 from .estimator import EstimatorReport, measure
 from .manufactured import ErrorReport, ManufacturedCase
 from .mesh import PolygonalMesh, generate_voronoi
@@ -115,7 +114,7 @@ def fit_loglog_slope(x, y, tail: int = 4) -> float:
 # time stepping
 
 
-def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
+def assemble_projected_mass(system: AssembledSystem) -> CsrMatrix:
     """Block-diagonal mass actions (Pi_k ., Pi_k .) for both fields.
 
     Previous-step states multiply this operator when they enter the next
@@ -133,7 +132,7 @@ def assemble_projected_mass(system: AssembledSystem) -> sp.csr_matrix:
 
 
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
-                    case: ManufacturedCase, M: sp.csr_matrix, *,
+                    case: ManufacturedCase, M: CsrMatrix, *,
                     steps: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
     """March the one-step system with unit time step from rest: the (U, P)
     of every step, and the record of the one factorization, with the

@@ -5,15 +5,17 @@ rule on.  Tests compare them against the dense oracle and against the
 stacked arrays of a level.  ``solve_patch`` solves a level whose data the
 assembled operator synthesizes itself.  ``qhull_voronoi`` builds a
 Voronoi mesh an independent way, through qhull on mirrored seeds, and
-``coo_scatter`` sums local blocks the textbook way, through triplets.
-``perturbed_grid`` jitters the interior vertices of a structured grid."""
+``coo_scatter`` sums local blocks the textbook way, through ``triplets``;
+``to_scipy`` and ``from_scipy`` carry the package's CSR value to scipy
+and back.  ``perturbed_grid`` jitters the interior vertices of a
+structured grid."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from platevem.assembly import _group_forms, factor_system
+from platevem.assembly import CsrMatrix, _group_forms, factor_system
 from platevem.estimator import measure
 from platevem.manufactured import ErrorReport, ManufacturedCase
 from platevem.mesh import PolygonalMesh, build_mesh, generate_structured
@@ -76,18 +78,43 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     return measure(system, U, P, case)[0]
 
 
-def coo_scatter(n: int, blocks) -> sp.csr_matrix:
+def to_scipy(K: CsrMatrix) -> sp.csr_matrix:
+    """scipy's CSR matrix on the arrays of K."""
+    return sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+
+
+def from_scipy(A: sp.spmatrix) -> CsrMatrix:
+    """The canonical CSR arrays of a scipy matrix as the package's CSR value."""
+    A = sp.csr_matrix(A)
+    A.sum_duplicates()
+    return CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+
+
+def triplets(n: int, blocks) -> sp.coo_matrix:
     """Stacked local blocks (row dofs (m, r), col dofs (m, c), values
-    (m, r, c)) as (row, col, value) triplets in block order, int32 indices
-    while n fits, summed by ``tocsr``: the reference for
-    ``assembly.CsrPlan``."""
+    (m, r, c)) as one COO matrix of (row, col, value) triplets in block
+    order, int32 indices while n fits."""
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
                            for r, _, v in blocks]).astype(index)
     cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
                            for _, c, v in blocks]).astype(index)
     vals = np.concatenate([v.ravel() for _, _, v in blocks])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def coo_scatter(n: int, blocks) -> sp.csr_matrix:
+    """The blocks' triplets summed the textbook way, each added into its
+    entry in turn, so that every sum of duplicates has a defined order; the
+    pattern is ``tocsr``'s.  The reference for ``assembly.CsrPlan``."""
+    coo = triplets(n, blocks)
+    A = coo.tocsr()
+    # tocsr adds duplicates in the order std::sort leaves them in
+    entries = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
+    A.data[:] = 0.0
+    np.add.at(A.data, np.searchsorted(entries, coo.row.astype(np.int64) * n + coo.col),
+              coo.data)
+    return A
 
 
 def qhull_voronoi(pts: np.ndarray, domain) -> tuple[PolygonalMesh, np.ndarray]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from _elements import build_element, coo_scatter, perturbed_grid, polygon_rule, solve_patch
+from _elements import (build_element, coo_scatter, from_scipy, perturbed_grid, polygon_rule,
+                       solve_patch, to_scipy, triplets)
 
 from platevem import assembly, projectors, runner
 from platevem.assembly import (SOLVE_RTOL, ModelParams, _group_forms, assemble_rhs,
@@ -119,7 +120,7 @@ class TestGlobalSystem:
         blocks enter with opposite signs and cancel."""
         space_u, space_p = spaces_for(family, 2, 1)
         system = assemble_system(voronoi25, space_u, space_p, PARAMS)
-        K = system.K.toarray()
+        K = to_scipy(system.K).toarray()
         nu = system.dof_u.ndof
         upper = K[:nu, nu:]
         lower = K[nu:, :nu]
@@ -195,7 +196,7 @@ class TestGroupedBuild:
                 K[np.ix_(gp, gp)] += ref.A3
             seen.extend(cells)
         assert sorted(seen) == list(range(mesh.ncells))
-        assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
+        assert np.abs(to_scipy(system.K).toarray() - K).max() <= 1e-12 * np.abs(K).max()
         return system
 
     @staticmethod
@@ -418,17 +419,33 @@ class TestBoundedBuild:
         assert peak < 11e6
 
 
-class TestScatter:
-    """`assemble_system` writes each chunk's blocks into their planned
-    places in the CSR rows and sums duplicates, and K is bit-identical to
-    summing the same blocks as triplets through a COO matrix, whatever the
-    chunk size.  The blocks are rebuilt by ``_group_forms`` on each group,
-    in the plan's order: group key, block (A1, -B, B^T, A3), chunk."""
+@pytest.fixture(scope="module")
+def mesh400():
+    return generate_voronoi(400, lloyd_iters=5, seed=3, labeler=get_case("smooth").labeler)
 
-    @pytest.fixture(scope="class")
-    def mesh400(self):
-        return generate_voronoi(400, lloyd_iters=5, seed=3,
-                                labeler=get_case("smooth").labeler)
+
+def level_blocks(mesh, system, spaces):
+    """The local blocks (row dofs, col dofs, values) of every chunk of a
+    level, rebuilt by ``_group_forms``, in the order group key, block
+    (A1, -B, B^T, A3), chunk: each entry of K gets its cells' values in
+    the order group key, cell, as in ``assemble_system``."""
+    blocks, groups = [], iter(system.groups)
+    for cells, _ in projectors.cell_groups(mesh, spaces[0].family):
+        chunks = [next(groups) for _ in range(0, len(cells), assembly.BUILD_CHUNK)]
+        forms = [_group_forms(g.ctx, *spaces, PARAMS)[2:] for g in chunks]
+        blocks += [(g.dofs_u, g.dofs_u, A1) for g, (A1, _, _) in zip(chunks, forms)] \
+            + [(g.dofs_u, g.dofs_p, -B) for g, (_, B, _) in zip(chunks, forms)] \
+            + [(g.dofs_p, g.dofs_u, B.swapaxes(1, 2)) for g, (_, B, _) in zip(chunks, forms)] \
+            + [(g.dofs_p, g.dofs_p, A3) for g, (_, _, A3) in zip(chunks, forms)]
+    assert next(groups, None) is None
+    return blocks
+
+
+class TestScatter:
+    """`assemble_system` adds each chunk's blocks into their planned
+    places in the CSR rows, and K is bit-identical to adding the same
+    blocks' triplets into their entries one at a time, whatever the chunk
+    size."""
 
     @pytest.mark.parametrize("chunk", [1, 7, assembly.BUILD_CHUNK])
     @pytest.mark.parametrize("family", [Family.CONFORMING, Family.NONCONFORMING])
@@ -437,16 +454,7 @@ class TestScatter:
         spaces = spaces_for(family, 2, 1)
         system = assemble_system(mesh400, *spaces, PARAMS)
         assert max(len(g.ctx) for g in system.groups) <= chunk
-        blocks, groups = [], iter(system.groups)
-        for cells, _ in projectors.cell_groups(mesh400, family):
-            chunks = [next(groups) for _ in range(0, len(cells), chunk)]
-            forms = [_group_forms(g.ctx, *spaces, PARAMS)[2:] for g in chunks]
-            blocks += [(g.dofs_u, g.dofs_u, A1) for g, (A1, _, _) in zip(chunks, forms)] \
-                + [(g.dofs_u, g.dofs_p, -B) for g, (_, B, _) in zip(chunks, forms)] \
-                + [(g.dofs_p, g.dofs_u, B.swapaxes(1, 2)) for g, (_, B, _) in zip(chunks, forms)] \
-                + [(g.dofs_p, g.dofs_p, A3) for g, (_, _, A3) in zip(chunks, forms)]
-        assert next(groups, None) is None
-        want = coo_scatter(system.ndof, blocks)
+        want = coo_scatter(system.ndof, level_blocks(mesh400, system, spaces))
         for name in ("data", "indices", "indptr"):
             a, b = getattr(system.K, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -459,7 +467,74 @@ class TestScatter:
         with pytest.raises(RuntimeError, match="never written"):
             plan.matrix()
         plan.write(1, np.ones((1, 2, 2)))
-        assert np.array_equal(plan.matrix().toarray(), np.full((2, 2), 2.0))
+        assert np.array_equal(to_scipy(plan.matrix()).toarray(), np.full((2, 2), 2.0))
+
+
+class TestScipyReference:
+    """On the seed-3 400-cell Voronoi level, the numpy sparse path against
+    scipy's: scipy sums K's duplicates in the order its sort leaves them,
+    so K's values may differ from its sum in the last bits; the free block
+    has scipy's CSC arrays, and its factor, solve and K's products are
+    scipy's to the bit."""
+
+    @pytest.fixture(scope="class", params=[Family.CONFORMING, Family.NONCONFORMING],
+                    ids=lambda f: f.value)
+    def level(self, request, mesh400):
+        spaces = spaces_for(request.param, 2, 1)
+        system = assemble_system(mesh400, *spaces, PARAMS)
+        constraints = constrained_system(get_case("smooth"), mesh400, spaces)[1]
+        reference = triplets(system.ndof, level_blocks(mesh400, system, spaces)).tocsr()
+        return system, ~constraints.fixed, reference
+
+    def test_free_block_is_scipys(self, level):
+        system, free, reference = level
+        got = assembly.free_block(system.K, free)
+        assert got[1].dtype == got[2].dtype == np.intc
+        same = to_scipy(system.K)[free][:, free].tocsc()
+        for a, b in zip(got, (same.data, same.indices, same.indptr)):
+            assert np.array_equal(a, b)
+        want = reference[free][:, free].tocsc()
+        assert np.array_equal(got[1], want.indices) and np.array_equal(got[2], want.indptr)
+        scale = np.abs(system.K.data).max()
+        assert np.abs(got[0] - want.data).max() <= 1e-15 * scale
+
+    def test_factor_is_scipys(self, level):
+        system, free, _ = level
+        data, indices, indptr = assembly.free_block(system.K, free)
+        n = indptr.size - 1
+        lu = assembly.splu(data, indices, indptr)
+        want = spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_c, want.perm_c)
+        assert np.array_equal(lu.perm_r, want.perm_r)
+        assert lu.nnz == want.nnz
+        b = np.random.default_rng(5).standard_normal(n)
+        assert np.array_equal(lu.solve(b).view(np.int64), want.solve(b).view(np.int64))
+
+    def test_matvec_is_scipys(self, level):
+        system, _, _ = level
+        x = np.random.default_rng(6).standard_normal(system.ndof)
+        got, want = system.K @ x, to_scipy(system.K) @ x
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_free_block_with_32_bit_keys_is_scipys():
+    """Past 65,535 free dofs ``free_block`` keys its entries by 32-bit
+    integers (timsort) instead of 16-bit ones (radix); its CSC arrays are
+    still scipy's."""
+    rng = np.random.default_rng(7)
+    n = 70_000
+    rows, cols = rng.integers(n, size=(2, 4 * n))
+    A = sp.coo_matrix((rng.standard_normal(4 * n), (rows, cols)), shape=(n, n))
+    A = (A + sp.eye(n)).tocsr()
+    free = rng.random(n) > 0.03
+    assert np.count_nonzero(free) >= 2 ** 16
+    got = assembly.free_block(from_scipy(A), free)
+    same = A[free][:, free].tocsc()
+    assert got[1].dtype == got[2].dtype == np.intc
+    for a, b in zip(got, (same.data, same.indices, same.indptr)):
+        assert np.array_equal(a, b)
 
 
 class TestPatchReproduction:
@@ -489,7 +564,7 @@ def singular(system, constraints):
     keep = np.ones(system.ndof)
     keep[np.flatnonzero(~constraints.fixed)[0]] = 0.0
     D = sp.diags(keep)
-    return replace(system, K=(D @ system.K @ D).tocsr()), constraints
+    return replace(system, K=from_scipy(D @ to_scipy(system.K) @ D)), constraints
 
 
 class TestSolvers:
@@ -517,9 +592,16 @@ class TestSolvers:
     @staticmethod
     def perturb_factor(monkeypatch):
         """Make factor_system factor its free block plus 1e-3 I."""
-        splu = assembly.spla.splu
-        monkeypatch.setattr(assembly.spla, "splu", lambda A, **kw: splu(
-            (A + 1e-3 * sp.identity(A.shape[0], format="csc")).tocsc(), **kw))
+        splu = assembly.splu
+
+        def shifted(data, indices, indptr):
+            n = indptr.size - 1
+            A = (sp.csc_matrix((data, indices, indptr), shape=(n, n))
+                 + 1e-3 * sp.identity(n, format="csc")).tocsc()
+            A.sort_indices()
+            return splu(A.data, A.indices.astype(np.intc), A.indptr.astype(np.intc))
+
+        monkeypatch.setattr(assembly, "splu", shifted)
 
     def test_wrong_factor_fails_the_residual_check(self, monkeypatch, voronoi25):
         """A factor of another matrix solves without error, and the
@@ -569,9 +651,12 @@ class TestSolvers:
         factored = factor_system(system, constraints)
         factored.solve(assemble_rhs(system, case))
         record = factored.record
-        assert record["fill"] == factored.lu.L.nnz + factored.lu.U.nnz
-        free = ~constraints.fixed
-        default = spla.splu(system.K[free][:, free].tocsc())
+        n = factored.free.sum()
+        Kff = sp.csc_matrix(assembly.free_block(system.K, factored.free), shape=(n, n))
+        same = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        assert record["fill"] == same.L.nnz + same.U.nnz
+        default = spla.splu(Kff)
         assert record["fill"] <= 0.8 * (default.L.nnz + default.U.nnz)
         assert record["residual"] < 1e-3 * SOLVE_RTOL
         assert (record["ndof"], record["nnz"]) == (system.ndof, system.K.nnz)
@@ -602,7 +687,7 @@ class TestTimestepping:
                                                  spaces_for(Family.CONFORMING, 2, 1))
         M = assemble_projected_mass(system)
         states, _ = timestep_driver(system, constraints, case, M, steps=60)
-        shifted = replace(system, K=(system.K - M).tocsr())
+        shifted = replace(system, K=from_scipy(to_scipy(system.K) - to_scipy(M)))
         Us, Ps = factor_system(shifted, constraints).solve(assemble_rhs(system, case))
         Ue, Pe = states[-1]
         scale = max(np.abs(Us).max(), np.abs(Ps).max())
@@ -632,7 +717,7 @@ class TestFactorOnce:
         system, constraints = constrained_system(case, voronoi25,
                                                  spaces_for(Family.CONFORMING, 2, 1))
         M = assemble_projected_mass(system)
-        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        splu = count_calls(monkeypatch, assembly, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
         states, _ = timestep_driver(system, constraints, case, M, steps=6)
         assert len(states) == 6
@@ -643,7 +728,7 @@ class TestFactorOnce:
         case = get_case("smooth")
         meshes = [generate_voronoi(9, lloyd_iters=2, seed=4,
                                    labeler=case.labeler), voronoi25]
-        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        splu = count_calls(monkeypatch, assembly, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
         run_convergence(case, meshes, Family.CONFORMING, 2, 1)
         assert len(splu) == len(meshes)
@@ -655,7 +740,7 @@ class TestFactorOnce:
         cfg.write_text(json.dumps({
             "mesh": {"kind": "voronoi", "n0": 12, "lloyd": 2},
             "steps": steps, "out": str(tmp_path / "out")}))
-        splu = count_calls(monkeypatch, assembly.spla, "splu")
+        splu = count_calls(monkeypatch, assembly, "splu")
         rhs = count_calls(monkeypatch, runner, "assemble_rhs")
         assert main(["timestep", "--config", str(cfg)]) == 0
         assert len(splu) == 1
