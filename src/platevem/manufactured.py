@@ -81,7 +81,7 @@ class ManufacturedCase:
         d = np.linalg.norm(mesh.vertices[:, None, :] - pts[None, :, :], axis=2)
         near = d.min(axis=1) < SINGULAR_TOL
         cell_of = np.repeat(np.arange(mesh.ncells), np.diff(mesh.cell_ptr))
-        return frozenset(np.unique(cell_of[near[mesh.cell_verts]]).tolist())
+        return frozenset(cell_of[near[mesh.cell_verts]].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ vertices, produced by local refinement) are ordinary mesh vertices;
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -83,7 +84,7 @@ def size_groups(cell_ptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]
     """Per vertex count, ascending: the ids of the cells with that count
     and the (m, n) block of their slots."""
     sizes = np.diff(cell_ptr)
-    for n in np.unique(sizes):
+    for n in np.flatnonzero(np.bincount(sizes)):
         cells = np.flatnonzero(sizes == n)
         yield cells, cell_ptr[cells, None] + np.arange(n)
 
@@ -347,6 +348,65 @@ def generate_lshape(n: int, labeler: Labeler | None = None) -> PolygonalMesh:
                   labeler, None)
 
 
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class Pcg64:
+    """The stream of ``numpy.random.default_rng(seed)`` in Python ints:
+    ``uniform(low, high, size)`` returns its ``uniform(low, high, size)``
+    bit for bit, without loading ``numpy.random``.
+
+    The seed's 32-bit words are hashed into a pool of four and expanded
+    into the 128-bit state and increment as numpy's SeedSequence does.
+    Each draw is one step of O'Neill's PCG XSL-RR 128/64 generator; the
+    top 53 bits of its output make a double in [0, 1)."""
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        mult = 0x43B0D7E5       # the constants of numpy's bit_generator.pyx
+
+        def hashmix(v: int) -> int:
+            nonlocal mult
+            v = (v ^ mult) * (mult := mult * 0x931E8875 & _M32) & _M32
+            return v ^ v >> 16
+
+        def mix(x: int, y: int) -> int:
+            v = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+            return v ^ v >> 16
+
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    pool[j] = mix(pool[j], hashmix(pool[i]))
+        for w in words[4:]:
+            for j in range(4):
+                pool[j] = mix(pool[j], hashmix(w))
+        mult, state = 0x8B51F9DD, 0
+        for i in range(8):
+            v = (pool[i % 4] ^ mult) * (mult := mult * 0x58F38DED & _M32) & _M32
+            state |= (v ^ v >> 16) << 32 * i
+        w0, w1, w2, w3 = (state >> 64 * i & _M64 for i in range(4))
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self.state = ((w0 << 64 | w1) + self.inc) * _PCG_MULT + self.inc & _M128
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """Doubles low + (high - low) * u, filling the shape size in C order."""
+        s, inc, span = self.state, self.inc, high - low
+        out = []
+        for _ in range(int(np.prod(size))):
+            s = s * _PCG_MULT + inc & _M128
+            x, r = (s >> 64 ^ s) & _M64, s >> 122
+            x = (x >> r | x << 64 - r) & _M64
+            out.append(low + span * ((x >> 11) * 2.0 ** -53))
+        self.state = s
+        return np.array(out).reshape(size)
+
+
 # Half-width, in buckets of about one seed each, of the first window of
 # neighbour candidates around a Voronoi seed.
 VORONOI_WINDOW = 2
@@ -458,7 +518,7 @@ def generate_voronoi(n_seeds: int,
     joins corners within 1e-9 of the box size, as load_mesh does at 1e-12.
     """
     xmin, ymin, xmax, ymax = domain
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     pts = np.column_stack([rng.uniform(xmin, xmax, n_seeds),
                            rng.uniform(ymin, ymax, n_seeds)])
     scale = max(xmax - xmin, ymax - ymin)
@@ -523,7 +583,8 @@ def refine(mesh: PolygonalMesh, marked: Sequence[int]) -> PolygonalMesh:
     split boundary edges.  New vertices follow the old ones: split edge
     midpoints by edge id, then marked cell centroids by cell id.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.sort(np.asarray(marked, dtype=np.int64))
+    marked = marked[np.diff(marked, prepend=marked[:1] - 1) != 0]
     if (m := _first((marked < 0) | (marked >= mesh.ncells), marked)) is not None:
         raise MeshError(f"marked cell {m} out of range")
 
@@ -643,7 +704,7 @@ def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
             raise MeshError(f"boundary entry {i}: needs 'edges' or 'region'")
     mesh = build_mesh(vertices, cells, labeler=region_labeler(regions, labeler or all_clamped),
                       edge_labels=edge_labels or None)
-    unused = np.setdiff1d(np.arange(mesh.nvertices), mesh.cell_verts)
+    unused = np.flatnonzero(np.bincount(mesh.cell_verts, minlength=mesh.nvertices) == 0)
     if unused.size:
         raise MeshError(f"vertex {unused[0]} is not a vertex of any cell")
     if (v := _first(~np.isfinite(mesh.vertices).all(1), np.arange(mesh.nvertices))) is not None:

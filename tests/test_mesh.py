@@ -12,8 +12,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from platevem.mesh import (LABELS, BoundaryLabel, MeshError, _merge_close, build_mesh,
-                           corner_mask, generate_lshape, generate_structured,
+import platevem.mesh as mesh_module
+from platevem.mesh import (LABELS, BoundaryLabel, MeshError, Pcg64, _merge_close,
+                           build_mesh, corner_mask, generate_lshape, generate_structured,
                            generate_voronoi, load_mesh, quality_report, refine,
                            region_labeler, uniform_refine)
 from platevem.quadrature import polygon_area_centroid
@@ -223,7 +224,7 @@ class TestGenerators:
 def planted_seeds(pts):
     """generate_voronoi draws the seeds pts: its generator hands out their
     x and then their y coordinates, and real draws after that."""
-    real = np.random.default_rng
+    real = mesh_module.Pcg64
 
     class Planted:
         def __init__(self, seed):
@@ -232,8 +233,38 @@ def planted_seeds(pts):
         def uniform(self, *args, **kwargs):
             return self.planted.pop() if self.planted else self.rng.uniform(*args, **kwargs)
 
-    with patch.object(np.random, "default_rng", Planted):
+    with patch.object(mesh_module, "Pcg64", Planted):
         yield
+
+
+class TestSeedStream:
+    """generate_voronoi draws its seeds from the package's PCG64 stream,
+    which hands out numpy's ``default_rng(seed).uniform`` draws bit for bit."""
+
+    SEEDS = [0, 1, 3, 104, 205, 2 ** 32 + 5, 2 ** 70 + 11, 123456789]
+    # (seed + 101 j, n0 4^j) of every level of the shipped Voronoi ladders
+    LADDERS = [(3 + 101 * j, 25 * 4 ** j) for j in range(5)] + [(0, 100)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_successive_draws_are_numpys(self, seed):
+        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
+        for low, high, n in [(0.0, 1.0, 800), (-1.0, 3.0, 400), (10.0, 10.5, 7)]:
+            assert np.array_equal(ours.uniform(low, high, n), numpys.uniform(low, high, n))
+
+    @pytest.mark.parametrize("seed, n", LADDERS)
+    def test_ladder_seeds_and_rejitter_are_numpys(self, seed, n):
+        """x then y of the n seeds, then an (n, 2) re-jitter draw in C order."""
+        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
+        for low, high, size in [(0.0, 1.0, n), (0.0, 1.0, n), (-1e-6, 1e-6, (n, 2))]:
+            assert np.array_equal(ours.uniform(low, high, size), numpys.uniform(low, high, size))
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            Pcg64(-1)
+        with pytest.raises(ValueError):
+            generate_voronoi(4, seed=-3)
 
 
 def clipped_mesh(pts, domain):
@@ -371,6 +402,19 @@ class TestRefine:
         mesh = generate_voronoi(10, seed=4)
         fine = refine(mesh, [2])
         assert fine.ncells > mesh.ncells
+
+    def test_marks_in_any_order_and_repeated(self):
+        """Marks refine as their sorted distinct set, and the smallest mark
+        out of range is named."""
+        mesh = generate_voronoi(10, seed=4)
+        a, b = refine(mesh, [5, 0, 3, 5, 0]), refine(mesh, [0, 3, 5])
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.cell_verts, b.cell_verts)
+        assert refine(mesh, []).ncells == mesh.ncells
+        with pytest.raises(MeshError, match="marked cell -2 out of range"):
+            refine(mesh, [3, 10, -2, -2])
+        with pytest.raises(MeshError, match="marked cell 10 out of range"):
+            refine(mesh, [10, 3, 10])
 
     def test_uniform_refine_quadruples_quads(self):
         mesh = generate_structured(2, 2)

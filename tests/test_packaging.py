@@ -1,6 +1,9 @@
 """The runtime dependency contract: the package runs on numpy and scipy
 alone, sympy is only a test dependency, and of scipy only SuperLU's
-compiled module is loaded, without any ``scipy.*`` package module."""
+compiled module is loaded, without any ``scipy.*`` package module.  Runs
+load no numpy subpackage they do not compute with: Voronoi seeds come
+from the package's own stream, not ``numpy.random``, and no ``np.unique``
+call loads ``numpy.ma``."""
 
 import ast
 import importlib.machinery
@@ -46,9 +49,11 @@ def test_voronoi_runs_and_mesh_files_do_not_import_scipy_spatial(tmp_path):
             f"assert main(['timestep', '--config', {str(cfg)!r}]) == 0\n"
             f"assert main(['convergence', '--config', {str(cfg)!r}]) == 0\n"
             f"assert main(['adaptive', '--config', {str(lshape)!r}]) == 0\n"
+            f"assert main(['mesh-info', '--config', {str(cfg)!r}]) == 0\n"
             f"assert load_mesh({str(mesh)!r}).ncells == 2\n"
             "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
-            "loaded = [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))]\n"
+            "loaded = [m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))\n"
+            "          or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'])]\n"
             "assert not loaded, f'{loaded} imported'\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
