@@ -438,24 +438,18 @@ def free_block(K: CsrMatrix, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     indices) of K restricted to the free rows and columns.
 
     Each entry of K is keyed by its column's place among the free dofs,
-    and by nfree in a fixed row or column; a stable sort of the keys
+    and by nfree in a fixed row or column; one stable sort of the keys
     then lists the free block column by column, each column's rows
     ascending, and leaves the other entries at the end.  numpy sorts keys
-    of 16 bits by radix, several times faster than 32-bit ones, so keys
-    past 65,535 are sorted by their low and then their high 16 bits (an
-    LSD radix sort, in the order of one stable sort of the whole keys)."""
+    of 16 bits by radix, several times faster than 32-bit ones."""
     nfree = int(np.count_nonzero(free))
     counts = np.diff(K.indptr)
     number = np.where(free, np.cumsum(free) - 1, nfree).astype(np.intc)
-    wide = nfree >= 2 ** 16
-    key = number.astype(np.intc if wide else np.uint16)[K.indices]
+    key = number.astype(np.uint16 if nfree < 2 ** 16 else np.intc)[K.indices]
     key[~np.repeat(free, counts)] = nfree
     indptr = np.zeros(nfree + 1, dtype=np.intc)
     np.cumsum(np.bincount(key, minlength=nfree + 1)[:nfree], out=indptr[1:])
-    order = np.argsort(key.astype(np.uint16, copy=False), kind="stable")
-    if wide:
-        order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
-    order = order[:indptr[-1]]
+    order = np.argsort(key, kind="stable")[:indptr[-1]]
     del key
     rows = np.repeat(number, counts)[order]
     return K.data[order], rows, indptr

@@ -521,8 +521,8 @@ class TestScipyReference:
 
 def test_free_block_with_32_bit_keys_is_scipys():
     """Past 65,535 free dofs ``free_block`` keys its entries by 32-bit
-    integers, sorted in two 16-bit radix passes; its CSC arrays are still
-    scipy's."""
+    integers (timsort) instead of 16-bit ones (radix); its CSC arrays are
+    still scipy's."""
     rng = np.random.default_rng(7)
     n = 70_000
     rows, cols = rng.integers(n, size=(2, 4 * n))
@@ -535,29 +535,6 @@ def test_free_block_with_32_bit_keys_is_scipys():
     assert got[1].dtype == got[2].dtype == np.intc
     for a, b in zip(got, (same.data, same.indices, same.indptr)):
         assert np.array_equal(a, b)
-
-
-def test_free_block_radix_passes_are_one_stable_sort():
-    """Past 65,535 free dofs ``free_block`` sorts its keys by their low and
-    then their high 16 bits; its arrays are those of one stable sort of the
-    whole keys."""
-    rng = np.random.default_rng(11)
-    n = 200_000
-    rows, cols = rng.integers(n, size=(2, 3 * n))
-    A = sp.coo_matrix((rng.standard_normal(3 * n), (rows, cols)), shape=(n, n))
-    K = from_scipy(A + sp.eye(n))
-    free = rng.random(n) > 0.05
-    nfree = np.count_nonzero(free)
-    assert nfree >= 2 ** 17
-    number = np.where(free, np.cumsum(free) - 1, nfree)
-    key = number[K.indices]
-    key[~np.repeat(free, np.diff(K.indptr))] = nfree
-    order = np.argsort(key, kind="stable")[:np.count_nonzero(key < nfree)]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=nfree)[:nfree])])
-    data, indices, got_indptr = assembly.free_block(K, free)
-    assert np.array_equal(data, K.data[order])
-    assert np.array_equal(indices, np.repeat(number, np.diff(K.indptr))[order])
-    assert np.array_equal(got_indptr, indptr)
 
 
 class TestPatchReproduction:
