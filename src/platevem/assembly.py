@@ -138,7 +138,7 @@ class AssembledSystem:
     params: ModelParams
     dof_u: DofMap
     dof_p: DofMap
-    K: CsrMatrix
+    K: CscMatrix
     groups: list[ElementGroup]
 
     @property
@@ -208,11 +208,11 @@ def _group_forms(group: CellGroup, space_u: SpaceKind, space_p: SpaceKind,
 
 
 @dataclass(frozen=True, eq=False)
-class CsrMatrix:
-    """A sparse matrix in canonical CSR form: each row's column indices
-    ascend, without duplicates.  ``A @ x`` adds each row's products onto
-    zero in index order (``np.add.at`` adds in the order of its indices),
-    as scipy's ``csr_matvec`` does, so the two agree to the bit."""
+class CscMatrix:
+    """A sparse matrix in canonical CSC form, the order SuperLU reads:
+    each column's row indices ascend, without duplicates.  ``A @ x`` adds
+    the products onto zero column by column (``np.add.at`` keeps index
+    order), as scipy's ``csc_matvec`` does, so the two agree to the bit."""
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -223,18 +223,18 @@ class CsrMatrix:
         return self.data.size
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+    def _cols(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[1], dtype=self.indices.dtype),
                          np.diff(self.indptr))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.shape[0])
-        np.add.at(y, self._rows, self.data * x[self.indices])
+        np.add.at(y, self.indices, self.data * x[self._cols])
         return y
 
 
-class CsrPlan:
-    """The CSR arrays of a sum of stacked local blocks, planned from their
+class CscPlan:
+    """The CSC arrays of a sum of stacked local blocks, planned from their
     dof tables alone, so that each block's values can be added the moment
     they are built and then dropped.
 
@@ -252,9 +252,9 @@ class CsrPlan:
         np.cumsum([r.size * c.shape[1] for r, c in pattern], out=self.bounds[1:])
         total = int(self.bounds[-1])
         index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
-        keys = np.empty(total, dtype=np.int64)      # entry (i, j) is i n + j
+        keys = np.empty(total, dtype=np.int64)      # entry (i, j) is j n + i
         for (r, c), lo, hi in zip(pattern, self.bounds[:-1], self.bounds[1:]):
-            keys[lo:hi] = (r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel()
+            keys[lo:hi] = (c.astype(np.int64)[:, None, :] * n + r[:, :, None]).ravel()
         order = np.argsort(keys)
         keys = keys[order]
         first = np.empty(total, dtype=bool)
@@ -277,11 +277,11 @@ class CsrPlan:
         self.unwritten.remove(i)
         np.add.at(self.data, self.slot[self.bounds[i]:self.bounds[i + 1]], values.ravel())
 
-    def matrix(self) -> CsrMatrix:
+    def matrix(self) -> CscMatrix:
         """The summed matrix, once every block is written."""
         if self.unwritten:
             raise RuntimeError("a planned block was never written")
-        return CsrMatrix(self.data, self.indices, self.indptr, self.shape)
+        return CscMatrix(self.data, self.indices, self.indptr, self.shape)
 
 
 def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
@@ -292,7 +292,7 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
 
     The cells of one group key are built in chunks of at most BUILD_CHUNK
     cells, one ElementGroup each, so the monomial tables of one chunk are
-    alive at a time.  The CSR pattern of K is planned from the chunks' dof
+    alive at a time.  The CSC pattern of K is planned from the chunks' dof
     tables first; each chunk's blocks (A1, -B, B^T, A3) are then added
     into it as soon as they are built, chunk after chunk, so each entry of
     K sums its cells' values in the order group key, cell, whatever the
@@ -312,7 +312,7 @@ def assemble_system(mesh: PolygonalMesh, space_u: SpaceKind, space_p: SpaceKind,
             chunks.append((group, dof_u.table(group.verts, group.eid, group.cells),
                            dof_p.table(group.verts, group.eid, group.cells) + n_u))
     # chunk c's blocks A1, -B, B^T, A3 are pattern entries 4 c to 4 c + 3
-    plan = CsrPlan(n_u + dof_p.ndof, [(rows, cols) for _, u, p in chunks
+    plan = CscPlan(n_u + dof_p.ndof, [(rows, cols) for _, u, p in chunks
                                       for rows, cols in ((u, u), (u, p), (p, u), (p, p))])
     groups = []
     k = space_u.degree
@@ -389,7 +389,7 @@ class FactoredSystem:
     `residual_u`, `residual_p` the largest of the deflection and pressure
     rows alone, each relative to its own rows of the load.
     """
-    K: CsrMatrix
+    K: CscMatrix
     free: np.ndarray
     lift: np.ndarray
     K_lift: np.ndarray
@@ -433,26 +433,17 @@ class FactoredSystem:
                 "residual_u": self.residual_u, "residual_p": self.residual_p}
 
 
-def free_block(K: CsrMatrix, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def free_block(K: CscMatrix, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The canonical CSC arrays (data, row indices, column pointers; intc
-    indices) of K restricted to the free rows and columns.
-
-    Each entry of K is keyed by its column's place among the free dofs,
-    and by nfree in a fixed row or column; one stable sort of the keys
-    then lists the free block column by column, each column's rows
-    ascending, and leaves the other entries at the end.  numpy sorts keys
-    of 16 bits by radix, several times faster than 32-bit ones."""
-    nfree = int(np.count_nonzero(free))
-    counts = np.diff(K.indptr)
-    number = np.where(free, np.cumsum(free) - 1, nfree).astype(np.intc)
-    key = number.astype(np.uint16 if nfree < 2 ** 16 else np.intc)[K.indices]
-    key[~np.repeat(free, counts)] = nfree
-    indptr = np.zeros(nfree + 1, dtype=np.intc)
-    np.cumsum(np.bincount(key, minlength=nfree + 1)[:nfree], out=indptr[1:])
-    order = np.argsort(key, kind="stable")[:indptr[-1]]
-    del key
-    rows = np.repeat(number, counts)[order]
-    return K.data[order], rows, indptr
+    indices) of K restricted to the free rows and columns: K's entries of
+    free rows in free columns, in K's order, each row numbered by its
+    place among the free dofs."""
+    keep = free[K.indices]
+    keep &= np.repeat(free, np.diff(K.indptr))
+    starts = np.append(K.indptr[:-1][free], K.indptr[-1])   # free columns' in K, then nnz
+    indptr = np.cumsum(np.append(False, keep), dtype=np.intc)[starts]
+    rows = (np.cumsum(free, dtype=np.intc) - 1)[K.indices[keep]]
+    return K.data[keep], rows, indptr
 
 
 def splu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):

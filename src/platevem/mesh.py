@@ -654,17 +654,25 @@ def load_mesh(path: str, labeler: Labeler | None = None) -> PolygonalMesh:
     `region` that holds its midpoint, else of the labeler (clamped if
     none).  A malformed entry, an unknown label or a pair that is no
     boundary edge of the mesh raises MeshError naming the entry; so does a
-    vertex that no cell uses, a vertex with a coordinate that is not
-    finite, or two vertices at one point (joined by ``_merge_close`` at
-    1e-12 of the mesh extent), which would split the cells that meet there.
+    vertex that is no [x, y] pair of finite numbers, a cell id that is no
+    integer, a vertex no cell uses, or two vertices at one point (joined by
+    ``_merge_close`` at 1e-12 of the mesh extent), which would split the
+    cells that meet there.
     """
     with open(path) as fh:
         body = json.load(fh)
-    try:
-        vertices = np.asarray(body["vertices"], dtype=np.float64)
-        cells = [list(map(int, c)) for c in body["cells"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise MeshError(f"malformed mesh file {path}: {err}") from None
+    vertices, cells = (body.get(key) if isinstance(body, dict) else None
+                       for key in ("vertices", "cells"))
+    for key, rows in (("vertices", vertices), ("cells", cells)):
+        if not (isinstance(rows, list) and rows):
+            raise MeshError(f"{key}: expected a non-empty list, got {rows!r}")
+    for v, xy in enumerate(vertices):
+        if not (isinstance(xy, list) and len(xy) == 2
+                and all(_is_int(x) or isinstance(x, float) for x in xy)):
+            raise MeshError(f"vertex {v}: {xy!r} is not an [x, y] pair of numbers")
+    for c, ids in enumerate(cells):
+        if not (isinstance(ids, list) and all(map(_is_int, ids))):
+            raise MeshError(f"cell {c}: {ids!r} is not a list of integer vertex ids")
     edge_labels: dict[tuple[int, int], BoundaryLabel] = {}
     named: dict[tuple[int, int], tuple[int, list]] = {}   # entry and pair as given
     regions = []

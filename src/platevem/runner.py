@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (AssembledSystem, CsrMatrix, CsrPlan, assemble_rhs,
+from .assembly import (AssembledSystem, CscMatrix, CscPlan, assemble_rhs,
                        assemble_system, factor_system)
 from .estimator import EstimatorReport, measure
 from .manufactured import ErrorReport, ManufacturedCase
@@ -114,7 +114,7 @@ def fit_loglog_slope(x, y, tail: int = 4) -> float:
 # time stepping
 
 
-def assemble_projected_mass(system: AssembledSystem) -> CsrMatrix:
+def assemble_projected_mass(system: AssembledSystem) -> CscMatrix:
     """Block-diagonal mass actions (Pi_k ., Pi_k .) for both fields.
 
     Previous-step states multiply this operator when they enter the next
@@ -123,7 +123,7 @@ def assemble_projected_mass(system: AssembledSystem) -> CsrMatrix:
     """
     nk = poly_dim(system.space_u.degree)
     nl = poly_dim(system.space_p.degree)
-    plan = CsrPlan(system.ndof, [pair for g in system.groups
+    plan = CscPlan(system.ndof, [pair for g in system.groups
                                  for pair in ((g.dofs_u, g.dofs_u), (g.dofs_p, g.dofs_p))])
     for i, g in enumerate(system.groups):
         plan.write(2 * i, g.defl.l2.swapaxes(1, 2) @ g.ctx.H[:, :nk, :nk] @ g.defl.l2)
@@ -132,7 +132,7 @@ def assemble_projected_mass(system: AssembledSystem) -> CsrMatrix:
 
 
 def timestep_driver(system: AssembledSystem, constraints: Constraints,
-                    case: ManufacturedCase, M: CsrMatrix, *,
+                    case: ManufacturedCase, M: CscMatrix, *,
                     steps: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
     """March the one-step system with unit time step from rest: the (U, P)
     of every step, and the record of the one factorization, with the

@@ -6,7 +6,7 @@ stacked arrays of a level.  ``solve_patch`` solves a level whose data the
 assembled operator synthesizes itself.  ``qhull_voronoi`` builds a
 Voronoi mesh an independent way, through qhull on mirrored seeds, and
 ``coo_scatter`` sums local blocks the textbook way, through ``triplets``;
-``to_scipy`` and ``from_scipy`` carry the package's CSR value to scipy
+``to_scipy`` and ``from_scipy`` carry the package's CSC value to scipy
 and back.  ``perturbed_grid`` jitters the interior vertices of a
 structured grid."""
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from platevem.assembly import CsrMatrix, _group_forms, factor_system
+from platevem.assembly import CscMatrix, _group_forms, factor_system
 from platevem.estimator import measure
 from platevem.manufactured import ErrorReport, ManufacturedCase
 from platevem.mesh import PolygonalMesh, build_mesh, generate_structured
@@ -78,16 +78,16 @@ def solve_patch(case: ManufacturedCase, mesh: PolygonalMesh, family: Family,
     return measure(system, U, P, case)[0]
 
 
-def to_scipy(K: CsrMatrix) -> sp.csr_matrix:
-    """scipy's CSR matrix on the arrays of K."""
-    return sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+def to_scipy(K: CscMatrix) -> sp.csc_matrix:
+    """scipy's CSC matrix on the arrays of K."""
+    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape)
 
 
-def from_scipy(A: sp.spmatrix) -> CsrMatrix:
-    """The canonical CSR arrays of a scipy matrix as the package's CSR value."""
-    A = sp.csr_matrix(A)
+def from_scipy(A: sp.spmatrix) -> CscMatrix:
+    """The canonical CSC arrays of a scipy matrix as the package's CSC value."""
+    A = sp.csc_matrix(A)
     A.sum_duplicates()
-    return CsrMatrix(A.data, A.indices, A.indptr, A.shape)
+    return CscMatrix(A.data, A.indices, A.indptr, A.shape)
 
 
 def triplets(n: int, blocks) -> sp.coo_matrix:
@@ -103,16 +103,16 @@ def triplets(n: int, blocks) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def coo_scatter(n: int, blocks) -> sp.csr_matrix:
+def coo_scatter(n: int, blocks) -> sp.csc_matrix:
     """The blocks' triplets summed the textbook way, each added into its
     entry in turn, so that every sum of duplicates has a defined order; the
-    pattern is ``tocsr``'s.  The reference for ``assembly.CsrPlan``."""
+    pattern is ``tocsc``'s.  The reference for ``assembly.CscPlan``."""
     coo = triplets(n, blocks)
-    A = coo.tocsr()
-    # tocsr adds duplicates in the order std::sort leaves them in
+    A = coo.tocsc()
+    # tocsc adds duplicates in the order std::sort leaves them in
     entries = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
     A.data[:] = 0.0
-    np.add.at(A.data, np.searchsorted(entries, coo.row.astype(np.int64) * n + coo.col),
+    np.add.at(A.data, np.searchsorted(entries, coo.col.astype(np.int64) * n + coo.row),
               coo.data)
     return A
 

@@ -475,13 +475,14 @@ class TestIO:
 
 
 # two unit squares side by side whose shared side lists its two points
-# twice (ids 1, 2 and 6, 7), one square with a vertex no cell names, and
-# one whose cell names a vertex the file does not have
+# twice (ids 1, 2 and 6, 7), one square with a vertex no cell names, one
+# whose cell names a vertex the file does not have, and a sound triangle
 SPLIT_SQUARES = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [1, 0], [1, 1]],
                  "cells": [[0, 1, 2, 3], [6, 4, 5, 7]]}
 STRAY_VERTEX = {"vertices": [[0, 0], [1, 0], [1, 1], [0.5, 2], [0, 1]],
                 "cells": [[0, 1, 2, 4]]}
 MISSING_VERTEX = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 4]]}
+TRIANGLE = {"vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]]}
 
 
 class TestVertexFaults:
@@ -491,8 +492,19 @@ class TestVertexFaults:
     @pytest.mark.parametrize("body, message", [
         (SPLIT_SQUARES, r"vertices 1 and 6 coincide at \[1.0, 0.0\]"),
         (STRAY_VERTEX, "vertex 3 is not a vertex of any cell"),
-        (MISSING_VERTEX, "cell 0 references a vertex out of range")],
-        ids=["coincident", "unused", "out-of-range"])
+        (MISSING_VERTEX, "cell 0 references a vertex out of range"),
+        ({**TRIANGLE, "cells": [[0, 1, 2.7]]},
+         r"cell 0: \[0, 1, 2.7\] is not a list of integer vertex ids"),
+        ({**TRIANGLE, "cells": [[False, True, 2]]},
+         r"cell 0: \[False, True, 2\] is not a list of integer vertex ids"),
+        ({**TRIANGLE, "vertices": [[0, 0], [1, 0], ["0", "1"]]},
+         r"vertex 2: \['0', '1'\] is not an \[x, y\] pair of numbers"),
+        ({**TRIANGLE, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+         r"vertex 0: \[0, 0, 0\] is not an \[x, y\] pair of numbers"),
+        ({**TRIANGLE, "vertices": []}, r"vertices: expected a non-empty list, got \[\]"),
+        ({**TRIANGLE, "cells": []}, r"cells: expected a non-empty list, got \[\]")],
+        ids=["coincident", "unused", "out-of-range", "float-id", "bool-ids",
+             "string-coordinates", "three-coordinates", "no-vertices", "no-cells"])
     def test_native_json(self, tmp_path, body, message):
         path = tmp_path / "mesh.json"
         path.write_text(json.dumps(body))
